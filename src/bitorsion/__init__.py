@@ -2,8 +2,8 @@
 
 Layers, bottom up:
 
-- ``numkernel``: dense complex linear algebra (LU determinants, non-Hermitian
-  eigenvalues, sorted Schur invariant subspaces, bilinear orthonormalization).
+- ``numkernel``: dense complex linear algebra (LU determinants, sorted Schur
+  forms, the symmetric-form check).
 - ``complexes``: torsion of a finite cochain complex with complex symmetric
   forms through the canonical determinant-line isomorphism.
 - ``morse``: Thom-Smale cochain complexes of Morse systems with flat
@@ -33,7 +33,6 @@ from .circle import (
     exact_spectrum_circle,
     gelfand_yaglom_det,
     make_circle_model,
-    theta_form,
     witten_deform,
     zeta_det_exact,
 )

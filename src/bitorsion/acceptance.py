@@ -302,18 +302,18 @@ def criterion_7_cut_independence():
 
 
 def criterion_8_anomaly_invariance():
-    """rs with phi = 0.3 sin equals phi = 0: 1e-6 via monodromy, 1e-3 discrete."""
+    """rs with phi = 0.3 sin equals phi = 0: 1e-10 via monodromy, 1e-9 discrete."""
     t0 = time.perf_counter()
     base = make_circle_model(2.0, f=("cos", 1))
     wavy = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
     ref = rs_torsion(base, method="exact")
     gy = rs_torsion(wavy, method="gy")
-    disc = rs_torsion(wavy, cut=0.5, method="discrete", grid_sizes=(128, 256, 512))
+    disc = rs_torsion(wavy, cut=0.5, method="discrete")
     worst_gy = abs(gy - ref) / abs(ref)
     worst_disc = abs(disc - ref) / abs(ref)
-    worst = max(worst_gy / 1e-6, worst_disc / 1e-3)  # normalized to gates
+    worst = max(worst_gy / 1e-10, worst_disc / 1e-9)  # normalized to gates
     return _result(8, "odd-dim anomaly invariance", worst, 1.0, t0,
-                   detail=f"gy {worst_gy:.2e} (gate 1e-6), discrete {worst_disc:.2e} (gate 1e-3)")
+                   detail=f"gy {worst_gy:.2e} (gate 1e-10), discrete {worst_disc:.2e} (gate 1e-9)")
 
 
 def criterion_9_witten_clustering():

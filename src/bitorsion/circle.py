@@ -32,7 +32,6 @@ monodromy (Gelfand-Yaglom) route reproduce it.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -52,8 +51,6 @@ __all__ = [
     "exact_spectrum_circle",
     "zeta_det_exact",
     "gelfand_yaglom_det",
-    "ThetaForm",
-    "theta_form",
     "witten_deform",
     "DiscreteOperators",
     "build_discrete",
@@ -61,6 +58,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+GY_POINTS = 1024  # trapezoid samples for the monodromy growth factor
 
 
 @dataclass(frozen=True)
@@ -293,32 +291,33 @@ def _critical_points(pot: TrigPoly, length):
     return out
 
 
-def _window_mask(x, model: CircleModel, half_width=None):
+def _windows(x, model: CircleModel):
+    """(critical point, mask of x inside its flat window) for each critical point.
+
+    The windows are centred on the critical points of the potential with a
+    half-width of 15% of the smallest gap between them; the critical points
+    are found once per call.
+    """
     crits = model.critical_points()
     length = model.length
-    if half_width is None:
-        gaps = np.diff([c for c, _ in crits] + [crits[0][0] + length])
-        half_width = 0.15 * float(np.min(gaps))
+    gaps = np.diff([c for c, _ in crits] + [crits[0][0] + length])
+    half_width = 0.15 * float(np.min(gaps))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    mask = np.zeros(xa.shape, dtype=bool)
-    for c, _ in crits:
-        dist = np.abs((xa - c + length / 2) % length - length / 2)
-        mask |= dist <= half_width
-    return mask
+    return [
+        (c, np.abs((xa - c + length / 2) % length - length / 2) <= half_width)
+        for c, _ in crits
+    ]
+
+
+def _window_mask(x, model: CircleModel):
+    return np.logical_or.reduce([mask for _, mask in _windows(x, model)])
 
 
 def _flatten_near_critical(vals, x, model: CircleModel):
     """Replace phi by its critical-point value on a window around each critical point."""
     vals = np.atleast_1d(np.asarray(vals, dtype=float)).copy()
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    crits = model.critical_points()
-    length = model.length
-    gaps = np.diff([c for c, _ in crits] + [crits[0][0] + length])
-    half_width = 0.15 * float(np.min(gaps))
-    for c, _ in crits:
-        dist = np.abs((xa - c + length / 2) % length - length / 2)
-        mask = dist <= half_width
-        vals[mask] = model.phi.value(c, length)
+    for c, mask in _windows(x, model):
+        vals[mask] = model.phi.value(c, model.length)
     return vals if np.ndim(x) else float(vals[0])
 
 
@@ -338,9 +337,6 @@ class SpectrumFamily:
     def mu(self, n):
         return (TWO_PI / self.length) ** 2 * (n * n - self.z**2)
 
-    def has_zero_mode(self):
-        return abs(self.holonomy - 1.0) == 0.0
-
     def modes_in_disk(self, radius):
         """All (n, mu_n) with |mu_n| <= radius, n in Z (each n separately)."""
         out = []
@@ -350,9 +346,6 @@ class SpectrumFamily:
             if abs(mu) <= radius:
                 out.append((n, mu))
         return out
-
-    def count_in_disk(self, radius):
-        return len(self.modes_in_disk(radius))
 
     def min_modulus_outside(self, radius):
         n_max = int(np.ceil(abs(self.z) + self.length / TWO_PI * np.sqrt(max(radius, 0.0)) + 3))
@@ -400,87 +393,34 @@ def zeta_det_exact(lam, length=TWO_PI, degree=1, cut=None):
     return base / removed
 
 
-def gelfand_yaglom_det(model: CircleModel, degree=1, tol=DEFAULT_TOL):
+def gelfand_yaglom_det(model: CircleModel, degree=1):
     """Functional determinant via the monodromy of the zero-eigenvalue ODE.
 
-    Integrates u'' + a1(x) u' = 0 with a1 = 2 phi' - 2A over one period and
-    returns -exp(int a1) det(M - lam I). The weight exp(int a1) = lam^{-2} is
-    the first-order-coefficient (Forman) factor; the overall sign is the
-    classical periodic-problem normalization. For phi = 0 this equals
-    zeta_det_exact identically, and it is exactly independent of periodic
-    phi, which is how the anomaly-invariance criterion consumes it.
-    Degrees 0 and 1 share the value (the nonzero spectra coincide).
+    The ODE is u'' + a1(x) u' = 0 with a1 = 2 phi_eff' - 2A, A = log(lam)/L.
+    Its monodromy M over one period is upper triangular: the constants solve
+    it, and the other solution has u'(L) = E u'(0) with
+    E = exp(-int_0^L a1) = lam^2 exp(-2 int_0^L phi_eff'). Hence
+    det(M - lam I) = (1 - lam)(E - lam), and the value returned is
+    -det(M - lam I) / lam^2, whose 1/lam^2 is the first-order-coefficient
+    (Forman) factor and whose sign is the classical periodic-problem
+    normalization. The integral of phi_eff' is a periodic trapezoid sum on
+    GY_POINTS samples. For periodic phi it vanishes, so the value equals
+    zeta_det_exact and is independent of the density, which is how the
+    anomaly-invariance criterion consumes it. Degrees 0 and 1 share the
+    value (the nonzero spectra coincide).
     """
     if degree not in (0, 1):
         raise DimensionError("degree must be 0 or 1 on the circle")
     if model.rank > 1:
         out = 1.0 + 0.0j
         for sub in model.channels():
-            out *= gelfand_yaglom_det(sub, degree, tol)
+            out *= gelfand_yaglom_det(sub, degree)
         return out
     lam = complex(model.holonomy)
-    length = model.length
-    a_coef = np.log(lam) / length
-
-    def a1(x):
-        return 2.0 * model.phi_derivative(np.array([x]))[0] - 2.0 * a_coef
-
-    def rhs(x, y):
-        c = a1(x)
-        u1 = y[0] + 1j * y[1]
-        p1 = y[2] + 1j * y[3]
-        u2 = y[4] + 1j * y[5]
-        p2 = y[6] + 1j * y[7]
-        dp1 = -c * p1
-        dp2 = -c * p2
-        return [p1.real, p1.imag, dp1.real, dp1.imag, p2.real, p2.imag, dp2.real, dp2.imag]
-
-    sol = solve_ivp(
-        rhs, (0.0, length), [1, 0, 0, 0, 0, 0, 1, 0],
-        rtol=tol.ode_rtol, atol=tol.ode_atol, method="RK45",
-    )
-    if not sol.success:
-        raise GridError(f"monodromy integration failed: {sol.message}")
-    y = sol.y[:, -1]
-    m = np.array(
-        [[y[0] + 1j * y[1], y[4] + 1j * y[5]], [y[2] + 1j * y[3], y[6] + 1j * y[7]]]
-    )
-    det_bc = np.linalg.det(m - lam * np.eye(2))
-    return complex(-det_bc / lam**2)
-
-
-@dataclass(frozen=True)
-class ThetaForm:
-    """Relative log-derivative form of the density against the canonical reference.
-
-    ``period`` integrates the relative part (zero for periodic phi);
-    ``reference_period`` records the holonomy contribution -2 log det(hol)
-    carried by the reference density itself.
-    """
-
-    model: CircleModel
-    period: complex
-    reference_period: complex
-
-    def samples(self, n):
-        xs = np.arange(int(n)) * (self.model.length / int(n))
-        return 2.0 * self.model.phi_derivative(xs)
-
-
-def theta_form(model: CircleModel):
-    """theta = 2 phi' dx relative to the canonical reference density.
-
-    The reference contributes the constant -2 log(holonomy)/L dx, reported
-    through ``reference_period``; a phi with winding would shift the holonomy
-    class and is rejected.
-    """
-    if model.phi.winding != 0.0:
-        raise HomotopyClassError(
-            "log-density with winding changes the holonomy class; rejected"
-        )
-    hols = model.channel_holonomies()
-    ref_period = -2.0 * sum(np.log(l) for l in hols)
-    return ThetaForm(model=model, period=0.0 + 0.0j, reference_period=complex(ref_period))
+    h = model.length / GY_POINTS
+    phi_period = h * float(np.sum(model.phi_derivative(np.arange(GY_POINTS) * h)))
+    e_growth = lam**2 * np.exp(-2.0 * phi_period)
+    return complex(-(1.0 - lam) * (e_growth - lam) / lam**2)
 
 
 def witten_deform(model: CircleModel, t_param):
@@ -519,23 +459,9 @@ class ChannelOperators:
     def h(self):
         return self.length / self.n_grid
 
-    def gram0(self):
-        return np.diag(self.h * np.exp(2.0 * self.log_w0))
-
-    def gram1(self):
-        return np.diag(self.h * np.exp(2.0 * self.log_w1))
-
-    def dstar(self):
-        g0 = self.h * np.exp(2.0 * self.log_w0)
-        g1 = self.h * np.exp(2.0 * self.log_w1)
-        return (self.d.T * g1[None, :]) / g0[:, None]
-
-    def laplacian(self, degree):
-        ds = self.dstar()
-        return ds @ self.d if degree == 0 else self.d @ ds
-
     def sym_laplacian(self, degree):
-        """Similar to laplacian(degree) but assembled at unit scale."""
+        """Laplacian of the given degree in symmetrized coordinates: similar to
+        d*_b d (degree 0) or d d*_b (degree 1), assembled at unit scale."""
         k = self.k_sym
         return k.T @ k if degree == 0 else k @ k.T
 
@@ -546,8 +472,8 @@ class ChannelOperators:
 
     def adjoint_defect(self):
         """max-norm of d^T G1 - G0 d*_b; zero by construction, reported honestly."""
-        g0 = self.gram0()
-        g1 = self.gram1()
+        g0 = np.diag(self.h * np.exp(2.0 * self.log_w0))
+        g1 = np.diag(self.h * np.exp(2.0 * self.log_w1))
         ds = np.linalg.solve(g0, self.d.T @ g1)
         return float(np.max(np.abs(self.d.T @ g1 - g0 @ ds)))
 
@@ -629,7 +555,3 @@ class SpectralCut:
     @property
     def dims(self):
         return (self.basis0.shape[1], self.basis1.shape[1])
-
-    def complement_min_modulus(self):
-        mods = [np.min(np.abs(c)) for c in (self.complement0, self.complement1) if c.size]
-        return float(min(mods)) if mods else np.inf

@@ -11,7 +11,7 @@ Subcommands
   verify all                                 run the acceptance suite
 
 Exit codes: 0 success, 1 numerical failure, 2 schema error. All numeric
-output is deterministic for a fixed --seed; CSV columns are bit-stable.
+output is deterministic; CSV columns are bit-stable.
 """
 
 import argparse
@@ -176,7 +176,6 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="bitorsion", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default=None, help="write CSV rows to this path")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
     parser.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
                         help="scale reported tolerances")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -212,7 +211,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    np.random.seed(args.seed)  # legacy paths; module code uses local Generators
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -23,7 +23,7 @@ from .errors import (
     DimensionError,
     ShapeError,
 )
-from .numkernel import as_cmatrix, lu_det
+from .numkernel import as_cmatrix, check_symmetric_form, lu_det
 
 __all__ = [
     "GradedComplex",
@@ -98,11 +98,7 @@ class BilinearStructure:
         checked = []
         for i, g in enumerate(self.grams):
             a = as_cmatrix(g, square=True, name=f"gram[{i}]")
-            scale = max(np.max(np.abs(a)) if a.size else 0.0, 1e-300)
-            if a.size and np.max(np.abs(a - a.T)) > DEFAULT_TOL.symmetry_rel * scale:
-                raise DegenerateFormError(f"gram[{i}] not symmetric")
-            if a.size and abs(lu_det(a)) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[0]:
-                raise DegenerateFormError(f"gram[{i}] degenerate")
+            check_symmetric_form(a, f"gram[{i}]")
             checked.append(a)
         object.__setattr__(self, "grams", tuple(checked))
 

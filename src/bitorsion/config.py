@@ -4,19 +4,15 @@ The torsion theory itself is exact linear algebra; every threshold below is
 artifact policy, collected here so no module hides its own magic numbers.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Tolerances:
     # matrix kernel
-    pivot_rel: float = 1e-13          # solve(): relative pivot floor
     rank_rel: float = 1e-10           # numerical rank, relative to largest pivot
     symmetry_rel: float = 1e-12       # ||g - g^T|| <= symmetry_rel * ||g||
     nondegeneracy_rel: float = 1e-12  # |det g| floor, relative to scale
-    isotropic_rel: float = 1e-10      # bilinear Gram-Schmidt pivot mixing floor
-    schur_unitary: float = 1e-12      # ||Q^H Q - I|| max-norm bound
-    schur_reconstruct: float = 1e-10  # ||QTQ^H - m||_F / ||m||_F bound
     cut_clearance: float = 1e-9       # min eigenvalue distance to a cut boundary
 
     # complexes
@@ -26,21 +22,6 @@ class Tolerances:
     # circle spectral
     density_floor: float = 1e-10      # e^{2 phi} must stay above this
     threshold_margin: float = 0.10    # band counts need 10% clearance
-    ode_rtol: float = 1e-12
-    ode_atol: float = 1e-14
-
-    def scaled(self, factor):
-        """Uniformly loosen (factor > 1) or tighten every relative tolerance."""
-        fields = {
-            name: getattr(self, name) * factor
-            for name in (
-                "pivot_rel", "rank_rel", "symmetry_rel", "nondegeneracy_rel",
-                "isotropic_rel", "schur_unitary", "schur_reconstruct",
-                "cut_clearance", "d_squared_rel", "cocycle_rel",
-                "density_floor",
-            )
-        }
-        return replace(self, **fields)
 
 
 DEFAULT_TOL = Tolerances()

@@ -13,14 +13,6 @@ class InvalidMatrixError(BitorsionError):
     """Matrix data is malformed (non-finite entries, wrong dtype layout)."""
 
 
-class SingularMatrixError(BitorsionError):
-    """A solve or inversion hit a pivot below the configured threshold."""
-
-    def __init__(self, message, pivot_index=None):
-        super().__init__(message)
-        self.pivot_index = pivot_index
-
-
 class ConvergenceError(BitorsionError):
     """An iterative eigenvalue computation failed to converge."""
 
@@ -91,10 +83,6 @@ class StencilMismatchError(BitorsionError):
 
 class ThetaNotZeroError(BitorsionError):
     """Comparison requested outside the zero relative-density regime."""
-
-
-class ExtrapolationError(BitorsionError):
-    """Richardson extrapolation did not stabilize."""
 
 
 class SchemaError(BitorsionError):

@@ -21,12 +21,11 @@ from .complexes import BilinearStructure, CohomologyData, GradedComplex, cohomol
 from .config import DEFAULT_TOL
 from .errors import (
     ChainComplexError,
-    DegenerateFormError,
     DimensionError,
     HolonomyError,
     ShapeError,
 )
-from .numkernel import as_cmatrix, lu_det
+from .numkernel import as_cmatrix, check_symmetric_form, lu_det
 
 __all__ = [
     "CriticalPoint",
@@ -120,11 +119,7 @@ class CriticalForms:
         checked = {}
         for label, g in self.forms.items():
             a = as_cmatrix(g, square=True, name=f"form[{label}]")
-            scale = max(np.max(np.abs(a)), 1e-300)
-            if np.max(np.abs(a - a.T)) > DEFAULT_TOL.symmetry_rel * scale:
-                raise DegenerateFormError(f"critical form at {label} not symmetric")
-            if abs(lu_det(a)) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[0]:
-                raise DegenerateFormError(f"critical form at {label} degenerate")
+            check_symmetric_form(a, f"critical form at {label}")
             checked[label] = a
         object.__setattr__(self, "forms", checked)
 

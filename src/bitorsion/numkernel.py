@@ -1,14 +1,12 @@
 """Dense complex linear algebra under a symmetric-bilinear regime.
 
 Everything here treats matrices as plain ``numpy.ndarray`` of complex128.
-Factorizations are delegated to LAPACK through scipy (partial-pivot LU,
-Hessenberg + shifted-QR eigenvalues, sorted complex Schur forms); the
-bilinear-specific pieces (orthonormalization with respect to a complex
-symmetric form, invariant subspaces behind a spectral cut) are built on top.
+Factorizations are delegated to LAPACK through scipy (partial-pivot LU
+determinants, sorted complex Schur forms); the bilinear-specific piece is
+the symmetry and nondegeneracy check every complex symmetric form passes.
 
 The one structural difference from Hermitian numerics: pairings use the
-transpose, never the conjugate transpose, and "unit vectors" may require
-mixing because a complex symmetric form has isotropic directions.
+transpose, never the conjugate transpose.
 """
 
 import warnings
@@ -19,24 +17,19 @@ import scipy.linalg as sla
 
 from .config import DEFAULT_TOL
 from .errors import (
-    AmbiguousCutError,
     ConvergenceError,
     DegenerateFormError,
     DimensionError,
     InvalidMatrixError,
-    SingularMatrixError,
 )
 
 __all__ = [
     "as_cmatrix",
     "lu_det",
-    "solve",
-    "eigenvalues",
+    "check_symmetric_form",
     "SchurDecomposition",
     "schur_decomposition",
     "DiskPredicate",
-    "invariant_subspace",
-    "bilinear_orthonormalize",
 ]
 
 
@@ -70,45 +63,16 @@ def lu_det(m):
     return complex(sign * np.prod(np.diag(lu)))
 
 
-def solve(m, rhs, tol=DEFAULT_TOL):
-    """Solve m @ x = rhs; raises SingularMatrixError with the offending pivot."""
-    a = as_cmatrix(m, square=True)
-    b = np.asarray(rhs, dtype=complex)
-    if b.shape[0] != a.shape[0]:
-        raise DimensionError(f"rhs has {b.shape[0]} rows, matrix has {a.shape[0]}")
-    if a.shape[0] == 0:
-        return b.copy()
-    with warnings.catch_warnings():
-        # near-singular pivots are handled below with an explicit error
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    row_scale = np.max(np.abs(a), axis=1).max()
-    pivots = np.abs(np.diag(lu))
-    bad = np.where(pivots <= tol.pivot_rel * row_scale)[0]
-    if bad.size:
-        raise SingularMatrixError(
-            f"matrix singular to tolerance: pivot {bad[0]} is {pivots[bad[0]]:.3e} "
-            f"against scale {row_scale:.3e}",
-            pivot_index=int(bad[0]),
-        )
-    return sla.lu_solve((lu, piv), b, check_finite=False)
-
-
-def eigenvalues(m):
-    """All eigenvalues with multiplicity, sorted by (Re, Im).
-
-    LAPACK's zgeev performs the Hessenberg reduction followed by shifted-QR
-    iteration with deflation; non-convergence surfaces as ConvergenceError.
-    """
-    a = as_cmatrix(m, square=True)
-    if a.shape[0] < 1:
-        raise DimensionError("eigenvalues requires dimension >= 1")
-    try:
-        ev = sla.eigvals(a, check_finite=False)
-    except sla.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise ConvergenceError(f"QR iteration failed to converge: {exc}") from exc
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
+def check_symmetric_form(a, name):
+    """Raise DegenerateFormError unless the square matrix ``a`` is symmetric and
+    nondegenerate to tolerance; ``name`` leads the message. Empty forms pass."""
+    if not a.size:
+        return
+    scale = max(np.max(np.abs(a)), 1e-300)
+    if np.max(np.abs(a - a.T)) > DEFAULT_TOL.symmetry_rel * scale:
+        raise DegenerateFormError(f"{name} not symmetric")
+    if abs(lu_det(a)) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[0]:
+        raise DegenerateFormError(f"{name} degenerate")
 
 
 @dataclass(frozen=True)
@@ -118,16 +82,6 @@ class SchurDecomposition:
     q: np.ndarray
     t: np.ndarray
     eigenvalues: np.ndarray
-
-    def verify(self, m, tol=DEFAULT_TOL):
-        m = np.asarray(m, dtype=complex)
-        qhq = self.q.conj().T @ self.q
-        if np.max(np.abs(qhq - np.eye(self.q.shape[0]))) > tol.schur_unitary:
-            return False
-        resid = self.q @ self.t @ self.q.conj().T - m
-        return (
-            np.linalg.norm(resid) <= tol.schur_reconstruct * max(np.linalg.norm(m), 1e-300)
-        )
 
 
 def schur_decomposition(m, sort=None):
@@ -156,75 +110,3 @@ class DiskPredicate:
 
     def boundary_distance(self, z):
         return abs(abs(z) - self.radius)
-
-
-def invariant_subspace(m, predicate, clearance=None, tol=DEFAULT_TOL):
-    """Orthonormal basis of the sum of generalized eigenspaces selected by ``predicate``.
-
-    Built from a reordered Schur decomposition, so non-diagonalizable blocks
-    are handled. ``predicate`` may expose ``boundary_distance(z)``; if it does
-    (or ``clearance`` is given), eigenvalues inside the clearance band around
-    the cut raise AmbiguousCutError.
-    """
-    a = as_cmatrix(m, square=True)
-    dec, sdim = schur_decomposition(a, sort=predicate)
-    gap = clearance if clearance is not None else tol.cut_clearance
-    dist = getattr(predicate, "boundary_distance", None)
-    if dist is not None:
-        bad = [z for z in dec.eigenvalues if dist(z) < gap]
-        if bad:
-            raise AmbiguousCutError(
-                f"eigenvalue {bad[0]:.6e} within {gap:.1e} of the cut boundary"
-            )
-    return dec.q[:, :sdim].copy()
-
-
-def _quadratic_values(g, vecs, idx):
-    return np.array([vecs[:, j] @ g @ vecs[:, j] for j in idx])
-
-
-def bilinear_orthonormalize(g, tol=DEFAULT_TOL):
-    """Invertible S with S^T g S = I for complex symmetric nondegenerate g.
-
-    Gram-Schmidt with respect to the bilinear (not sesquilinear) pairing.
-    When every remaining candidate pivot is isotropic to tolerance, the
-    current vector is mixed with the partner maximizing |<v+w, v+w>|, which
-    nondegeneracy guarantees is usable. det(S)^2 = det(g)^{-1} independent
-    of all pivot choices, since the torsion-side quantities only consume
-    squared determinants.
-    """
-    g = as_cmatrix(g, square=True)
-    n = g.shape[0]
-    scale = max(np.max(np.abs(g)), 1e-300)
-    if np.max(np.abs(g - g.T)) > tol.symmetry_rel * scale:
-        raise DegenerateFormError("form is not symmetric to tolerance")
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if abs(lu_det(g)) <= tol.nondegeneracy_rel * scale**n:
-        raise DegenerateFormError("form is degenerate to tolerance")
-
-    s = np.eye(n, dtype=complex)
-    for i in range(n):
-        rest = list(range(i, n))
-        q = _quadratic_values(g, s, rest)
-        k = int(np.argmax(np.abs(q)))
-        if abs(q[k]) < tol.isotropic_rel * scale:
-            # fully isotropic tail: mix columns pairwise
-            vi = s[:, i]
-            best, best_val = None, -1.0
-            for j in range(i + 1, n):
-                w = vi + s[:, j]
-                val = abs(w @ g @ w)
-                if val > best_val:
-                    best, best_val = j, val
-            if best is None or best_val < tol.isotropic_rel * scale:
-                raise DegenerateFormError("isotropic pivot mixing failed; form degenerate")
-            s[:, i] = vi + s[:, best]
-        elif k != 0:
-            j = rest[k]
-            s[:, [i, j]] = s[:, [j, i]]
-        piv = s[:, i] @ g @ s[:, i]
-        s[:, i] = s[:, i] / np.sqrt(piv)  # principal branch; sign washes out squared
-        for j in range(i + 1, n):
-            s[:, j] = s[:, j] - (s[:, j] @ g @ s[:, i]) * s[:, i]
-    return s

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+import bitorsion
 from bitorsion.circle import (
     CircleModel,
     TrigPoly,
@@ -9,16 +14,10 @@ from bitorsion.circle import (
     exact_spectrum_circle,
     gelfand_yaglom_det,
     make_circle_model,
-    theta_form,
     witten_deform,
     zeta_det_exact,
 )
-from bitorsion.errors import (
-    GridError,
-    HolonomyError,
-    HomotopyClassError,
-    ZeroModeError,
-)
+from bitorsion.errors import GridError, HolonomyError, ZeroModeError
 
 TWO_PI = 2 * np.pi
 
@@ -88,16 +87,18 @@ class TestBuildDiscrete:
         assert disc.eigenvalues(0).shape == (32,)
 
     def test_grading_preserved(self):
-        """The assembled Laplacian is block-diagonal by degree."""
+        """The square of the odd operator [[0, K^T], [K, 0]] is block-diagonal by
+        degree, with the two degree Laplacians as its blocks."""
         ch = build_discrete(CircleModel(2.0, phi=TrigPoly.sin(0.2)), 16).channels[0]
-        lap0 = ch.laplacian(0)
-        lap1 = ch.laplacian(1)
-        full = np.block(
-            [[lap0, np.zeros_like(lap0)], [np.zeros_like(lap1), lap1]]
-        )
-        n = lap0.shape[0]
+        k = ch.k_sym
+        zero = np.zeros_like(k)
+        odd = np.block([[zero, k.T], [k, zero]])
+        full = odd @ odd
+        n = k.shape[0]
         assert np.max(np.abs(full[:n, n:])) == 0.0
         assert np.max(np.abs(full[n:, :n])) == 0.0
+        assert np.array_equal(full[:n, :n], ch.sym_laplacian(0))
+        assert np.array_equal(full[n:, n:], ch.sym_laplacian(1))
 
 
 class TestExactSpectrum:
@@ -105,7 +106,7 @@ class TestExactSpectrum:
         fam = exact_spectrum_circle(1.0)
         assert fam.mu(0) == 0
         assert fam.mu(1) == pytest.approx(1.0)
-        assert fam.count_in_disk(0.5) == 1  # the zero mode
+        assert len(fam.modes_in_disk(0.5)) == 1  # the zero mode
 
     def test_antiperiodic_no_zero_mode(self):
         fam = exact_spectrum_circle(-1.0)
@@ -208,23 +209,24 @@ class TestGelfandYaglom:
             zeta_det_exact(2.0, length=2 * TWO_PI), rel=1e-9
         )
 
+    @pytest.mark.parametrize(
+        "holonomy, wells",
+        [(2.0, 1), (0.5 + 0.8j, 2), (np.diag([2.0, np.exp(0.7j)]), 1)],
+        ids=["one_well", "two_wells", "rank_two"],
+    )
+    def test_flat_windows_wavy_density(self, holonomy, wells):
+        model = make_circle_model(holonomy, phi=("sin", 0.3), f=("cos", wells),
+                                  flat_windows=True)
+        expected = np.prod([zeta_det_exact(lam) for lam in model.channel_holonomies()])
+        assert abs(gelfand_yaglom_det(model) / expected - 1.0) < 1e-12
 
-class TestThetaForm:
-    def test_constant_density(self):
-        tf = theta_form(CircleModel(2.0))
-        assert tf.period == 0
-        assert np.max(np.abs(tf.samples(16))) == 0
-        assert tf.reference_period == pytest.approx(-2 * np.log(2.0))
-
-    def test_sin_density_exact_form(self):
-        tf = theta_form(CircleModel(2.0, phi=TrigPoly.sin(0.3)))
-        assert tf.period == 0
-        xs = np.arange(16) * (TWO_PI / 16)
-        assert np.allclose(tf.samples(16), 2 * 0.3 * np.cos(xs))
-
-    def test_winding_rejected(self):
-        with pytest.raises(HomotopyClassError):
-            theta_form(CircleModel(2.0, phi=TrigPoly(winding=1.0)))
+    def test_import_leaves_scipy_integrate_out(self):
+        """The monodromy is closed-form: importing the package loads no ODE solver."""
+        code = "import sys, bitorsion; print('scipy.integrate' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(bitorsion.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestWittenDeform:

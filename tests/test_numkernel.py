@@ -1,20 +1,14 @@
 import numpy as np
 import pytest
 
-from bitorsion.errors import (
-    AmbiguousCutError,
-    DegenerateFormError,
-    DimensionError,
-    SingularMatrixError,
-)
+from bitorsion.complexes import BilinearStructure
+from bitorsion.errors import DegenerateFormError, DimensionError
+from bitorsion.morse import CriticalForms
 from bitorsion.numkernel import (
     DiskPredicate,
-    bilinear_orthonormalize,
-    eigenvalues,
-    invariant_subspace,
+    check_symmetric_form,
     lu_det,
     schur_decomposition,
-    solve,
 )
 
 
@@ -51,7 +45,7 @@ class TestLuDet:
         rng = np.random.default_rng(3)
         for n in range(4, 9):
             a = _random_matrix(rng, n)
-            prod = np.prod(eigenvalues(a))
+            prod = np.prod(np.linalg.eigvals(a))
             assert lu_det(a) == pytest.approx(prod, rel=1e-8)
 
     def test_non_square_rejected(self):
@@ -59,40 +53,27 @@ class TestLuDet:
             lu_det(np.ones((2, 3)))
 
 
-class TestSolve:
-    def test_identity(self):
-        rhs = np.array([1.0, 2.0j, -3.0])
-        assert np.allclose(solve(np.eye(3), rhs), rhs)
+def _schur_eigenvalues(a):
+    return np.sort_complex(schur_decomposition(a).eigenvalues)
 
-    def test_diagonal(self):
-        x = solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-        assert np.allclose(x, [1.0, 1.0])
 
-    def test_residual_bound(self):
-        rng = np.random.default_rng(7)
-        a = _random_matrix(rng, 6) + 4 * np.eye(6)
-        rhs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        x = solve(a, rhs)
-        resid = np.linalg.norm(a @ x - rhs)
-        bound = 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(rhs))
-        assert resid <= bound
-
-    def test_singular_reports_pivot(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError) as info:
-            solve(a, np.array([1.0, 1.0]))
-        assert info.value.pivot_index is not None
+def _disk_subspace(a, radius):
+    """Leading Schur vectors of the eigenvalues inside |z| <= radius."""
+    dec, sdim = schur_decomposition(a, sort=DiskPredicate(radius))
+    return dec.q[:, :sdim]
 
 
 class TestEigenvalues:
+    """Eigenvalues as the diagonal of the complex Schur form."""
+
     def test_triangular(self):
-        ev = eigenvalues(np.diag([1.0, 2.0 + 1.0j]))
+        ev = _schur_eigenvalues(np.diag([1.0, 2.0 + 1.0j]))
         assert np.allclose(ev, [1.0, 2.0 + 1.0j])
 
     def test_companion(self):
         # z^2 - 3z + 2 = (z-1)(z-2)
         comp = np.array([[0.0, -2.0], [1.0, 3.0]])
-        assert np.allclose(eigenvalues(comp), [1.0, 2.0])
+        assert np.allclose(_schur_eigenvalues(comp), [1.0, 2.0])
 
     def test_char_poly_oracle(self):
         """Multiset matches the roots of the Faddeev-LeVerrier characteristic polynomial."""
@@ -106,17 +87,9 @@ class TestEigenvalues:
             m = a @ m + coeffs[-1] * np.eye(n)
             coeffs.append(-np.trace(a @ m) / k)
         roots = np.roots(coeffs)
-        got = np.sort_complex(eigenvalues(a))
+        got = _schur_eigenvalues(a)
         want = np.sort_complex(roots)
         assert np.max(np.abs(got - want)) < 1e-8 * np.max(np.abs(want))
-
-    def test_sorted_lexicographically(self):
-        ev = eigenvalues(np.diag([2.0, 1.0 + 1j, 1.0 - 1j]))
-        assert list(ev) == [1.0 - 1j, 1.0 + 1j, 2.0]
-
-    def test_empty_rejected(self):
-        with pytest.raises(DimensionError):
-            eigenvalues(np.zeros((0, 0)))
 
 
 class TestSchur:
@@ -124,20 +97,22 @@ class TestSchur:
         rng = np.random.default_rng(5)
         a = _random_matrix(rng, 200)
         dec = schur_decomposition(a)
-        assert dec.verify(a)
+        assert np.max(np.abs(dec.q.conj().T @ dec.q - np.eye(200))) < 1e-12
         resid = np.linalg.norm(dec.q @ dec.t @ dec.q.conj().T - a)
         assert resid <= 1e-10 * np.linalg.norm(a)
 
 
 class TestInvariantSubspace:
+    """Sorted Schur vectors span the invariant subspace behind a disk cut."""
+
     def test_diagonal_disk(self):
-        v = invariant_subspace(np.diag([0.1, 5.0]), DiskPredicate(1.0))
+        v = _disk_subspace(np.diag([0.1, 5.0]), 1.0)
         assert v.shape == (2, 1)
         assert abs(abs(v[0, 0]) - 1.0) < 1e-12
 
     def test_jordan_block(self):
         j = np.array([[0.5, 1.0], [0.0, 0.5]])
-        v = invariant_subspace(j, DiskPredicate(1.0))
+        v = _disk_subspace(j, 1.0)
         assert v.shape == (2, 2)
 
     def test_dimension_matches_count(self):
@@ -145,62 +120,35 @@ class TestInvariantSubspace:
         for _ in range(10):
             a = _random_matrix(rng, 7)
             pred = DiskPredicate(1.5)
-            ev = eigenvalues(a)
+            ev = np.linalg.eigvals(a)
             if min(abs(abs(z) - 1.5) for z in ev) < 1e-6:
                 continue
-            v = invariant_subspace(a, pred)
+            v = _disk_subspace(a, 1.5)
             assert v.shape[1] == sum(pred(z) for z in ev)
             # invariance: m V = V (V* m V)
             compressed = v.conj().T @ a @ v
             defect = np.linalg.norm(a @ v - v @ compressed)
             assert defect <= 1e-8 * np.linalg.norm(a)
 
-    def test_ambiguous_cut(self):
-        with pytest.raises(AmbiguousCutError):
-            invariant_subspace(np.diag([1.0, 2.0]), DiskPredicate(1.0), clearance=1e-3)
 
-
-class TestBilinearOrthonormalize:
-    def test_identity(self):
-        s = bilinear_orthonormalize(np.eye(3))
-        assert np.allclose(s.T @ np.eye(3) @ s, np.eye(3), atol=1e-9)
-
-    def test_scalar(self):
-        s = bilinear_orthonormalize(np.array([[4.0]]))
-        assert s[0, 0] ** 2 == pytest.approx(0.25)
-
-    def test_isotropic_plane(self):
-        """Fully isotropic diagonal: the pivot-mixing path."""
-        g = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        s = bilinear_orthonormalize(g)
-        assert np.max(np.abs(s.T @ g @ s - np.eye(2))) < 1e-9
-        assert lu_det(s) ** 2 * lu_det(g) == pytest.approx(1.0, rel=1e-9)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_det_squared_inverse(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(2, 6))
-        a = _random_matrix(rng, n)
-        g = a + a.T
-        if abs(lu_det(g)) < 1e-6:
-            g = g + 2 * np.eye(n)
-        s = bilinear_orthonormalize(g)
-        assert np.max(np.abs(s.T @ g @ s - np.eye(n))) < 1e-9
-        assert lu_det(s) ** 2 * lu_det(g) == pytest.approx(1.0, rel=1e-9)
-
-    def test_crafted_isotropic_block(self):
-        # all-isotropic diagonal in dimension 4
-        g = np.zeros((4, 4), dtype=complex)
-        g[0, 1] = g[1, 0] = 1.0
-        g[2, 3] = g[3, 2] = -2.0
-        s = bilinear_orthonormalize(g)
-        assert np.max(np.abs(s.T @ g @ s - np.eye(4))) < 1e-9
-        assert lu_det(s) ** 2 * lu_det(g) == pytest.approx(1.0, rel=1e-9)
+class TestCheckSymmetricForm:
+    def test_isotropic_form_accepted(self):
+        """Complex symmetric forms may have isotropic directions; only symmetry
+        and nondegeneracy are required."""
+        check_symmetric_form(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), "g")
+        check_symmetric_form(np.zeros((0, 0), dtype=complex), "g")
 
     def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateFormError):
-            bilinear_orthonormalize(np.zeros((2, 2)))
+        with pytest.raises(DegenerateFormError, match="^g degenerate$"):
+            check_symmetric_form(np.zeros((2, 2), dtype=complex), "g")
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(DegenerateFormError):
-            bilinear_orthonormalize(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(DegenerateFormError, match="^g not symmetric$"):
+            check_symmetric_form(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex), "g")
+
+    def test_shared_by_both_form_containers(self):
+        asym = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateFormError, match="^gram\\[1\\] not symmetric$"):
+            BilinearStructure((np.eye(2), asym))
+        with pytest.raises(DegenerateFormError, match="^critical form at m0 degenerate$"):
+            CriticalForms({"m0": np.zeros((1, 1))})

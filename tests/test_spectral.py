@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bitorsion.circle import CircleModel, build_discrete, make_circle_model
+from bitorsion.circle import CircleModel, TrigPoly, build_discrete, make_circle_model
 from bitorsion.errors import (
+    HomotopyClassError,
     ResolutionError,
     StencilMismatchError,
     ThetaNotZeroError,
@@ -49,8 +50,8 @@ class TestRsTorsion:
     def test_discrete_method(self):
         model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
         ref = rs_torsion(make_circle_model(2.0))
-        got = rs_torsion(model, cut=0.5, method="discrete", grid_sizes=(64, 128, 256))
-        assert abs(got - ref) <= 1e-3 * abs(ref)
+        got = rs_torsion(model, cut=0.5, method="discrete")
+        assert abs(got - ref) <= 1e-9 * abs(ref)
 
     def test_rank_two_product(self):
         model = CircleModel(np.diag([2.0, 3.0]))
@@ -90,7 +91,7 @@ class TestSmallSpectrum:
         from bitorsion.circle import exact_spectrum_circle
 
         fam = exact_spectrum_circle(2.0)
-        expected = fam.count_in_disk(0.5)
+        expected = len(fam.modes_in_disk(0.5))
         assert expected == 1
         rep = small_spectrum_dims(make_circle_model(2.0, f=("cos", 1)), 0.0, 128, threshold=0.5)
         assert rep.counts == (expected, expected)
@@ -209,6 +210,10 @@ class TestBzCompare:
         with pytest.raises(ThetaNotZeroError):
             bz_compare(model)
 
+    def test_winding_rejected(self):
+        with pytest.raises(HomotopyClassError):
+            bz_compare(CircleModel(2.0, phi=TrigPoly(winding=1.0)))
+
 
 class TestTwoBandStructure:
     def test_band_separation_grows(self):
@@ -227,14 +232,18 @@ class TestTwoBandStructure:
         cut = spectral_cut(ch, 1.0, clearance_frac=0.1)
         assert cut.dims == (1, 1)
         assert cut.complement0.size == 255
-        assert cut.complement_min_modulus() > 10.0
+        assert min(np.min(np.abs(cut.complement0)), np.min(np.abs(cut.complement1))) > 10.0
 
     def test_invariant_subspace_on_witten_laplacian(self):
         """Unit-disk invariant subspace of the deformed Laplacian has Morse-count dimension."""
         from bitorsion.circle import witten_deform
-        from bitorsion.numkernel import DiskPredicate, invariant_subspace
 
         model = make_circle_model(2.0, f=("cos", 2))
         ch = build_discrete(witten_deform(model, 10.0), 256).channels[0]
-        basis = invariant_subspace(ch.sym_laplacian(0), DiskPredicate(1.0))
+        cut = spectral_cut(ch, 1.0, clearance_frac=0.1)
+        basis = cut.basis0
         assert basis.shape[1] == 2  # M_0 for two wells
+        lap = ch.sym_laplacian(0)
+        image = lap @ basis
+        residual = image - basis @ (basis.conj().T @ image)
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(lap)
