@@ -1,0 +1,77 @@
+"""Per-layer times of the circle kernel at several grid sizes, as JSON.
+
+    python3 bench/layers.py --sizes 512 4096 65536 [--repeats 5] [--src DIR]
+
+The model is the one-well cos potential at holonomy 2, deformed to T = 10,
+with threshold 1. Each layer's time is the best of ``--repeats`` calls:
+assembly (``build_discrete``), the small band of each degree, ``spectral_cut``
+(both degrees) and ``small_spectrum_dims``. ``--src`` is the ``src``
+directory of the tree to time (default: this checkout). In a tree without
+``ChannelOperators.small_band`` the per-degree band is the sorted Schur
+decomposition that ``spectral_cut`` ran there. Run with
+``OPENBLAS_NUM_THREADS=1`` to match the benchmark's single BLAS thread.
+"""
+
+import argparse
+import json
+import os
+import sys
+import time
+
+T_PARAM = 10.0
+THRESHOLD = 1.0
+
+
+def best_of(repeats, fn):
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--sizes", type=int, nargs="+", default=[512, 4096, 65536])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                                      "..", "src"))
+    args = parser.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from bitorsion import build_discrete, make_circle_model, witten_deform
+    from bitorsion.circle import ChannelOperators
+    from bitorsion.numkernel import DiskPredicate
+    from bitorsion.spectral import small_spectrum_dims, spectral_cut
+
+    model = make_circle_model(2.0, f=("cos", 1))
+    deformed = witten_deform(model, T_PARAM)
+    bound = 1.1 * THRESHOLD  # the threshold and its 10% margin
+
+    def band(ch, degree):
+        if hasattr(ChannelOperators, "small_band"):
+            return ch.small_band(degree, bound)
+        from bitorsion.numkernel import schur_decomposition
+        return schur_decomposition(ch.sym_laplacian(degree), sort=DiskPredicate(bound))
+
+    small_spectrum_dims(model, T_PARAM, 64)  # loads every module before timing
+    rows = []
+    for n in args.sizes:
+        ch = build_discrete(deformed, n).channels[0]
+        rows.append({
+            "N": n,
+            "build_discrete_s": best_of(args.repeats, lambda: build_discrete(deformed, n)),
+            "small_band_degree0_s": best_of(args.repeats, lambda: band(ch, 0)),
+            "small_band_degree1_s": best_of(args.repeats, lambda: band(ch, 1)),
+            "spectral_cut_s": best_of(args.repeats, lambda: spectral_cut(ch, THRESHOLD,
+                                                                          clearance_frac=0.1)),
+            "small_spectrum_dims_s": best_of(args.repeats, lambda: small_spectrum_dims(
+                model, T_PARAM, n, threshold=THRESHOLD)),
+        })
+    json.dump({"model": {"holonomy": 2.0, "wells": 1, "T": T_PARAM, "threshold": THRESHOLD},
+               "repeats": args.repeats, "rows": rows}, sys.stdout, indent=2)
+    print()
+
+
+if __name__ == "__main__":
+    main()

@@ -11,9 +11,10 @@ Layers, bottom up:
 - ``turaev``: Euler structures on the circle, Turaev torsion, Fox-calculus
   Alexander polynomials.
 - ``circle`` / ``spectral``: the analytic side on the circle (non-self-adjoint
-  Laplacians, zeta and monodromy determinants, Ray-Singer bilinear torsion,
-  Witten deformation experiments, and the comparison against the
-  combinatorial torsion).
+  Laplacians kept as the two diagonals of their cyclic bidiagonal factor,
+  with small bands by sparse shift-invert Arnoldi in O(N); zeta and
+  monodromy determinants, Ray-Singer bilinear torsion, Witten deformation
+  experiments, and the comparison against the combinatorial torsion).
 - ``acceptance`` / ``cli``: the executable verification suite and its
   command-line front door.
 """

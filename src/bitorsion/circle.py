@@ -35,10 +35,12 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
+    ConvergenceError,
     DimensionError,
     GridError,
     HolonomyError,
     HomotopyClassError,
+    ResolutionError,
     ZeroModeError,
 )
 from .numkernel import as_cmatrix
@@ -259,36 +261,30 @@ def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_w
 
 
 def _critical_points(pot: TrigPoly, length):
-    """Zeros of f' with indices from the sign of f''; bisection on a fine grid."""
+    """Zeros of f' with indices from the sign of f''.
+
+    f' is sampled on a fine grid; every sign change brackets one zero, and all
+    brackets are bisected at once.
+    """
     n_scan = 4096
     xs = np.linspace(0.0, length, n_scan, endpoint=False)
     der = pot.derivative(xs, length)
-    crits = []
-    for i in range(n_scan):
-        a, b = xs[i], xs[(i + 1) % n_scan] if i + 1 < n_scan else length
-        fa, fb = der[i], der[(i + 1) % n_scan]
-        if fa == 0.0:
-            crits.append(a)
-            continue
-        if fa * fb < 0:
-            lo, hi = a, b
-            flo = fa
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = pot.derivative(mid, length)
-                if flo * fm <= 0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            crits.append(0.5 * (lo + hi))
-    out = []
-    for x in crits:
-        curv = pot.second_derivative(x, length)
-        if abs(curv) < 1e-8:
-            raise DimensionError("degenerate critical point in Morse potential")
-        out.append((float(x % length), 0 if curv > 0 else 1))
-    out.sort()
-    return out
+    exact = der == 0.0
+    bracket = ~exact & (der * np.roll(der, -1) < 0)
+    lo, hi = xs[bracket], np.append(xs[1:], length)[bracket]
+    flo = der[bracket]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fm = pot.derivative(mid, length)
+        left = flo * fm <= 0
+        hi = np.where(left, mid, hi)
+        lo = np.where(left, lo, mid)
+        flo = np.where(left, flo, fm)
+    crits = np.concatenate([xs[exact], 0.5 * (lo + hi)])
+    curv = pot.second_derivative(crits, length)
+    if np.any(np.abs(curv) < 1e-8):
+        raise DimensionError("degenerate critical point in Morse potential")
+    return sorted((float(x % length), 0 if c > 0 else 1) for x, c in zip(crits, curv))
 
 
 def _windows(x, model: CircleModel):
@@ -443,7 +439,14 @@ def witten_deform(model: CircleModel, t_param):
 
 @dataclass(frozen=True)
 class ChannelOperators:
-    """Rank-one staggered-grid operators for a single holonomy channel."""
+    """Rank-one staggered-grid operators for a single holonomy channel.
+
+    The symmetrized difference K = G1^{1/2} d G0^{-1/2} is cyclic bidiagonal
+    and is stored as its two diagonals; the Laplacians K^T K (degree 0) and
+    K K^T (degree 1) are cyclic tridiagonal. ``small_band`` finds the
+    eigenpairs near the origin in O(N); ``eigenvalues`` builds the dense
+    N x N Laplacian and answers only where the full spectrum is the question.
+    """
 
     lam: complex
     length: float
@@ -452,30 +455,107 @@ class ChannelOperators:
     mids: np.ndarray
     log_w0: np.ndarray      # log density at nodes (phi - A x)
     log_w1: np.ndarray      # log density at midpoints
-    d: np.ndarray           # forward difference, holonomy on the seam edge
-    k_sym: np.ndarray       # G1^{1/2} d G0^{-1/2}, built from local exponent gaps
+    k_diag: np.ndarray      # K[m, m], from local exponent gaps
+    k_upper: np.ndarray     # K[m, m+1 mod N]; the seam entry K[N-1, 0] carries lam
 
     @property
     def h(self):
         return self.length / self.n_grid
 
+    def difference(self, u):
+        """d u for a node vector u: the forward difference, lam on the seam edge."""
+        return (np.append(u[1:], self.lam * u[0]) - u) / self.h
+
+    def apply_k(self, v):
+        """K @ v for an N x k array of node columns, in O(N k)."""
+        return self.k_diag[:, None] * v + self.k_upper[:, None] * np.roll(v, -1, axis=0)
+
+    def conjugated(self, left, right):
+        """These operators with K replaced by diag(left) K diag(right)."""
+        return replace(self, k_diag=left * self.k_diag * right,
+                       k_upper=left * self.k_upper * np.roll(right, -1))
+
     def sym_laplacian(self, degree):
-        """Laplacian of the given degree in symmetrized coordinates: similar to
-        d*_b d (degree 0) or d d*_b (degree 1), assembled at unit scale."""
-        k = self.k_sym
+        """Dense Laplacian of the given degree in symmetrized coordinates: similar
+        to d*_b d (degree 0) or d d*_b (degree 1), assembled at unit scale."""
+        n = self.n_grid
+        rows = np.arange(n)
+        k = np.zeros((n, n), dtype=complex)
+        k[rows, rows] = self.k_diag
+        k[rows, (rows + 1) % n] = self.k_upper
         return k.T @ k if degree == 0 else k @ k.T
 
     def eigenvalues(self, degree):
+        """The full spectrum, (Re, Im)-sorted, by a dense O(N^3) eigensolve."""
         ev = np.linalg.eigvals(self.sym_laplacian(degree))
         order = np.lexsort((ev.imag, ev.real))
         return ev[order]
 
+    def small_band(self, degree, bound):
+        """The eigenpairs of the degree's Laplacian of smallest modulus, in O(N).
+
+        Returns (values, vectors): every eigenpair with |mu| <= bound and at
+        least one beyond it, such that no eigenvalue left out has a smaller
+        modulus than one returned. The vectors are ARPACK's, neither
+        normalized together nor orthogonal.
+
+        Shift-invert Arnoldi (ARPACK) runs on a sparse LU of L - sigma I with
+        sigma = -bound/2, not 0: deep in the Witten deformation the band
+        eigenvalue is zero to rounding and L itself factors as exactly
+        singular. The k Ritz pairs nearest sigma, the farthest at distance r,
+        hold every eigenpair with |mu - sigma| < r, hence every one with
+        |mu| < r - |sigma|; k doubles until that disk holds a pair beyond the
+        bound. A degenerate pair at distance r may be found only in part, so
+        the disk is open. The start vector is fixed, so the result is
+        reproducible.
+        """
+        # loaded on first use: the dense paths never pay its import time
+        from scipy import sparse
+        from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
+
+        n = self.n_grid
+        rows = np.arange(n)
+        k = sparse.csr_matrix(
+            (np.concatenate([self.k_diag, self.k_upper]),
+             (np.concatenate([rows, rows]), np.concatenate([rows, (rows + 1) % n]))),
+            shape=(n, n),
+        )
+        lap = (k.T @ k if degree == 0 else k @ k.T).tocsc()
+        sigma = -0.5 * float(bound)
+        try:
+            lu = splu(lap - sigma * sparse.identity(n, format="csc"))
+        except RuntimeError as exc:
+            raise ResolutionError(f"shift {sigma:.3e} is an eigenvalue to rounding: {exc}") from exc
+        op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=complex)
+        v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
+        n_pairs = min(6, n - 2)  # a band of up to three wells and the next pair: one run
+        while True:
+            try:
+                vals, vecs = eigs(lap, k=n_pairs, sigma=sigma, OPinv=op_inv, v0=v0)
+            except ArpackError as exc:
+                raise ConvergenceError(f"shift-invert Arnoldi failed: {exc}") from exc
+            known = np.abs(vals) < np.max(np.abs(vals - sigma)) - abs(sigma)
+            if np.any(known & (np.abs(vals) > bound)):
+                return vals[known], vecs[:, known]
+            if n_pairs == n - 2:
+                raise GridError(
+                    f"|mu| <= {bound:.3e} holds nearly all {n} eigenvalues; refine the grid"
+                )
+            n_pairs = min(2 * n_pairs, n - 2)
+
     def adjoint_defect(self):
-        """max-norm of d^T G1 - G0 d*_b; zero by construction, reported honestly."""
-        g0 = np.diag(self.h * np.exp(2.0 * self.log_w0))
-        g1 = np.diag(self.h * np.exp(2.0 * self.log_w1))
-        ds = np.linalg.solve(g0, self.d.T @ g1)
-        return float(np.max(np.abs(self.d.T @ g1 - g0 @ ds)))
+        """max |K - G1^{1/2} d G0^{-1/2}| relative to max |K|, G^{1/2} = (h e^{2 log_w})^{1/2}.
+
+        K is built from local exponent gaps; here the Gram roots are
+        exponentiated separately. With d*_b = G0^{-1} d^T G1, agreement is the
+        statement that K^T K is similar to d*_b d; it holds up to rounding.
+        """
+        root0, root1 = np.exp(self.log_w0), np.exp(self.log_w1)  # the h^{1/2} cancel
+        diag = -root1 / root0 / self.h
+        upper = (root1 / np.roll(root0, -1) / self.h).astype(complex)
+        upper[-1] *= self.lam
+        defect = max(np.max(np.abs(diag - self.k_diag)), np.max(np.abs(upper - self.k_upper)))
+        return float(defect / max(np.max(np.abs(self.k_diag)), np.max(np.abs(self.k_upper))))
 
 
 @dataclass(frozen=True)
@@ -503,18 +583,13 @@ def _build_channel(lam, length, n_grid, phi_at):
     a_coef = np.log(lam) / length
     log_w0 = phi_at(nodes) - a_coef * nodes
     log_w1 = phi_at(mids) - a_coef * mids
-    d = np.zeros((n_grid, n_grid), dtype=complex)
-    k_sym = np.zeros((n_grid, n_grid), dtype=complex)
-    for m in range(n_grid):
-        jn = (m + 1) % n_grid
-        fac = lam if m == n_grid - 1 else 1.0
-        d[m, m] = -1.0 / h
-        d[m, jn] = fac / h
-        k_sym[m, m] = -np.exp(log_w1[m] - log_w0[m]) / h
-        k_sym[m, jn] = fac * np.exp(log_w1[m] - log_w0[jn]) / h
+    gap_upper = np.exp(log_w1 - np.roll(log_w0, -1))
+    k_upper = (gap_upper / h).astype(complex)
+    k_upper[-1] = lam * gap_upper[-1] / h  # the seam edge carries the holonomy
     return ChannelOperators(
         lam=complex(lam), length=length, n_grid=n_grid, nodes=nodes, mids=mids,
-        log_w0=log_w0, log_w1=log_w1, d=d, k_sym=k_sym,
+        log_w0=log_w0, log_w1=log_w1,
+        k_diag=(-np.exp(log_w1 - log_w0) / h).astype(complex), k_upper=k_upper,
     )
 
 
@@ -541,16 +616,14 @@ def build_discrete(model: CircleModel, n_grid):
 
 @dataclass(frozen=True)
 class SpectralCut:
-    """Small-band data at |mu| <= radius: per-degree invariant-subspace bases
-    (symmetrized coordinates) plus the complementary spectra."""
+    """Small-band data at |mu| <= radius: per degree, the band eigenvalues and
+    an orthonormal basis of their invariant subspace (symmetrized coordinates)."""
 
     radius: float
     eigenvalues0: np.ndarray
     eigenvalues1: np.ndarray
     basis0: np.ndarray
     basis1: np.ndarray
-    complement0: np.ndarray
-    complement1: np.ndarray
 
     @property
     def dims(self):

@@ -45,7 +45,7 @@ from .errors import (
     ZeroModeError,
 )
 from .morse import CircleGeometry, CriticalForms, CriticalPoint, Instanton, MorseSystem, milnor_torsion
-from .numkernel import DiskPredicate, lu_det, schur_decomposition
+from .numkernel import DiskPredicate, lu_det
 
 __all__ = [
     "spectral_cut",
@@ -75,10 +75,11 @@ DISCRETE_N = 32  # grid of the discrete rs method
 def spectral_cut(channel: ChannelOperators, radius, clearance_frac=None, tol=DEFAULT_TOL):
     """Invariant small-band subspaces of both Laplacians, symmetrized coordinates.
 
-    One sorted Schur decomposition per degree supplies the band basis, the
-    band eigenvalues and the complementary spectrum. ``clearance_frac``:
-    eigenvalues within this fraction of ``radius`` from the cut circle raise;
-    defaults to the absolute cut clearance policy.
+    Per degree, ``ChannelOperators.small_band`` finds every eigenpair within
+    the cut and the clearance around it in O(N); the band eigenvectors are
+    orthonormalized into the basis. ``clearance_frac``: eigenvalues within
+    this fraction of ``radius`` from the cut circle raise; defaults to the
+    absolute cut clearance policy.
     """
     pred = DiskPredicate(radius)
     clearance = (
@@ -86,21 +87,16 @@ def spectral_cut(channel: ChannelOperators, radius, clearance_frac=None, tol=DEF
     )
     pieces = []
     for degree in (0, 1):
-        m = channel.sym_laplacian(degree)
-        dec, sdim = schur_decomposition(m, sort=pred)
-        offending = [z for z in dec.eigenvalues if pred.boundary_distance(z) < clearance]
+        vals, vecs = channel.small_band(degree, radius + clearance)
+        offending = [z for z in vals if pred.boundary_distance(z) < clearance]
         if offending:
             raise AmbiguousCutError(
                 f"eigenvalue {offending[0]:.6e} within {clearance:.1e} of the cut"
             )
-        pieces.append(
-            (dec.q[:, :sdim].copy(), dec.eigenvalues[:sdim], dec.eigenvalues[sdim:])
-        )
-    (v0, ev0, comp0), (v1, ev1, comp1) = pieces
-    return SpectralCut(
-        radius=radius, eigenvalues0=ev0, eigenvalues1=ev1,
-        basis0=v0, basis1=v1, complement0=comp0, complement1=comp1,
-    )
+        inside = np.array([pred(z) for z in vals], dtype=bool)
+        pieces.append((vals[inside], np.linalg.qr(vecs[:, inside])[0]))
+    (ev0, v0), (ev1, v1) = pieces
+    return SpectralCut(radius=radius, eigenvalues0=ev0, eigenvalues1=ev1, basis0=v0, basis1=v1)
 
 
 def band_complex(channel: ChannelOperators, cut: SpectralCut):
@@ -114,7 +110,7 @@ def band_complex(channel: ChannelOperators, cut: SpectralCut):
     v0, v1 = cut.basis0, cut.basis1
     g0 = v0.T @ v0
     g1 = v1.T @ v1
-    dhat = np.linalg.solve(g1, v1.T @ (channel.k_sym @ v0)) if v1.shape[1] else np.zeros((0, v0.shape[1]), complex)
+    dhat = np.linalg.solve(g1, v1.T @ channel.apply_k(v0)) if v1.shape[1] else np.zeros((0, v0.shape[1]), complex)
     return g0, g1, dhat
 
 
@@ -169,23 +165,21 @@ def _rs_discrete_channel(channel_model, lam, length, cut, tol):
 
     The relative determinant has no discretization error for refinement to
     remove: on one DISCRETE_N-point grid it agrees with the exact value to
-    about 1e-11, and larger grids only add rounding.
+    about 1e-11, and larger grids only add rounding. The det' ratio runs
+    over the dense spectra outside the cut.
     """
     reference = replace(channel_model, phi=TrigPoly.zero(), flat_windows=False, deform_t=0.0)
     rs_ref = _rs_exact_channel(lam, length, cut)
     disc_m = build_discrete(channel_model, DISCRETE_N).channels[0]
     disc_r = build_discrete(reference, DISCRETE_N).channels[0]
     if cut > 0:
-        cut_m = spectral_cut(disc_m, cut, clearance_frac=None, tol=tol)
-        cut_r = spectral_cut(disc_r, cut, clearance_frac=None, tol=tol)
-        band_m = _band_torsion_discrete(disc_m, cut_m)
-        band_r = _band_torsion_discrete(disc_r, cut_r)
-        em, er = cut_m.complement1, cut_r.complement1
+        band_m = _band_torsion_discrete(disc_m, spectral_cut(disc_m, cut, tol=tol))
+        band_r = _band_torsion_discrete(disc_r, spectral_cut(disc_r, cut, tol=tol))
     else:
         band_m = band_r = 1.0
-        em, er = disc_m.eigenvalues(1), disc_r.eigenvalues(1)
-    big_m = np.array(sorted(em, key=lambda t: (abs(t), t.real, t.imag)))
-    big_r = np.array(sorted(er, key=lambda t: (abs(t), t.real, t.imag)))
+    em, er = disc_m.eigenvalues(1), disc_r.eigenvalues(1)
+    big_m = np.array(sorted(em[np.abs(em) > cut], key=lambda t: (abs(t), t.real, t.imag)))
+    big_r = np.array(sorted(er[np.abs(er) > cut], key=lambda t: (abs(t), t.real, t.imag)))
     if big_m.shape != big_r.shape:
         raise AmbiguousCutError("band sizes differ between model and reference")
     det_ratio = complex(np.prod(big_m / big_r))  # det'(model)/det'(reference)
@@ -240,49 +234,71 @@ def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0, tol=
     """Counts of eigenvalues with |mu| <= threshold per degree, plus band trace
     and the smallest large-band magnitude (the two-band picture).
 
-    Raises ResolutionError if any eigenvalue sits within 10% of the threshold.
+    Each channel's ``small_band`` supplies every eigenvalue up to 10% beyond
+    the threshold and the next ones by modulus, the large-band minimum among
+    them. Raises ResolutionError if any eigenvalue sits within 10% of the
+    threshold.
     """
     deformed = witten_deform(model, t_param) if model.potential is not None else model
     disc = build_discrete(deformed, n_grid)
     counts = [0, 0]
     band_trace = 0.0 + 0.0j
     large_min = np.inf
-    for degree in (0, 1):
-        ev = disc.eigenvalues(degree)
-        mags = np.abs(ev)
-        margin = tol.threshold_margin * threshold
-        if np.any(np.abs(mags - threshold) < margin):
-            worst = ev[np.argmin(np.abs(mags - threshold))]
-            raise ResolutionError(
-                f"eigenvalue {worst:.6e} within 10% of threshold {threshold}; "
-                "gap unresolved at this (T, N)"
-            )
-        inside = ev[mags <= threshold]
-        counts[degree] = int(inside.size)
-        band_trace += complex(np.sum(inside))
-        outside = mags[mags > threshold]
-        if outside.size:
-            large_min = min(large_min, float(np.min(outside)))
+    margin = tol.threshold_margin * threshold
+    for ch in disc.channels:
+        for degree in (0, 1):
+            ev, _ = ch.small_band(degree, threshold + margin)
+            mags = np.abs(ev)
+            if np.any(np.abs(mags - threshold) < margin):
+                worst = ev[np.argmin(np.abs(mags - threshold))]
+                raise ResolutionError(
+                    f"eigenvalue {worst:.6e} within 10% of threshold {threshold}; "
+                    "gap unresolved at this (T, N)"
+                )
+            inside = ev[mags <= threshold]
+            counts[degree] += int(inside.size)
+            band_trace += complex(np.sum(inside))
+            large_min = min(large_min, float(np.min(mags[mags > threshold])))
     return SmallSpectrumReport(
         t_param=float(t_param), n_grid=int(n_grid), threshold=float(threshold),
         counts=(counts[0], counts[1]), band_trace=band_trace, large_band_min=large_min,
     )
 
 
-def _lexsorted(ev):
-    order = np.lexsort((ev.imag, ev.real))
-    return ev[order]
+def _matching_gap(left, right):
+    """Largest gap of a one-to-one pairing of two spectra of equal size.
+
+    One greedy pass over all pair distances, sorted once: each eigenvalue is
+    used once, where a nearest-neighbour lookup could map two eigenvalues of
+    a near-degenerate pair to the same partner.
+    """
+    dist = np.abs(left[:, None] - right[None, :])
+    n = left.size
+    used_left = np.zeros(n, dtype=bool)
+    used_right = np.zeros(n, dtype=bool)
+    worst, matched = 0.0, 0
+    for flat in np.argsort(dist, axis=None):
+        i, j = divmod(int(flat), n)
+        if used_left[i] or used_right[j]:
+            continue
+        used_left[i] = used_right[j] = True
+        worst = float(dist[i, j])  # distances ascend, so the last pair is the widest
+        matched += 1
+        if matched == n:
+            break
+    return worst
 
 
 def conjugation_isospectral_check(model: CircleModel, t_param, n_grid, stencil="matched"):
     """Spectral mismatch between the deformed Laplacian and its conjugated form.
 
     With the matched stencil the conjugation e^{-Tf} D^2_{b_T} e^{Tf} is an
-    exact diagonal matrix similarity of the discretized square, so the sorted
-    spectra agree to rounding; the returned value is the max pairing gap over
-    both degrees, relative to the spectral radius. The "node" stencil builds
-    the gradient term by pointwise multiplication instead and is rejected
-    with the observed mismatch attached.
+    exact diagonal matrix similarity of the discretized square, so the two
+    full spectra agree to rounding; the returned value is the widest gap of
+    a one-to-one pairing of them over both degrees, relative to the spectral
+    radius. The "node" stencil builds the gradient term by pointwise
+    multiplication instead and is rejected with the observed mismatch
+    attached.
     """
     if model.potential is None:
         raise DimensionError("conjugation check requires a Morse potential")
@@ -294,21 +310,19 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid, stencil="
         f_nodes = model.potential.value(ch_0.nodes, model.length)
         f_mids = model.potential.value(ch_0.mids, model.length)
         if stencil == "matched":
-            scale0 = np.exp(float(t_param) * f_nodes)
-            scale1 = np.exp(-float(t_param) * f_mids)
-            k_conj = ch_0.k_sym * scale1[:, None] * scale0[None, :]
+            conj = ch_0.conjugated(np.exp(-float(t_param) * f_mids),
+                                   np.exp(float(t_param) * f_nodes))
         elif stencil == "node":
             # deliberately mismatched: gradient as a midpoint multiplier
             grad = model.potential.derivative(ch_0.mids, model.length)
-            k_conj = ch_0.k_sym + float(t_param) * np.diag(grad.astype(complex))
+            conj = replace(ch_0, k_diag=ch_0.k_diag + float(t_param) * grad)
         else:
             raise StencilMismatchError(f"unknown stencil '{stencil}'")
         for degree in (0, 1):
-            left = _lexsorted(ch_t.eigenvalues(degree))
-            m_r = k_conj.T @ k_conj if degree == 0 else k_conj @ k_conj.T
-            right = _lexsorted(np.linalg.eigvals(m_r))
+            left = ch_t.eigenvalues(degree)
+            right = conj.eigenvalues(degree)
             radius = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
-            worst = max(worst, float(np.max(np.abs(left - right)) / radius))
+            worst = max(worst, _matching_gap(left, right) / radius)
     if stencil == "node" and worst > 1e-10:
         raise StencilMismatchError(
             "gradient stencil does not match the difference stencil; "
@@ -478,7 +492,7 @@ def de_rham_map(model: CircleModel, n_grid, zero_form=None, one_form=None):
     rng = np.random.default_rng(12345)
     probe = rng.standard_normal(n_grid) + 1j * rng.standard_normal(n_grid)
     p0_probe = np.array([probe[node_of[p.label]] for p in mins])
-    dprobe = disc.d @ probe
+    dprobe = disc.difference(probe)
     p1_probe = np.array([integrate_arc(dprobe, p.label) for p in maxs])
     from .morse import build_thom_smale
 

@@ -10,6 +10,7 @@ import bitorsion
 from bitorsion.circle import (
     CircleModel,
     TrigPoly,
+    _critical_points,
     build_discrete,
     exact_spectrum_circle,
     gelfand_yaglom_det,
@@ -90,7 +91,9 @@ class TestBuildDiscrete:
         """The square of the odd operator [[0, K^T], [K, 0]] is block-diagonal by
         degree, with the two degree Laplacians as its blocks."""
         ch = build_discrete(CircleModel(2.0, phi=TrigPoly.sin(0.2)), 16).channels[0]
-        k = ch.k_sym
+        n = ch.n_grid
+        k = np.diag(ch.k_diag)
+        k[np.arange(n), (np.arange(n) + 1) % n] = ch.k_upper  # the seam entry lands at (N-1, 0)
         zero = np.zeros_like(k)
         odd = np.block([[zero, k.T], [k, zero]])
         full = odd @ odd
@@ -256,3 +259,41 @@ class TestFlatWindows:
             nearby = pos + 0.01
             assert model.phi_value(nearby) == pytest.approx(model.phi.value(pos), abs=1e-12)
             assert model.phi_derivative(np.array([nearby]))[0] == 0.0
+
+
+def _critical_points_scalar(pot, length):
+    """The scalar scan-and-bisect loop that the vectorized search replaced."""
+    n_scan = 4096
+    xs = np.linspace(0.0, length, n_scan, endpoint=False)
+    der = pot.derivative(xs, length)
+    crits = []
+    for i in range(n_scan):
+        a, b = xs[i], xs[i + 1] if i + 1 < n_scan else length
+        fa, fb = der[i], der[(i + 1) % n_scan]
+        if fa == 0.0:
+            crits.append(a)
+            continue
+        if fa * fb < 0:
+            lo, hi, flo = a, b, fa
+            for _ in range(80):
+                mid = 0.5 * (lo + hi)
+                fm = pot.derivative(mid, length)
+                if flo * fm <= 0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+            crits.append(0.5 * (lo + hi))
+    return sorted(
+        (float(x % length), 0 if pot.second_derivative(x, length) > 0 else 1) for x in crits
+    )
+
+
+class TestCriticalPoints:
+    @pytest.mark.parametrize("pot", [
+        TrigPoly.cos(1.0, 1), TrigPoly.cos(1.0, 2), TrigPoly.cos(0.7, 3),
+        TrigPoly.cos(1.0, 1) + TrigPoly.sin(0.3, 2),
+    ], ids=["one_well", "two_wells", "three_wells", "asymmetric"])
+    @pytest.mark.parametrize("length", [TWO_PI, 3.7])
+    def test_matches_scalar_bisection(self, pot, length):
+        """Same sign tests and midpoints as the scalar loop, so the same bits."""
+        assert _critical_points(pot, length) == _critical_points_scalar(pot, length)

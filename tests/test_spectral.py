@@ -1,15 +1,29 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from bitorsion.circle import CircleModel, TrigPoly, build_discrete, make_circle_model
+from bitorsion.circle import (
+    CircleModel,
+    SpectralCut,
+    TrigPoly,
+    build_discrete,
+    make_circle_model,
+    witten_deform,
+)
 from bitorsion.errors import (
+    BitorsionError,
     HomotopyClassError,
     ResolutionError,
     StencilMismatchError,
     ThetaNotZeroError,
     ZeroModeError,
 )
+from bitorsion.numkernel import DiskPredicate, schur_decomposition
 from bitorsion.spectral import (
+    _band_torsion_discrete,
     bz_compare,
     conjugation_isospectral_check,
     de_rham_map,
@@ -20,6 +34,8 @@ from bitorsion.spectral import (
     spectral_cut,
     theorem33_experiment,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestRsTorsion:
@@ -116,6 +132,15 @@ class TestConjugation:
     def test_matched_stencil_similarity(self):
         model = make_circle_model(2.0, f=("cos", 1))
         assert conjugation_isospectral_check(model, 5.0, 128) < 1e-10
+
+    @pytest.mark.parametrize("t_param", [5.0, 10.0])
+    @pytest.mark.parametrize("holonomy", [np.exp(0.7j), np.diag([2.0, np.exp(2.5j)])],
+                             ids=["unitary", "rank_two"])
+    def test_pairing_is_one_to_one(self, holonomy, t_param):
+        """Spectra with a unitary channel hold near-degenerate pairs that a
+        (Re, Im)-sorted pairing crosses; a one-use matching does not."""
+        model = make_circle_model(holonomy, f=("cos", 1))
+        assert conjugation_isospectral_check(model, t_param, 64) < 1e-10
 
     def test_mismatched_stencil_surfaces_error(self):
         model = make_circle_model(2.0, f=("cos", 1))
@@ -231,8 +256,12 @@ class TestTwoBandStructure:
         ch = build_discrete(witten_deform(model, 8.0), 256).channels[0]
         cut = spectral_cut(ch, 1.0, clearance_frac=0.1)
         assert cut.dims == (1, 1)
-        assert cut.complement0.size == 255
-        assert min(np.min(np.abs(cut.complement0)), np.min(np.abs(cut.complement1))) > 10.0
+        for degree, band in ((0, cut.eigenvalues0), (1, cut.eigenvalues1)):
+            dense = ch.eigenvalues(degree)  # the full spectrum as the oracle
+            inside = np.abs(dense) <= 1.0
+            assert np.sum(inside) == 1
+            assert abs(band[0] - dense[inside][0]) <= 1e-10 * np.max(np.abs(dense))
+            assert np.min(np.abs(dense[~inside])) > 10.0
 
     def test_invariant_subspace_on_witten_laplacian(self):
         """Unit-disk invariant subspace of the deformed Laplacian has Morse-count dimension."""
@@ -247,3 +276,66 @@ class TestTwoBandStructure:
         image = lap @ basis
         residual = image - basis @ (basis.conj().T @ image)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(lap)
+
+
+_ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
+HOLONOMIES = {
+    "real": 2.0,
+    "complex": 0.5 + 0.8j,
+    "unitary": np.exp(1j * np.pi / 5),
+    "rank_two": _ROTATION @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(_ROTATION),
+}
+
+
+class TestSmallBand:
+    """The O(N) small band against the dense sorted-Schur oracle."""
+
+    @pytest.mark.parametrize("t_param", [0.0, 4.0, 10.0])
+    @pytest.mark.parametrize("wells", [1, 2])
+    @pytest.mark.parametrize("kind", sorted(HOLONOMIES))
+    def test_matches_dense_oracle(self, kind, wells, t_param):
+        # at T = 0 the band holds n = 0 and the exactly degenerate n = +-1 pair
+        radius = 2.0 if t_param == 0.0 else 1.0
+        model = make_circle_model(HOLONOMIES[kind], f=("cos", wells))
+        for ch in build_discrete(witten_deform(model, t_param), 128).channels:
+            cut = spectral_cut(ch, radius, clearance_frac=0.1)
+            bases = []
+            for degree, band in ((0, cut.eigenvalues0), (1, cut.eigenvalues1)):
+                lap = ch.sym_laplacian(degree)
+                dec, sdim = schur_decomposition(lap, sort=DiskPredicate(radius))
+                bases.append(dec.q[:, :sdim])
+                assert band.size == sdim == (3 if t_param == 0.0 else wells)
+                gap = np.max(np.abs(np.sort_complex(band) - np.sort_complex(dec.eigenvalues[:sdim])))
+                assert gap <= 1e-10 * np.linalg.norm(lap, 2)
+            oracle = SpectralCut(radius, None, None, bases[0], bases[1])
+            want = _band_torsion_discrete(ch, oracle)
+            assert abs(_band_torsion_discrete(ch, cut) - want) <= 1e-10 * abs(want)
+
+    def test_deep_deformation_never_untyped(self):
+        """At T = 40 the band eigenvalue is zero to rounding; a shift at 0 would
+        make the sparse LU raise an untyped 'exactly singular' error."""
+        model = make_circle_model(2.0, f=("cos", 1))
+        try:
+            rows = theorem33_experiment(model, [40.0], 64)
+        except BitorsionError:
+            return
+        assert rows[0].band_dims == (1, 1) and np.isfinite(rows[0].abs_log_ratio)
+
+    def test_large_grid_without_dense_storage(self):
+        """N = 65536: a dense N x N complex copy would need 64 GiB. The child
+        process caps its address space at 4 GiB, so any such copy fails."""
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
+            "from bitorsion import make_circle_model, witten_deform, build_discrete\n"
+            "from bitorsion.spectral import spectral_cut\n"
+            "model = witten_deform(make_circle_model(2.0, f=('cos', 1)), 20.0)\n"
+            "ch = build_discrete(model, 65536).channels[0]\n"
+            "print(spectral_cut(ch, 1.0, clearance_frac=0.1).dims)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "(1, 1)"
