@@ -41,7 +41,6 @@ def main():
     sys.path.insert(0, os.path.abspath(args.src))
     from bitorsion import build_discrete, make_circle_model, witten_deform
     from bitorsion.circle import ChannelOperators
-    from bitorsion.numkernel import DiskPredicate
     from bitorsion.spectral import small_spectrum_dims, spectral_cut
 
     model = make_circle_model(2.0, f=("cos", 1))
@@ -52,7 +51,7 @@ def main():
         if hasattr(ChannelOperators, "small_band"):
             return ch.small_band(degree, bound)
         from bitorsion.numkernel import schur_decomposition
-        return schur_decomposition(ch.sym_laplacian(degree), sort=DiskPredicate(bound))
+        return schur_decomposition(ch.sym_laplacian(degree), sort=lambda z: abs(z) <= bound)
 
     small_spectrum_dims(model, T_PARAM, 64)  # loads every module before timing
     rows = []

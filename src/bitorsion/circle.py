@@ -9,7 +9,7 @@ density spreads the compensating weight evenly: its log-density is
 -A x with A = log(lam)/L, so the weight e^{-2Ax} jumps by lam^{-2} across the
 seam, exactly what a global pairing on the bundle squared requires. User
 densities multiply this reference by e^{2 phi} with phi periodic; a phi with
-winding would change the holonomy class and is rejected.
+winding would change the holonomy class, so ``make_circle_model`` refuses it.
 
 With that pairing the degree-0 Laplacian is -(u'' + (2 phi' - 2A) u') under
 twisted boundary conditions. For phi = 0 its spectrum is exactly
@@ -65,16 +65,11 @@ GY_POINTS = 1024  # trapezoid samples for the monodromy growth factor
 
 @dataclass(frozen=True)
 class TrigPoly:
-    """Real trigonometric polynomial in the angle theta = 2 pi x / L.
-
-    ``winding`` adds a non-periodic linear term (winding * theta / 2 pi); it is
-    carried only so that the homotopy-class validation can reject it.
-    """
+    """Real trigonometric polynomial in the angle theta = 2 pi x / L."""
 
     const: float = 0.0
     cos_coeffs: tuple = field(default_factory=tuple)  # ((k, coeff), ...)
     sin_coeffs: tuple = field(default_factory=tuple)
-    winding: float = 0.0
 
     @classmethod
     def zero(cls):
@@ -93,7 +88,7 @@ class TrigPoly:
 
     def value(self, x, length=TWO_PI):
         th = self._theta(x, length)
-        out = self.const + self.winding * th / TWO_PI
+        out = self.const + np.zeros_like(th)
         for k, c in self.cos_coeffs:
             out = out + c * np.cos(k * th)
         for k, c in self.sin_coeffs:
@@ -104,7 +99,7 @@ class TrigPoly:
         """d/dx, closed form."""
         th = self._theta(x, length)
         scale = TWO_PI / length
-        out = np.zeros_like(th) + self.winding / length
+        out = np.zeros_like(th)
         for k, c in self.cos_coeffs:
             out = out - c * k * scale * np.sin(k * th)
         for k, c in self.sin_coeffs:
@@ -122,33 +117,11 @@ class TrigPoly:
         return out
 
     def is_constant(self):
-        return not self.cos_coeffs and not self.sin_coeffs and self.winding == 0.0
+        return not self.cos_coeffs and not self.sin_coeffs
 
     def sup_norm_bound(self):
         return abs(self.const) + sum(abs(c) for _, c in self.cos_coeffs) + sum(
             abs(c) for _, c in self.sin_coeffs
-        ) + abs(self.winding)
-
-    def __add__(self, other):
-        cc = dict(self.cos_coeffs)
-        for k, c in other.cos_coeffs:
-            cc[k] = cc.get(k, 0.0) + c
-        ss = dict(self.sin_coeffs)
-        for k, c in other.sin_coeffs:
-            ss[k] = ss.get(k, 0.0) + c
-        return TrigPoly(
-            self.const + other.const,
-            tuple(sorted((k, c) for k, c in cc.items() if c != 0.0)),
-            tuple(sorted((k, c) for k, c in ss.items() if c != 0.0)),
-            self.winding + other.winding,
-        )
-
-    def scaled(self, factor):
-        return TrigPoly(
-            self.const * factor,
-            tuple((k, c * factor) for k, c in self.cos_coeffs),
-            tuple((k, c * factor) for k, c in self.sin_coeffs),
-            self.winding * factor,
         )
 
 
@@ -237,7 +210,9 @@ class CircleModel:
 def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_windows=False):
     """Factory mirroring the circle.json vocabulary.
 
-    phi: ("zero", _) or ("sin", amp); f: ("cos", wells) or None.
+    phi: ("zero", _) or ("sin", amp); f: ("cos", wells) or None. A
+    ("winding", _) density is not periodic: it would change the holonomy
+    class, and it is refused.
     """
     kind, amp = phi
     if kind == "zero":
@@ -245,7 +220,7 @@ def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_w
     elif kind == "sin":
         phi_poly = TrigPoly.sin(amp)
     elif kind == "winding":
-        phi_poly = TrigPoly(winding=amp)
+        raise HomotopyClassError("log-density with winding changes the holonomy class; rejected")
     else:
         raise DimensionError(f"unknown phi kind '{kind}'")
     pot = None
@@ -358,16 +333,15 @@ def exact_spectrum_circle(lam, length=TWO_PI):
     return SpectrumFamily(lam, float(length), complex(z))
 
 
-def zeta_det_exact(lam, length=TWO_PI, degree=1, cut=None):
+def zeta_det_exact(lam, length=TWO_PI, cut=None):
     """Zeta-regularized determinant of the Laplacian family above ``cut``.
 
     lam != 1 with cut None gives the full determinant (1-lam)^2/lam; at
     lam = 1 the zero mode forces the primed determinant (cut >= 0 explicit),
     whose base value is the classical L^2. Finitely many eigenvalues inside
-    the cut are divided out. Degrees 0 and 1 carry the same family.
+    the cut are divided out. Degrees 0 and 1 carry the same family, so one
+    value serves both.
     """
-    if degree not in (0, 1):
-        raise DimensionError("degree must be 0 or 1 on the circle")
     lam = complex(lam)
     if lam == 0:
         raise HolonomyError("holonomy must be nonzero")
@@ -389,7 +363,7 @@ def zeta_det_exact(lam, length=TWO_PI, degree=1, cut=None):
     return base / removed
 
 
-def gelfand_yaglom_det(model: CircleModel, degree=1):
+def gelfand_yaglom_det(model: CircleModel):
     """Functional determinant via the monodromy of the zero-eigenvalue ODE.
 
     The ODE is u'' + a1(x) u' = 0 with a1 = 2 phi_eff' - 2A, A = log(lam)/L.
@@ -405,12 +379,10 @@ def gelfand_yaglom_det(model: CircleModel, degree=1):
     anomaly-invariance criterion consumes it. Degrees 0 and 1 share the
     value (the nonzero spectra coincide).
     """
-    if degree not in (0, 1):
-        raise DimensionError("degree must be 0 or 1 on the circle")
     if model.rank > 1:
         out = 1.0 + 0.0j
         for sub in model.channels():
-            out *= gelfand_yaglom_det(sub, degree)
+            out *= gelfand_yaglom_det(sub)
         return out
     lam = complex(model.holonomy)
     h = model.length / GY_POINTS
@@ -562,7 +534,6 @@ class ChannelOperators:
 class DiscreteOperators:
     """Per-channel staggered operators for a circle model on an N-point grid."""
 
-    model: CircleModel
     n_grid: int
     channels: tuple
 
@@ -611,19 +582,21 @@ def build_discrete(model: CircleModel, n_grid):
                 lambda x: np.asarray(model.phi_value(x), dtype=float),
             )
         )
-    return DiscreteOperators(model=model, n_grid=n_grid, channels=tuple(chans))
+    return DiscreteOperators(n_grid=n_grid, channels=tuple(chans))
 
 
 @dataclass(frozen=True)
 class SpectralCut:
     """Small-band data at |mu| <= radius: per degree, the band eigenvalues and
-    an orthonormal basis of their invariant subspace (symmetrized coordinates)."""
+    an orthonormal basis of their invariant subspace (symmetrized coordinates);
+    over both degrees, the smallest modulus beyond the cut."""
 
     radius: float
     eigenvalues0: np.ndarray
     eigenvalues1: np.ndarray
     basis0: np.ndarray
     basis1: np.ndarray
+    large_band_min: float
 
     @property
     def dims(self):

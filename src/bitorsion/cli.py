@@ -47,10 +47,6 @@ def _emit(args, rows):
         sys.stdout.write(text)
 
 
-def _tol(args, base):
-    return base * getattr(args, "tol_scale", 1.0)
-
-
 def _cmd_torsion(args):
     if args.kind == "finite":
         complex_, structure, h = load_graded_complex(args.input)
@@ -58,13 +54,13 @@ def _cmd_torsion(args):
             h = cohomology(complex_)
         value = torsion_form(complex_, structure, h)
         print(f"torsion = {value.real:.12g} + {value.imag:.12g}i")
-        _emit(args, [["torsion_finite", args.input, value, _tol(args, 1e-9), True]])
+        _emit(args, [["torsion_finite", args.input, value, 1e-9, True]])
         return 0
     ms, forms = load_morse_system(args.input)
     if args.kind == "morse":
         value = milnor_torsion(ms, forms)
         print(f"milnor torsion = {value.real:.12g} + {value.imag:.12g}i")
-        _emit(args, [["torsion_morse", args.input, value, _tol(args, 1e-9), True]])
+        _emit(args, [["torsion_morse", args.input, value, 1e-9, True]])
         return 0
     # turaev
     windings = {}
@@ -89,7 +85,7 @@ def _cmd_torsion(args):
     value = turaev_torsion(ms, rep, EulerStructure(base, windings), b0)
     print(f"turaev torsion = {value.real:.12g} + {value.imag:.12g}i")
     _emit(args, [["torsion_turaev", f"{args.input};euler={args.euler or ''}", value,
-                  _tol(args, 1e-9), True]])
+                  1e-9, True]])
     return 0
 
 
@@ -114,41 +110,38 @@ def _cmd_spectral(args):
         disc = build_discrete(model, n_grid)
         ev = disc.eigenvalues(0)[:8]
         for k, mu in enumerate(ev):
-            rows.append(["spectrum", f"n={k};N={n_grid}", complex(mu), _tol(args, 1e-6), True])
+            rows.append(["spectrum", f"n={k};N={n_grid}", complex(mu), 1e-6, True])
         print("lowest discrete eigenvalues:", ", ".join(f"{m:.6g}" for m in ev[:4]))
         print(f"exact family: mu_n = (2 pi / L)^2 (n^2 - z^2), z = {fam.z:.6g}")
     elif args.op == "zetadet":
         value = 1.0 + 0.0j
         for lam in model.channel_holonomies():
-            value *= zeta_det_exact(lam, model.length, degree=1,
+            value *= zeta_det_exact(lam, model.length,
                                     cut=args.cut if args.cut and args.cut > 0 else None)
         print(f"zeta determinant = {value.real:.12g} + {value.imag:.12g}i")
-        rows.append(["zetadet", f"cut={args.cut}", value, _tol(args, 1e-9), True])
+        rows.append(["zetadet", f"cut={args.cut}", value, 1e-9, True])
     elif args.op == "rstorsion":
         value = rs_torsion(model, cut=args.cut, method=args.method)
         print(f"rs torsion = {value.real:.12g} + {value.imag:.12g}i")
-        rows.append(["rstorsion", f"cut={args.cut};method={args.method}", value,
-                     _tol(args, 1e-8), True])
+        rows.append(["rstorsion", f"cut={args.cut};method={args.method}", value, 1e-8, True])
     elif args.op == "witten":
         rep = small_spectrum_dims(model, t_param, n_grid)
         print(f"small-band counts {rep.counts}, band trace {rep.band_trace:.3e}, "
               f"large-band min {rep.large_band_min:.4f}")
         rows.append(["witten_counts", f"T={t_param};N={n_grid}",
                      complex(rep.counts[0], rep.counts[1]), 0.0, True])
-        rows.append(["witten_band_trace", f"T={t_param};N={n_grid}", rep.band_trace,
-                     _tol(args, 1.0), True])
+        rows.append(["witten_band_trace", f"T={t_param};N={n_grid}", rep.band_trace, 1.0, True])
     elif args.op == "thm33":
         t_values = [float(t) for t in (args.T_list.split(",") if args.T_list else ["4", "10"])]
         for row in theorem33_experiment(model, t_values, n_grid):
             print(f"T={row.t_param:g}: scaled ratio {row.ratio:.8f} |log| {row.abs_log_ratio:.5f}")
-            rows.append(["thm33", f"T={row.t_param};N={n_grid}", row.ratio,
-                         _tol(args, 1.0), True])
+            rows.append(["thm33", f"T={row.t_param};N={n_grid}", row.ratio, 1.0, True])
     elif args.op == "bz":
         value = bz_compare(model, method=args.method, cut=args.cut)
-        ok = abs(value - 1.0) <= _tol(args, 1e-8)
+        ok = abs(value - 1.0) <= 1e-8
         print(f"bz ratio = {value.real:.12g} + {value.imag:.12g}i "
               f"({'ok' if ok else 'OUTSIDE TOLERANCE'})")
-        rows.append(["bz", f"method={args.method}", value, _tol(args, 1e-8), ok])
+        rows.append(["bz", f"method={args.method}", value, 1e-8, ok])
         _emit(args, rows)
         return 0 if ok else 1
     else:
@@ -162,7 +155,7 @@ def _cmd_verify(args):
 
     results = run_all()
     rows = [
-        [f"acceptance_{r.number}", r.name, complex(r.worst), r.tolerance * args.tol_scale, r.passed]
+        [f"acceptance_{r.number}", r.name, complex(r.worst), r.tolerance, r.passed]
         for r in results
     ]
     _emit(args, rows)
@@ -176,8 +169,6 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="bitorsion", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default=None, help="write CSV rows to this path")
-    parser.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
-                        help="scale reported tolerances")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_torsion = sub.add_parser("torsion", help="finite, Morse, or Turaev torsion")

@@ -128,7 +128,7 @@ class CohomologyData:
         return tuple(b.shape[1] for b in self.bases)
 
 
-def _orth_columns(a, tol_rel=DEFAULT_TOL.rank_rel, floor=0.0):
+def _orth_columns(a, floor=0.0):
     """Orthonormal (Hermitian) basis of the column space, rank by relative SVD cut.
 
     ``floor`` supplies an external scale so that a matrix that is tiny only
@@ -139,11 +139,11 @@ def _orth_columns(a, tol_rel=DEFAULT_TOL.rank_rel, floor=0.0):
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0), dtype=complex)
-    r = int(np.sum(s > tol_rel * max(s[0], floor)))
+    r = int(np.sum(s > DEFAULT_TOL.rank_rel * max(s[0], floor)))
     return u[:, :r]
 
 
-def _null_columns(a, tol_rel=DEFAULT_TOL.rank_rel):
+def _null_columns(a):
     """Orthonormal basis of the kernel."""
     n = a.shape[1]
     if n == 0:
@@ -151,28 +151,28 @@ def _null_columns(a, tol_rel=DEFAULT_TOL.rank_rel):
     if a.shape[0] == 0 or not a.size:
         return np.eye(n, dtype=complex)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = int(np.sum(s > tol_rel * s[0])) if s.size and s[0] > 0 else 0
+    r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0])) if s.size and s[0] > 0 else 0
     return vh[r:].conj().T
 
 
-def cohomology(c: GradedComplex, tol=DEFAULT_TOL):
+def cohomology(c: GradedComplex):
     """Representative bases for H^i = ker d_i / im d_{i-1}, by rank-revealing SVD."""
     bases = []
     for i in range(c.degree_count):
-        ker = _null_columns(c.differential(i), tol.rank_rel)
-        im = _orth_columns(c.differential(i - 1), tol.rank_rel) if i > 0 else None
+        ker = _null_columns(c.differential(i))
+        im = _orth_columns(c.differential(i - 1)) if i > 0 else None
         if im is None or im.shape[1] == 0:
             reps = ker
         else:
             # kernel components orthogonal to the coboundary image; the
             # projected columns have scale <= 1, so rank against floor 1
             proj = ker - im @ (im.conj().T @ ker)
-            reps = _orth_columns(proj, tol.rank_rel, floor=1.0)
+            reps = _orth_columns(proj, floor=1.0)
         bases.append(reps)
     return CohomologyData(tuple(bases))
 
 
-def _lift_basis(d, tol, rng=None):
+def _lift_basis(d, rng=None):
     """Columns of C^i on which d is injective with image spanning im(d).
 
     Default: leading right-singular vectors. With ``rng``: the same space,
@@ -182,7 +182,7 @@ def _lift_basis(d, tol, rng=None):
     if d.size == 0 or min(d.shape) == 0:
         return np.zeros((d.shape[1], 0), dtype=complex)
     u, s, vh = np.linalg.svd(d, full_matrices=True)
-    r = int(np.sum(s > tol.rank_rel * s[0])) if s.size and s[0] > 0 else 0
+    r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0])) if s.size and s[0] > 0 else 0
     lift = vh[:r].conj().T
     if rng is not None and r:
         mix = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
@@ -197,19 +197,19 @@ def _lift_basis(d, tol, rng=None):
     return lift
 
 
-def _project_to_cocycles(reps, ker, tol):
+def _project_to_cocycles(reps, ker):
     """Re-express representatives in the kernel, rejecting drifted input."""
     if reps.shape[1] == 0:
         return reps
     coeff = ker.conj().T @ reps
     proj = ker @ coeff
     scale = max(np.linalg.norm(reps), 1e-300)
-    if np.linalg.norm(proj - reps) > tol.cocycle_rel * scale:
+    if np.linalg.norm(proj - reps) > DEFAULT_TOL.cocycle_rel * scale:
         raise ShapeError("cohomology representatives are not cocycles to tolerance")
     return proj
 
 
-def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, tol=DEFAULT_TOL, rng=None):
+def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, rng=None):
     """b-value of the canonical determinant-line generator induced by h.
 
     Per degree i, assemble v_i = (d a~_{i-1} | h~_i | a~_i), where a~_i is a
@@ -223,11 +223,11 @@ def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, tol=
     if len(h.bases) != c.degree_count:
         raise ShapeError("cohomology data has wrong number of degrees")
 
-    expected = cohomology(c, tol).dims
+    expected = cohomology(c).dims
     if h.dims != expected:
         raise ShapeError(f"cohomology dims {h.dims} differ from computed {expected}")
 
-    lifts = [_lift_basis(c.differential(i), tol, rng) for i in range(c.degree_count)]
+    lifts = [_lift_basis(c.differential(i), rng) for i in range(c.degree_count)]
     result = 1.0 + 0.0j
     for i in range(c.degree_count):
         n_i = c.dims[i]
@@ -236,8 +236,8 @@ def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, tol=
             if i > 0 and lifts[i - 1].shape[1]
             else np.zeros((n_i, 0), dtype=complex)
         )
-        ker = _null_columns(c.differential(i), tol.rank_rel)
-        reps = _project_to_cocycles(h.bases[i], ker, tol)
+        ker = _null_columns(c.differential(i))
+        reps = _project_to_cocycles(h.bases[i], ker)
         v = np.hstack([boundary, reps, lifts[i]])
         if v.shape[1] != n_i:
             raise ShapeError(
@@ -248,7 +248,7 @@ def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, tol=
         gram = v.T @ b.grams[i] @ v
         det = lu_det(gram)
         scale = max(np.max(np.abs(gram)), 1e-300)
-        if abs(det) <= tol.nondegeneracy_rel * scale**n_i:
+        if abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale**n_i:
             raise ConditioningError(f"degree {i}: torsion Gram numerically singular")
         result = result * det if i % 2 == 0 else result / det
     return result

@@ -2,6 +2,8 @@
 
 The torsion theory itself is exact linear algebra; every threshold below is
 artifact policy, collected here so no module hides its own magic numbers.
+Each field is read from ``DEFAULT_TOL`` where it is used; none is a per-call
+argument.
 """
 
 from dataclasses import dataclass

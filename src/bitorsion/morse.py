@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import BilinearStructure, CohomologyData, GradedComplex, cohomology, torsion_form
-from .config import DEFAULT_TOL
 from .errors import (
     ChainComplexError,
     DimensionError,
@@ -179,7 +178,7 @@ def build_thom_smale(ms: MorseSystem, forms: CriticalForms):
 
 
 def milnor_torsion(ms: MorseSystem, forms: CriticalForms, h: CohomologyData | None = None,
-                   tol=DEFAULT_TOL, rng=None):
+                   rng=None):
     """Milnor symmetric bilinear torsion of the Thom-Smale pair.
 
     ``h`` may be omitted; the computed cohomology representatives are used,
@@ -187,8 +186,8 @@ def milnor_torsion(ms: MorseSystem, forms: CriticalForms, h: CohomologyData | No
     """
     complex_, structure = build_thom_smale(ms, forms)
     if h is None:
-        h = cohomology(complex_, tol)
-    return torsion_form(complex_, structure, h, tol=tol, rng=rng)
+        h = cohomology(complex_)
+    return torsion_form(complex_, structure, h, rng=rng)
 
 
 def milnor_anomaly_check(ms: MorseSystem, forms: CriticalForms, forms1: CriticalForms):

@@ -32,7 +32,6 @@ __all__ = [
     "check_symmetric_form",
     "SchurDecomposition",
     "schur_decomposition",
-    "DiskPredicate",
 ]
 
 
@@ -100,16 +99,3 @@ def schur_decomposition(m, sort=None):
         raise ConvergenceError(f"Schur iteration failed to converge: {exc}") from exc
     dec = SchurDecomposition(q=q, t=t, eigenvalues=np.diag(t).copy())
     return (dec, sdim) if sort is not None else dec
-
-
-class DiskPredicate:
-    """Eigenvalue selector |z| <= radius with a measurable boundary distance."""
-
-    def __init__(self, radius):
-        self.radius = float(radius)
-
-    def __call__(self, z):
-        return abs(z) <= self.radius
-
-    def boundary_distance(self, z):
-        return abs(abs(z) - self.radius)

@@ -38,14 +38,13 @@ from .errors import (
     AmbiguousCutError,
     DimensionError,
     GridError,
-    HomotopyClassError,
     ResolutionError,
     StencilMismatchError,
     ThetaNotZeroError,
     ZeroModeError,
 )
 from .morse import CircleGeometry, CriticalForms, CriticalPoint, Instanton, MorseSystem, milnor_torsion
-from .numkernel import DiskPredicate, lu_det
+from .numkernel import lu_det
 
 __all__ = [
     "spectral_cut",
@@ -72,31 +71,47 @@ DISCRETE_N = 32  # grid of the discrete rs method
 # ----------------------------------------------------------------------------
 
 
-def spectral_cut(channel: ChannelOperators, radius, clearance_frac=None, tol=DEFAULT_TOL):
+def spectral_cut(channel: ChannelOperators, radius, clearance_frac=None):
     """Invariant small-band subspaces of both Laplacians, symmetrized coordinates.
 
     Per degree, ``ChannelOperators.small_band`` finds every eigenpair within
-    the cut and the clearance around it in O(N); the band eigenvectors are
-    orthonormalized into the basis. ``clearance_frac``: eigenvalues within
-    this fraction of ``radius`` from the cut circle raise; defaults to the
-    absolute cut clearance policy.
+    the cut and the clearance around it in O(N), and at least one beyond it;
+    the band eigenvectors are orthonormalized into the basis, and the
+    smallest modulus beyond the cut is kept. ``clearance_frac``: eigenvalues
+    within this fraction of ``radius`` from the cut circle raise
+    AmbiguousCutError; defaults to the absolute cut clearance policy.
     """
-    pred = DiskPredicate(radius)
     clearance = (
-        clearance_frac * radius if clearance_frac is not None else tol.cut_clearance
+        clearance_frac * radius if clearance_frac is not None else DEFAULT_TOL.cut_clearance
     )
     pieces = []
+    large_min = np.inf
     for degree in (0, 1):
         vals, vecs = channel.small_band(degree, radius + clearance)
-        offending = [z for z in vals if pred.boundary_distance(z) < clearance]
-        if offending:
+        mags = np.abs(vals)
+        near = np.abs(mags - radius) < clearance
+        if np.any(near):
             raise AmbiguousCutError(
-                f"eigenvalue {offending[0]:.6e} within {clearance:.1e} of the cut"
+                f"eigenvalue {vals[near][0]:.6e} within {clearance:.1e} of the cut"
             )
-        inside = np.array([pred(z) for z in vals], dtype=bool)
+        inside = mags <= radius
+        large_min = min(large_min, float(np.min(mags[~inside])))
         pieces.append((vals[inside], np.linalg.qr(vecs[:, inside])[0]))
     (ev0, v0), (ev1, v1) = pieces
-    return SpectralCut(radius=radius, eigenvalues0=ev0, eigenvalues1=ev1, basis0=v0, basis1=v1)
+    return SpectralCut(radius=radius, eigenvalues0=ev0, eigenvalues1=ev1, basis0=v0, basis1=v1,
+                       large_band_min=large_min)
+
+
+def _threshold_cut(channel: ChannelOperators, threshold, t_param):
+    """The Witten band below ``threshold``, with the threshold-margin clearance.
+
+    An eigenvalue inside the margin means the gap between the small and the
+    large band is not resolved at this (T, N): ResolutionError.
+    """
+    try:
+        return spectral_cut(channel, threshold, clearance_frac=DEFAULT_TOL.threshold_margin)
+    except AmbiguousCutError as exc:
+        raise ResolutionError(f"gap unresolved at T={t_param}: {exc}") from exc
 
 
 def band_complex(channel: ChannelOperators, cut: SpectralCut):
@@ -156,11 +171,11 @@ def _rs_exact_channel(lam, length, cut):
         # (holonomy 1) cancel between degrees with the standard harmonic bases
         if mu != 0:
             band /= mu
-    detp = zeta_det_exact(lam, length, degree=1, cut=cut if cut and cut > 0 else None)
+    detp = zeta_det_exact(lam, length, cut=cut if cut and cut > 0 else None)
     return band / detp
 
 
-def _rs_discrete_channel(channel_model, lam, length, cut, tol):
+def _rs_discrete_channel(channel_model, lam, length, cut):
     """Relative-determinant value against the phi = 0 reference model.
 
     The relative determinant has no discretization error for refinement to
@@ -173,8 +188,8 @@ def _rs_discrete_channel(channel_model, lam, length, cut, tol):
     disc_m = build_discrete(channel_model, DISCRETE_N).channels[0]
     disc_r = build_discrete(reference, DISCRETE_N).channels[0]
     if cut > 0:
-        band_m = _band_torsion_discrete(disc_m, spectral_cut(disc_m, cut, tol=tol))
-        band_r = _band_torsion_discrete(disc_r, spectral_cut(disc_r, cut, tol=tol))
+        band_m = _band_torsion_discrete(disc_m, spectral_cut(disc_m, cut))
+        band_r = _band_torsion_discrete(disc_r, spectral_cut(disc_r, cut))
     else:
         band_m = band_r = 1.0
     em, er = disc_m.eigenvalues(1), disc_r.eigenvalues(1)
@@ -186,7 +201,7 @@ def _rs_discrete_channel(channel_model, lam, length, cut, tol):
     return rs_ref * (band_m / band_r) / det_ratio
 
 
-def rs_torsion(model: CircleModel, cut=0.0, method="exact", tol=DEFAULT_TOL):
+def rs_torsion(model: CircleModel, cut=0.0, method="exact"):
     """Ray-Singer symmetric bilinear torsion of the circle model.
 
     methods: "exact" (closed-form spectrum), "gy" (monodromy determinant,
@@ -207,9 +222,9 @@ def rs_torsion(model: CircleModel, cut=0.0, method="exact", tol=DEFAULT_TOL):
                 raise AmbiguousCutError(
                     "gy method needs the cut below the spectrum; eigenvalues found inside"
                 )
-            out /= gelfand_yaglom_det(sub, degree=1)
+            out /= gelfand_yaglom_det(sub)
         elif method == "discrete":
-            out *= _rs_discrete_channel(sub, lam, sub.length, cut, tol)
+            out *= _rs_discrete_channel(sub, lam, sub.length, cut)
         else:
             raise DimensionError(f"unknown rs method '{method}'")
     return out
@@ -230,35 +245,25 @@ class SmallSpectrumReport:
     large_band_min: float
 
 
-def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0, tol=DEFAULT_TOL):
+def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
     """Counts of eigenvalues with |mu| <= threshold per degree, plus band trace
     and the smallest large-band magnitude (the two-band picture).
 
-    Each channel's ``small_band`` supplies every eigenvalue up to 10% beyond
-    the threshold and the next ones by modulus, the large-band minimum among
-    them. Raises ResolutionError if any eigenvalue sits within 10% of the
-    threshold.
+    Each channel's threshold cut supplies the band eigenvalues and the
+    smallest modulus beyond the threshold. Raises ResolutionError if any
+    eigenvalue sits within the threshold margin.
     """
     deformed = witten_deform(model, t_param) if model.potential is not None else model
     disc = build_discrete(deformed, n_grid)
     counts = [0, 0]
     band_trace = 0.0 + 0.0j
     large_min = np.inf
-    margin = tol.threshold_margin * threshold
     for ch in disc.channels:
-        for degree in (0, 1):
-            ev, _ = ch.small_band(degree, threshold + margin)
-            mags = np.abs(ev)
-            if np.any(np.abs(mags - threshold) < margin):
-                worst = ev[np.argmin(np.abs(mags - threshold))]
-                raise ResolutionError(
-                    f"eigenvalue {worst:.6e} within 10% of threshold {threshold}; "
-                    "gap unresolved at this (T, N)"
-                )
-            inside = ev[mags <= threshold]
-            counts[degree] += int(inside.size)
-            band_trace += complex(np.sum(inside))
-            large_min = min(large_min, float(np.min(mags[mags > threshold])))
+        cut = _threshold_cut(ch, threshold, t_param)
+        for degree, band in enumerate((cut.eigenvalues0, cut.eigenvalues1)):
+            counts[degree] += int(band.size)
+            band_trace += complex(np.sum(band))
+        large_min = min(large_min, cut.large_band_min)
     return SmallSpectrumReport(
         t_param=float(t_param), n_grid=int(n_grid), threshold=float(threshold),
         counts=(counts[0], counts[1]), band_trace=band_trace, large_band_min=large_min,
@@ -394,13 +399,13 @@ def model_critical_forms(model: CircleModel, ms: MorseSystem):
     return CriticalForms(forms)
 
 
-def milnor_from_model(model: CircleModel, rng=None):
+def milnor_from_model(model: CircleModel):
     """Milnor torsion of the model-derived Thom-Smale pair (channel product)."""
     out = 1.0 + 0.0j
     for sub in model.channels():
         ms = morse_from_potential(sub)
         forms = model_critical_forms(sub, ms)
-        out *= milnor_torsion(ms, forms, rng=rng)
+        out *= milnor_torsion(ms, forms)
     return out
 
 
@@ -532,7 +537,7 @@ def _counting_data(ms: MorseSystem, potential: TrigPoly, length):
     return chi, chi_prime, trs
 
 
-def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0, tol=DEFAULT_TOL):
+def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0):
     """Scaled band-torsion over Milnor-torsion ratios along a T sweep.
 
     For each T the small band of the deformed Laplacian is extracted, its
@@ -552,10 +557,7 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0, to
         for sub in channels:
             deformed = witten_deform(sub, t_param)
             ch = build_discrete(deformed, n_grid).channels[0]
-            try:
-                cut = spectral_cut(ch, threshold, clearance_frac=tol.threshold_margin, tol=tol)
-            except AmbiguousCutError as exc:
-                raise ResolutionError(f"gap unresolved at T={t_param}: {exc}") from exc
+            cut = _threshold_cut(ch, threshold, t_param)
             ms = morse_from_potential(sub)
             counts = ms.morse_counts()
             if cut.dims != (counts[0], counts[1]):
@@ -584,13 +586,8 @@ def bz_compare(model: CircleModel, method="exact", cut=0.0):
 
     Only valid in the zero relative-density regime (constant phi against the
     canonical reference); the acyclic transport on determinant lines is then
-    canonical and the predicted value of the ratio is exactly 1. A phi with
-    winding would change the holonomy class and is rejected first.
+    canonical and the predicted value of the ratio is exactly 1.
     """
-    if model.phi.winding != 0.0:
-        raise HomotopyClassError(
-            "log-density with winding changes the holonomy class; rejected"
-        )
     if not model.phi.is_constant() or model.deform_t != 0.0:
         raise ThetaNotZeroError(
             "relative density form is nonzero; use the anomaly invariance test instead"

@@ -291,7 +291,7 @@ def _critical_points_scalar(pot, length):
 class TestCriticalPoints:
     @pytest.mark.parametrize("pot", [
         TrigPoly.cos(1.0, 1), TrigPoly.cos(1.0, 2), TrigPoly.cos(0.7, 3),
-        TrigPoly.cos(1.0, 1) + TrigPoly.sin(0.3, 2),
+        TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),)),
     ], ids=["one_well", "two_wells", "three_wells", "asymmetric"])
     @pytest.mark.parametrize("length", [TWO_PI, 3.7])
     def test_matches_scalar_bisection(self, pot, length):

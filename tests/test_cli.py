@@ -3,7 +3,7 @@ import json
 import pytest
 
 from bitorsion.cli import main
-from bitorsion.errors import SchemaError
+from bitorsion.errors import HomotopyClassError, SchemaError
 from bitorsion.serialize import (
     load_circle_model,
     load_graded_complex,
@@ -126,6 +126,17 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         # holonomy 1 is non-acyclic: bz refuses with a numerical-failure exit
         assert main(["spectral", str(path), "--op", "bz"]) == 1
+
+    def test_winding_density_rejected(self, tmp_path):
+        """A log-density with winding would change the holonomy class: the
+        loader refuses it, so no analytic method returns a value for it."""
+        doc = {"lambda": [2.0, 0.0], "phi": {"kind": "winding", "amp": 1.0},
+               "f": {"kind": "cos", "wells": 1}}
+        path = tmp_path / "winding.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HomotopyClassError):
+            load_circle_model(str(path))
+        assert main(["spectral", str(path), "--op", "rstorsion", "--method", "gy"]) == 1
 
     def test_csv_determinism(self, circle, tmp_path):
         out1 = tmp_path / "a.csv"

@@ -8,20 +8,18 @@ import pytest
 from bitorsion.circle import (
     CircleModel,
     SpectralCut,
-    TrigPoly,
     build_discrete,
     make_circle_model,
     witten_deform,
 )
 from bitorsion.errors import (
     BitorsionError,
-    HomotopyClassError,
     ResolutionError,
     StencilMismatchError,
     ThetaNotZeroError,
     ZeroModeError,
 )
-from bitorsion.numkernel import DiskPredicate, schur_decomposition
+from bitorsion.numkernel import schur_decomposition
 from bitorsion.spectral import (
     _band_torsion_discrete,
     bz_compare,
@@ -122,6 +120,28 @@ class TestSmallSpectrum:
         model = make_circle_model(2.0, f=("cos", 2))
         rep = small_spectrum_dims(model, 12.0, 256)
         assert rep.counts == (2, 2)
+
+    @pytest.mark.parametrize("t_param, threshold, wells", [
+        (5.0, 1.0, 1), (5.0, 1.0, 2), (0.0, 0.5, 1),
+    ], ids=["T5_one_well", "T5_two_wells", "T0_half"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
+    def test_report_matches_dense_oracle(self, kind, t_param, threshold, wells):
+        """Counts, band trace and large-band minimum against the full dense
+        spectra of every channel at N = 128."""
+        model = make_circle_model(HOLONOMIES[kind], f=("cos", wells))
+        rep = small_spectrum_dims(model, t_param, 128, threshold=threshold)
+        counts, trace, large_min, radius = [0, 0], 0.0 + 0.0j, np.inf, 0.0
+        for ch in build_discrete(witten_deform(model, t_param), 128).channels:
+            for degree in (0, 1):
+                ev = ch.eigenvalues(degree)
+                inside = np.abs(ev) <= threshold
+                counts[degree] += int(np.sum(inside))
+                trace += np.sum(ev[inside])
+                large_min = min(large_min, np.min(np.abs(ev[~inside])))
+                radius = max(radius, np.max(np.abs(ev)))
+        assert rep.counts == tuple(counts)
+        assert abs(rep.band_trace - trace) <= 1e-13 * radius
+        assert abs(rep.large_band_min - large_min) <= 1e-13 * radius
 
 
 class TestConjugation:
@@ -235,10 +255,6 @@ class TestBzCompare:
         with pytest.raises(ThetaNotZeroError):
             bz_compare(model)
 
-    def test_winding_rejected(self):
-        with pytest.raises(HomotopyClassError):
-            bz_compare(CircleModel(2.0, phi=TrigPoly(winding=1.0)))
-
 
 class TestTwoBandStructure:
     def test_band_separation_grows(self):
@@ -302,12 +318,12 @@ class TestSmallBand:
             bases = []
             for degree, band in ((0, cut.eigenvalues0), (1, cut.eigenvalues1)):
                 lap = ch.sym_laplacian(degree)
-                dec, sdim = schur_decomposition(lap, sort=DiskPredicate(radius))
+                dec, sdim = schur_decomposition(lap, sort=lambda z: abs(z) <= radius)
                 bases.append(dec.q[:, :sdim])
                 assert band.size == sdim == (3 if t_param == 0.0 else wells)
                 gap = np.max(np.abs(np.sort_complex(band) - np.sort_complex(dec.eigenvalues[:sdim])))
                 assert gap <= 1e-10 * np.linalg.norm(lap, 2)
-            oracle = SpectralCut(radius, None, None, bases[0], bases[1])
+            oracle = SpectralCut(radius, None, None, bases[0], bases[1], None)
             want = _band_torsion_discrete(ch, oracle)
             assert abs(_band_torsion_discrete(ch, cut) - want) <= 1e-10 * abs(want)
 
