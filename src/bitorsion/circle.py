@@ -30,6 +30,7 @@ monodromy (Gelfand-Yaglom) route reproduce it.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -206,6 +207,15 @@ class CircleModel:
             raise DimensionError("model has no Morse potential")
         return _critical_points(self.potential, self.length)
 
+    @cached_property
+    def _window_layout(self):
+        """Flat-window centres and half-width: 15% of the smallest gap between
+        critical points. Found on first use, once per model; a model that never
+        evaluates phi never scans."""
+        centres = [c for c, _ in self.critical_points()]
+        gaps = np.diff(centres + [centres[0] + self.length])
+        return centres, 0.15 * float(np.min(gaps))
+
 
 def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_windows=False):
     """Factory mirroring the circle.json vocabulary.
@@ -263,20 +273,13 @@ def _critical_points(pot: TrigPoly, length):
 
 
 def _windows(x, model: CircleModel):
-    """(critical point, mask of x inside its flat window) for each critical point.
-
-    The windows are centred on the critical points of the potential with a
-    half-width of 15% of the smallest gap between them; the critical points
-    are found once per call.
-    """
-    crits = model.critical_points()
+    """(critical point, mask of x inside its flat window) for each critical point."""
+    centres, half_width = model._window_layout
     length = model.length
-    gaps = np.diff([c for c, _ in crits] + [crits[0][0] + length])
-    half_width = 0.15 * float(np.min(gaps))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     return [
         (c, np.abs((xa - c + length / 2) % length - length / 2) <= half_width)
-        for c, _ in crits
+        for c in centres
     ]
 
 

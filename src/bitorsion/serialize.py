@@ -53,6 +53,20 @@ def decode_matrix(obj, field="matrix"):
     return np.array(rows, dtype=complex)
 
 
+def _scalar(obj, kind, field):
+    """A JSON scalar cast by ``kind`` (int or float); a failed cast is a SchemaError."""
+    try:
+        return kind(obj)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{field}: expected {kind.__name__}, got {obj!r}", field=field) from None
+
+
+def _object(obj, field):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{field}: expected a JSON object, got {obj!r}", field=field)
+    return obj
+
+
 def _require(doc, key, where):
     if key not in doc:
         raise SchemaError(f"missing required field '{key}' in {where}", field=key)
@@ -74,7 +88,8 @@ def _load_json(path_or_doc, where):
 def load_graded_complex(path_or_doc):
     """complex.json: { dims, differentials, grams, cohomology? }."""
     doc = _load_json(path_or_doc, "complex.json")
-    dims = tuple(int(d) for d in _require(doc, "dims", "complex.json"))
+    dims = tuple(_scalar(d, int, f"dims[{i}]")
+                 for i, d in enumerate(_require(doc, "dims", "complex.json")))
     diffs = []
     raw = doc.get("differentials", [])
     for i, entry in enumerate(raw):
@@ -110,11 +125,12 @@ def load_graded_complex(path_or_doc):
 def load_morse_system(path_or_doc):
     """morse.json: { rank, points: [{id,index}], instantons: [...], forms: {id: [[..]]} }."""
     doc = _load_json(path_or_doc, "morse.json")
-    rank = int(doc.get("rank", 1))
+    rank = _scalar(doc.get("rank", 1), int, "rank")
     points = []
     for i, p in enumerate(_require(doc, "points", "morse.json")):
         points.append(CriticalPoint(str(_require(p, "id", f"points[{i}]")),
-                                    int(_require(p, "index", f"points[{i}]"))))
+                                    _scalar(_require(p, "index", f"points[{i}]"), int,
+                                            f"points[{i}].index")))
     instantons = []
     for i, ins in enumerate(doc.get("instantons", [])):
         hol = ins.get("holonomy")
@@ -123,7 +139,7 @@ def load_morse_system(path_or_doc):
             Instanton(
                 str(_require(ins, "from", f"instantons[{i}]")),
                 str(_require(ins, "to", f"instantons[{i}]")),
-                int(_require(ins, "sign", f"instantons[{i}]")),
+                _scalar(_require(ins, "sign", f"instantons[{i}]"), int, f"instantons[{i}].sign"),
                 mat,
             )
         )
@@ -147,19 +163,21 @@ def load_knot(path_or_doc):
 def load_circle_model(path_or_doc):
     """circle.json: { L, lambda, phi: {kind, amp}, f: {kind, wells}, N?, T? }."""
     doc = _load_json(path_or_doc, "circle.json")
-    length = float(doc.get("L", 2.0 * np.pi))
+    length = _scalar(doc.get("L", 2.0 * np.pi), float, "L")
     lam_doc = _require(doc, "lambda", "circle.json")
     if isinstance(lam_doc, list) and lam_doc and isinstance(lam_doc[0], list):
         lam = decode_matrix(lam_doc, "lambda")
     else:
         lam = decode_complex_number(lam_doc, "lambda")
-    phi_doc = doc.get("phi", {"kind": "zero"})
-    phi = (str(phi_doc.get("kind", "zero")), float(phi_doc.get("amp", 0.0)))
-    f_doc = doc.get("f")
-    f = (str(f_doc.get("kind", "cos")), int(f_doc.get("wells", 1))) if f_doc else None
+    phi_doc = _object(doc.get("phi", {"kind": "zero"}), "phi")
+    phi = (str(phi_doc.get("kind", "zero")), _scalar(phi_doc.get("amp", 0.0), float, "phi.amp"))
+    f_doc = _object(doc.get("f") or {}, "f")
+    f = ((str(f_doc.get("kind", "cos")), _scalar(f_doc.get("wells", 1), int, "f.wells"))
+         if f_doc else None)
     model = make_circle_model(lam, length=length, phi=phi, f=f,
                               flat_windows=bool(doc.get("flat", False)))
-    extras = {"N": int(doc.get("N", 256)), "T": float(doc.get("T", 0.0))}
+    extras = {"N": _scalar(doc.get("N", 256), int, "N"),
+              "T": _scalar(doc.get("T", 0.0), float, "T")}
     return model, extras
 
 

@@ -9,13 +9,13 @@ vanishing Euler characteristic the value depends only on the Euler structure,
 which on the circle is classified by one integer.
 
 The Alexander polynomial is computed by Fox free differential calculus on a
-deficiency-1 presentation, abelianized to Z[t, 1/t]; determinants are taken
-exactly (integer Bareiss elimination plus interpolation) and normalized so the
-lowest exponent is zero and the leading coefficient positive.
+deficiency-1 presentation, abelianized to Z[t, 1/t]. The determinant of its
+minor is taken exactly by fraction-free (Bareiss) elimination with Laurent
+polynomial entries, each division an exact long division, and normalized so
+the lowest exponent is zero and the leading coefficient positive.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -241,6 +241,20 @@ class IntPoly:
     def max_exp(self):
         return max(self.coeffs) if self.coeffs else 0
 
+    def exact_div(self, d):
+        """Quotient by d of a division known to be exact: top-down long division."""
+        rem = dict(self.coeffs)
+        top = d.max_exp()
+        lead = d.coeffs[top]
+        out = {}
+        for e in range(self.max_exp() - top, self.min_exp() - d.min_exp() - 1, -1):
+            c = rem.get(e + top, 0) // lead
+            if c:
+                out[e] = c
+                for de, dc in d.coeffs.items():
+                    rem[e + de] = rem.get(e + de, 0) - c * dc
+        return IntPoly(out)
+
     def shifted(self, k):
         return IntPoly({e + k: c for e, c in self.coeffs.items()})
 
@@ -346,72 +360,30 @@ def _fox_row(letters, n_gens):
     return row
 
 
-def _bareiss_int_det(mat):
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in mat]
+def _poly_det(mat):
+    """Exact determinant of an IntPoly matrix by Bareiss elimination over Z[t, 1/t].
+
+    Sylvester's identity makes every division by the previous pivot exact;
+    a zero column below the diagonal gives the zero determinant.
+    """
+    a = [list(row) for row in mat]
+    n = len(a)
     sign = 1
-    prev = 1
+    prev = IntPoly.const(1)
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if a[k][k].is_zero():
             for i in range(k + 1, n):
-                if a[i][k] != 0:
+                if not a[i][k].is_zero():
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return IntPoly()
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]).exact_div(prev)
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _poly_det(mat):
-    """Exact determinant of an IntPoly matrix by evaluation/interpolation."""
-    n = len(mat)
-    if n == 0:
-        return IntPoly.const(1)
-    # clear negative exponents rowwise; track the total monomial shift
-    shift = 0
-    rows = []
-    for row in mat:
-        m = min((p.min_exp() for p in row if not p.is_zero()), default=0)
-        m = min(m, 0)
-        shift += m
-        rows.append([p.shifted(-m) for p in row])
-    degree = sum(
-        max((p.max_exp() for p in row if not p.is_zero()), default=0) for row in rows
-    )
-    points = list(range(1, degree + 2))
-    values = [_bareiss_int_det([[p(t) for p in row] for row in rows]) for t in points]
-    # Lagrange interpolation with exact rationals
-    coeffs = [Fraction(0)] * (degree + 1)
-    for t_i, v in zip(points, values):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for t_j in points:
-            if t_j == t_i:
-                continue
-            denom *= Fraction(t_i - t_j)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for p_idx, c in enumerate(basis):
-                new[p_idx + 1] += c
-                new[p_idx] -= c * t_j
-            basis = new
-        w = Fraction(v) / denom
-        for p_idx, c in enumerate(basis):
-            coeffs[p_idx] += c * w
-    out = {}
-    for e, c in enumerate(coeffs):
-        if c != 0:
-            if c.denominator != 1:
-                raise PresentationError("interpolation produced non-integer coefficients")
-            out[e + shift] = int(c)
-    return IntPoly(out)
+    return a[n - 1][n - 1] if sign > 0 else -a[n - 1][n - 1]
 
 
 def fox_alexander(p: KnotPresentation):

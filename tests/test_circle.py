@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bitorsion
+import bitorsion.circle as circle_module
 from bitorsion.circle import (
     CircleModel,
     TrigPoly,
@@ -259,6 +260,22 @@ class TestFlatWindows:
             nearby = pos + 0.01
             assert model.phi_value(nearby) == pytest.approx(model.phi.value(pos), abs=1e-12)
             assert model.phi_derivative(np.array([nearby]))[0] == 0.0
+
+    def test_critical_points_found_once_per_model(self, monkeypatch):
+        """A flat-window model scans for critical points on its first phi
+        evaluation only: later operators and gy determinants of the same model
+        scan no more, and a model that never evaluates phi never scans."""
+        calls = []
+        scan = circle_module._critical_points
+        monkeypatch.setattr(circle_module, "_critical_points",
+                            lambda *args: calls.append(1) or scan(*args))
+        model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 2), flat_windows=True)
+        assert len(calls) == 0
+        build_discrete(model, 64)
+        assert len(calls) == 1
+        build_discrete(model, 64)
+        gelfand_yaglom_det(model)
+        assert len(calls) == 1
 
 
 def _critical_points_scalar(pot, length):

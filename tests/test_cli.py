@@ -138,6 +138,19 @@ class TestCommands:
             load_circle_model(str(path))
         assert main(["spectral", str(path), "--op", "rstorsion", "--method", "gy"]) == 1
 
+    @pytest.mark.parametrize("argv,doc,field", [
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "N": "abc"}, "N"),
+        (["torsion", "finite", "{}"], {"dims": ["x"]}, "dims[0]"),
+        (["torsion", "morse", "{}"], {"points": [{"id": "m0", "index": "zero"}]},
+         "points[0].index"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "phi": "sin"}, "phi"),
+    ], ids=["N", "dims", "index", "phi"])
+    def test_malformed_field_is_schema_error(self, tmp_path, capsys, argv, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main([a.format(path) for a in argv]) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
+
     def test_csv_determinism(self, circle, tmp_path):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"

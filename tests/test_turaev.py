@@ -5,6 +5,7 @@ from bitorsion.errors import EulerCharacteristicError, PresentationError
 from bitorsion.morse import CriticalPoint, MorseSystem, make_circle_morse
 from bitorsion.turaev import (
     EulerStructure,
+    IntPoly,
     KnotPresentation,
     Representation,
     euler_class_circle,
@@ -155,3 +156,68 @@ class TestFoxAlexander:
     def test_link_closure_rejected(self):
         with pytest.raises(PresentationError):
             knot_from_braid([1, 1], 2)  # Hopf link
+
+    def test_vanished_minor_rejected(self):
+        """A relator whose Fox row vanishes leaves a zero minor: refused, not returned."""
+        with pytest.raises(PresentationError, match="minor vanished"):
+            fox_alexander(KnotPresentation(("a", "b"), ("a A",)))
+
+    @pytest.mark.parametrize("p,q", [(2, q) for q in range(3, 26, 2)]
+                             + [(3, 13), (4, 7), (5, 6)])
+    def test_torus_knot_closed_form(self, p, q):
+        """Delta (t^p - 1)(t^q - 1) = (t^pq - 1)(t - 1) for the torus knot T(p, q)."""
+        word = [i for _ in range(q) for i in range(1, p)]
+        delta = fox_alexander(knot_from_braid(word, p))
+
+        def t_minus_one(k):
+            return IntPoly({k: 1, 0: -1})
+
+        assert delta * t_minus_one(p) * t_minus_one(q) == t_minus_one(p * q) * t_minus_one(1)
+
+
+def _reduced_burau(generator, strands, t):
+    """Reduced Burau matrix of sigma_i^{+-1}, (strands - 1) x (strands - 1)."""
+    i = abs(generator)
+    m = np.eye(strands - 1)
+    m[i - 1, i - 1] = -t
+    if i > 1:
+        m[i - 1, i - 2] = t
+    if i < strands - 1:
+        m[i - 1, i] = 1.0
+    return m if generator > 0 else np.linalg.inv(m)
+
+
+def _random_knot_braids(count, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        strands = int(rng.integers(3, 6))
+        word = [int(rng.choice([-1, 1]) * rng.integers(1, strands))
+                for _ in range(int(rng.integers(strands, 15)))]
+        try:
+            out.append((word, knot_from_braid(word, strands), strands))
+        except PresentationError:  # the closure is a link
+            continue
+    return out
+
+
+class TestBurauOracle:
+    @pytest.mark.parametrize("word,pres,strands", _random_knot_braids(20, 7))
+    def test_matches_reduced_burau(self, word, pres, strands):
+        """det(I - B(beta)) = +-t^k Delta(t) (1 + t + ... + t^{n-1}), no Fox calculus.
+
+        The unit +-t^k is read off at t = 2 and must then hold at t = 0.6 and -1.3.
+        """
+        delta = fox_alexander(pres)
+
+        def ratio(t):
+            burau = np.eye(strands - 1)
+            for s in word:
+                burau = burau @ _reduced_burau(s, strands, t)
+            return np.linalg.det(np.eye(strands - 1) - burau) / (
+                delta(t) * sum(t**j for j in range(strands)))
+
+        sign, k = np.sign(ratio(2.0)), np.log2(abs(ratio(2.0)))
+        assert k == pytest.approx(round(k), abs=1e-9)
+        for t in (0.6, -1.3):
+            assert ratio(t) == pytest.approx(sign * t ** round(k), rel=1e-9)
