@@ -5,7 +5,8 @@
 The model is the one-well cos potential at holonomy 2, deformed to T = 10,
 with threshold 1. Each layer's time is the best of ``--repeats`` calls:
 assembly (``build_discrete``), the small band of each degree, ``spectral_cut``
-(both degrees) and ``small_spectrum_dims``. ``--src`` is the ``src``
+(both degrees), ``small_spectrum_dims`` and the full spectrum of each degree
+(``ChannelOperators.eigenvalues``). ``--src`` is the ``src``
 directory of the tree to time (default: this checkout). In a tree without
 ``ChannelOperators.small_band`` the per-degree band is the sorted Schur
 decomposition that ``spectral_cut`` ran there. Run with
@@ -66,6 +67,8 @@ def main():
                                                                           clearance_frac=0.1)),
             "small_spectrum_dims_s": best_of(args.repeats, lambda: small_spectrum_dims(
                 model, T_PARAM, n, threshold=THRESHOLD)),
+            "eigenvalues_degree0_s": best_of(args.repeats, lambda: ch.eigenvalues(0)),
+            "eigenvalues_degree1_s": best_of(args.repeats, lambda: ch.eigenvalues(1)),
         })
     json.dump({"model": {"holonomy": 2.0, "wells": 1, "T": T_PARAM, "threshold": THRESHOLD},
                "repeats": args.repeats, "rows": rows}, sys.stdout, indent=2)

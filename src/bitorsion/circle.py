@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigvals_banded
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -419,8 +420,9 @@ class ChannelOperators:
     The symmetrized difference K = G1^{1/2} d G0^{-1/2} is cyclic bidiagonal
     and is stored as its two diagonals; the Laplacians K^T K (degree 0) and
     K K^T (degree 1) are cyclic tridiagonal. ``small_band`` finds the
-    eigenpairs near the origin in O(N); ``eigenvalues`` builds the dense
-    N x N Laplacian and answers only where the full spectrum is the question.
+    eigenpairs near the origin in O(N); ``eigenvalues`` returns the full
+    spectrum, in O(N) memory for a real channel and from the dense N x N
+    Laplacian for a complex one.
     """
 
     lam: complex
@@ -461,10 +463,45 @@ class ChannelOperators:
         return k.T @ k if degree == 0 else k @ k.T
 
     def eigenvalues(self, degree):
-        """The full spectrum, (Re, Im)-sorted, by a dense O(N^3) eigensolve."""
+        """The full spectrum, (Re, Im)-sorted.
+
+        A real channel (both diagonals of K exactly real, as for positive real
+        holonomy) has a real symmetric Laplacian: its band form goes to LAPACK's
+        symmetric band solver, in O(N) memory and O(N^2) time, which returns
+        the values ascending. A complex channel's Laplacian is complex
+        symmetric, not Hermitian, and takes a dense O(N^3) eigensolve.
+        """
+        if not (np.any(self.k_diag.imag) or np.any(self.k_upper.imag)):
+            return eigvals_banded(self._real_laplacian_band(degree), lower=True).astype(complex)
         ev = np.linalg.eigvals(self.sym_laplacian(degree))
         order = np.lexsort((ev.imag, ev.real))
         return ev[order]
+
+    def _real_laplacian_band(self, degree):
+        """Lower band storage, half-width 2, of a real channel's Laplacian.
+
+        K^T K has diagonal a_i^2 + b_{i-1}^2 and couples nodes i, i+1 by
+        a_i b_i; K K^T has diagonal a_i^2 + b_i^2 and couples them by
+        b_i a_{i+1} (a = k_diag, b = k_upper, indices mod N). The cyclic
+        coupling is a band once the nodes are interleaved as 0, N-1, 1, N-2,
+        ...: every neighbour then sits one or two places away.
+        """
+        n = self.n_grid
+        a, b = self.k_diag.real, self.k_upper.real
+        if degree == 0:
+            diag, coupling = a * a + np.roll(b, 1) ** 2, a * b
+        else:
+            diag, coupling = a * a + b * b, b * np.roll(a, -1)
+        order = np.empty(n, dtype=int)
+        order[0::2] = np.arange((n + 1) // 2)
+        order[1::2] = n - 1 - np.arange(n // 2)
+        place = np.empty(n, dtype=int)
+        place[order] = np.arange(n)
+        here, there = place, np.roll(place, -1)  # the places of nodes i and i+1
+        band = np.zeros((3, n))
+        band[0, place] = diag
+        band[np.abs(here - there), np.minimum(here, there)] = coupling
+        return band
 
     def small_band(self, degree, bound):
         """The eigenpairs of the degree's Laplacian of smallest modulus, in O(N).

@@ -61,9 +61,12 @@ def _scalar(obj, kind, field):
         raise SchemaError(f"{field}: expected {kind.__name__}, got {obj!r}", field=field) from None
 
 
-def _object(obj, field):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{field}: expected a JSON object, got {obj!r}", field=field)
+def _container(obj, kind, field):
+    """A JSON array (``kind`` list) or object (``kind`` dict); any other value is a
+    SchemaError."""
+    if not isinstance(obj, kind):
+        name = "array" if kind is list else "object"
+        raise SchemaError(f"{field}: expected a JSON {name}, got {obj!r}", field=field)
     return obj
 
 
@@ -78,21 +81,21 @@ def _load_json(path_or_doc, where):
         return path_or_doc
     try:
         with open(path_or_doc) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{where}: invalid JSON ({exc})", field=None) from exc
     except OSError as exc:
         raise SchemaError(f"{where}: cannot read ({exc})", field=None) from exc
+    return _container(doc, dict, where)
 
 
 def load_graded_complex(path_or_doc):
     """complex.json: { dims, differentials, grams, cohomology? }."""
     doc = _load_json(path_or_doc, "complex.json")
-    dims = tuple(_scalar(d, int, f"dims[{i}]")
-                 for i, d in enumerate(_require(doc, "dims", "complex.json")))
+    dims_doc = _container(_require(doc, "dims", "complex.json"), list, "dims")
+    dims = tuple(_scalar(d, int, f"dims[{i}]") for i, d in enumerate(dims_doc))
     diffs = []
-    raw = doc.get("differentials", [])
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_container(doc.get("differentials", []), list, "differentials")):
         if not entry:
             rows = dims[i + 1] if i + 1 < len(dims) else 0
             diffs.append(np.zeros((rows, dims[i]), dtype=complex))
@@ -108,7 +111,7 @@ def load_graded_complex(path_or_doc):
     else:
         structure = BilinearStructure(
             tuple(decode_matrix(g, f"grams[{i}]") if g else np.eye(dims[i], dtype=complex)
-                  for i, g in enumerate(grams))
+                  for i, g in enumerate(_container(grams, list, "grams")))
         )
     h = None
     if doc.get("cohomology") is not None:
@@ -116,7 +119,7 @@ def load_graded_complex(path_or_doc):
             tuple(
                 decode_matrix(b, f"cohomology[{i}]")
                 if b else np.zeros((dims[i], 0), dtype=complex)
-                for i, b in enumerate(doc["cohomology"])
+                for i, b in enumerate(_container(doc["cohomology"], list, "cohomology"))
             )
         )
     return complex_, structure, h
@@ -127,12 +130,14 @@ def load_morse_system(path_or_doc):
     doc = _load_json(path_or_doc, "morse.json")
     rank = _scalar(doc.get("rank", 1), int, "rank")
     points = []
-    for i, p in enumerate(_require(doc, "points", "morse.json")):
+    for i, p in enumerate(_container(_require(doc, "points", "morse.json"), list, "points")):
+        p = _container(p, dict, f"points[{i}]")
         points.append(CriticalPoint(str(_require(p, "id", f"points[{i}]")),
                                     _scalar(_require(p, "index", f"points[{i}]"), int,
                                             f"points[{i}].index")))
     instantons = []
-    for i, ins in enumerate(doc.get("instantons", [])):
+    for i, ins in enumerate(_container(doc.get("instantons", []), list, "instantons")):
+        ins = _container(ins, dict, f"instantons[{i}]")
         hol = ins.get("holonomy")
         mat = decode_matrix(hol, f"instantons[{i}].holonomy") if hol is not None else np.eye(rank, dtype=complex)
         instantons.append(
@@ -146,7 +151,8 @@ def load_morse_system(path_or_doc):
     ms = MorseSystem(tuple(points), tuple(instantons), rank=rank)
     forms_doc = doc.get("forms")
     if forms_doc:
-        forms = CriticalForms({k: decode_matrix(v, f"forms[{k}]") for k, v in forms_doc.items()})
+        forms = CriticalForms({k: decode_matrix(v, f"forms[{k}]")
+                               for k, v in _container(forms_doc, dict, "forms").items()})
     else:
         forms = CriticalForms.standard(ms)
     return ms, forms
@@ -155,8 +161,9 @@ def load_morse_system(path_or_doc):
 def load_knot(path_or_doc):
     """knot.json: { generators: [...], relators: ["a b A B", ...] }."""
     doc = _load_json(path_or_doc, "knot.json")
-    gens = tuple(str(g) for g in _require(doc, "generators", "knot.json"))
-    rels = tuple(str(r) for r in doc.get("relators", []))
+    gens = tuple(str(g) for g in
+                 _container(_require(doc, "generators", "knot.json"), list, "generators"))
+    rels = tuple(str(r) for r in _container(doc.get("relators", []), list, "relators"))
     return KnotPresentation(gens, rels)
 
 
@@ -169,9 +176,9 @@ def load_circle_model(path_or_doc):
         lam = decode_matrix(lam_doc, "lambda")
     else:
         lam = decode_complex_number(lam_doc, "lambda")
-    phi_doc = _object(doc.get("phi", {"kind": "zero"}), "phi")
+    phi_doc = _container(doc.get("phi", {"kind": "zero"}), dict, "phi")
     phi = (str(phi_doc.get("kind", "zero")), _scalar(phi_doc.get("amp", 0.0), float, "phi.amp"))
-    f_doc = _object(doc.get("f") or {}, "f")
+    f_doc = _container(doc.get("f") or {}, dict, "f")
     f = ((str(f_doc.get("kind", "cos")), _scalar(f_doc.get("wells", 1), int, "f.wells"))
          if f_doc else None)
     model = make_circle_model(lam, length=length, phi=phi, f=f,

@@ -105,6 +105,71 @@ class TestBuildDiscrete:
         assert np.array_equal(full[n:, n:], ch.sym_laplacian(1))
 
 
+def _dense_spectrum(ch, degree):
+    """The oracle: LAPACK's general eigensolver on the dense Laplacian, (Re, Im)-sorted."""
+    ev = np.linalg.eigvals(ch.sym_laplacian(degree))
+    return ev[np.lexsort((ev.imag, ev.real))]
+
+
+_REAL_MODELS = {
+    "one_well": dict(holonomy=2.0, f=("cos", 1)),
+    "two_wells_wavy": dict(holonomy=2.0, phi=("sin", 0.3), f=("cos", 2)),
+    "flat_windows": dict(holonomy=0.5, phi=("sin", 0.3), f=("cos", 2), flat_windows=True),
+    "rank_two": dict(holonomy=np.diag([2.0, 3.0]), phi=("sin", 0.2), f=("cos", 1)),
+}
+
+
+class TestRealSpectrum:
+    """Real channels take the symmetric band solver; complex ones the dense one."""
+
+    @pytest.mark.parametrize("kind", sorted(_REAL_MODELS))
+    @pytest.mark.parametrize("t_param", [0.0, 5.0, 10.0])
+    @pytest.mark.parametrize("n_grid", [8, 9, 64, 257])
+    def test_matches_dense_oracle(self, kind, t_param, n_grid):
+        model = witten_deform(make_circle_model(**_REAL_MODELS[kind]), t_param)
+        for ch in build_discrete(model, n_grid).channels:
+            assert not np.any(ch.k_diag.imag) and not np.any(ch.k_upper.imag)
+            for degree in (0, 1):
+                got, want = ch.eigenvalues(degree), _dense_spectrum(ch, degree)
+                assert got.shape == (n_grid,) and not np.any(got.imag)
+                assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+    def test_complex_channel_stays_dense(self):
+        """A unitary holonomy gives a complex-symmetric Laplacian: the spectrum
+        is the dense eigensolver's, bit for bit."""
+        model = make_circle_model(np.exp(1j * np.pi / 3), phi=("sin", 0.3), f=("cos", 1))
+        ch = build_discrete(model, 64).channels[0]
+        for degree in (0, 1):
+            assert np.array_equal(ch.eigenvalues(degree), _dense_spectrum(ch, degree))
+
+    def test_large_grid_without_dense_storage(self):
+        """N = 8192: one dense N x N complex Laplacian needs 1 GiB, and the child
+        process caps its whole address space at 1 GiB. The spectrum of the
+        phi = 0 model is the closed-form family."""
+        n_grid = 8192
+        code = (
+            f"n = {n_grid}\n"
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (n * n * 16, n * n * 16))\n"
+            "import numpy as np\n"
+            "from bitorsion import CircleModel, build_discrete\n"
+            "ev = build_discrete(CircleModel(2.0), n).channels[0].eigenvalues(0)\n"
+            "h, z = 2 * np.pi / n, np.log(2.0) / (2j * np.pi)\n"
+            "pred = np.sort((2 * np.cos(2 * np.pi * z / n)\n"
+            "                - 2 * np.cos(2 * np.pi * np.arange(n) / n)).real / h**2)\n"
+            "print(ev.size, np.max(np.abs(ev - pred)) / np.max(np.abs(pred)))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = os.path.dirname(os.path.dirname(bitorsion.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert out.returncode == 0, out.stderr
+        size, rel_err = out.stdout.split()
+        assert int(size) == n_grid
+        assert float(rel_err) < 1e-10
+
+
 class TestExactSpectrum:
     def test_trivial_holonomy(self):
         fam = exact_spectrum_circle(1.0)

@@ -144,7 +144,15 @@ class TestCommands:
         (["torsion", "morse", "{}"], {"points": [{"id": "m0", "index": "zero"}]},
          "points[0].index"),
         (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "phi": "sin"}, "phi"),
-    ], ids=["N", "dims", "index", "phi"])
+        (["torsion", "finite", "{}"], {"dims": 5}, "dims"),
+        (["alexander", "{}"], {"generators": 5}, "generators"),
+        (["torsion", "morse", "{}"], {"points": [5]}, "points[0]"),
+        (["torsion", "morse", "{}"], {"points": [], "instantons": [5]}, "instantons[0]"),
+        (["torsion", "morse", "{}"], {"points": [{"id": "m0", "index": 0}], "forms": [1]},
+         "forms"),
+        (["torsion", "morse", "{}"], [{"points": []}], "morse.json"),
+    ], ids=["N", "dims", "index", "phi", "dims_array", "generators_array", "point_object",
+            "instanton_object", "forms_object", "document_object"])
     def test_malformed_field_is_schema_error(self, tmp_path, capsys, argv, doc, field):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import bitorsion.circle as circle_module
 from bitorsion.circle import (
     CircleModel,
     SpectralCut,
@@ -226,6 +227,21 @@ class TestTheorem33:
         rows = theorem33_experiment(model, [4.0, 8.0], 256)
         assert rows[0].band_dims == (1, 1)
         assert rows[1].abs_log_ratio < rows[0].abs_log_ratio
+
+    def test_morse_data_built_once_per_channel(self, monkeypatch):
+        """The Morse side does not depend on T: a three-value sweep of a rank-2
+        model scans each channel's critical points once, and its rows are the
+        rows of three single-T runs, bit for bit."""
+        model = make_circle_model(np.diag([2.0, 3.0]), f=("cos", 1))
+        t_values = [4.0, 6.0, 8.0]
+        singles = [theorem33_experiment(model, [t], 128)[0] for t in t_values]
+        calls = []
+        scan = circle_module._critical_points
+        monkeypatch.setattr(circle_module, "_critical_points",
+                            lambda *args: calls.append(1) or scan(*args))
+        rows = theorem33_experiment(model, t_values, 128)
+        assert len(calls) == 2
+        assert rows == singles
 
 
 class TestCutErrors:
