@@ -3,8 +3,10 @@
     python3 bench/fox.py [--repeats 5] [--src DIR]
 
 The knots are the 22 torus knots and the ten-knot corpus of the benchmark's
-``combinatorial`` workload (``perfbench/workloads.py``), each built by
-``knot_from_braid`` outside the timed region. Each row is the best of
+``combinatorial`` workload (``perfbench/workloads.py``) and four larger torus
+knots, T(2,51), T(3,25), T(7,8) and T(2,101), each built by
+``knot_from_braid`` outside the timed region; ``total_s`` sums the
+benchmark's 32 knots only. Each row is the best of
 ``--repeats`` calls of ``fox_alexander``, with the minor's size and the
 polynomial's degree. ``--src`` is the ``src`` directory of the tree to time
 (default: this checkout).
@@ -17,6 +19,7 @@ import sys
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+LARGE_TORUS_KNOTS = ((2, 51), (3, 25), (7, 8), (2, 101))
 
 
 def best_of(repeats, fn):
@@ -38,10 +41,14 @@ def main():
     from bitorsion.turaev import KnotPresentation, fox_alexander, knot_from_braid
     from workloads import CORPUS, TORUS_KNOTS
 
-    knots = [(f"T{p}_{q}", knot_from_braid([i for _ in range(q) for i in range(1, p)], p))
-             for p, q in TORUS_KNOTS]
+    def torus(p, q):
+        return f"T{p}_{q}", knot_from_braid([i for _ in range(q) for i in range(1, p)], p)
+
+    knots = [torus(p, q) for p, q in TORUS_KNOTS]
     knots += [(name, KnotPresentation(("a",), ()) if word is None
                else knot_from_braid(list(word), strands)) for name, word, strands in CORPUS]
+    n_benchmark = len(knots)
+    knots += [torus(p, q) for p, q in LARGE_TORUS_KNOTS]
     fox_alexander(knots[0][1])  # loads every module before timing
     rows = []
     for name, pres in knots:
@@ -51,8 +58,8 @@ def main():
             "degree": fox_alexander(pres).max_exp(),
             "fox_alexander_s": best_of(args.repeats, lambda: fox_alexander(pres)),
         })
-    json.dump({"repeats": args.repeats, "total_s": sum(r["fox_alexander_s"] for r in rows),
-               "rows": rows}, sys.stdout, indent=2)
+    total = sum(r["fox_alexander_s"] for r in rows[:n_benchmark])
+    json.dump({"repeats": args.repeats, "total_s": total, "rows": rows}, sys.stdout, indent=2)
     print()
 
 

@@ -405,7 +405,11 @@ def witten_deform(model: CircleModel, t_param):
         raise DimensionError("witten_deform requires a Morse potential")
     if t_param == 0:
         return model
-    return replace(model, deform_t=model.deform_t + float(t_param))
+    deformed = replace(model, deform_t=model.deform_t + float(t_param))
+    if "_window_layout" in model.__dict__:
+        # the windows depend only on the potential and the length, which T leaves alone
+        deformed.__dict__["_window_layout"] = model._window_layout
+    return deformed
 
 
 # ----------------------------------------------------------------------------

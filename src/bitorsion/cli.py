@@ -93,7 +93,9 @@ def _cmd_alexander(args):
     pres = load_knot(args.input)
     delta = fox_alexander(pres)
     print(str(delta))
-    _emit(args, [["alexander", args.input, complex(delta(1)), 0.0, True]])
+    # every knot's Alexander polynomial has |Delta(1)| = 1 and is palindromic
+    ok = abs(delta(1)) == 1 and delta == delta.reversed_var()
+    _emit(args, [["alexander", args.input, complex(delta(1)), 0.0, ok]])
     return 0
 
 

@@ -10,9 +10,12 @@ which on the circle is classified by one integer.
 
 The Alexander polynomial is computed by Fox free differential calculus on a
 deficiency-1 presentation, abelianized to Z[t, 1/t]. The determinant of its
-minor is taken exactly by fraction-free (Bareiss) elimination with Laurent
-polynomial entries, each division an exact long division, and normalized so
-the lowest exponent is zero and the leading coefficient positive.
+minor is taken exactly in two stages: sparse elimination on unit pivots +-t^e,
+which needs no division and removes one generator per pivot (Wirtinger and
+braid-closure relators each have one), then fraction-free (Bareiss)
+elimination of the small dense block that is left, each division an exact
+long division. It is normalized so the lowest exponent is zero and the
+leading coefficient positive.
 """
 
 from dataclasses import dataclass
@@ -360,14 +363,64 @@ def _fox_row(letters, n_gens):
     return row
 
 
+def _is_unit(p):
+    """True for +-t^e, the units of Z[t, 1/t]."""
+    return len(p.coeffs) == 1 and abs(next(iter(p.coeffs.values()))) == 1
+
+
 def _poly_det(mat):
-    """Exact determinant of an IntPoly matrix by Bareiss elimination over Z[t, 1/t].
+    """Exact determinant of a square IntPoly matrix over Z[t, 1/t], in two stages.
+
+    Stage 1 keeps each row as a column -> entry dict and, while some entry is
+    a unit u = c t^e, pivots on the first one found: the other rows clear its
+    column by row_r -= a_rj u^{-1} row_i (no division, u^{-1} = c t^{-e}), the
+    determinant picks up (-1)^{i+j} u with i, j the pivot's current positions,
+    and the pivot's row and column are dropped. This is Tietze elimination:
+    every Wirtinger relator has a unit entry in its new generator's column.
+    Stage 2 runs Bareiss elimination on the dense block that is left.
+    """
+    rows = [{j: a for j, a in enumerate(row) if not a.is_zero()} for row in mat]
+    live_rows = list(range(len(rows)))
+    live_cols = list(range(len(rows)))
+    sign, shift = 1, 0
+    while True:
+        pivot = next(((pi, j, u) for pi, i in enumerate(live_rows)
+                      for j, u in rows[i].items() if _is_unit(u)), None)
+        if pivot is None:
+            break
+        pi, j, u = pivot
+        (e, c), = u.coeffs.items()
+        pj = live_cols.index(j)
+        sign *= c * (-1) ** (pi + pj)
+        shift += e
+        prow = rows[live_rows.pop(pi)]
+        del live_cols[pj], prow[j]
+        for r in live_rows:
+            row = rows[r]
+            a = row.pop(j, None)
+            if a is None:
+                continue
+            f = a.shifted(-e) if c > 0 else -a.shifted(-e)  # a_rj u^{-1}
+            for k, v in prow.items():
+                new = row.get(k, IntPoly()) - f * v
+                if new.is_zero():
+                    row.pop(k, None)
+                else:
+                    row[k] = new
+    block = [[rows[i].get(j, IntPoly()) for j in live_cols] for i in live_rows]
+    det = _bareiss_det(block).shifted(shift)
+    return det if sign > 0 else -det
+
+
+def _bareiss_det(a):
+    """Determinant of a dense IntPoly matrix by Bareiss elimination; 1 when empty.
 
     Sylvester's identity makes every division by the previous pivot exact;
     a zero column below the diagonal gives the zero determinant.
     """
-    a = [list(row) for row in mat]
     n = len(a)
+    if n == 0:
+        return IntPoly.const(1)
     sign = 1
     prev = IntPoly.const(1)
     for k in range(n - 1):
@@ -395,8 +448,6 @@ def fox_alexander(p: KnotPresentation):
     n = len(p.generators)
     if n == 0:
         raise PresentationError("presentation needs at least one generator")
-    if n == 1:
-        return IntPoly.const(1)
     rows = [_fox_row(parse_word(w, p.generators), n) for w in p.relators]
     minor = [row[1:] for row in rows]  # delete the first generator's column
     det = _poly_det(minor)

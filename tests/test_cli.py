@@ -105,6 +105,20 @@ class TestCommands:
         assert main(["alexander", trefoil]) == 0
         assert "t^2 - t + 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("relator,delta,ok", [
+        ("a b a B A B", "t^2 - t + 1", "True"),
+        ("a a B B", "t + 1", "False"),  # Delta(1) = 2: no knot group
+        ("a a a B B B", "t^2 + t + 1", "False"),  # Delta(1) = 3
+        ("a a b A B B", "t^2 - t - 1", "False"),  # Delta(1) = -1, not palindromic
+    ], ids=["trefoil", "a2b-2", "a3b-3", "not-palindromic"])
+    def test_alexander_pass_is_computed(self, tmp_path, capsys, relator, delta, ok):
+        path = tmp_path / "pres.json"
+        path.write_text(json.dumps({"generators": ["a", "b"], "relators": [relator]}))
+        assert main(["alexander", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == delta
+        assert out[-1].split(",")[-1] == ok
+
     def test_spectral_bz(self, circle, capsys):
         assert main(["spectral", circle, "--op", "bz"]) == 0
         assert "ok" in capsys.readouterr().out

@@ -243,6 +243,21 @@ class TestTheorem33:
         assert len(calls) == 2
         assert rows == singles
 
+    def test_flat_windows_found_once_per_sweep(self, monkeypatch):
+        """A Witten-deformed flat-window model keeps its parent's windows: a
+        three-value sweep scans once for the Morse data and once for the
+        windows, not once more per T, and its rows are those of single-T runs."""
+        model = make_circle_model(0.5, phi=("sin", 0.3), f=("cos", 1), flat_windows=True)
+        t_values = [4.0, 8.0, 12.0]
+        singles = [theorem33_experiment(model, [t], 128)[0] for t in t_values]
+        calls = []
+        scan = circle_module._critical_points
+        monkeypatch.setattr(circle_module, "_critical_points",
+                            lambda *args: calls.append(1) or scan(*args))
+        rows = theorem33_experiment(model, t_values, 128)
+        assert len(calls) == 2
+        assert rows == singles
+
 
 class TestCutErrors:
     def test_eigenvalue_on_cut_rejected(self):

@@ -8,9 +8,12 @@ from bitorsion.turaev import (
     IntPoly,
     KnotPresentation,
     Representation,
+    _fox_row,
+    _poly_det,
     euler_class_circle,
     fox_alexander,
     knot_from_braid,
+    parse_word,
     turaev_torsion,
 )
 
@@ -163,7 +166,7 @@ class TestFoxAlexander:
             fox_alexander(KnotPresentation(("a", "b"), ("a A",)))
 
     @pytest.mark.parametrize("p,q", [(2, q) for q in range(3, 26, 2)]
-                             + [(3, 13), (4, 7), (5, 6)])
+                             + [(3, 13), (4, 7), (5, 6), (2, 51), (3, 25), (7, 8), (2, 101)])
     def test_torus_knot_closed_form(self, p, q):
         """Delta (t^p - 1)(t^q - 1) = (t^pq - 1)(t - 1) for the torus knot T(p, q)."""
         word = [i for _ in range(q) for i in range(1, p)]
@@ -221,3 +224,45 @@ class TestBurauOracle:
         assert k == pytest.approx(round(k), abs=1e-9)
         for t in (0.6, -1.3):
             assert ratio(t) == pytest.approx(sign * t ** round(k), rel=1e-9)
+
+
+# the 22 torus knots and the ten-knot corpus (braid word, strands) of the benchmark
+TORUS_KNOTS = (
+    (2, 3), (2, 5), (2, 7), (2, 9), (2, 11), (2, 13), (2, 15), (2, 17), (2, 19), (2, 21),
+    (2, 23), (2, 25), (3, 4), (3, 5), (3, 7), (3, 8), (3, 10), (3, 11), (3, 13), (4, 5),
+    (4, 7), (5, 6),
+)
+CORPUS_BRAIDS = (
+    ("trefoil", (1, 1, 1), 2), ("figure-eight", (1, -2, 1, -2), 3),
+    ("cinquefoil", (1,) * 5, 2), ("5_2", (1, 1, 1, 2, -1, 2), 3),
+    ("6_2", (1, 1, 1, -2, 1, -2), 3), ("6_3", (1, 1, -2, 1, -2, -2), 3),
+    ("7_1", (1,) * 7, 2), ("granny", (1, 1, 1, 2, 2, 2), 3),
+    ("8_19", (1, 1, 1, 2, 1, 1, 1, 2), 3),
+)
+DET_CASES = (
+    [(f"T({p},{q})", knot_from_braid([i for _ in range(q) for i in range(1, p)], p))
+     for p, q in TORUS_KNOTS]
+    + [("unknot", KnotPresentation(("a",), ()))]
+    + [(name, knot_from_braid(list(word), strands)) for name, word, strands in CORPUS_BRAIDS]
+    + [(f"braid{k}", pres) for k, (_, pres, _) in enumerate(_random_knot_braids(20, 7))]
+    # no unit entry in its Fox minor: the whole 1x1 block goes to Bareiss
+    + [("two-generator-trefoil", KnotPresentation(("a", "b"), ("a b a B A B",)))]
+)
+
+
+class TestPolyDetSign:
+    @pytest.mark.parametrize("pres", [pres for _, pres in DET_CASES],
+                             ids=[name for name, _ in DET_CASES])
+    def test_matches_float_det(self, pres):
+        """The unnormalized Fox-minor determinant, sign and unit t^k included."""
+        n = len(pres.generators)
+        minor = [_fox_row(parse_word(w, pres.generators), n)[1:] for w in pres.relators]
+        det = _poly_det(minor)
+        for t in (2.0, -1.3):
+            values = np.array([[a(t) for a in row] for row in minor]).reshape(n - 1, n - 1)
+            assert det(t) == pytest.approx(np.linalg.det(values), rel=1e-9)
+
+    def test_zero_pivot_row_swap(self):
+        """No unit entry, zero first pivot: Bareiss swaps rows and flips the sign."""
+        mat = [[IntPoly(), IntPoly({0: 1, 1: 1})], [IntPoly.const(2), IntPoly({1: 3})]]
+        assert _poly_det(mat) == IntPoly({0: -2, 1: -2})
