@@ -5,11 +5,14 @@
 The model is the one-well cos potential at holonomy 2, deformed to T = 10,
 with threshold 1. Each layer's time is the best of ``--repeats`` calls:
 assembly (``build_discrete``), the small band of each degree, ``spectral_cut``
-(both degrees), ``small_spectrum_dims`` and the full spectrum of each degree
-(``ChannelOperators.eigenvalues``). ``--src`` is the ``src``
-directory of the tree to time (default: this checkout). In a tree without
-``ChannelOperators.small_band`` the per-degree band is the sorted Schur
-decomposition that ``spectral_cut`` ran there. Run with
+(both degrees), ``small_spectrum_dims``, the full spectrum of each degree
+(``ChannelOperators.eigenvalues``) and ``ChannelOperators.log_det``. Outside
+the size sweep, ``rs_torsion_discrete_s`` times one discrete ``rs_torsion``
+call on acceptance criterion 8's model (phi = 0.3 sin, cut 0.5), whose grid is
+fixed. ``--src`` is the ``src`` directory of the tree to time (default: this
+checkout). In a tree without ``ChannelOperators.small_band`` the per-degree
+band is the sorted Schur decomposition that ``spectral_cut`` ran there; in a
+tree without ``ChannelOperators.log_det`` its column is null. Run with
 ``OPENBLAS_NUM_THREADS=1`` to match the benchmark's single BLAS thread.
 """
 
@@ -40,7 +43,7 @@ def main():
                                                       "..", "src"))
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from bitorsion import build_discrete, make_circle_model, witten_deform
+    from bitorsion import build_discrete, make_circle_model, rs_torsion, witten_deform
     from bitorsion.circle import ChannelOperators
     from bitorsion.spectral import small_spectrum_dims, spectral_cut
 
@@ -69,9 +72,14 @@ def main():
                 model, T_PARAM, n, threshold=THRESHOLD)),
             "eigenvalues_degree0_s": best_of(args.repeats, lambda: ch.eigenvalues(0)),
             "eigenvalues_degree1_s": best_of(args.repeats, lambda: ch.eigenvalues(1)),
+            "log_det_s": (best_of(args.repeats, ch.log_det)
+                          if hasattr(ChannelOperators, "log_det") else None),
         })
+    wavy = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
+    rs_discrete_s = best_of(args.repeats, lambda: rs_torsion(wavy, cut=0.5, method="discrete"))
     json.dump({"model": {"holonomy": 2.0, "wells": 1, "T": T_PARAM, "threshold": THRESHOLD},
-               "repeats": args.repeats, "rows": rows}, sys.stdout, indent=2)
+               "repeats": args.repeats, "rs_torsion_discrete_s": rs_discrete_s, "rows": rows},
+              sys.stdout, indent=2)
     print()
 
 

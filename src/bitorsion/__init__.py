@@ -49,7 +49,6 @@ from .morse import (
 from .spectral import (
     bz_compare,
     conjugation_isospectral_check,
-    de_rham_map,
     milnor_from_model,
     morse_from_potential,
     rs_torsion,

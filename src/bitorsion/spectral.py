@@ -37,7 +37,6 @@ from .config import DEFAULT_TOL
 from .errors import (
     AmbiguousCutError,
     DimensionError,
-    GridError,
     ResolutionError,
     StencilMismatchError,
     ThetaNotZeroError,
@@ -56,8 +55,6 @@ __all__ = [
     "morse_from_potential",
     "model_critical_forms",
     "milnor_from_model",
-    "de_rham_map",
-    "DeRhamImage",
     "theorem33_experiment",
     "Theorem33Row",
     "bz_compare",
@@ -176,48 +173,40 @@ def _rs_exact_channel(lam, length, cut):
 
 
 def _rs_discrete_channel(channel_model, lam, length, cut):
-    """Relative-determinant value against the phi = 0 reference model.
+    """The exact value against the phi = 0 reference, times det K in closed form.
 
-    The relative determinant has no discretization error for refinement to
-    remove: on one DISCRETE_N-point grid it agrees with the exact value to
-    about 1e-11, and larger grids only add rounding. The det' ratio runs
-    over the dense spectra outside the cut.
+    K is cyclic bidiagonal, so det L1 = (det K)^2, and the value does not
+    depend on the cut: on one DISCRETE_N-point grid it is the reference's
+    exact value times (det K_ref / det K_model)^2 (Forman 1987; Kirsten-McKane
+    2003, the discrete Gelfand-Yaglom theorem). Both determinants come from
+    ``log_det``, and the value is within 5e-13 relative of the exact one on
+    wavy, flat-window and Witten-deformed densities.
     """
     reference = replace(channel_model, phi=TrigPoly.zero(), flat_windows=False, deform_t=0.0)
-    rs_ref = _rs_exact_channel(lam, length, cut)
-    disc_m = build_discrete(channel_model, DISCRETE_N).channels[0]
-    disc_r = build_discrete(reference, DISCRETE_N).channels[0]
-    if cut > 0:
-        band_m = _band_torsion_discrete(disc_m, spectral_cut(disc_m, cut))
-        band_r = _band_torsion_discrete(disc_r, spectral_cut(disc_r, cut))
-    else:
-        band_m = band_r = 1.0
-    em, er = disc_m.eigenvalues(1), disc_r.eigenvalues(1)
-    big_m = np.array(sorted(em[np.abs(em) > cut], key=lambda t: (abs(t), t.real, t.imag)))
-    big_r = np.array(sorted(er[np.abs(er) > cut], key=lambda t: (abs(t), t.real, t.imag)))
-    if big_m.shape != big_r.shape:
-        raise AmbiguousCutError("band sizes differ between model and reference")
-    det_ratio = complex(np.prod(big_m / big_r))  # det'(model)/det'(reference)
-    return rs_ref * (band_m / band_r) / det_ratio
+    log_det_m = build_discrete(channel_model, DISCRETE_N).channels[0].log_det()
+    log_det_r = build_discrete(reference, DISCRETE_N).channels[0].log_det()
+    return _rs_exact_channel(lam, length, cut) * np.exp(-2.0 * (log_det_m - log_det_r))
 
 
 def rs_torsion(model: CircleModel, cut=0.0, method="exact"):
     """Ray-Singer symmetric bilinear torsion of the circle model.
 
     methods: "exact" (closed-form spectrum), "gy" (monodromy determinant,
-    needs an empty band below the cut), "discrete" (relative determinants
-    against the phi = 0 reference on one DISCRETE_N-point grid).
-    The value is independent of the admissible cut.
+    needs an empty band below the cut), "discrete" (det K in closed form on
+    one DISCRETE_N-point grid, relative to the phi = 0 reference; within
+    5e-13 of "exact"). The value is independent of the admissible cut. "gy"
+    and "discrete" refuse holonomy 1: the channel is not acyclic, and
+    det K = 0.
     """
     out = 1.0 + 0.0j
     for sub in model.channels():
         lam = complex(sub.holonomy)
+        if method in ("gy", "discrete") and abs(lam - 1.0) < 1e-14:
+            raise ZeroModeError(f"{method} method requires an acyclic channel")
         if method == "exact":
             out *= _rs_exact_channel(lam, sub.length, cut)
         elif method == "gy":
             fam = exact_spectrum_circle(lam, sub.length)
-            if abs(lam - 1.0) < 1e-14:
-                raise ZeroModeError("gy method requires an acyclic channel")
             if cut and cut > 0 and fam.modes_in_disk(cut):
                 raise AmbiguousCutError(
                     "gy method needs the cut below the spectrum; eigenvalues found inside"
@@ -347,8 +336,9 @@ def morse_from_potential(model: CircleModel):
 
     Instanton transports are trivial except where the flow arc crosses the
     seam at x = 0, which carries lam^{-1} (per channel): the cochain transport
-    of a counterclockwise seam crossing. Conventions are pinned by the exact
-    discrete chain-map identity with ``de_rham_map``.
+    of a counterclockwise seam crossing. Conventions are pinned by acceptance
+    criteria 6 and 12, which compare the analytic torsion with the Milnor
+    torsion of this system.
     """
     if model.rank != 1:
         raise DimensionError("morse_from_potential works per rank-one channel")
@@ -407,111 +397,6 @@ def milnor_from_model(model: CircleModel):
         forms = model_critical_forms(sub, ms)
         out *= milnor_torsion(ms, forms)
     return out
-
-
-@dataclass(frozen=True)
-class DeRhamImage:
-    cochain0: np.ndarray       # values at index-0 points, in point order
-    cochain1: np.ndarray       # integrals over unstable arcs, in point order
-    labels0: tuple
-    labels1: tuple
-    chain_defect: float        # ||delta P0 - P1 d|| over a probe basis
-
-
-def de_rham_map(model: CircleModel, n_grid, zero_form=None, one_form=None):
-    """Integrate grid forms over unstable cells into Thom-Smale cochains.
-
-    0-forms evaluate at the minima (which must sit on grid nodes); 1-forms
-    integrate over the arc through each maximum by the midpoint rule, with
-    values parallel-transported into the maximum's fiber (a counterclockwise
-    seam crossing multiplies by lam^{-1}). The returned ``chain_defect``
-    measures ||delta P0(u) - P1(d u)|| on a probe vector, an exact telescoping
-    identity for this stencil up to rounding.
-    """
-    if model.rank != 1:
-        raise DimensionError("de_rham_map works per rank-one channel")
-    lam = complex(model.holonomy)
-    ms = morse_from_potential(model)
-    geom = ms.geometry
-    length = model.length
-    disc = build_discrete(model, n_grid).channels[0]
-    h = disc.h
-    nodes, mids = disc.nodes, disc.mids
-
-    mins = [p for p in ms.points if p.index == 0]
-    maxs = [p for p in ms.points if p.index == 1]
-    node_of = {}
-    for p in mins:
-        pos = geom.positions[p.label]
-        j = int(round(pos / h)) % n_grid
-        if abs(nodes[j] - pos) > 1e-8 * length and abs(nodes[j] - pos + length) > 1e-8 * length:
-            raise GridError(
-                f"critical point {p.label} at {pos:.6f} not on a grid node; shift the grid"
-            )
-        node_of[p.label] = j
-
-    ordered = sorted(ms.points, key=lambda p: geom.positions[p.label])
-    pos_sorted = [geom.positions[p.label] for p in ordered]
-
-    def arc_bounds(max_label):
-        i = next(idx for idx, p in enumerate(ordered) if p.label == max_label)
-        lo = pos_sorted[(i - 1) % len(ordered)]
-        hi = pos_sorted[(i + 1) % len(ordered)]
-        mid = pos_sorted[i]
-        if lo >= mid:
-            lo -= length
-        if hi <= mid:
-            hi += length
-        return lo, mid, hi
-
-    p0 = None
-    if zero_form is not None:
-        u = np.asarray(zero_form, dtype=complex)
-        if u.shape != (n_grid,):
-            raise DimensionError("zero_form must be a length-N node vector")
-        p0 = np.array([u[node_of[p.label]] for p in mins])
-
-    def transport_to(theta_lift, theta_target):
-        """Seam-crossing factor for the path theta_lift -> theta_target."""
-        crossings = int(np.floor(theta_target / length)) - int(np.floor(theta_lift / length))
-        return lam ** (-crossings)
-
-    def integrate_arc(v, max_label):
-        lo, mid, hi = arc_bounds(max_label)
-        total = 0.0 + 0.0j
-        for j in range(n_grid):
-            for shift in (-length, 0.0, length):
-                t = mids[j] + shift
-                if lo < t < hi:
-                    total += h * transport_to(t, mid) * v[j]
-        return total
-
-    p1 = None
-    if one_form is not None:
-        v = np.asarray(one_form, dtype=complex)
-        if v.shape != (n_grid,):
-            raise DimensionError("one_form must be a length-N midpoint vector")
-        p1 = np.array([integrate_arc(v, p.label) for p in maxs])
-
-    # chain-map defect on a probe 0-form
-    rng = np.random.default_rng(12345)
-    probe = rng.standard_normal(n_grid) + 1j * rng.standard_normal(n_grid)
-    p0_probe = np.array([probe[node_of[p.label]] for p in mins])
-    dprobe = disc.difference(probe)
-    p1_probe = np.array([integrate_arc(dprobe, p.label) for p in maxs])
-    from .morse import build_thom_smale
-
-    comp, _ = build_thom_smale(ms, model_critical_forms(model, ms))
-    delta = comp.differential(0)
-    defect = float(np.max(np.abs(delta @ p0_probe - p1_probe))) if maxs else 0.0
-
-    return DeRhamImage(
-        cochain0=p0 if p0 is not None else np.zeros(len(mins), complex),
-        cochain1=p1 if p1 is not None else np.zeros(len(maxs), complex),
-        labels0=tuple(p.label for p in mins),
-        labels1=tuple(p.label for p in maxs),
-        chain_defect=defect,
-    )
 
 
 # ----------------------------------------------------------------------------

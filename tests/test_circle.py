@@ -170,6 +170,58 @@ class TestRealSpectrum:
         assert float(rel_err) < 1e-10
 
 
+_LOG_DET_MODELS = {
+    "wavy": (dict(phi=("sin", 0.3), f=("cos", 1)), 0.0),
+    "flat_windows": (dict(phi=("sin", 0.9), f=("cos", 2), flat_windows=True), 0.0),
+    "deformed": (dict(phi=("sin", 0.3), f=("cos", 1)), 3.0),
+}
+
+
+class TestLogDet:
+    """log det K against LAPACK's dense determinant, never through the
+    model/reference ratio of the discrete rs method, where a sign error in
+    det K cancels. |prod k_upper| / |prod k_diag| = |lam|, so lam = 2 and
+    lam = 0.5 put the larger product on either side."""
+
+    @pytest.mark.parametrize("kind", sorted(_LOG_DET_MODELS))
+    @pytest.mark.parametrize("lam", [2.0, 0.5, -2.0, 0.4 - 0.8j, np.exp(0.9j), 1.1],
+                             ids=["2", "0.5", "-2", "complex", "unitary", "1.1"])
+    @pytest.mark.parametrize("n_grid", [8, 9, 32, 33, 64])
+    def test_matches_dense_det(self, kind, lam, n_grid):
+        kwargs, t_param = _LOG_DET_MODELS[kind]
+        model = witten_deform(make_circle_model(lam, **kwargs), t_param)
+        ch = build_discrete(model, n_grid).channels[0]
+        rows = np.arange(n_grid)
+        k = np.zeros((n_grid, n_grid), dtype=complex)
+        k[rows, rows] = ch.k_diag
+        k[rows, (rows + 1) % n_grid] = ch.k_upper
+        want = np.linalg.det(k)
+        assert abs(np.exp(ch.log_det()) - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("lam", [2.0, 0.4 - 0.8j], ids=["real", "complex"])
+    def test_large_grid_in_linear_memory(self, lam):
+        """N = 65536, where log|det K| is about 6e5 and a dense K would take
+        64 GiB: the traced peak stays under 64 bytes per node. The telescoping
+        k_upper / k_diag products give det K = (1 - lam) prod k_diag."""
+        import tracemalloc
+
+        n_grid = 65536
+        model = make_circle_model(lam, phi=("sin", 0.3), f=("cos", 1))
+        ch = build_discrete(model, n_grid).channels[0]
+        tracemalloc.start()
+        try:
+            got = ch.log_det()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n_grid
+        want = np.log(complex(1.0 - lam)) + np.sum(np.log(ch.k_diag))
+        assert abs(want.real) > 5e5
+        diff = got - want
+        diff -= TWO_PI * 1j * round(diff.imag / TWO_PI)
+        assert abs(diff) < 1e-9
+
+
 class TestExactSpectrum:
     def test_trivial_holonomy(self):
         fam = exact_spectrum_circle(1.0)

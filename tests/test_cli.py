@@ -141,6 +141,16 @@ class TestCommands:
         # holonomy 1 is non-acyclic: bz refuses with a numerical-failure exit
         assert main(["spectral", str(path), "--op", "bz"]) == 1
 
+    def test_rstorsion_discrete_refuses_trivial_holonomy(self, tmp_path):
+        """det K = 0 at holonomy 1: the discrete method exits with a numerical
+        failure instead of printing a value."""
+        doc = {"lambda": [1.0, 0.0], "phi": {"kind": "sin", "amp": 0.3},
+               "f": {"kind": "cos", "wells": 1}}
+        path = tmp_path / "lam1_wavy.json"
+        path.write_text(json.dumps(doc))
+        assert main(["spectral", str(path), "--op", "rstorsion", "--method", "discrete",
+                     "--cut", "0.5"]) == 1
+
     def test_winding_density_rejected(self, tmp_path):
         """A log-density with winding would change the holonomy class: the
         loader refuses it, so no analytic method returns a value for it."""

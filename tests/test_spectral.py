@@ -25,7 +25,6 @@ from bitorsion.spectral import (
     _band_torsion_discrete,
     bz_compare,
     conjugation_isospectral_check,
-    de_rham_map,
     milnor_from_model,
     morse_from_potential,
     rs_torsion,
@@ -67,6 +66,34 @@ class TestRsTorsion:
         ref = rs_torsion(make_circle_model(2.0))
         got = rs_torsion(model, cut=0.5, method="discrete")
         assert abs(got - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("cut", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("lam, amp, flat, t_param", [
+        (2.0, 0.3, False, 0.0),
+        (1.1, 2.0, True, 3.0),
+        (0.5, 0.9, True, 0.0),
+        (-2.0, 0.9, False, 3.0),
+        (0.4 - 0.8j, 0.3, True, 3.0),
+        (np.exp(0.9j), 2.0, False, 3.0),
+    ], ids=["real", "near_one_flat_T3", "half_flat", "negative_T3", "complex_flat_T3",
+            "unitary_T3"])
+    def test_discrete_matches_exact_at_every_cut(self, lam, amp, flat, t_param, cut):
+        """det K in closed form does not depend on the cut, and neither does
+        the value: it is the exact one at every cut, wavy, flat-window and
+        deformed densities included."""
+        model = make_circle_model(lam, phi=("sin", amp), f=("cos", 1), flat_windows=flat)
+        model = witten_deform(model, t_param)
+        want = rs_torsion(model, cut=cut, method="exact")
+        got = rs_torsion(model, cut=cut, method="discrete")
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    def test_discrete_refuses_trivial_holonomy(self):
+        """det K = 0 at holonomy 1 whatever the density, so model and reference
+        cancel only when phi = 0: the method refuses instead of returning a
+        value."""
+        model = make_circle_model(1.0, phi=("sin", 0.3), f=("cos", 1))
+        with pytest.raises(ZeroModeError):
+            rs_torsion(model, cut=0.5, method="discrete")
 
     def test_rank_two_product(self):
         model = CircleModel(np.diag([2.0, 3.0]))
@@ -171,23 +198,6 @@ class TestConjugation:
 
 
 class TestDeRham:
-    def test_constant_zero_form(self):
-        model = make_circle_model(1.0, f=("cos", 1))
-        img = de_rham_map(model, 64, zero_form=np.full(64, 2.5 + 0.0j))
-        assert np.allclose(img.cochain0, 2.5)
-
-    def test_chain_map_identity(self):
-        """P(dg) = delta P(g): exact telescoping for this stencil."""
-        model = make_circle_model(2.0, f=("cos", 1))
-        img = de_rham_map(model, 128)
-        assert img.chain_defect < 1e-12
-
-    def test_harmonic_direction_pairs(self):
-        """Trivial holonomy: the constant 1-form has a nonzero degree-1 cochain."""
-        model = make_circle_model(1.0, f=("cos", 1))
-        img = de_rham_map(model, 64, one_form=np.ones(64, dtype=complex))
-        assert abs(img.cochain1[0]) > 1.0
-
     def test_milnor_from_model_value(self):
         lam = 2.0
         assert milnor_from_model(make_circle_model(lam, f=("cos", 1))) == pytest.approx(
@@ -197,14 +207,6 @@ class TestDeRham:
     def test_morse_from_potential_two_wells(self):
         ms = morse_from_potential(make_circle_model(2.0, f=("cos", 2)))
         assert ms.morse_counts() == [2, 2]
-
-    def test_unaligned_critical_point_raises(self):
-        """Odd grid: the minimum at pi falls between nodes."""
-        from bitorsion.errors import GridError
-
-        model = make_circle_model(2.0, f=("cos", 1))
-        with pytest.raises(GridError):
-            de_rham_map(model, 63, zero_form=np.ones(63, dtype=complex))
 
 
 class TestTheorem33:
