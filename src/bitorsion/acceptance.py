@@ -9,6 +9,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .circle import make_circle_model
 from .complexes import (
@@ -78,15 +79,13 @@ def criterion_1_finite_anomaly(seed=2024):
     return _result(1, "finite-complex anomaly law", worst, 1e-9, t0)
 
 
-def _wedge_oracle_torsion(c, b, h, rng):
+def _wedge_oracle_torsion(c, b, h):
     """Independent torsion evaluation: explicit top-exterior-power arithmetic.
 
     Builds the determinant-line generator with row-reduction-chosen lifts and
-    pairs top wedges through the full Gram pairing matrix, sidestepping the
-    production SVD path.
+    kernels from ``scipy.linalg.null_space``, and pairs top wedges through the
+    full Gram pairing matrix, sidestepping the production SVD path.
     """
-    from .complexes import _null_columns
-
     def rref_lift(d):
         # pivot columns by Gaussian elimination: a lift basis transverse to ker
         if d.size == 0 or min(d.shape) == 0:
@@ -125,7 +124,7 @@ def _wedge_oracle_torsion(c, b, h, rng):
             if i > 0 and lift_prev.shape[1]
             else np.zeros((n_i, 0), dtype=complex)
         )
-        ker = _null_columns(c.differential(i))
+        ker = null_space(c.differential(i), rcond=1e-10)
         reps = ker @ (ker.conj().T @ h.bases[i]) if h.bases[i].shape[1] else h.bases[i]
         lift = rref_lift(c.differential(i))
         v = np.hstack([boundary, reps, lift])
@@ -161,7 +160,7 @@ def criterion_2_bruteforce_oracle(seed=55):
             b = random_bilinear_structure(rng, c.dims)
             h = cohomology(c)
             main = torsion_form(c, b, h)
-            oracle = _wedge_oracle_torsion(c, b, h, rng)
+            oracle = _wedge_oracle_torsion(c, b, h)
             worst = max(worst, abs(main - oracle) / max(abs(oracle), 1e-300))
             count += 1
     return _result(2, "brute-force exterior-power oracle", worst, 1e-10, t0,

@@ -406,8 +406,9 @@ def witten_deform(model: CircleModel, t_param):
     if t_param == 0:
         return model
     deformed = replace(model, deform_t=model.deform_t + float(t_param))
-    if "_window_layout" in model.__dict__:
-        # the windows depend only on the potential and the length, which T leaves alone
+    if model.flat_windows:
+        # the windows depend only on the potential and the length, which T
+        # leaves alone: every deformation of one model shares its one scan
         deformed.__dict__["_window_layout"] = model._window_layout
     return deformed
 
@@ -449,15 +450,14 @@ class ChannelOperators:
 
         K is cyclic bidiagonal, so det K = prod a + (-1)^{N+1} prod b
         (a = k_diag, b = k_upper), the second term from the one cyclic
-        permutation. Both products overflow long before N = 65536, where
-        log|det K| is about 6e5, so prod a is factored out in log space:
-        det K = prod a (1 + (-1)^{N+1} e^r) with r = sum log(b / a). The
-        ratios b / a telescope to (-1)^N lam, so e^r neither overflows nor
-        underflows.
+        permutation. For every K that ``_build_channel`` assembles or
+        ``conjugated`` rescales, the ratios b / a telescope to (-1)^N lam,
+        so det K = (1 - lam) prod a, and the value is taken in that form:
+        near lam = 1 the factor 1 - lam is exact, where a rounded telescoped
+        product would cancel. prod a overflows long before N = 65536, where
+        log|det K| is about 6e5, so it is summed in log space.
         """
-        sign = 1.0 if self.n_grid % 2 else -1.0
-        r = np.sum(np.log(self.k_upper / self.k_diag))
-        return complex(np.sum(np.log(self.k_diag)) + np.log(1.0 + sign * np.exp(r)))
+        return complex(np.sum(np.log(self.k_diag)) + np.log(1.0 - self.lam))
 
     def apply_k(self, v):
         """K @ v for an N x k array of node columns, in O(N k)."""
@@ -571,20 +571,6 @@ class ChannelOperators:
                 )
             n_pairs = min(2 * n_pairs, n - 2)
 
-    def adjoint_defect(self):
-        """max |K - G1^{1/2} d G0^{-1/2}| relative to max |K|, G^{1/2} = (h e^{2 log_w})^{1/2}.
-
-        K is built from local exponent gaps; here the Gram roots are
-        exponentiated separately. With d*_b = G0^{-1} d^T G1, agreement is the
-        statement that K^T K is similar to d*_b d; it holds up to rounding.
-        """
-        root0, root1 = np.exp(self.log_w0), np.exp(self.log_w1)  # the h^{1/2} cancel
-        diag = -root1 / root0 / self.h
-        upper = (root1 / np.roll(root0, -1) / self.h).astype(complex)
-        upper[-1] *= self.lam
-        defect = max(np.max(np.abs(diag - self.k_diag)), np.max(np.abs(upper - self.k_upper)))
-        return float(defect / max(np.max(np.abs(self.k_diag)), np.max(np.abs(self.k_upper))))
-
 
 @dataclass(frozen=True)
 class DiscreteOperators:
@@ -598,9 +584,6 @@ class DiscreteOperators:
         ev = np.concatenate(evs)
         order = np.lexsort((ev.imag, ev.real))
         return ev[order]
-
-    def adjoint_defect(self):
-        return max(ch.adjoint_defect() for ch in self.channels)
 
 
 def _build_channel(lam, length, n_grid, phi_at):

@@ -23,7 +23,7 @@ from .errors import (
     DimensionError,
     ShapeError,
 )
-from .numkernel import as_cmatrix, check_symmetric_form, lu_det
+from .numkernel import as_cmatrix, check_symmetric_form, lu_det, nondegenerate_det
 
 __all__ = [
     "GradedComplex",
@@ -128,73 +128,52 @@ class CohomologyData:
         return tuple(b.shape[1] for b in self.bases)
 
 
-def _orth_columns(a, floor=0.0):
-    """Orthonormal (Hermitian) basis of the column space, rank by relative SVD cut.
+def _split(d, rng=None):
+    """One full SVD of d: (image, lift, kernel), with one relative rank cut.
 
-    ``floor`` supplies an external scale so that a matrix that is tiny only
-    because it was projected to (numerical) zero reports rank zero.
+    ``image`` and ``kernel`` are orthonormal (Hermitian) bases of im d and
+    ker d; ``lift`` holds the leading right-singular vectors, on which d is
+    injective with image im d. With ``rng`` the lift is recombined by a random
+    invertible matrix and smeared by kernel directions, exercising the
+    claimed choice-independence of the torsion.
     """
-    if a.size == 0 or a.shape[1] == 0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[0], 0), dtype=complex)
-    r = int(np.sum(s > DEFAULT_TOL.rank_rel * max(s[0], floor)))
-    return u[:, :r]
-
-
-def _null_columns(a):
-    """Orthonormal basis of the kernel."""
-    n = a.shape[1]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if a.shape[0] == 0 or not a.size:
-        return np.eye(n, dtype=complex)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0])) if s.size and s[0] > 0 else 0
-    return vh[r:].conj().T
-
-
-def cohomology(c: GradedComplex):
-    """Representative bases for H^i = ker d_i / im d_{i-1}, by rank-revealing SVD."""
-    bases = []
-    for i in range(c.degree_count):
-        ker = _null_columns(c.differential(i))
-        im = _orth_columns(c.differential(i - 1)) if i > 0 else None
-        if im is None or im.shape[1] == 0:
-            reps = ker
-        else:
-            # kernel components orthogonal to the coboundary image; the
-            # projected columns have scale <= 1, so rank against floor 1
-            proj = ker - im @ (im.conj().T @ ker)
-            reps = _orth_columns(proj, floor=1.0)
-        bases.append(reps)
-    return CohomologyData(tuple(bases))
-
-
-def _lift_basis(d, rng=None):
-    """Columns of C^i on which d is injective with image spanning im(d).
-
-    Default: leading right-singular vectors. With ``rng``: the same space,
-    recombined by a random invertible matrix and smeared by kernel directions,
-    exercising the claimed choice-independence of the torsion.
-    """
-    if d.size == 0 or min(d.shape) == 0:
-        return np.zeros((d.shape[1], 0), dtype=complex)
+    m, n = d.shape
+    if not d.size:
+        return (np.zeros((m, 0), dtype=complex), np.zeros((n, 0), dtype=complex),
+                np.eye(n, dtype=complex))
     u, s, vh = np.linalg.svd(d, full_matrices=True)
-    r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0])) if s.size and s[0] > 0 else 0
-    lift = vh[:r].conj().T
+    r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0]))
+    lift, ker = vh[:r].conj().T, vh[r:].conj().T
     if rng is not None and r:
         mix = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
-        mix += 3.0 * np.eye(r)
-        lift = lift @ mix
-        ker = vh[r:].conj().T
+        lift = lift @ (mix + 3.0 * np.eye(r))
         if ker.shape[1]:
             noise = rng.standard_normal((ker.shape[1], r)) + 1j * rng.standard_normal(
                 (ker.shape[1], r)
             )
             lift = lift + 0.5 * ker @ noise
-    return lift
+    return u[:, :r], lift, ker
+
+
+def _splits(c: GradedComplex, rng=None):
+    """``_split`` of every differential d_{-1}, ..., d_{n-1}, keyed by degree."""
+    return {i: _split(c.differential(i), rng) for i in range(-1, c.degree_count)}
+
+
+def cohomology(c: GradedComplex):
+    """Representative bases for H^i = ker d_i / im d_{i-1}, by rank-revealing SVD."""
+    split = _splits(c)
+    bases = []
+    for i in range(c.degree_count):
+        im, ker = split[i - 1][0], split[i][2]
+        if im.shape[1] == 0 or ker.shape[1] == 0:
+            bases.append(ker)
+            continue
+        # kernel components orthogonal to the coboundary image; the projected
+        # columns have scale <= 1, so rank against floor 1
+        u, s, _ = np.linalg.svd(ker - im @ (im.conj().T @ ker), full_matrices=False)
+        bases.append(u[:, : int(np.sum(s > DEFAULT_TOL.rank_rel * max(s[0], 1.0)))])
+    return CohomologyData(tuple(bases))
 
 
 def _project_to_cocycles(reps, ker):
@@ -223,33 +202,21 @@ def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, rng=
     if len(h.bases) != c.degree_count:
         raise ShapeError("cohomology data has wrong number of degrees")
 
-    expected = cohomology(c).dims
+    split = _splits(c, rng)
+    rank = {i: lift.shape[1] for i, (_, lift, _) in split.items()}
+    expected = tuple(n_i - rank[i] - rank[i - 1] for i, n_i in enumerate(c.dims))
     if h.dims != expected:
         raise ShapeError(f"cohomology dims {h.dims} differ from computed {expected}")
 
-    lifts = [_lift_basis(c.differential(i), rng) for i in range(c.degree_count)]
     result = 1.0 + 0.0j
-    for i in range(c.degree_count):
-        n_i = c.dims[i]
-        boundary = (
-            c.differential(i - 1) @ lifts[i - 1]
-            if i > 0 and lifts[i - 1].shape[1]
-            else np.zeros((n_i, 0), dtype=complex)
-        )
-        ker = _null_columns(c.differential(i))
-        reps = _project_to_cocycles(h.bases[i], ker)
-        v = np.hstack([boundary, reps, lifts[i]])
-        if v.shape[1] != n_i:
-            raise ShapeError(
-                f"degree {i}: assembled {v.shape[1]} generators for dimension {n_i}"
-            )
+    for i, n_i in enumerate(c.dims):
         if n_i == 0:
             continue
-        gram = v.T @ b.grams[i] @ v
-        det = lu_det(gram)
-        scale = max(np.max(np.abs(gram)), 1e-300)
-        if abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale**n_i:
-            raise ConditioningError(f"degree {i}: torsion Gram numerically singular")
+        boundary = c.differential(i - 1) @ split[i - 1][1]
+        reps = _project_to_cocycles(h.bases[i], split[i][2])
+        v = np.hstack([boundary, reps, split[i][1]])
+        det = nondegenerate_det(v.T @ b.grams[i] @ v, ConditioningError,
+                                f"degree {i}: torsion Gram numerically singular")
         result = result * det if i % 2 == 0 else result / det
     return result
 

@@ -73,14 +73,6 @@ class ResolutionError(BitorsionError):
     """A spectral count is unreliable: an eigenvalue hugs the threshold."""
 
 
-class StencilMismatchError(BitorsionError):
-    """Conjugation check configured with an incompatible gradient stencil."""
-
-    def __init__(self, message, mismatch=None):
-        super().__init__(message)
-        self.mismatch = mismatch
-
-
 class ThetaNotZeroError(BitorsionError):
     """Comparison requested outside the zero relative-density regime."""
 

@@ -30,6 +30,7 @@ __all__ = [
     "as_cmatrix",
     "lu_det",
     "check_symmetric_form",
+    "nondegenerate_det",
     "SchurDecomposition",
     "schur_decomposition",
 ]
@@ -73,8 +74,17 @@ def check_symmetric_form(a, name):
     scale = max(np.max(np.abs(a)), 1e-300)
     if np.max(np.abs(a - a.T)) > DEFAULT_TOL.symmetry_rel * scale:
         raise DegenerateFormError(f"{name} not symmetric")
-    if abs(lu_det(a)) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[0]:
-        raise DegenerateFormError(f"{name} degenerate")
+    nondegenerate_det(a, DegenerateFormError, f"{name} degenerate")
+
+
+def nondegenerate_det(a, error, message):
+    """det a by LU; raises ``error(message)`` when |det a| <= nondegeneracy_rel *
+    max|a_jk|^n, the one nondegeneracy test of the package."""
+    det = lu_det(a)
+    scale = max(np.max(np.abs(a)), 1e-300)
+    if abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[0]:
+        raise error(message)
+    return det
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ from .errors import (
     AmbiguousCutError,
     DimensionError,
     ResolutionError,
-    StencilMismatchError,
     ThetaNotZeroError,
     ZeroModeError,
 )
@@ -68,19 +67,18 @@ DISCRETE_N = 32  # grid of the discrete rs method
 # ----------------------------------------------------------------------------
 
 
-def spectral_cut(channel: ChannelOperators, radius, clearance_frac=None):
+def spectral_cut(channel: ChannelOperators, radius):
     """Invariant small-band subspaces of both Laplacians, symmetrized coordinates.
 
     Per degree, ``ChannelOperators.small_band`` finds every eigenpair within
-    the cut and the clearance around it in O(N), and at least one beyond it;
-    the band eigenvectors are orthonormalized into the basis, and the
-    smallest modulus beyond the cut is kept. ``clearance_frac``: eigenvalues
-    within this fraction of ``radius`` from the cut circle raise
-    AmbiguousCutError; defaults to the absolute cut clearance policy.
+    the cut and its margin in O(N), and at least one beyond it; the band
+    eigenvectors are orthonormalized into the basis, and the smallest modulus
+    beyond the cut is kept. An eigenvalue within the threshold margin
+    (``threshold_margin`` times ``radius``) of the cut circle means the gap
+    between the small and the large band is not resolved on this grid:
+    ResolutionError.
     """
-    clearance = (
-        clearance_frac * radius if clearance_frac is not None else DEFAULT_TOL.cut_clearance
-    )
+    clearance = DEFAULT_TOL.threshold_margin * radius
     pieces = []
     large_min = np.inf
     for degree in (0, 1):
@@ -88,8 +86,8 @@ def spectral_cut(channel: ChannelOperators, radius, clearance_frac=None):
         mags = np.abs(vals)
         near = np.abs(mags - radius) < clearance
         if np.any(near):
-            raise AmbiguousCutError(
-                f"eigenvalue {vals[near][0]:.6e} within {clearance:.1e} of the cut"
+            raise ResolutionError(
+                f"gap unresolved: eigenvalue {vals[near][0]:.6e} within {clearance:.1e} of the cut"
             )
         inside = mags <= radius
         large_min = min(large_min, float(np.min(mags[~inside])))
@@ -97,18 +95,6 @@ def spectral_cut(channel: ChannelOperators, radius, clearance_frac=None):
     (ev0, v0), (ev1, v1) = pieces
     return SpectralCut(radius=radius, eigenvalues0=ev0, eigenvalues1=ev1, basis0=v0, basis1=v1,
                        large_band_min=large_min)
-
-
-def _threshold_cut(channel: ChannelOperators, threshold, t_param):
-    """The Witten band below ``threshold``, with the threshold-margin clearance.
-
-    An eigenvalue inside the margin means the gap between the small and the
-    large band is not resolved at this (T, N): ResolutionError.
-    """
-    try:
-        return spectral_cut(channel, threshold, clearance_frac=DEFAULT_TOL.threshold_margin)
-    except AmbiguousCutError as exc:
-        raise ResolutionError(f"gap unresolved at T={t_param}: {exc}") from exc
 
 
 def band_complex(channel: ChannelOperators, cut: SpectralCut):
@@ -248,7 +234,7 @@ def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
     band_trace = 0.0 + 0.0j
     large_min = np.inf
     for ch in disc.channels:
-        cut = _threshold_cut(ch, threshold, t_param)
+        cut = spectral_cut(ch, threshold)
         for degree, band in enumerate((cut.eigenvalues0, cut.eigenvalues1)):
             counts[degree] += int(band.size)
             band_trace += complex(np.sum(band))
@@ -283,16 +269,13 @@ def _matching_gap(left, right):
     return worst
 
 
-def conjugation_isospectral_check(model: CircleModel, t_param, n_grid, stencil="matched"):
+def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
     """Spectral mismatch between the deformed Laplacian and its conjugated form.
 
-    With the matched stencil the conjugation e^{-Tf} D^2_{b_T} e^{Tf} is an
-    exact diagonal matrix similarity of the discretized square, so the two
-    full spectra agree to rounding; the returned value is the widest gap of
-    a one-to-one pairing of them over both degrees, relative to the spectral
-    radius. The "node" stencil builds the gradient term by pointwise
-    multiplication instead and is rejected with the observed mismatch
-    attached.
+    The conjugation e^{-Tf} D^2_{b_T} e^{Tf} is an exact diagonal matrix
+    similarity of the discretized square, so the two full spectra agree to
+    rounding; the returned value is the widest gap of a one-to-one pairing of
+    them over both degrees, relative to the spectral radius.
     """
     if model.potential is None:
         raise DimensionError("conjugation check requires a Morse potential")
@@ -303,26 +286,12 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid, stencil="
     for ch_t, ch_0 in zip(disc_t.channels, disc_0.channels):
         f_nodes = model.potential.value(ch_0.nodes, model.length)
         f_mids = model.potential.value(ch_0.mids, model.length)
-        if stencil == "matched":
-            conj = ch_0.conjugated(np.exp(-float(t_param) * f_mids),
-                                   np.exp(float(t_param) * f_nodes))
-        elif stencil == "node":
-            # deliberately mismatched: gradient as a midpoint multiplier
-            grad = model.potential.derivative(ch_0.mids, model.length)
-            conj = replace(ch_0, k_diag=ch_0.k_diag + float(t_param) * grad)
-        else:
-            raise StencilMismatchError(f"unknown stencil '{stencil}'")
+        conj = ch_0.conjugated(np.exp(-float(t_param) * f_mids), np.exp(float(t_param) * f_nodes))
         for degree in (0, 1):
             left = ch_t.eigenvalues(degree)
             right = conj.eigenvalues(degree)
             radius = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
             worst = max(worst, _matching_gap(left, right) / radius)
-    if stencil == "node" and worst > 1e-10:
-        raise StencilMismatchError(
-            "gradient stencil does not match the difference stencil; "
-            f"spectra disagree at relative {worst:.3e}",
-            mismatch=worst,
-        )
     return worst
 
 
@@ -448,7 +417,7 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0):
         for sub, counts, milnor, (chi, chi_prime, trs) in channels:
             deformed = witten_deform(sub, t_param)
             ch = build_discrete(deformed, n_grid).channels[0]
-            cut = _threshold_cut(ch, threshold, t_param)
+            cut = spectral_cut(ch, threshold)
             if cut.dims != counts:
                 raise ResolutionError(
                     f"band dims {cut.dims} do not match Morse counts {counts} at T={t_param}"

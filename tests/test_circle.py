@@ -20,6 +20,7 @@ from bitorsion.circle import (
     zeta_det_exact,
 )
 from bitorsion.errors import GridError, HolonomyError, ZeroModeError
+from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims
 
 TWO_PI = 2 * np.pi
 
@@ -45,10 +46,21 @@ class TestBuildDiscrete:
         assert errs[64] / errs[128] > 3.0
 
     def test_adjoint_identity_exact(self):
-        """<du, v>_b = <u, d*_b v>_b as a matrix identity, any density."""
+        """<du, v>_b = <u, d*_b v>_b as a matrix identity, any density.
+
+        K is built from local exponent gaps; the oracle exponentiates the Gram
+        roots G^{1/2} = (h e^{2 log_w})^{1/2} separately and forms
+        G1^{1/2} d G0^{-1/2}. With d*_b = G0^{-1} d^T G1, agreement is the
+        statement that K^T K is similar to d*_b d."""
         model = CircleModel(0.7 + 1.1j, phi=TrigPoly.sin(0.3))
-        disc = build_discrete(model, 32)
-        assert disc.adjoint_defect() < 1e-12
+        for ch in build_discrete(model, 32).channels:
+            root0, root1 = np.exp(ch.log_w0), np.exp(ch.log_w1)  # the h^{1/2} cancel
+            diag = -root1 / root0 / ch.h
+            upper = (root1 / np.roll(root0, -1) / ch.h).astype(complex)
+            upper[-1] *= ch.lam
+            scale = max(np.max(np.abs(ch.k_diag)), np.max(np.abs(ch.k_upper)))
+            assert np.max(np.abs(diag - ch.k_diag)) < 1e-12 * scale
+            assert np.max(np.abs(upper - ch.k_upper)) < 1e-12 * scale
 
     def test_closed_form_family(self):
         """phi = 0 spectrum is (2 cos(2 pi z/N) - 2 cos(2 pi n/N)) / h^2 exactly."""
@@ -378,20 +390,36 @@ class TestFlatWindows:
             assert model.phi_value(nearby) == pytest.approx(model.phi.value(pos), abs=1e-12)
             assert model.phi_derivative(np.array([nearby]))[0] == 0.0
 
-    def test_critical_points_found_once_per_model(self, monkeypatch):
-        """A flat-window model scans for critical points on its first phi
-        evaluation only: later operators and gy determinants of the same model
-        scan no more, and a model that never evaluates phi never scans."""
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """One entry per critical-point scan."""
         calls = []
         scan = circle_module._critical_points
         monkeypatch.setattr(circle_module, "_critical_points",
                             lambda *args: calls.append(1) or scan(*args))
+        return calls
+
+    def test_critical_points_found_once_per_model(self, calls):
+        """A flat-window model scans for critical points on its first phi
+        evaluation only: later operators and gy determinants of the same model
+        scan no more, and a model that never evaluates phi never scans."""
         model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 2), flat_windows=True)
         assert len(calls) == 0
         build_discrete(model, 64)
         assert len(calls) == 1
         build_discrete(model, 64)
         gelfand_yaglom_det(model)
+        assert len(calls) == 1
+
+    def test_deformations_share_one_scan(self, calls):
+        """Every Witten deformation of a flat-window model reuses the model's
+        windows, whether or not the model itself has evaluated phi yet."""
+        model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1), flat_windows=True)
+        for t_param in (4.0, 8.0, 12.0):
+            small_spectrum_dims(model, t_param, 64)
+        assert len(calls) == 1
+        conjugation_isospectral_check(model, 5.0, 64)
+        conjugation_isospectral_check(model, 10.0, 64)
         assert len(calls) == 1
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bitorsion.acceptance import _wedge_oracle_torsion
 from bitorsion.complexes import (
     BilinearStructure,
     CohomologyData,
@@ -13,6 +14,7 @@ from bitorsion.complexes import (
     transform_structure,
 )
 from bitorsion.errors import ChainComplexError, ShapeError
+from bitorsion.morse import CriticalForms, make_circle_morse, milnor_torsion
 
 
 def two_term(a):
@@ -107,6 +109,36 @@ class TestTorsionForm:
         bad = CohomologyData((np.array([[1.0], [0.5]], dtype=complex), np.zeros((1, 0))))
         with pytest.raises(ShapeError):
             torsion_form(c, BilinearStructure.standard(c.dims), bad)
+
+
+class TestOneSplitPerDifferential:
+    """One full SVD per nonempty differential gives image, lift and kernel;
+    cohomology adds one SVD per degree whose kernel meets a nonzero image."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        """One entry per numpy SVD from here on."""
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        return calls
+
+    def test_milnor_torsion_of_circle(self, svd_calls):
+        ms = make_circle_morse(5, 3.0)
+        value = milnor_torsion(ms, CriticalForms.standard(ms))
+        assert len(svd_calls) <= 3
+        assert value == pytest.approx((1 - 3.0) ** -2, rel=1e-12)
+
+    def test_cohomology_and_torsion(self, svd_calls):
+        rng = np.random.default_rng(0)  # ranks (5, 1, 3): every differential is nonzero
+        c = random_graded_complex(rng, dims=(6, 6, 6, 6))
+        b = random_bilinear_structure(rng, c.dims)
+        h = cohomology(c)
+        value = torsion_form(c, b, h)
+        assert len(svd_calls) <= 9
+        assert h.dims == (1, 0, 2, 3)
+        oracle = _wedge_oracle_torsion(c, b, h)
+        assert abs(value - oracle) <= 1e-9 * abs(oracle)
 
 
 class TestAnomaly:
