@@ -250,7 +250,7 @@ def _critical_points(pot: TrigPoly, length):
     """Zeros of f' with indices from the sign of f''.
 
     f' is sampled on a fine grid; every sign change brackets one zero, and all
-    brackets are bisected at once.
+    brackets are bisected at once until a halving changes none of them.
     """
     n_scan = 4096
     xs = np.linspace(0.0, length, n_scan, endpoint=False)
@@ -263,9 +263,11 @@ def _critical_points(pot: TrigPoly, length):
         mid = 0.5 * (lo + hi)
         fm = pot.derivative(mid, length)
         left = flo * fm <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
+        step = np.where(left, mid, hi), np.where(left, lo, mid), np.where(left, flo, fm)
+        # a step that changes nothing is a fixed point: every later one is a no-op
+        if all(np.array_equal(new, old) for new, old in zip(step, (hi, lo, flo))):
+            break
+        hi, lo, flo = step
     crits = np.concatenate([xs[exact], 0.5 * (lo + hi)])
     curv = pot.second_derivative(crits, length)
     if np.any(np.abs(curv) < 1e-8):

@@ -55,10 +55,8 @@ class Instanton:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ShapeError(f"instanton sign must be +-1, got {self.sign}")
-        h = as_cmatrix(self.holonomy, square=True, name="holonomy")
-        if abs(lu_det(h)) == 0.0:
-            raise HolonomyError(f"instanton {self.source}->{self.target} holonomy singular")
-        object.__setattr__(self, "holonomy", h)
+        object.__setattr__(self, "holonomy",
+                           as_cmatrix(self.holonomy, square=True, name="holonomy"))
 
 
 @dataclass(frozen=True)
@@ -91,6 +89,13 @@ class MorseSystem:
                 )
             if ins.holonomy.shape != (self.rank, self.rank):
                 raise DimensionError("instanton holonomy has wrong rank")
+        if self.instantons:
+            # all holonomies in one batched determinant; the first singular one is named
+            dets = np.linalg.det(np.stack([ins.holonomy for ins in self.instantons]))
+            singular = np.flatnonzero(dets == 0.0)
+            if singular.size:
+                ins = self.instantons[singular[0]]
+                raise HolonomyError(f"instanton {ins.source}->{ins.target} holonomy singular")
 
     def degree_count(self):
         return max(p.index for p in self.points) + 1 if self.points else 0
@@ -110,16 +115,20 @@ class MorseSystem:
 
 @dataclass(frozen=True)
 class CriticalForms:
-    """Map label -> symmetric nondegenerate rank x rank matrix b_x."""
+    """Map label -> symmetric nondegenerate rank x rank matrix b_x; all forms
+    share one shape and are checked as one stack."""
 
     forms: dict
 
     def __post_init__(self):
-        checked = {}
-        for label, g in self.forms.items():
-            a = as_cmatrix(g, square=True, name=f"form[{label}]")
-            check_symmetric_form(a, f"critical form at {label}")
-            checked[label] = a
+        checked = {label: as_cmatrix(g, square=True, name=f"form[{label}]")
+                   for label, g in self.forms.items()}
+        shapes = {a.shape for a in checked.values()}
+        if len(shapes) > 1:
+            raise DimensionError(f"critical forms differ in shape: {sorted(shapes)}")
+        if checked:
+            check_symmetric_form(np.stack(list(checked.values())),
+                                 [f"critical form at {label}" for label in checked])
         object.__setattr__(self, "forms", checked)
 
     @classmethod
@@ -172,6 +181,10 @@ def build_thom_smale(ms: MorseSystem, forms: CriticalForms):
         for j, lab in enumerate(labels):
             if lab not in forms.forms:
                 raise ShapeError(f"no critical form supplied for {lab}")
+            if forms.forms[lab].shape != (r, r):
+                raise DimensionError(
+                    f"critical form at {lab} has shape {forms.forms[lab].shape}, "
+                    f"expected rank x rank {(r, r)}")
             g[j * r:(j + 1) * r, j * r:(j + 1) * r] = forms.forms[lab]
         grams.append(g)
     return complex_, BilinearStructure(tuple(grams))

@@ -12,11 +12,11 @@ The one structural difference from Hermitian numerics: pairings use the
 transpose, never the conjugate transpose.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -49,41 +49,53 @@ def as_cmatrix(m, square=False, name="matrix"):
 
 
 def lu_det(m):
-    """Determinant via partial-pivot LU, permutation sign included."""
+    """Determinant via partial-pivot LU (LAPACK ``zgetrf``), permutation sign included."""
     a = as_cmatrix(m, square=True)
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
-    with warnings.catch_warnings():
-        # a singular matrix legitimately yields determinant zero
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
+    # a singular matrix legitimately yields a zero pivot and determinant zero
+    lu, piv, _ = lapack.zgetrf(a)
     # piv records row swaps; each swap flips the sign.
-    sign = 1.0
-    for i in range(n):
-        if piv[i] != i:
-            sign = -sign
-    return complex(sign * np.prod(np.diag(lu)))
+    sign = -1.0 if np.count_nonzero(piv != np.arange(n)) % 2 else 1.0
+    return complex(sign * lu.diagonal().prod())
 
 
 def check_symmetric_form(a, name):
-    """Raise DegenerateFormError unless the square matrix ``a`` is symmetric and
-    nondegenerate to tolerance; ``name`` leads the message. Empty forms pass."""
+    """Raise DegenerateFormError unless ``a`` is symmetric and nondegenerate to
+    tolerance. ``a`` is one square matrix and ``name`` leads the message, or a
+    stack (k, n, n) and ``name`` holds its k names: the first matrix that fails
+    is named, its symmetry tested before its determinant. Empty forms pass."""
     if not a.size:
         return
-    scale = max(np.max(np.abs(a)), 1e-300)
-    if np.max(np.abs(a - a.T)) > DEFAULT_TOL.symmetry_rel * scale:
-        raise DegenerateFormError(f"{name} not symmetric")
-    nondegenerate_det(a, DegenerateFormError, f"{name} degenerate")
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    asym = np.max(np.abs(a - np.swapaxes(a, -2, -1)), axis=(-2, -1)) > (
+        DEFAULT_TOL.symmetry_rel * scale)
+    if a.ndim == 2:
+        if asym:
+            raise DegenerateFormError(f"{name} not symmetric")
+        nondegenerate_det(a, DegenerateFormError, f"{name} degenerate")
+        return
+    first = np.argmax(asym) if asym.any() else len(name)
+    # a degenerate matrix ahead of the first asymmetric one is named first
+    nondegenerate_det(a[:first], DegenerateFormError, [f"{n} degenerate" for n in name[:first]])
+    if first < len(name):
+        raise DegenerateFormError(f"{name[first]} not symmetric")
 
 
 def nondegenerate_det(a, error, message):
-    """det a by LU; raises ``error(message)`` when |det a| <= nondegeneracy_rel *
-    max|a_jk|^n, the one nondegeneracy test of the package."""
-    det = lu_det(a)
-    scale = max(np.max(np.abs(a)), 1e-300)
-    if abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[0]:
-        raise error(message)
+    """det a; raises ``error(message)`` when |det a| <= nondegeneracy_rel *
+    max|a_jk|^n, the one nondegeneracy test of the package.
+
+    One square matrix takes its determinant from ``lu_det``, the value callers
+    keep. A stack (k, n, n) is only tested, by one batched ``np.linalg.det``;
+    ``message`` then holds k strings and the first failing matrix's is raised.
+    """
+    det = lu_det(a) if a.ndim == 2 else np.linalg.det(a)
+    scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
+    failed = np.flatnonzero(np.abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[-1])
+    if failed.size:
+        raise error(message if a.ndim == 2 else message[failed[0]])
     return det
 
 

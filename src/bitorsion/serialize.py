@@ -40,8 +40,24 @@ def decode_complex_number(obj, field="value"):
 
 
 def decode_matrix(obj, field="matrix"):
+    """A row-major JSON matrix of numbers or of [re, im] pairs as complex128.
+
+    A well-formed matrix is decoded by one ``np.asarray``; pairs are viewed as
+    complex, bit for bit. Anything else goes entry by entry, so that the
+    SchemaError names the offending entry.
+    """
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{field}: expected a nonempty row-major matrix", field=field)
+    if all(isinstance(row, list) for row in obj):
+        try:
+            a = np.asarray(obj)
+        except ValueError:  # ragged rows, or numbers mixed with pairs
+            a = None
+        if a is not None and a.dtype.kind in "iuf":
+            if a.ndim == 2:
+                return a.astype(complex)
+            if a.ndim == 3 and a.shape[2] == 2:
+                return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list):

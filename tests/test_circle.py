@@ -459,3 +459,17 @@ class TestCriticalPoints:
     def test_matches_scalar_bisection(self, pot, length):
         """Same sign tests and midpoints as the scalar loop, so the same bits."""
         assert _critical_points(pot, length) == _critical_points_scalar(pot, length)
+
+    @pytest.mark.parametrize("wells", range(1, 6))
+    def test_bisection_stops_at_fixed_point(self, wells, monkeypatch):
+        """The halvings end once one changes no bracket, well before 80, with
+        the bits of the full 80-step loop."""
+        pot = TrigPoly.cos(1.0, wells)
+        expected = _critical_points_scalar(pot, TWO_PI)
+        calls = []
+        derivative = TrigPoly.derivative
+        monkeypatch.setattr(TrigPoly, "derivative",
+                            lambda self, x, length=TWO_PI: calls.append(1)
+                            or derivative(self, x, length))
+        assert _critical_points(pot, TWO_PI) == expected
+        assert len(calls) <= 1 + 50  # the scan, then the halvings

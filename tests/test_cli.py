@@ -1,10 +1,16 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bitorsion.serialize as serialize
 from bitorsion.cli import main
 from bitorsion.errors import HomotopyClassError, SchemaError
 from bitorsion.serialize import (
+    decode_complex_number,
+    decode_matrix,
     load_circle_model,
     load_graded_complex,
     load_knot,
@@ -85,6 +91,79 @@ class TestLoaders:
         bad.write_text(json.dumps({"dims": [1, 1], "differentials": [[["oops"]]]}))
         with pytest.raises(SchemaError):
             load_graded_complex(str(bad))
+
+
+def _decode_per_entry(obj, field="matrix"):
+    """The entry-by-entry decoding, the oracle of ``decode_matrix``."""
+    rows = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list):
+            raise SchemaError(f"{field}[{i}]: expected a list row", field=f"{field}[{i}]")
+        rows.append([decode_complex_number(x, f"{field}[{i}][{j}]") for j, x in enumerate(row)])
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise SchemaError(f"{field}: ragged rows", field=field)
+    return np.array(rows, dtype=complex)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+_SPECIALS = st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e-320])
+_REALS = st.one_of(st.floats(), _SPECIALS, st.integers(-2**63, 2**64 - 1))
+_PAIRS = st.lists(_REALS, min_size=2, max_size=2)
+
+
+def _matrices(entries):
+    return st.integers(1, 5).flatmap(lambda c: st.lists(
+        st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=5))
+
+
+class TestDecodeMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_matrices(_REALS), _matrices(_PAIRS)))
+    def test_bit_equal_to_per_entry_decoding(self, obj):
+        """Numbers and [re, im] pairs, +-0.0, +-inf and NaN included: the same
+        bits as decoding entry by entry."""
+        fast, oracle = decode_matrix(obj), _decode_per_entry(obj)
+        assert fast.dtype == complex and fast.shape == oracle.shape
+        assert np.array_equal(_bits(fast), _bits(oracle))
+
+    def test_well_formed_matrix_is_not_decoded_per_entry(self, monkeypatch):
+        def refuse(obj, field="value"):
+            raise AssertionError("decoded per entry")
+
+        monkeypatch.setattr(serialize, "decode_complex_number", refuse)
+        assert decode_matrix([[1, 2.5], [-0.0, 3]])[1, 0] == 0.0
+        assert decode_matrix([[[1, 2], [3, float("inf")]]])[0, 1] == complex(3, float("inf"))
+
+    @pytest.mark.parametrize("obj", [
+        [[1.0, 2.0], [3.0]],
+        [[1.0, [2.0, 0.0]]],
+        [[[1.0, 0.0], 2.0]],
+        [["1.5", 2.0]],
+        [[["1.5", "2"], [3, 4]]],
+        [[True, 2.0], [False, [1, 0]]],
+        [[True, False]],
+        [[[1.0], [2.0, 0.0]]],
+        [[[1.0, 2.0, 3.0]]],
+        [[None]],
+        [(1.0, 2.0)],
+        [[2**64]],
+        [[[2**70, 1]]],
+    ], ids=["ragged", "mixed", "mixed_pair_first", "string", "string_pair", "bool_mixed",
+            "bool", "short_pair", "long_pair", "null", "tuple_row", "big_int", "big_int_pair"])
+    def test_fallback_matches_per_entry_decoding(self, obj):
+        """Anything but a plain numeric matrix is decoded entry by entry: the same
+        value, or a SchemaError with the same message and field."""
+        try:
+            expected = _decode_per_entry(obj, "m")
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as info:
+                decode_matrix(obj, "m")
+            assert (str(info.value), info.value.field) == (str(exc), exc.field)
+        else:
+            assert np.array_equal(_bits(decode_matrix(obj, "m")), _bits(expected))
 
 
 class TestCommands:
@@ -182,6 +261,27 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main([a.format(path) for a in argv]) == 2
         assert f"(field: {field})" in capsys.readouterr().err
+
+    def test_form_of_wrong_shape_is_refused(self, tmp_path, capsys):
+        """A 2x2 critical form at rank 1 is a typed refusal naming the point."""
+        doc = {"rank": 1, "points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1}],
+               "instantons": [{"from": "M0", "to": "m0", "sign": -1},
+                              {"from": "M0", "to": "m0", "sign": 1, "holonomy": [[3.0]]}],
+               "forms": {"m0": [[1, 0], [0, 1]], "M0": [[1, 0], [0, 1]]}}
+        path = tmp_path / "morse.json"
+        path.write_text(json.dumps(doc))
+        assert main(["torsion", "morse", str(path)]) == 1
+        assert "DimensionError: critical form at m0" in capsys.readouterr().err
+
+    def test_singular_holonomy_is_refused(self, tmp_path, capsys):
+        doc = {"rank": 1, "points": [{"id": "m0", "index": 0}, {"id": "m1", "index": 0},
+                                     {"id": "M0", "index": 1}],
+               "instantons": [{"from": "M0", "to": "m0", "sign": -1},
+                              {"from": "M0", "to": "m1", "sign": 1, "holonomy": [[[0, 0]]]}]}
+        path = tmp_path / "morse.json"
+        path.write_text(json.dumps(doc))
+        assert main(["torsion", "morse", str(path)]) == 1
+        assert "HolonomyError: instanton M0->m1 holonomy singular" in capsys.readouterr().err
 
     def test_csv_determinism(self, circle, tmp_path):
         out1 = tmp_path / "a.csv"

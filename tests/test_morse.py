@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from bitorsion.complexes import cohomology
-from bitorsion.errors import ChainComplexError, DimensionError, HolonomyError
+from bitorsion.errors import (
+    ChainComplexError,
+    DegenerateFormError,
+    DimensionError,
+    HolonomyError,
+)
 from bitorsion.morse import (
     CriticalForms,
     CriticalPoint,
@@ -67,6 +72,47 @@ class TestBuild:
         with pytest.raises(ChainComplexError) as info:
             build_thom_smale(ms, CriticalForms.standard(ms))
         assert info.value.offending_pair is not None
+
+
+class TestStackedChecks:
+    """Forms and holonomies are checked as stacks; the first failure is named."""
+
+    def test_third_of_five_forms_asymmetric(self):
+        labels = [f"m{j}" for j in range(5)]
+        forms = {lab: np.eye(2) for lab in labels}
+        forms["m2"] = np.array([[1.0, 2.0], [0.0, 1.0]])
+        forms["m3"] = np.zeros((2, 2))
+        with pytest.raises(DegenerateFormError, match="^critical form at m2 not symmetric$"):
+            CriticalForms(forms)
+        forms["m2"], forms["m3"] = np.zeros((2, 2)), np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(DegenerateFormError, match="^critical form at m2 degenerate$"):
+            CriticalForms(forms)
+
+    def test_fourth_of_five_forms_degenerate(self):
+        forms = {f"m{j}": np.eye(3) for j in range(5)}
+        forms["m3"] = np.diag([1.0, 1.0, 1e-13])
+        forms["m4"] = np.zeros((3, 3))
+        with pytest.raises(DegenerateFormError, match="^critical form at m3 degenerate$"):
+            CriticalForms(forms)
+
+    def test_forms_of_different_shapes_refused(self):
+        with pytest.raises(DimensionError, match="differ in shape"):
+            CriticalForms({"m": np.eye(1), "M": np.eye(2)})
+
+    def test_form_shape_must_match_rank(self):
+        ms = make_circle_morse(1, 2.0)
+        forms = CriticalForms({p.label: np.eye(2) for p in ms.points})
+        with pytest.raises(DimensionError, match="^critical form at m0 has shape"):
+            build_thom_smale(ms, forms)
+
+    def test_second_holonomy_singular(self):
+        points = (CriticalPoint("m0", 0), CriticalPoint("m1", 0), CriticalPoint("M0", 1))
+        hols = [np.eye(2), np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((2, 2))]
+        instantons = tuple(Instanton("M0", tgt, sign, h) for tgt, sign, h in
+                           zip(("m0", "m1", "m0"), (1, -1, 1), hols))
+        with pytest.raises(HolonomyError, match="^instanton M0->m1 holonomy singular$"):
+            MorseSystem(points, instantons, rank=2)
+        MorseSystem(points, instantons[:1], rank=2)
 
 
 class TestMilnorTorsion:

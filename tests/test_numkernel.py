@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from bitorsion.complexes import BilinearStructure
 from bitorsion.errors import DegenerateFormError, DimensionError
@@ -46,6 +49,31 @@ class TestLuDet:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
             lu_det(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_bit_equal_to_lu_factor_formula(self, n):
+        """The same getrf factorization and product as the ``lu_factor`` formula
+        below, so the same bits: random, row-permuted and exactly singular."""
+
+        def lu_factor_det(a):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", sla.LinAlgWarning)
+                lu, piv = sla.lu_factor(a, check_finite=False)
+            sign = 1.0
+            for i in range(len(piv)):
+                if piv[i] != i:
+                    sign = -sign
+            return complex(sign * np.prod(np.diag(lu)))
+
+        rng = np.random.default_rng(1000 + n)
+        a = _random_matrix(rng, n)
+        singular = a.copy()
+        singular[-1] = 0.0
+        ints = rng.integers(-3, 4, (n, n)).astype(complex)
+        ints[:, 0] = ints[:, -1] if n > 1 else 0.0  # two equal columns: exactly singular
+        for m in (a, a[rng.permutation(n)], a[::-1], singular, ints):
+            assert repr(lu_det(m)) == repr(lu_factor_det(np.ascontiguousarray(m)))
+        assert lu_det(singular) == 0.0
 
 
 def _schur_eigenvalues(a):
@@ -139,6 +167,23 @@ class TestCheckSymmetricForm:
     def test_asymmetric_rejected(self):
         with pytest.raises(DegenerateFormError, match="^g not symmetric$"):
             check_symmetric_form(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex), "g")
+
+    def test_stack_names_first_failing_matrix(self):
+        """A stack (k, n, n) is checked at once, but the message names the
+        first matrix that fails, its symmetry tested before its determinant."""
+        names = [f"g{j}" for j in range(5)]
+        asym = np.array([[1.0, 2.0], [0.0, 1.0]])
+        forms = np.stack([np.eye(2, dtype=complex)] * 5)
+        third_asym = forms.copy()
+        third_asym[2], third_asym[3], third_asym[4] = asym, 0.0, asym
+        with pytest.raises(DegenerateFormError, match="^g2 not symmetric$"):
+            check_symmetric_form(third_asym, names)
+        third_degenerate = forms.copy()
+        third_degenerate[2], third_degenerate[3] = 0.0, asym
+        with pytest.raises(DegenerateFormError, match="^g2 degenerate$"):
+            check_symmetric_form(third_degenerate, names)
+        check_symmetric_form(forms, names)
+        check_symmetric_form(np.zeros((0, 2, 2), dtype=complex), [])
 
     def test_shared_by_both_form_containers(self):
         asym = np.array([[1.0, 2.0], [0.0, 1.0]])
