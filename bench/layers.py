@@ -9,8 +9,13 @@ assembly (``build_discrete``), the small band of each degree, ``spectral_cut``
 (``ChannelOperators.eigenvalues``) and ``ChannelOperators.log_det``. Outside
 the size sweep, ``rs_torsion_discrete_s`` times one discrete ``rs_torsion``
 call on acceptance criterion 8's model (phi = 0.3 sin, cut 0.5), whose grid is
-fixed. ``--src`` is the ``src`` directory of the tree to time (default: this
-checkout). ``spectral_cut`` runs with the 10% threshold margin, passed as
+fixed. The ``band`` rows time the band torsion of the same model at every size
+and at T = 10, 40 and 200: ``ChannelOperators.log_band_torsion`` (null in a
+tree without it) against ``spectral_cut`` followed by the Gram determinant
+``_band_torsion_discrete`` on its eigenvectors (``spectral_cut`` alone in a
+tree without it). A path that refuses a case gets its error's name. ``--src``
+is the ``src`` directory of the tree to time (default: this checkout).
+``spectral_cut`` runs with the 10% threshold margin, passed as
 ``clearance_frac`` to a tree whose ``spectral_cut`` still takes it. In a tree
 without ``ChannelOperators.small_band`` the per-degree band is the sorted Schur
 decomposition that ``spectral_cut`` ran there; in a tree without
@@ -27,6 +32,7 @@ import time
 
 T_PARAM = 10.0
 THRESHOLD = 1.0
+BAND_T = (10.0, 40.0, 200.0)
 
 
 def best_of(repeats, fn):
@@ -47,7 +53,9 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from bitorsion import build_discrete, make_circle_model, rs_torsion, witten_deform
+    from bitorsion import spectral
     from bitorsion.circle import ChannelOperators
+    from bitorsion.errors import BitorsionError
     from bitorsion.spectral import small_spectrum_dims, spectral_cut
 
     model = make_circle_model(2.0, f=("cos", 1))
@@ -79,10 +87,33 @@ def main():
             "log_det_s": (best_of(args.repeats, ch.log_det)
                           if hasattr(ChannelOperators, "log_det") else None),
         })
+    gram = getattr(spectral, "_band_torsion_discrete", None)
+
+    def arpack_band(ch):
+        cut = spectral_cut(ch, THRESHOLD, **margin)
+        return gram(ch, cut) if gram else cut
+
+    def timed(fn):
+        try:
+            return best_of(args.repeats, fn)
+        except BitorsionError as exc:
+            return type(exc).__name__
+
+    band_rows = []
+    for t_param in BAND_T:
+        for n in args.sizes:
+            ch = build_discrete(witten_deform(model, t_param), n).channels[0]
+            band_rows.append({
+                "N": n, "T": t_param,
+                "log_band_torsion_s": (timed(lambda: ch.log_band_torsion(1))
+                                       if hasattr(ChannelOperators, "log_band_torsion") else None),
+                "spectral_cut_band_torsion_s": timed(lambda: arpack_band(ch)),
+            })
     wavy = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
     rs_discrete_s = best_of(args.repeats, lambda: rs_torsion(wavy, cut=0.5, method="discrete"))
     json.dump({"model": {"holonomy": 2.0, "wells": 1, "T": T_PARAM, "threshold": THRESHOLD},
-               "repeats": args.repeats, "rs_torsion_discrete_s": rs_discrete_s, "rows": rows},
+               "repeats": args.repeats, "rs_torsion_discrete_s": rs_discrete_s, "rows": rows,
+               "band": band_rows},
               sys.stdout, indent=2)
     print()
 

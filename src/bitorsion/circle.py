@@ -63,6 +63,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 GY_POINTS = 1024  # trapezoid samples for the monodromy growth factor
+DENSE_MAX_N = 4096  # largest grid whose complex channel takes a dense eigensolve
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,12 @@ class CircleModel:
         return [complex(l) for l in ev]
 
     def channels(self):
-        """Rank-one models, one per holonomy eigenvalue."""
-        return [replace(self, holonomy=lam) for lam in self.channel_holonomies()]
+        """Rank-one models, one per holonomy eigenvalue; a scalar-holonomy model
+        is its own channel. The channels share this model's critical-point
+        scan if it has been made."""
+        if np.ndim(self.holonomy) == 0:
+            return [self]
+        return [_with_scan(replace(self, holonomy=lam), self) for lam in self.channel_holonomies()]
 
     def phi_value(self, x):
         vals = self.phi.value(x, self.length)
@@ -204,9 +209,14 @@ class CircleModel:
 
     def critical_points(self):
         """(position, morse_index) of the potential's critical points."""
+        return self._critical_scan
+
+    @cached_property
+    def _critical_scan(self):
+        """The critical points, scanned on first use, once per model."""
         if self.potential is None:
             raise DimensionError("model has no Morse potential")
-        return _critical_points(self.potential, self.length)
+        return tuple(_critical_points(self.potential, self.length))
 
     @cached_property
     def _window_layout(self):
@@ -216,6 +226,13 @@ class CircleModel:
         centres = [c for c, _ in self.critical_points()]
         gaps = np.diff(centres + [centres[0] + self.length])
         return centres, 0.15 * float(np.min(gaps))
+
+
+def _with_scan(child, parent):
+    """``child`` with ``parent``'s critical-point scan, if made: they share potential and length."""
+    if "_critical_scan" in parent.__dict__:
+        child.__dict__["_critical_scan"] = parent._critical_scan
+    return child
 
 
 def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_windows=False):
@@ -412,7 +429,7 @@ def witten_deform(model: CircleModel, t_param):
         # the windows depend only on the potential and the length, which T
         # leaves alone: every deformation of one model shares its one scan
         deformed.__dict__["_window_layout"] = model._window_layout
-    return deformed
+    return _with_scan(deformed, model)
 
 
 # ----------------------------------------------------------------------------
@@ -427,10 +444,10 @@ class ChannelOperators:
     The symmetrized difference K = G1^{1/2} d G0^{-1/2} is cyclic bidiagonal
     and is stored as its two diagonals; the Laplacians K^T K (degree 0) and
     K K^T (degree 1) are cyclic tridiagonal. ``log_det`` gives log det K in
-    closed form in O(N), and det L0 = det L1 = (det K)^2; ``small_band``
-    finds the eigenpairs near the origin in O(N); ``eigenvalues`` returns the
-    full spectrum, in O(N) memory for a real channel and from the dense
-    N x N Laplacian for a complex one.
+    closed form in O(N), and det L0 = det L1 = (det K)^2; ``log_band_torsion``
+    the small band's torsion from the minors of K; ``small_band`` the small
+    eigenvalues in O(N); ``eigenvalues`` the full spectrum, in O(N) memory
+    for a real channel and from the dense N x N Laplacian for a complex one.
     """
 
     lam: complex
@@ -461,9 +478,29 @@ class ChannelOperators:
         """
         return complex(np.sum(np.log(self.k_diag)) + np.log(1.0 - self.lam))
 
-    def apply_k(self, v):
-        """K @ v for an N x k array of node columns, in O(N k)."""
-        return self.k_diag[:, None] * v + self.k_upper[:, None] * np.roll(v, -1, axis=0)
+    def log_band_torsion(self, k):
+        """log(e_{N-m}(K^T K) / det(K)^2), m = 0, ..., k + 1, and their relative
+        noise floor, in O(N k^2) time and O(N) memory, with no eigensolve.
+
+        With mu the eigenvalues of K^T K this is log e_m(1 / mu): entry k is the
+        band torsion 1 / (mu_1 ... mu_k) up to a relative O(mu_k / mu_{k+1}).
+        By Cauchy-Binet (transposed, so valid for bilinear K), e_{N-m} sums
+        det(K_{R,S})^2 over m removed rows and columns. On the 2N-cycle of K's
+        rows and columns a minor with m >= 1 has at most one matching, so
+        e_{N-m} is the x^m coefficient of tr prod_i [[a_i^2 + x, b_i^2],
+        [x, b_i^2]] (a = k_diag, b = k_upper). Its x^0 one is not det(K)^2 =
+        (1 - lam)^2 prod a^2 (``log_det``), which divides the rest. The floor
+        is eps * sum|term| / |sum term| at its largest, eps on a real channel.
+        """
+        a, b = self.k_diag, self.k_upper
+        log_x, log_r, log_det2 = -2.0 * np.log(a), 2.0 * np.log(b / a), 2.0 * np.log(1.0 - self.lam)
+        real = not (np.any(a.imag) or np.any(b.imag))
+        if real:
+            log_x, log_r, log_det2 = log_x.real, log_r.real, log_det2.real
+        sums = _log_transfer_trace(log_x, log_r, k + 2)[1:]
+        moduli = sums if real else _log_transfer_trace(log_x.real, log_r.real, k + 2)[1:]
+        floor = np.finfo(float).eps * float(np.max(np.exp(moduli - sums.real)))
+        return np.concatenate([[0.0], sums - log_det2]), floor
 
     def conjugated(self, left, right):
         """These operators with K replaced by diag(left) K diag(right)."""
@@ -487,10 +524,14 @@ class ChannelOperators:
         holonomy) has a real symmetric Laplacian: its band form goes to LAPACK's
         symmetric band solver, in O(N) memory and O(N^2) time, which returns
         the values ascending. A complex channel's Laplacian is complex
-        symmetric, not Hermitian, and takes a dense O(N^3) eigensolve.
+        symmetric, not Hermitian, and takes a dense O(N^3) eigensolve, refused
+        above DENSE_MAX_N.
         """
         if not (np.any(self.k_diag.imag) or np.any(self.k_upper.imag)):
             return eigvals_banded(self._real_laplacian_band(degree), lower=True).astype(complex)
+        if self.n_grid > DENSE_MAX_N:
+            raise GridError(f"a complex channel's full spectrum is a dense eigensolve; "
+                            f"N = {self.n_grid} exceeds {DENSE_MAX_N}")
         ev = np.linalg.eigvals(self.sym_laplacian(degree))
         order = np.lexsort((ev.imag, ev.real))
         return ev[order]
@@ -522,12 +563,11 @@ class ChannelOperators:
         return band
 
     def small_band(self, degree, bound):
-        """The eigenpairs of the degree's Laplacian of smallest modulus, in O(N).
+        """The eigenvalues of the degree's Laplacian of smallest modulus, in O(N).
 
-        Returns (values, vectors): every eigenpair with |mu| <= bound and at
-        least one beyond it, such that no eigenvalue left out has a smaller
-        modulus than one returned. The vectors are ARPACK's, neither
-        normalized together nor orthogonal.
+        Returns every eigenvalue with |mu| <= bound and at least one beyond
+        it, such that no eigenvalue left out has a smaller modulus than one
+        returned.
 
         Shift-invert Arnoldi (ARPACK) runs on a sparse LU of L - sigma I with
         sigma = -bound/2, not 0: deep in the Witten deformation the band
@@ -561,12 +601,13 @@ class ChannelOperators:
         n_pairs = min(6, n - 2)  # a band of up to three wells and the next pair: one run
         while True:
             try:
-                vals, vecs = eigs(lap, k=n_pairs, sigma=sigma, OPinv=op_inv, v0=v0)
+                vals = eigs(lap, k=n_pairs, sigma=sigma, OPinv=op_inv, v0=v0,
+                            return_eigenvectors=False)
             except ArpackError as exc:
                 raise ConvergenceError(f"shift-invert Arnoldi failed: {exc}") from exc
             known = np.abs(vals) < np.max(np.abs(vals - sigma)) - abs(sigma)
             if np.any(known & (np.abs(vals) > bound)):
-                return vals[known], vecs[:, known]
+                return vals[known]
             if n_pairs == n - 2:
                 raise GridError(
                     f"|mu| <= {bound:.3e} holds nearly all {n} eigenvalues; refine the grid"
@@ -628,17 +669,47 @@ def build_discrete(model: CircleModel, n_grid):
 
 @dataclass(frozen=True)
 class SpectralCut:
-    """Small-band data at |mu| <= radius: per degree, the band eigenvalues and
-    an orthonormal basis of their invariant subspace (symmetrized coordinates);
+    """Small-band data at |mu| <= a cut radius: per degree, the band eigenvalues;
     over both degrees, the smallest modulus beyond the cut."""
 
-    radius: float
     eigenvalues0: np.ndarray
     eigenvalues1: np.ndarray
-    basis0: np.ndarray
-    basis1: np.ndarray
     large_band_min: float
 
     @property
     def dims(self):
-        return (self.basis0.shape[1], self.basis1.shape[1])
+        return (self.eigenvalues0.size, self.eigenvalues1.size)
+
+
+def _log_transfer_trace(log_x, log_r, size):
+    """Logs of the coefficients of x^0, ..., x^(size-1) in
+    tr prod_i [[1 + x e^{log_x_i}, e^{log_r_i}], [x e^{log_x_i}, e^{log_r_i}]].
+
+    Factors hold the logs of their entries' coefficients, plus a -inf one
+    that pads the 2 (m + 1) terms of power m, left (l, p) times right
+    (l, m - p); identities pad their number to a power of two, and
+    neighbours multiply pairwise, in O(log N) numpy calls.
+    """
+    n = log_x.size
+    t = np.full((1 << (n - 1).bit_length(), 2, 2, size + 1), -np.inf, dtype=log_x.dtype)
+    t[:, 0, 0, 0] = 0.0
+    t[n:, 1, 1, 0] = 0.0
+    t[:n, 0, 0, 1] = t[:n, 1, 0, 1] = log_x
+    t[:n, 0, 1, 0] = t[:n, 1, 1, 0] = log_r
+    m, term = np.indices((size, 2 * size))
+    l, p = np.divmod(term, m + 1)
+    left = np.where(l < 2, l * (size + 1) + p, size)
+    right = np.where(l < 2, l * (size + 1) + m - p, 0)
+    while len(t) > 1:
+        a = t[0::2].reshape(-1, 2, 2 * size + 2)
+        b = t[1::2].swapaxes(1, 2).reshape(-1, 2, 2 * size + 2)
+        t = np.full((len(a), 2, 2, size + 1), -np.inf, dtype=t.dtype)
+        t[..., :size] = _log_sum_exp(a[:, :, None, left] + b[:, None, :, right])
+    return _log_sum_exp(np.stack([t[0, 0, 0, :size], t[0, 1, 1, :size]], axis=-1))
+
+
+def _log_sum_exp(z):
+    """log sum exp(z) over the last axis, real or complex; all -inf gives -inf."""
+    top = np.maximum(z.real.max(axis=-1, keepdims=True), -1e300)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(z - top).sum(axis=-1)) + top[..., 0]

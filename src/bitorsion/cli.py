@@ -21,6 +21,7 @@ import numpy as np
 
 from .circle import exact_spectrum_circle, zeta_det_exact
 from .complexes import cohomology, torsion_form
+from .config import DEFAULT_TOL
 from .errors import BitorsionError, SchemaError
 from .morse import milnor_torsion
 from .serialize import (
@@ -135,9 +136,12 @@ def _cmd_spectral(args):
         rows.append(["witten_band_trace", f"T={t_param};N={n_grid}", rep.band_trace, 1.0, True])
     elif args.op == "thm33":
         t_values = [float(t) for t in (args.T_list.split(",") if args.T_list else ["4", "10"])]
+        gate = DEFAULT_TOL.band_torsion_rel
         for row in theorem33_experiment(model, t_values, n_grid):
-            print(f"T={row.t_param:g}: scaled ratio {row.ratio:.8f} |log| {row.abs_log_ratio:.5f}")
-            rows.append(["thm33", f"T={row.t_param};N={n_grid}", row.ratio, 1.0, True])
+            print(f"T={row.t_param:g}: scaled ratio {row.ratio:.8f} |log| {row.abs_log_ratio:.5f} "
+                  f"gap ratio {row.gap_ratio:.1e}")
+            ok = bool(np.isfinite(row.ratio)) and row.gap_ratio <= gate
+            rows.append(["thm33", f"T={row.t_param};N={n_grid}", row.ratio, gate, ok])
     elif args.op == "bz":
         value = bz_compare(model, method=args.method, cut=args.cut)
         ok = abs(value - 1.0) <= 1e-8

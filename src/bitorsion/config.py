@@ -24,6 +24,7 @@ class Tolerances:
     # circle spectral
     density_floor: float = 1e-10      # e^{2 phi} must stay above this
     threshold_margin: float = 0.10    # band counts need 10% clearance
+    band_torsion_rel: float = 1e-4    # closed-form band torsion: Newton gap ratio, noise floor
 
 
 DEFAULT_TOL = Tolerances()

@@ -10,6 +10,12 @@ degree-1 band Gram equal the degree-0 one column-scaled by the eigenvalues).
 Cut-independence is then an exact cancellation, which the tests exercise at
 several cuts.
 
+Deep in the Witten deformation that product is far below eps ||L||, where no
+eigensolver sees it. ``theorem33_experiment`` takes it in closed form from the
+sums e_{N-m} of squared minors of K (``ChannelOperators.log_band_torsion``),
+and the Newton ratio e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1},
+of the same sums certifies the gap above the band of k.
+
 The combinatorial side is derived from the same model: ``morse_from_potential``
 reads off critical points of the potential, assigns the seam-gauge instanton
 transports, and evaluates the model's bilinear density at the critical points.
@@ -42,11 +48,9 @@ from .errors import (
     ZeroModeError,
 )
 from .morse import CircleGeometry, CriticalForms, CriticalPoint, Instanton, MorseSystem, milnor_torsion
-from .numkernel import lu_det
 
 __all__ = [
     "spectral_cut",
-    "band_complex",
     "rs_torsion",
     "small_spectrum_dims",
     "SmallSpectrumReport",
@@ -68,12 +72,11 @@ DISCRETE_N = 32  # grid of the discrete rs method
 
 
 def spectral_cut(channel: ChannelOperators, radius):
-    """Invariant small-band subspaces of both Laplacians, symmetrized coordinates.
+    """The small bands of both Laplacians: the eigenvalues with |mu| <= radius.
 
-    Per degree, ``ChannelOperators.small_band`` finds every eigenpair within
-    the cut and its margin in O(N), and at least one beyond it; the band
-    eigenvectors are orthonormalized into the basis, and the smallest modulus
-    beyond the cut is kept. An eigenvalue within the threshold margin
+    Per degree, ``ChannelOperators.small_band`` finds every eigenvalue within
+    the cut and its margin in O(N), and at least one beyond it; the smallest
+    modulus beyond the cut is kept. An eigenvalue within the threshold margin
     (``threshold_margin`` times ``radius``) of the cut circle means the gap
     between the small and the large band is not resolved on this grid:
     ResolutionError.
@@ -82,7 +85,7 @@ def spectral_cut(channel: ChannelOperators, radius):
     pieces = []
     large_min = np.inf
     for degree in (0, 1):
-        vals, vecs = channel.small_band(degree, radius + clearance)
+        vals = channel.small_band(degree, radius + clearance)
         mags = np.abs(vals)
         near = np.abs(mags - radius) < clearance
         if np.any(near):
@@ -91,44 +94,8 @@ def spectral_cut(channel: ChannelOperators, radius):
             )
         inside = mags <= radius
         large_min = min(large_min, float(np.min(mags[~inside])))
-        pieces.append((vals[inside], np.linalg.qr(vecs[:, inside])[0]))
-    (ev0, v0), (ev1, v1) = pieces
-    return SpectralCut(radius=radius, eigenvalues0=ev0, eigenvalues1=ev1, basis0=v0, basis1=v1,
-                       large_band_min=large_min)
-
-
-def band_complex(channel: ChannelOperators, cut: SpectralCut):
-    """Bilinear Grams and differential of the band complex, in band coordinates.
-
-    The symmetrized similarity K = G1^{1/2} d G0^{-1/2} turns the bilinear
-    Grams into plain transposes: for V holding a basis in symmetrized
-    coordinates, the original-space Gram is V^T V and the band differential
-    is (V1^T V1)^{-1} V1^T K V0.
-    """
-    v0, v1 = cut.basis0, cut.basis1
-    g0 = v0.T @ v0
-    g1 = v1.T @ v1
-    dhat = np.linalg.solve(g1, v1.T @ channel.apply_k(v0)) if v1.shape[1] else np.zeros((0, v0.shape[1]), complex)
-    return g0, g1, dhat
-
-
-def _band_torsion_discrete(channel: ChannelOperators, cut: SpectralCut):
-    """Torsion of the (acyclic) band complex 0 -> V0 -> V1 -> 0."""
-    k0, k1 = cut.dims
-    if k0 == 0 and k1 == 0:
-        return 1.0 + 0.0j
-    if k0 != k1:
-        raise AmbiguousCutError(
-            f"band dims ({k0},{k1}) differ; non-acyclic band needs cohomology data"
-        )
-    g0, g1, dhat = band_complex(channel, cut)
-    num = lu_det(g0)
-    den = lu_det(dhat.T @ g1 @ dhat)
-    if abs(den) < 1e-200:
-        raise AmbiguousCutError(
-            "band differential is singular (non-acyclic band); supply cohomology data"
-        )
-    return complex(num / den)
+        pieces.append(vals[inside])
+    return SpectralCut(eigenvalues0=pieces[0], eigenvalues1=pieces[1], large_band_min=large_min)
 
 
 # ----------------------------------------------------------------------------
@@ -361,6 +328,7 @@ def model_critical_forms(model: CircleModel, ms: MorseSystem):
 def milnor_from_model(model: CircleModel):
     """Milnor torsion of the model-derived Thom-Smale pair (channel product)."""
     out = 1.0 + 0.0j
+    model.critical_points()  # one scan, which channels() hands on
     for sub in model.channels():
         ms = morse_from_potential(sub)
         forms = model_critical_forms(sub, ms)
@@ -379,6 +347,7 @@ class Theorem33Row:
     ratio: complex
     abs_log_ratio: float
     band_dims: tuple
+    gap_ratio: float  # the largest Newton ratio over the channels
 
 
 def _counting_data(ms: MorseSystem, potential: TrigPoly, length):
@@ -394,46 +363,52 @@ def _counting_data(ms: MorseSystem, potential: TrigPoly, length):
 def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0):
     """Scaled band-torsion over Milnor-torsion ratios along a T sweep.
 
-    For each T the small band of the deformed Laplacian is extracted, its
-    bilinear torsion divided by the Milnor torsion of the model-derived
-    Thom-Smale pair, and the dimensional scaling factors (T/pi)^{chi/2 - chi'}
-    and exp(2 rk Tr_s[f] T) applied, all computed from the Morse data. The
-    scaled ratio approaches 1 as T grows; rows record |log ratio| so tests
-    can gate on monotone improvement. The Morse data does not depend on T and
-    is built once per channel.
+    Per T and channel, with k its Morse count, the sums e_{N-m}(K^T K) of
+    ``ChannelOperators.log_band_torsion`` give the band torsion at any T.
+    The band dims count the m <= k with |e_{N-m+1} / e_{N-m}|, about mu_m,
+    at most ``threshold``. The Newton ratio r = e_{N-k+1} e_{N-k-1} / e_{N-k}^2,
+    about mu_k / mu_{k+1}, certifies the gap, and e_{N-k} (1 - r) / det(K)^2
+    is 1 / (mu_1 ... mu_k) up to a relative O(r^2). Dims other than the Morse
+    counts, or r or the noise floor above ``band_torsion_rel``, raise
+    ResolutionError. The torsion over the Milnor torsion of the model-derived
+    Thom-Smale pair is scaled by (T/pi)^{chi/2 - chi'} exp(2 rk Tr_s[f] T),
+    all in logs, and tends to 1; rows record |log ratio| and the largest
+    Newton ratio. The Morse data does not depend on T and is built once per
+    channel.
     """
     if model.potential is None:
         raise DimensionError("theorem33_experiment requires a Morse potential")
+    gate = DEFAULT_TOL.band_torsion_rel
     rows = []
     channels = []
+    model.critical_points()  # one scan, which channels() hands on
     for sub in model.channels():
         ms = morse_from_potential(sub)
         milnor = milnor_torsion(ms, model_critical_forms(sub, ms))
         counting = _counting_data(ms, sub.potential, sub.length)
-        channels.append((sub, tuple(ms.morse_counts()), milnor, counting))
+        channels.append((sub, tuple(ms.morse_counts()), np.log(milnor), counting))
     for t_param in t_values:
-        ratio = 1.0 + 0.0j
-        dims_total = [0, 0]
-        for sub, counts, milnor, (chi, chi_prime, trs) in channels:
-            deformed = witten_deform(sub, t_param)
-            ch = build_discrete(deformed, n_grid).channels[0]
-            cut = spectral_cut(ch, threshold)
-            if cut.dims != counts:
+        log_ratio, gap, dims = 0.0, 0.0, 0
+        for sub, counts, log_milnor, (chi, chi_prime, trs) in channels:
+            k = counts[0]
+            ch = build_discrete(witten_deform(sub, t_param), n_grid).channels[0]
+            logs, floor = ch.log_band_torsion(k)
+            band = int(np.sum(np.abs(np.exp(logs[:k] - logs[1:k + 1])) <= threshold))
+            if (band, band) != counts:
                 raise ResolutionError(
-                    f"band dims {cut.dims} do not match Morse counts {counts} at T={t_param}"
-                )
-            dims_total[0] += cut.dims[0]
-            dims_total[1] += cut.dims[1]
-            band = _band_torsion_discrete(ch, cut)
-            scale = (t_param / np.pi) ** (0.5 * chi - chi_prime) * np.exp(2.0 * trs * t_param)
-            ratio *= (band / milnor) * scale
-        log_r = np.log(ratio)
-        rows.append(
-            Theorem33Row(
-                t_param=float(t_param), ratio=complex(ratio),
-                abs_log_ratio=float(abs(log_r)), band_dims=tuple(dims_total),
-            )
-        )
+                    f"band dims {(band, band)} do not match Morse counts {counts} at T={t_param}")
+            newton = np.exp(logs[k - 1] + logs[k + 1] - 2.0 * logs[k])
+            if not max(abs(newton), floor) <= gate:
+                raise ResolutionError(
+                    f"band unresolved at T={t_param}: Newton gap ratio {abs(newton):.1e}, noise "
+                    f"floor {floor:.1e}, gate {gate:.0e}; raise T for the gap, lower it for the "
+                    "floor, or refine the grid")
+            gap, dims = max(gap, float(abs(newton))), dims + band
+            log_ratio += (logs[k] + np.log1p(-newton) - log_milnor + 2.0 * trs * t_param
+                          + (0.5 * chi - chi_prime) * np.log(complex(t_param / np.pi)))
+        ratio = complex(np.exp(log_ratio))
+        rows.append(Theorem33Row(float(t_param), ratio, float(abs(np.log(ratio))),
+                                 (dims, dims), gap))
     return rows
 
 

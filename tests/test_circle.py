@@ -154,6 +154,14 @@ class TestRealSpectrum:
         for degree in (0, 1):
             assert np.array_equal(ch.eigenvalues(degree), _dense_spectrum(ch, degree))
 
+    def test_complex_channel_refused_above_dense_bound(self):
+        """N x N complex storage alone is 256 MiB just past the bound: the
+        spectrum is refused before any of it is allocated."""
+        n_grid = circle_module.DENSE_MAX_N + 1
+        ch = build_discrete(CircleModel(np.exp(1j * np.pi / 3)), n_grid).channels[0]
+        with pytest.raises(GridError):
+            ch.eigenvalues(0)
+
     def test_large_grid_without_dense_storage(self):
         """N = 8192: one dense N x N complex Laplacian needs 1 GiB, and the child
         process caps its whole address space at 1 GiB. The spectrum of the
@@ -180,6 +188,52 @@ class TestRealSpectrum:
         size, rel_err = out.stdout.split()
         assert int(size) == n_grid
         assert float(rel_err) < 1e-10
+
+
+class TestLogBandTorsion:
+    """Sums of squared minors against the characteristic polynomial of the
+    dense K^T K. The diagonals are random up to the one constraint, kept by
+    ``conjugated``, that makes det K = (1 - lam) prod k_diag."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n_grid", [9, 16, 33])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_characteristic_polynomial(self, kind, n_grid, k):
+        rng = np.random.default_rng(n_grid + 10 * k)
+        draw = ((lambda: rng.uniform(0.5, 2.0, n_grid) * rng.choice([-1.0, 1.0], n_grid))
+                if kind == "real" else
+                (lambda: rng.uniform(0.5, 2.0, n_grid) * np.exp(2j * np.pi * rng.random(n_grid))))
+        lam = 2.0 if kind == "real" else 0.5 + 0.8j
+        ch = build_discrete(CircleModel(lam), n_grid).channels[0].conjugated(draw(), draw())
+        rows = np.arange(n_grid)
+        dense = np.zeros((n_grid, n_grid), dtype=complex)
+        dense[rows, rows] = ch.k_diag
+        dense[rows, (rows + 1) % n_grid] = ch.k_upper
+        coeffs = np.poly(np.linalg.eigvals(dense.T @ dense))  # coeffs[m] = (-1)^m e_m
+        want = [(-1) ** m * coeffs[n_grid - m] / coeffs[n_grid] for m in range(k + 2)]
+        logs, floor = ch.log_band_torsion(k)
+        assert logs.shape == (k + 2,) and logs[0] == 0.0
+        assert np.max(np.abs(np.exp(logs) / want - 1.0)) <= 1e-10
+        # positive terms leave eps; random phases cancel a little
+        eps = np.finfo(float).eps
+        assert floor == eps if kind == "real" else eps <= floor < 1e-11
+
+    def test_large_grid_in_linear_memory(self):
+        """N = 65536 at T = 40: log(e_{N-1} / det(K)^2) = 158.15275476 on every
+        grid, the value at N = 512 to 1e-9 (the band eigenvalue is e^-158)."""
+        import tracemalloc
+
+        model = witten_deform(make_circle_model(2.0, f=("cos", 1)), 40.0)
+        want = build_discrete(model, 512).channels[0].log_band_torsion(1)[0][1]
+        ch = build_discrete(model, 65536).channels[0]
+        tracemalloc.start()
+        try:
+            got = ch.log_band_torsion(1)[0][1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048 * 65536
+        assert abs(got - want) < 1e-9 and abs(want - 158.15275476) < 1e-8
 
 
 _LOG_DET_MODELS = {

@@ -206,6 +206,26 @@ class TestCommands:
         assert main(["spectral", circle, "--op", "witten", "--T", "5", "--grid", "128"]) == 0
         assert "(1, 1)" in capsys.readouterr().out
 
+    def test_spectral_thm33_pass_is_computed(self, circle, capsys):
+        """The pass cell is a finite ratio with its Newton gap ratio inside the
+        gate that the tolerance column holds; T = 0 has no gap and is refused."""
+        assert main(["spectral", circle, "--op", "thm33", "--T-list", "4,40"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if line.startswith("thm33,")]
+        assert [(r[4], r[5]) for r in rows] == [("0.0001", "True")] * 2
+        assert main(["spectral", circle, "--op", "thm33", "--T-list", "0"]) == 1
+
+    @pytest.mark.parametrize("ratio, gap, ok", [(1.01, 1e-3, "False"), (np.inf, 0.0, "False"),
+                                                (1.01, 1e-5, "True")])
+    def test_spectral_thm33_pass_cell(self, circle, capsys, monkeypatch, ratio, gap, ok):
+        import bitorsion.cli as cli
+        from bitorsion.spectral import Theorem33Row
+
+        row = Theorem33Row(4.0, complex(ratio), 0.01, (1, 1), gap)
+        monkeypatch.setattr(cli, "theorem33_experiment", lambda *args: [row])
+        assert main(["spectral", circle, "--op", "thm33"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].split(",")[-1] == ok
+
     def test_spectral_zetadet(self, circle, capsys):
         assert main(["spectral", circle, "--op", "zetadet"]) == 0
         assert "0.5" in capsys.readouterr().out

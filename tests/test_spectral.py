@@ -3,6 +3,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,20 +11,18 @@ import bitorsion.circle as circle_module
 from bitorsion.circle import (
     ChannelOperators,
     CircleModel,
-    SpectralCut,
     build_discrete,
     make_circle_model,
     witten_deform,
 )
+from bitorsion.config import DEFAULT_TOL
 from bitorsion.errors import (
-    BitorsionError,
     ResolutionError,
     ThetaNotZeroError,
     ZeroModeError,
 )
 from bitorsion.numkernel import schur_decomposition
 from bitorsion.spectral import (
-    _band_torsion_discrete,
     bz_compare,
     conjugation_isospectral_check,
     milnor_from_model,
@@ -254,33 +253,80 @@ class TestTheorem33:
 
     def test_morse_data_built_once_per_channel(self, monkeypatch):
         """The Morse side does not depend on T: a three-value sweep of a rank-2
-        model scans each channel's critical points once, and its rows are the
-        rows of three single-T runs, bit for bit."""
-        model = make_circle_model(np.diag([2.0, 3.0]), f=("cos", 1))
+        model scans the critical points once, for both channels, and its rows
+        are the rows of three single-T runs, bit for bit."""
+        def model():
+            return make_circle_model(np.diag([2.0, 3.0]), f=("cos", 1))
+
         t_values = [4.0, 6.0, 8.0]
-        singles = [theorem33_experiment(model, [t], 128)[0] for t in t_values]
+        singles = [theorem33_experiment(model(), [t], 128)[0] for t in t_values]
         calls = []
         scan = circle_module._critical_points
         monkeypatch.setattr(circle_module, "_critical_points",
                             lambda *args: calls.append(1) or scan(*args))
-        rows = theorem33_experiment(model, t_values, 128)
-        assert len(calls) == 2
+        rows = theorem33_experiment(model(), t_values, 128)
+        assert len(calls) == 1
         assert rows == singles
 
     def test_flat_windows_found_once_per_sweep(self, monkeypatch):
         """A Witten-deformed flat-window model keeps its parent's windows: a
-        three-value sweep scans once for the Morse data and once for the
-        windows, not once more per T, and its rows are those of single-T runs."""
-        model = make_circle_model(0.5, phi=("sin", 0.3), f=("cos", 1), flat_windows=True)
+        three-value sweep scans once, for the Morse data and the windows
+        together, not once more per T, and its rows are those of single-T runs."""
+        def model():
+            return make_circle_model(0.5, phi=("sin", 0.3), f=("cos", 1), flat_windows=True)
+
         t_values = [4.0, 8.0, 12.0]
-        singles = [theorem33_experiment(model, [t], 128)[0] for t in t_values]
+        singles = [theorem33_experiment(model(), [t], 128)[0] for t in t_values]
         calls = []
         scan = circle_module._critical_points
         monkeypatch.setattr(circle_module, "_critical_points",
                             lambda *args: calls.append(1) or scan(*args))
-        rows = theorem33_experiment(model, t_values, 128)
-        assert len(calls) == 2
+        rows = theorem33_experiment(model(), t_values, 128)
+        assert len(calls) == 1
         assert rows == singles
+
+    @pytest.mark.parametrize("wells, t_values", [(1, (4.0, 30.0, 40.0, 60.0)), (2, (20.0, 40.0))],
+                             ids=["one_well", "two_wells"])
+    def test_matches_high_precision_oracle(self, wells, t_values):
+        """Deep in the deformation the band eigenvalue of K^T K is far below
+        eps ||L|| (about 2e-69 at T = 40). The oracle takes it from a 200-digit
+        eigensolve of the same K and scales it as the experiment does. At
+        T = 4, e_{N-1} / det(K)^2 alone is 6.8e-8 above 1 / mu_1: the Newton
+        correction must close that."""
+        model = make_circle_model(2.0, f=("cos", wells))
+        rows = theorem33_experiment(model, list(t_values), 64)
+        milnor = milnor_from_model(model)
+        with mpmath.workdps(200):
+            for row in rows:
+                ch = build_discrete(witten_deform(model, row.t_param), 64).channels[0]
+                k = mpmath.zeros(64, 64)
+                for i in range(64):
+                    k[i, i] = mpmath.mpf(ch.k_diag[i].real)
+                    k[i, (i + 1) % 64] = mpmath.mpf(ch.k_upper[i].real)
+                band = sorted(mpmath.eigsy(k.T * k, eigvals_only=True))[:wells]
+                # chi = 0, chi' = -wells, Tr_s[f] = -2 wells for cos(wells theta)
+                scale = (mpmath.mpf(row.t_param) / mpmath.pi) ** wells * mpmath.exp(
+                    -4 * wells * mpmath.mpf(row.t_param))
+                want = complex(scale / mpmath.fprod(band)) / milnor
+                assert row.band_dims == (wells, wells)
+                assert abs(row.ratio - want) <= 1e-8 * abs(want)
+
+    def test_no_eigensolve(self, monkeypatch):
+        """The band torsion comes from the minors of K: no small band is asked for."""
+        def refuse(*args):
+            raise AssertionError("small_band called")
+
+        monkeypatch.setattr(ChannelOperators, "small_band", refuse)
+        for holonomy in (2.0, np.exp(1j * np.pi / 5), np.diag([2.0, 3.0])):
+            rows = theorem33_experiment(make_circle_model(holonomy, f=("cos", 1)), [4.0, 40.0], 64)
+            assert rows[1].abs_log_ratio < rows[0].abs_log_ratio
+
+    def test_finite_and_decreasing_at_large_t(self):
+        model = make_circle_model(2.0, f=("cos", 1))
+        rows = theorem33_experiment(model, [40.0, 60.0, 100.0, 200.0], 64)
+        logs = [r.abs_log_ratio for r in rows]
+        assert all(np.isfinite(logs)) and all(b < a for a, b in zip(logs, logs[1:]))
+        assert all(r.gap_ratio <= DEFAULT_TOL.band_torsion_rel for r in rows)
 
 
 class TestCutErrors:
@@ -335,18 +381,16 @@ class TestTwoBandStructure:
             assert np.min(np.abs(dense[~inside])) > 10.0
 
     def test_invariant_subspace_on_witten_laplacian(self):
-        """Unit-disk invariant subspace of the deformed Laplacian has Morse-count dimension."""
-        from bitorsion.circle import witten_deform
-
+        """The unit-disk band of the deformed Laplacian has Morse-count dimension,
+        in the sorted Schur form and in the cut alike, and the closed-form band
+        torsion is that of the Schur invariant subspace."""
         model = make_circle_model(2.0, f=("cos", 2))
         ch = build_discrete(witten_deform(model, 10.0), 256).channels[0]
-        cut = spectral_cut(ch, 1.0)
-        basis = cut.basis0
-        assert basis.shape[1] == 2  # M_0 for two wells
-        lap = ch.sym_laplacian(0)
-        image = lap @ basis
-        residual = image - basis @ (basis.conj().T @ image)
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(lap)
+        assert spectral_cut(ch, 1.0).dims == (2, 2)  # M_0 = M_1 for two wells
+        dec, sdim = schur_decomposition(ch.sym_laplacian(0), sort=lambda z: abs(z) <= 1.0)
+        assert sdim == 2
+        want = _schur_band_torsion(ch, dec.q[:, :sdim])
+        assert abs(ch.log_band_torsion(2)[0][2] - np.log(want)) <= 1e-8
 
 
 _ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
@@ -358,8 +402,21 @@ HOLONOMIES = {
 }
 
 
+def _schur_band_torsion(ch, basis):
+    """1 / prod(band eigenvalues) from a basis V of the band's invariant subspace
+    of K^T K, as det(V^T V) / det((K V)^T (K V)). Deep in the deformation the
+    band eigenvalue on the Schur diagonal is rounding (about eps ||L||), while
+    K V keeps it to high relative accuracy."""
+    n = ch.n_grid
+    k = np.diag(ch.k_diag)
+    k[np.arange(n), (np.arange(n) + 1) % n] = ch.k_upper
+    image = k @ basis
+    return np.linalg.det(basis.T @ basis) / np.linalg.det(image.T @ image)
+
+
 class TestSmallBand:
-    """The O(N) small band against the dense sorted-Schur oracle."""
+    """The O(N) small band and the closed-form band torsion against the dense
+    sorted-Schur oracle."""
 
     @pytest.mark.parametrize("t_param", [0.0, 4.0, 10.0])
     @pytest.mark.parametrize("wells", [1, 2])
@@ -370,43 +427,44 @@ class TestSmallBand:
         model = make_circle_model(HOLONOMIES[kind], f=("cos", wells))
         for ch in build_discrete(witten_deform(model, t_param), 128).channels:
             cut = spectral_cut(ch, radius)
-            bases = []
             for degree, band in ((0, cut.eigenvalues0), (1, cut.eigenvalues1)):
                 lap = ch.sym_laplacian(degree)
                 dec, sdim = schur_decomposition(lap, sort=lambda z: abs(z) <= radius)
-                bases.append(dec.q[:, :sdim])
                 assert band.size == sdim == (3 if t_param == 0.0 else wells)
                 gap = np.max(np.abs(np.sort_complex(band) - np.sort_complex(dec.eigenvalues[:sdim])))
                 assert gap <= 1e-10 * np.linalg.norm(lap, 2)
-            oracle = SpectralCut(radius, None, None, bases[0], bases[1], None)
-            want = _band_torsion_discrete(ch, oracle)
-            assert abs(_band_torsion_discrete(ch, cut) - want) <= 1e-10 * abs(want)
+                if degree == 0 and t_param > 0.0:
+                    # e_k(1 / mu) against 1 / prod(band): the relative gap is the Newton ratio
+                    logs, floor = ch.log_band_torsion(wells)
+                    want = _schur_band_torsion(ch, dec.q[:, :sdim])
+                    assert abs(np.exp(logs[wells]) / want - 1.0) <= 1e-5
+                    assert floor <= 1e-15
 
     def test_deep_deformation_never_untyped(self):
-        """At T = 40 the band eigenvalue is zero to rounding; a shift at 0 would
-        make the sparse LU raise an untyped 'exactly singular' error."""
+        """At T = 40 the band eigenvalue is zero to rounding, yet the result is
+        there: the 200-digit oracle gives |log ratio| 0.0037571."""
         model = make_circle_model(2.0, f=("cos", 1))
-        try:
-            rows = theorem33_experiment(model, [40.0], 64)
-        except BitorsionError:
-            return
-        assert rows[0].band_dims == (1, 1) and np.isfinite(rows[0].abs_log_ratio)
+        rows = theorem33_experiment(model, [40.0], 64)
+        assert rows[0].band_dims == (1, 1)
+        assert rows[0].abs_log_ratio == pytest.approx(0.0037571, abs=1e-7)
 
     def test_large_grid_without_dense_storage(self):
         """N = 65536: a dense N x N complex copy would need 64 GiB. The child
-        process caps its address space at 4 GiB, so any such copy fails."""
+        process caps its address space at 4 GiB, so any such copy fails. The
+        small band and the theorem-3.3 row both come out."""
         code = (
             "import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))\n"
             "from bitorsion import make_circle_model, witten_deform, build_discrete\n"
-            "from bitorsion.spectral import spectral_cut\n"
-            "model = witten_deform(make_circle_model(2.0, f=('cos', 1)), 20.0)\n"
-            "ch = build_discrete(model, 65536).channels[0]\n"
-            "print(spectral_cut(ch, 1.0).dims)\n"
+            "from bitorsion.spectral import spectral_cut, theorem33_experiment\n"
+            "model = make_circle_model(2.0, f=('cos', 1))\n"
+            "ch = build_discrete(witten_deform(model, 20.0), 65536).channels[0]\n"
+            "row = theorem33_experiment(model, [20.0], 65536)[0]\n"
+            "print(spectral_cut(ch, 1.0).dims, row.band_dims, row.abs_log_ratio < 0.01)\n"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "(1, 1)"
+        assert out.stdout.strip() == "(1, 1) (1, 1) True"
