@@ -5,8 +5,13 @@
 The model is the one-well cos potential at holonomy 2, deformed to T = 10,
 with threshold 1. Each layer's time is the best of ``--repeats`` calls:
 assembly (``build_discrete``), the small band of each degree, ``spectral_cut``
-(both degrees), ``small_spectrum_dims``, the full spectrum of each degree
-(``ChannelOperators.eigenvalues``) and ``ChannelOperators.log_det``. Outside
+(one band for both degrees; a tree that solves each degree runs two),
+``small_spectrum_dims``, the full spectrum of each degree
+(``ChannelOperators.eigenvalues``) and ``ChannelOperators.log_det``. The
+``complex`` rows time ``small_spectrum_dims`` and
+``conjugation_isospectral_check`` at holonomy 0.5 + 0.8i, the benchmark's
+complex regime, at N = 64, 128 and 256, where the full spectrum is a dense
+complex eigensolve. Outside
 the size sweep, ``rs_torsion_discrete_s`` times one discrete ``rs_torsion``
 call on acceptance criterion 8's model (phi = 0.3 sin, cut 0.5), whose grid is
 fixed. The ``band`` rows time the band torsion of the same model at every size
@@ -33,6 +38,8 @@ import time
 T_PARAM = 10.0
 THRESHOLD = 1.0
 BAND_T = (10.0, 40.0, 200.0)
+COMPLEX_HOLONOMY = 0.5 + 0.8j
+COMPLEX_SIZES = (64, 128, 256)
 
 
 def best_of(repeats, fn):
@@ -56,7 +63,7 @@ def main():
     from bitorsion import spectral
     from bitorsion.circle import ChannelOperators
     from bitorsion.errors import BitorsionError
-    from bitorsion.spectral import small_spectrum_dims, spectral_cut
+    from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims, spectral_cut
 
     model = make_circle_model(2.0, f=("cos", 1))
     deformed = witten_deform(model, T_PARAM)
@@ -109,11 +116,21 @@ def main():
                                        if hasattr(ChannelOperators, "log_band_torsion") else None),
                 "spectral_cut_band_torsion_s": timed(lambda: arpack_band(ch)),
             })
+    complex_model = make_circle_model(COMPLEX_HOLONOMY, f=("cos", 1))
+    complex_rows = [{
+        "N": n,
+        "small_spectrum_dims_s": best_of(args.repeats, lambda: small_spectrum_dims(
+            complex_model, T_PARAM, n, threshold=THRESHOLD)),
+        "conjugation_isospectral_check_s": best_of(args.repeats, lambda: (
+            conjugation_isospectral_check(complex_model, T_PARAM, n))),
+    } for n in COMPLEX_SIZES]
     wavy = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
     rs_discrete_s = best_of(args.repeats, lambda: rs_torsion(wavy, cut=0.5, method="discrete"))
     json.dump({"model": {"holonomy": 2.0, "wells": 1, "T": T_PARAM, "threshold": THRESHOLD},
                "repeats": args.repeats, "rs_torsion_discrete_s": rs_discrete_s, "rows": rows,
-               "band": band_rows},
+               "band": band_rows,
+               "complex": {"holonomy": str(COMPLEX_HOLONOMY), "T": T_PARAM,
+                           "rows": complex_rows}},
               sys.stdout, indent=2)
     print()
 

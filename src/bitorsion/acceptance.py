@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .circle import make_circle_model
+from .circle import build_discrete, make_circle_model, witten_deform
 from .complexes import (
     anomaly_ratio,
     cohomology,
@@ -20,6 +20,7 @@ from .complexes import (
     torsion_form,
     transform_structure,
 )
+from .config import DEFAULT_TOL
 from .morse import CriticalForms, make_circle_morse, milnor_anomaly_check, milnor_torsion
 from .spectral import (
     bz_compare,
@@ -316,23 +317,28 @@ def criterion_8_anomaly_invariance():
 
 
 def criterion_9_witten_clustering():
-    """Small-band counts, trace decay, and linear large-band growth."""
+    """Small-band counts, linear large-band growth, and band decay: mu_1 from the
+    minors of K (an eigensolver reads rounding at T >= 10), Newton ratios gated."""
     t0 = time.perf_counter()
     failures = []
     m1 = make_circle_model(2.0, f=("cos", 1))
     m2 = make_circle_model(2.0, f=("cos", 2))
-    r5 = small_spectrum_dims(m1, 5.0, 512)
-    r10 = small_spectrum_dims(m1, 10.0, 512)
-    r20 = small_spectrum_dims(m1, 20.0, 512)
-    if r10.counts != (1, 1):
-        failures.append(f"counts {r10.counts} != (1,1) at T=10")
+    ts = np.array([5.0, 10.0, 20.0])
+    reports = [small_spectrum_dims(m1, t, 512) for t in ts]
+    if reports[1].counts != (1, 1):
+        failures.append(f"counts {reports[1].counts} != (1,1) at T=10")
     r12 = small_spectrum_dims(m2, 12.0, 512)
     if r12.counts != (2, 2):
         failures.append(f"counts {r12.counts} != (2,2) for two wells at T=12")
-    if not abs(r10.band_trace) < abs(r5.band_trace):
-        failures.append("band trace did not decrease from T=5 to T=10")
-    ts = np.array([5.0, 10.0, 20.0])
-    mins = np.array([r5.large_band_min, r10.large_band_min, r20.large_band_min])
+    logs = np.array([build_discrete(witten_deform(m1, t), 512).channels[0].log_band_torsion(1)[0]
+                     for t in ts])
+    band = np.exp(-logs[:, 1])  # a real channel: the logs are real
+    newton = np.exp(logs[:, 0] + logs[:, 2] - 2.0 * logs[:, 1])
+    if not np.all(np.diff(band) < 0):
+        failures.append(f"band eigenvalue {band} did not decrease over T=5,10,20")
+    if not np.max(newton) <= DEFAULT_TOL.band_torsion_rel:
+        failures.append(f"Newton gap ratio {np.max(newton):.1e} above the band torsion gate")
+    mins = np.array([r.large_band_min for r in reports])
     slope, intercept = np.polyfit(ts, mins, 1)
     fitted = slope * ts + intercept
     ss_res = float(np.sum((mins - fitted) ** 2))
@@ -345,7 +351,7 @@ def criterion_9_witten_clustering():
 
 
 def criterion_10_conjugation():
-    """Sorted-spectrum mismatch of the conjugated operators, both (T, N) grids."""
+    """Degree-0 spectral mismatch of the conjugated operators, both (T, N) grids."""
     t0 = time.perf_counter()
     model = make_circle_model(2.0, f=("cos", 1))
     worst = 0.0

@@ -443,8 +443,10 @@ class ChannelOperators:
 
     The symmetrized difference K = G1^{1/2} d G0^{-1/2} is cyclic bidiagonal
     and is stored as its two diagonals; the Laplacians K^T K (degree 0) and
-    K K^T (degree 1) are cyclic tridiagonal. ``log_det`` gives log det K in
-    closed form in O(N), and det L0 = det L1 = (det K)^2; ``log_band_torsion``
+    K K^T (degree 1) are cyclic tridiagonal. K is square, so the two share
+    one characteristic polynomial: callers solve degree 0, and degree 1 stays
+    here as an oracle. ``log_det`` gives log det K in closed form in O(N),
+    and det L0 = det L1 = (det K)^2; ``log_band_torsion``
     the small band's torsion from the minors of K; ``small_band`` the small
     eigenvalues in O(N); ``eigenvalues`` the full spectrum, in O(N) memory
     for a real channel and from the dense N x N Laplacian for a complex one.
@@ -669,16 +671,15 @@ def build_discrete(model: CircleModel, n_grid):
 
 @dataclass(frozen=True)
 class SpectralCut:
-    """Small-band data at |mu| <= a cut radius: per degree, the band eigenvalues;
-    over both degrees, the smallest modulus beyond the cut."""
+    """Small-band data at |mu| <= a cut radius: the band eigenvalues, one array
+    for both degrees (they share one spectrum), and the smallest modulus beyond."""
 
-    eigenvalues0: np.ndarray
-    eigenvalues1: np.ndarray
+    band: np.ndarray
     large_band_min: float
 
     @property
     def dims(self):
-        return (self.eigenvalues0.size, self.eigenvalues1.size)
+        return (self.band.size, self.band.size)
 
 
 def _log_transfer_trace(log_x, log_r, size):

@@ -12,6 +12,7 @@ contributes Gram a^2 in degree 1, entering with exponent (-1)^1.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,11 @@ class GradedComplex:
     def euler_characteristic(self):
         return sum((-1) ** i * d for i, d in enumerate(self.dims))
 
+    @cached_property
+    def _svds(self):
+        """Full SVD of each nonempty differential, taken on first use, once per complex."""
+        return {i: np.linalg.svd(d) for i, d in enumerate(self.differentials) if d.size}
+
 
 @dataclass(frozen=True)
 class BilinearStructure:
@@ -128,8 +134,8 @@ class CohomologyData:
         return tuple(b.shape[1] for b in self.bases)
 
 
-def _split(d, rng=None):
-    """One full SVD of d: (image, lift, kernel), with one relative rank cut.
+def _split(d, svd, rng=None):
+    """(image, lift, kernel) of d from its full SVD, with one relative rank cut.
 
     ``image`` and ``kernel`` are orthonormal (Hermitian) bases of im d and
     ker d; ``lift`` holds the leading right-singular vectors, on which d is
@@ -141,7 +147,7 @@ def _split(d, rng=None):
     if not d.size:
         return (np.zeros((m, 0), dtype=complex), np.zeros((n, 0), dtype=complex),
                 np.eye(n, dtype=complex))
-    u, s, vh = np.linalg.svd(d, full_matrices=True)
+    u, s, vh = svd
     r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0]))
     lift, ker = vh[:r].conj().T, vh[r:].conj().T
     if rng is not None and r:
@@ -157,7 +163,7 @@ def _split(d, rng=None):
 
 def _splits(c: GradedComplex, rng=None):
     """``_split`` of every differential d_{-1}, ..., d_{n-1}, keyed by degree."""
-    return {i: _split(c.differential(i), rng) for i in range(-1, c.degree_count)}
+    return {i: _split(c.differential(i), c._svds.get(i), rng) for i in range(-1, c.degree_count)}
 
 
 def cohomology(c: GradedComplex):

@@ -10,6 +10,9 @@ degree-1 band Gram equal the degree-0 one column-scaled by the eigenvalues).
 Cut-independence is then an exact cancellation, which the tests exercise at
 several cuts.
 
+On the grid the pairing is exact: K is square, so det(z - K K^T) = det(z - K^T K),
+and every routine here that needs a spectrum solves degree 0 only.
+
 Deep in the Witten deformation that product is far below eps ||L||, where no
 eigensolver sees it. ``theorem33_experiment`` takes it in closed form from the
 sums e_{N-m} of squared minors of K (``ChannelOperators.log_band_torsion``),
@@ -72,30 +75,25 @@ DISCRETE_N = 32  # grid of the discrete rs method
 
 
 def spectral_cut(channel: ChannelOperators, radius):
-    """The small bands of both Laplacians: the eigenvalues with |mu| <= radius.
+    """The small band, the eigenvalues with |mu| <= radius, of both Laplacians.
 
-    Per degree, ``ChannelOperators.small_band`` finds every eigenvalue within
-    the cut and its margin in O(N), and at least one beyond it; the smallest
-    modulus beyond the cut is kept. An eigenvalue within the threshold margin
-    (``threshold_margin`` times ``radius``) of the cut circle means the gap
-    between the small and the large band is not resolved on this grid:
-    ResolutionError.
+    K^T K and K K^T share one spectrum, so one ``ChannelOperators.small_band``
+    run on degree 0 finds, in O(N), every eigenvalue within the cut and its
+    margin, and at least one beyond it; the smallest modulus beyond the cut is
+    kept. An eigenvalue within the threshold margin (``threshold_margin``
+    times ``radius``) of the cut circle means the gap between the small and
+    the large band is not resolved on this grid: ResolutionError.
     """
     clearance = DEFAULT_TOL.threshold_margin * radius
-    pieces = []
-    large_min = np.inf
-    for degree in (0, 1):
-        vals = channel.small_band(degree, radius + clearance)
-        mags = np.abs(vals)
-        near = np.abs(mags - radius) < clearance
-        if np.any(near):
-            raise ResolutionError(
-                f"gap unresolved: eigenvalue {vals[near][0]:.6e} within {clearance:.1e} of the cut"
-            )
-        inside = mags <= radius
-        large_min = min(large_min, float(np.min(mags[~inside])))
-        pieces.append(vals[inside])
-    return SpectralCut(eigenvalues0=pieces[0], eigenvalues1=pieces[1], large_band_min=large_min)
+    vals = channel.small_band(0, radius + clearance)
+    mags = np.abs(vals)
+    near = np.abs(mags - radius) < clearance
+    if np.any(near):
+        raise ResolutionError(
+            f"gap unresolved: eigenvalue {vals[near][0]:.6e} within {clearance:.1e} of the cut"
+        )
+    inside = mags <= radius
+    return SpectralCut(band=vals[inside], large_band_min=float(np.min(mags[~inside])))
 
 
 # ----------------------------------------------------------------------------
@@ -192,23 +190,22 @@ def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
     and the smallest large-band magnitude (the two-band picture).
 
     Each channel's threshold cut supplies the band eigenvalues and the
-    smallest modulus beyond the threshold. Raises ResolutionError if any
-    eigenvalue sits within the threshold margin.
+    smallest modulus beyond the threshold. The degrees share one spectrum, so
+    the counts are (c, c) and the band trace, summed over both degrees, is
+    twice the band's sum. Raises ResolutionError if any eigenvalue sits
+    within the threshold margin.
     """
     deformed = witten_deform(model, t_param) if model.potential is not None else model
     disc = build_discrete(deformed, n_grid)
-    counts = [0, 0]
-    band_trace = 0.0 + 0.0j
-    large_min = np.inf
+    count, band_trace, large_min = 0, 0.0 + 0.0j, np.inf
     for ch in disc.channels:
         cut = spectral_cut(ch, threshold)
-        for degree, band in enumerate((cut.eigenvalues0, cut.eigenvalues1)):
-            counts[degree] += int(band.size)
-            band_trace += complex(np.sum(band))
+        count += int(cut.band.size)
+        band_trace += 2.0 * complex(np.sum(cut.band))
         large_min = min(large_min, cut.large_band_min)
     return SmallSpectrumReport(
         t_param=float(t_param), n_grid=int(n_grid), threshold=float(threshold),
-        counts=(counts[0], counts[1]), band_trace=band_trace, large_band_min=large_min,
+        counts=(count, count), band_trace=band_trace, large_band_min=large_min,
     )
 
 
@@ -242,7 +239,10 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
     The conjugation e^{-Tf} D^2_{b_T} e^{Tf} is an exact diagonal matrix
     similarity of the discretized square, so the two full spectra agree to
     rounding; the returned value is the widest gap of a one-to-one pairing of
-    them over both degrees, relative to the spectral radius.
+    the degree-0 spectra, relative to the spectral radius. Degree 1 would
+    catch nothing more: on each side its spectrum is that of degree 0, both
+    coming from one K, and both sides would take it from the same
+    ``eigenvalues(1)`` code, so a fault there would show on both alike.
     """
     if model.potential is None:
         raise DimensionError("conjugation check requires a Morse potential")
@@ -254,11 +254,9 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
         f_nodes = model.potential.value(ch_0.nodes, model.length)
         f_mids = model.potential.value(ch_0.mids, model.length)
         conj = ch_0.conjugated(np.exp(-float(t_param) * f_mids), np.exp(float(t_param) * f_nodes))
-        for degree in (0, 1):
-            left = ch_t.eigenvalues(degree)
-            right = conj.eigenvalues(degree)
-            radius = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
-            worst = max(worst, _matching_gap(left, right) / radius)
+        left, right = ch_t.eigenvalues(0), conj.eigenvalues(0)
+        radius = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
+        worst = max(worst, _matching_gap(left, right) / radius)
     return worst
 
 

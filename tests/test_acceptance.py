@@ -4,7 +4,11 @@ Each test prints a one-line pass/fail record with the measured worst
 deviation and runtime, and asserts both the criterion and its budget.
 """
 
+import numpy as np
+import pytest
+
 from bitorsion import acceptance
+from bitorsion.circle import ChannelOperators
 
 BUDGETS = {
     1: 5.0,
@@ -67,6 +71,29 @@ def test_08_anomaly_invariance():
 
 def test_09_witten_clustering():
     _check(acceptance.criterion_9_witten_clustering())
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("rounding_band", "did not decrease"), ("closed_gap", "Newton gap ratio"),
+], ids=["rounding_band", "closed_gap"])
+def test_09_band_gates_can_fail(monkeypatch, fault, message):
+    """Criterion 9 fails when the band eigenvalue from the minors stops
+    decaying, as an eigensolver's reading does once it reaches rounding
+    (7e-13 at T >= 10, N = 512), or when a Newton ratio exceeds the gate."""
+    exact = ChannelOperators.log_band_torsion
+
+    def faulty(ch, k):
+        logs, floor = exact(ch, k)
+        if fault == "rounding_band":
+            logs[1] = min(logs[1], -np.log(7e-13))
+        else:
+            logs[2] = 2.0 * logs[1] + np.log(1e-3)
+        return logs, floor
+
+    monkeypatch.setattr(ChannelOperators, "log_band_torsion", faulty)
+    result = acceptance.criterion_9_witten_clustering()
+    assert not result.passed
+    assert message in result.detail
 
 
 def test_10_conjugation_isospectrality():

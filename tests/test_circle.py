@@ -20,9 +20,10 @@ from bitorsion.circle import (
     zeta_det_exact,
 )
 from bitorsion.errors import GridError, HolonomyError, ZeroModeError
-from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims
+from bitorsion.spectral import _matching_gap, conjugation_isospectral_check, small_spectrum_dims
 
 TWO_PI = 2 * np.pi
+_ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
 
 
 class TestBuildDiscrete:
@@ -79,13 +80,22 @@ class TestBuildDiscrete:
         with pytest.raises(GridError):
             build_discrete(CircleModel(2.0), 4)
 
-    def test_supersymmetry(self):
-        """Nonzero spectra of the two Laplacians agree (acyclic model)."""
-        model = CircleModel(2.0, phi=TrigPoly.sin(0.25))
-        disc = build_discrete(model, 48)
-        e0 = np.sort_complex(disc.eigenvalues(0))
-        e1 = np.sort_complex(disc.eigenvalues(1))
-        assert np.max(np.abs(e0 - e1)) < 1e-9 * np.max(np.abs(e0))
+    @pytest.mark.parametrize("n_grid", [64, 128])
+    @pytest.mark.parametrize("t_param", [0.0, 5.0, 10.0])
+    @pytest.mark.parametrize("wells", [1, 2])
+    @pytest.mark.parametrize("holonomy", [
+        2.0, 0.5 + 0.8j, np.exp(1j * np.pi / 5),
+        _ROTATION @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(_ROTATION),
+    ], ids=["real", "complex", "unitary", "rank_two"])
+    def test_supersymmetry(self, holonomy, wells, t_param, n_grid):
+        """K^T K and K K^T share one spectrum, multiplicities included: the dense
+        spectra of the two degrees pair one to one to rounding, which is what
+        lets the spectral routines solve degree 0 only."""
+        model = make_circle_model(holonomy, f=("cos", wells))
+        disc = build_discrete(witten_deform(model, t_param), n_grid)
+        e0, e1 = disc.eigenvalues(0), disc.eigenvalues(1)
+        radius = max(np.max(np.abs(e0)), np.max(np.abs(e1)))
+        assert _matching_gap(e0, e1) <= 1e-13 * radius
 
     def test_sector_condition(self):
         """|phi| <= 0.3: eigenvalues with |mu| > 1 stay in a narrow angle."""

@@ -218,6 +218,34 @@ class TestConjugation:
         assert conjugation_isospectral_check(model, t_param, 128) > 1e-10
 
 
+class TestOneSpectrumPerChannel:
+    """K^T K and K K^T share one spectrum, so each channel's Laplacian is
+    solved once, in degree 0."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The degree of every ``small_band`` and ``eigenvalues`` call, by method."""
+        calls = {"small_band": [], "eigenvalues": []}
+        for name, record in calls.items():
+            method = getattr(ChannelOperators, name)
+            monkeypatch.setattr(ChannelOperators, name,
+                                lambda ch, degree, *args, _method=method, _record=record:
+                                _record.append(degree) or _method(ch, degree, *args))
+        return calls
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
+    def test_small_spectrum_dims(self, solves, kind):
+        model = make_circle_model(HOLONOMIES[kind], f=("cos", 1))
+        assert small_spectrum_dims(model, 5.0, 64).counts == (model.rank, model.rank)
+        assert solves == {"small_band": [0] * model.rank, "eigenvalues": []}
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
+    def test_conjugation_check(self, solves, kind):
+        model = make_circle_model(HOLONOMIES[kind], f=("cos", 1))
+        assert conjugation_isospectral_check(model, 5.0, 64) < 1e-10
+        assert solves == {"small_band": [], "eigenvalues": [0] * (2 * model.rank)}
+
+
 class TestDeRham:
     def test_milnor_from_model_value(self):
         lam = 2.0
@@ -373,12 +401,14 @@ class TestTwoBandStructure:
         ch = build_discrete(witten_deform(model, 8.0), 256).channels[0]
         cut = spectral_cut(ch, 1.0)
         assert cut.dims == (1, 1)
-        for degree, band in ((0, cut.eigenvalues0), (1, cut.eigenvalues1)):
-            dense = ch.eigenvalues(degree)  # the full spectrum as the oracle
+        for degree in (0, 1):  # each degree's full spectrum is an oracle for the one band
+            dense = ch.eigenvalues(degree)
             inside = np.abs(dense) <= 1.0
+            scale = np.max(np.abs(dense))
             assert np.sum(inside) == 1
-            assert abs(band[0] - dense[inside][0]) <= 1e-10 * np.max(np.abs(dense))
+            assert abs(cut.band[0] - dense[inside][0]) <= 1e-10 * scale
             assert np.min(np.abs(dense[~inside])) > 10.0
+            assert abs(cut.large_band_min - np.min(np.abs(dense[~inside]))) <= 1e-10 * scale
 
     def test_invariant_subspace_on_witten_laplacian(self):
         """The unit-disk band of the deformed Laplacian has Morse-count dimension,
@@ -426,8 +456,8 @@ class TestSmallBand:
         radius = 2.0 if t_param == 0.0 else 1.0
         model = make_circle_model(HOLONOMIES[kind], f=("cos", wells))
         for ch in build_discrete(witten_deform(model, t_param), 128).channels:
-            cut = spectral_cut(ch, radius)
-            for degree, band in ((0, cut.eigenvalues0), (1, cut.eigenvalues1)):
+            band = spectral_cut(ch, radius).band
+            for degree in (0, 1):  # the one band is both degrees' small band
                 lap = ch.sym_laplacian(degree)
                 dec, sdim = schur_decomposition(lap, sort=lambda z: abs(z) <= radius)
                 assert band.size == sdim == (3 if t_param == 0.0 else wells)
