@@ -4,28 +4,22 @@
 
 The model is the one-well cos potential at holonomy 2, deformed to T = 10,
 with threshold 1. Each layer's time is the best of ``--repeats`` calls:
-assembly (``build_discrete``), the small band of each degree, ``spectral_cut``
-(one band for both degrees; a tree that solves each degree runs two),
-``small_spectrum_dims``, the full spectrum of each degree
+assembly (``build_discrete``), the small band (``ChannelOperators.small_band``),
+``spectral_cut``, ``small_spectrum_dims``, the full spectrum
 (``ChannelOperators.eigenvalues``) and ``ChannelOperators.log_det``. The
 ``complex`` rows time ``small_spectrum_dims`` and
 ``conjugation_isospectral_check`` at holonomy 0.5 + 0.8i, the benchmark's
 complex regime, at N = 64, 128 and 256, where the full spectrum is a dense
-complex eigensolve. Outside
-the size sweep, ``rs_torsion_discrete_s`` times one discrete ``rs_torsion``
-call on acceptance criterion 8's model (phi = 0.3 sin, cut 0.5), whose grid is
-fixed. The ``band`` rows time the band torsion of the same model at every size
-and at T = 10, 40 and 200: ``ChannelOperators.log_band_torsion`` (null in a
-tree without it) against ``spectral_cut`` followed by the Gram determinant
-``_band_torsion_discrete`` on its eigenvectors (``spectral_cut`` alone in a
-tree without it). A path that refuses a case gets its error's name. ``--src``
-is the ``src`` directory of the tree to time (default: this checkout).
-``spectral_cut`` runs with the 10% threshold margin, passed as
-``clearance_frac`` to a tree whose ``spectral_cut`` still takes it. In a tree
-without ``ChannelOperators.small_band`` the per-degree band is the sorted Schur
-decomposition that ``spectral_cut`` ran there; in a tree without
-``ChannelOperators.log_det`` its column is null. Run with
-``OPENBLAS_NUM_THREADS=1`` to match the benchmark's single BLAS thread.
+complex eigensolve. Outside the size sweep, ``rs_torsion_discrete_s`` times
+one discrete ``rs_torsion`` call on acceptance criterion 8's model
+(phi = 0.3 sin, cut 0.5), whose grid is fixed. The ``band`` rows time the
+band torsion of the same model at every size and at T = 10, 40 and 200:
+``ChannelOperators.log_band_torsion`` against the ARPACK ``spectral_cut``;
+a path that refuses a case gets its error's name. ``--src`` is the ``src``
+directory of the tree to time (default: this checkout); a tree whose
+``small_band`` and ``eigenvalues`` still take a degree is timed at degree 0.
+Run with ``OPENBLAS_NUM_THREADS=1`` to match the benchmark's single BLAS
+thread.
 """
 
 import argparse
@@ -60,7 +54,6 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from bitorsion import build_discrete, make_circle_model, rs_torsion, witten_deform
-    from bitorsion import spectral
     from bitorsion.circle import ChannelOperators
     from bitorsion.errors import BitorsionError
     from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims, spectral_cut
@@ -68,15 +61,8 @@ def main():
     model = make_circle_model(2.0, f=("cos", 1))
     deformed = witten_deform(model, T_PARAM)
     bound = 1.1 * THRESHOLD  # the threshold and its 10% margin
+    degree = (0,) if "degree" in inspect.signature(ChannelOperators.eigenvalues).parameters else ()
 
-    def band(ch, degree):
-        if hasattr(ChannelOperators, "small_band"):
-            return ch.small_band(degree, bound)
-        from bitorsion.numkernel import schur_decomposition
-        return schur_decomposition(ch.sym_laplacian(degree), sort=lambda z: abs(z) <= bound)
-
-    margin = ({"clearance_frac": 0.1}
-              if "clearance_frac" in inspect.signature(spectral_cut).parameters else {})
     small_spectrum_dims(model, T_PARAM, 64)  # loads every module before timing
     rows = []
     for n in args.sizes:
@@ -84,21 +70,13 @@ def main():
         rows.append({
             "N": n,
             "build_discrete_s": best_of(args.repeats, lambda: build_discrete(deformed, n)),
-            "small_band_degree0_s": best_of(args.repeats, lambda: band(ch, 0)),
-            "small_band_degree1_s": best_of(args.repeats, lambda: band(ch, 1)),
-            "spectral_cut_s": best_of(args.repeats, lambda: spectral_cut(ch, THRESHOLD, **margin)),
+            "small_band_s": best_of(args.repeats, lambda: ch.small_band(*degree, bound)),
+            "spectral_cut_s": best_of(args.repeats, lambda: spectral_cut(ch, THRESHOLD)),
             "small_spectrum_dims_s": best_of(args.repeats, lambda: small_spectrum_dims(
                 model, T_PARAM, n, threshold=THRESHOLD)),
-            "eigenvalues_degree0_s": best_of(args.repeats, lambda: ch.eigenvalues(0)),
-            "eigenvalues_degree1_s": best_of(args.repeats, lambda: ch.eigenvalues(1)),
-            "log_det_s": (best_of(args.repeats, ch.log_det)
-                          if hasattr(ChannelOperators, "log_det") else None),
+            "eigenvalues_s": best_of(args.repeats, lambda: ch.eigenvalues(*degree)),
+            "log_det_s": best_of(args.repeats, ch.log_det),
         })
-    gram = getattr(spectral, "_band_torsion_discrete", None)
-
-    def arpack_band(ch):
-        cut = spectral_cut(ch, THRESHOLD, **margin)
-        return gram(ch, cut) if gram else cut
 
     def timed(fn):
         try:
@@ -112,9 +90,8 @@ def main():
             ch = build_discrete(witten_deform(model, t_param), n).channels[0]
             band_rows.append({
                 "N": n, "T": t_param,
-                "log_band_torsion_s": (timed(lambda: ch.log_band_torsion(1))
-                                       if hasattr(ChannelOperators, "log_band_torsion") else None),
-                "spectral_cut_band_torsion_s": timed(lambda: arpack_band(ch)),
+                "log_band_torsion_s": timed(lambda: ch.log_band_torsion(1)),
+                "spectral_cut_s": timed(lambda: spectral_cut(ch, THRESHOLD)),
             })
     complex_model = make_circle_model(COMPLEX_HOLONOMY, f=("cos", 1))
     complex_rows = [{

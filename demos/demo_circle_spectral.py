@@ -29,7 +29,7 @@ print("=" * 70)
 lam = np.exp(1j * np.pi / 3)
 fam = exact_spectrum_circle(lam)
 disc = build_discrete(CircleModel(lam), 64)
-ev = disc.eigenvalues(0)
+ev = disc.eigenvalues()
 print(f"  holonomy e^(i pi/3), z = {fam.z:.4f}")
 print(f"  exact lowest |mu|: {abs(fam.mu(0)):.6f} = (1/6)^2")
 low = ev[np.argmin(np.abs(ev))]

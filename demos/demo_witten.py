@@ -38,7 +38,7 @@ print("2. The conjugation identity is an exact matrix similarity")
 print("=" * 70)
 for t_param, n_grid in [(5.0, 128), (10.0, 256)]:
     mism = conjugation_isospectral_check(model, t_param, n_grid)
-    print(f"  T = {t_param}, N = {n_grid}: relative spectral mismatch {mism:.2e}")
+    print(f"  T = {t_param}, N = {n_grid}: relative factor mismatch {mism:.2e}")
 
 print()
 print("=" * 70)

@@ -2,8 +2,8 @@
 
 Layers, bottom up:
 
-- ``numkernel``: dense complex linear algebra (LU determinants, sorted Schur
-  forms, the symmetric-form check).
+- ``numkernel``: dense complex linear algebra (LU determinants, the
+  symmetric-form check).
 - ``complexes``: torsion of a finite cochain complex with complex symmetric
   forms through the canonical determinant-line isomorphism.
 - ``morse``: Thom-Smale cochain complexes of Morse systems with flat

@@ -351,7 +351,7 @@ def criterion_9_witten_clustering():
 
 
 def criterion_10_conjugation():
-    """Degree-0 spectral mismatch of the conjugated operators, both (T, N) grids."""
+    """Relative factor mismatch of the conjugated operators, both (T, N) grids."""
     t0 = time.perf_counter()
     model = make_circle_model(2.0, f=("cos", 1))
     worst = 0.0

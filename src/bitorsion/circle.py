@@ -444,9 +444,9 @@ class ChannelOperators:
     The symmetrized difference K = G1^{1/2} d G0^{-1/2} is cyclic bidiagonal
     and is stored as its two diagonals; the Laplacians K^T K (degree 0) and
     K K^T (degree 1) are cyclic tridiagonal. K is square, so the two share
-    one characteristic polynomial: callers solve degree 0, and degree 1 stays
-    here as an oracle. ``log_det`` gives log det K in closed form in O(N),
-    and det L0 = det L1 = (det K)^2; ``log_band_torsion``
+    one characteristic polynomial, and every spectral method here works on
+    K^T K. ``log_det`` gives log det K in closed form in O(N), and
+    det L0 = det L1 = (det K)^2; ``log_band_torsion``
     the small band's torsion from the minors of K; ``small_band`` the small
     eigenvalues in O(N); ``eigenvalues`` the full spectrum, in O(N) memory
     for a real channel and from the dense N x N Laplacian for a complex one.
@@ -457,8 +457,6 @@ class ChannelOperators:
     n_grid: int
     nodes: np.ndarray
     mids: np.ndarray
-    log_w0: np.ndarray      # log density at nodes (phi - A x)
-    log_w1: np.ndarray      # log density at midpoints
     k_diag: np.ndarray      # K[m, m], from local exponent gaps
     k_upper: np.ndarray     # K[m, m+1 mod N]; the seam entry K[N-1, 0] carries lam
 
@@ -509,18 +507,18 @@ class ChannelOperators:
         return replace(self, k_diag=left * self.k_diag * right,
                        k_upper=left * self.k_upper * np.roll(right, -1))
 
-    def sym_laplacian(self, degree):
-        """Dense Laplacian of the given degree in symmetrized coordinates: similar
-        to d*_b d (degree 0) or d d*_b (degree 1), assembled at unit scale."""
+    def sym_laplacian(self):
+        """Dense K^T K, the Laplacian in symmetrized coordinates: similar to
+        d*_b d, assembled at unit scale. Its spectrum is also that of d d*_b."""
         n = self.n_grid
         rows = np.arange(n)
         k = np.zeros((n, n), dtype=complex)
         k[rows, rows] = self.k_diag
         k[rows, (rows + 1) % n] = self.k_upper
-        return k.T @ k if degree == 0 else k @ k.T
+        return k.T @ k
 
-    def eigenvalues(self, degree):
-        """The full spectrum, (Re, Im)-sorted.
+    def eigenvalues(self):
+        """The full spectrum of K^T K, shared by both degrees, (Re, Im)-sorted.
 
         A real channel (both diagonals of K exactly real, as for positive real
         holonomy) has a real symmetric Laplacian: its band form goes to LAPACK's
@@ -530,29 +528,25 @@ class ChannelOperators:
         above DENSE_MAX_N.
         """
         if not (np.any(self.k_diag.imag) or np.any(self.k_upper.imag)):
-            return eigvals_banded(self._real_laplacian_band(degree), lower=True).astype(complex)
+            return eigvals_banded(self._real_laplacian_band(), lower=True).astype(complex)
         if self.n_grid > DENSE_MAX_N:
             raise GridError(f"a complex channel's full spectrum is a dense eigensolve; "
                             f"N = {self.n_grid} exceeds {DENSE_MAX_N}")
-        ev = np.linalg.eigvals(self.sym_laplacian(degree))
+        ev = np.linalg.eigvals(self.sym_laplacian())
         order = np.lexsort((ev.imag, ev.real))
         return ev[order]
 
-    def _real_laplacian_band(self, degree):
-        """Lower band storage, half-width 2, of a real channel's Laplacian.
+    def _real_laplacian_band(self):
+        """Lower band storage, half-width 2, of a real channel's K^T K.
 
         K^T K has diagonal a_i^2 + b_{i-1}^2 and couples nodes i, i+1 by
-        a_i b_i; K K^T has diagonal a_i^2 + b_i^2 and couples them by
-        b_i a_{i+1} (a = k_diag, b = k_upper, indices mod N). The cyclic
+        a_i b_i (a = k_diag, b = k_upper, indices mod N). The cyclic
         coupling is a band once the nodes are interleaved as 0, N-1, 1, N-2,
         ...: every neighbour then sits one or two places away.
         """
         n = self.n_grid
         a, b = self.k_diag.real, self.k_upper.real
-        if degree == 0:
-            diag, coupling = a * a + np.roll(b, 1) ** 2, a * b
-        else:
-            diag, coupling = a * a + b * b, b * np.roll(a, -1)
+        diag, coupling = a * a + np.roll(b, 1) ** 2, a * b
         order = np.empty(n, dtype=int)
         order[0::2] = np.arange((n + 1) // 2)
         order[1::2] = n - 1 - np.arange(n // 2)
@@ -564,8 +558,8 @@ class ChannelOperators:
         band[np.abs(here - there), np.minimum(here, there)] = coupling
         return band
 
-    def small_band(self, degree, bound):
-        """The eigenvalues of the degree's Laplacian of smallest modulus, in O(N).
+    def small_band(self, bound):
+        """The eigenvalues of K^T K of smallest modulus, in O(N).
 
         Returns every eigenvalue with |mu| <= bound and at least one beyond
         it, such that no eigenvalue left out has a smaller modulus than one
@@ -592,7 +586,7 @@ class ChannelOperators:
              (np.concatenate([rows, rows]), np.concatenate([rows, (rows + 1) % n]))),
             shape=(n, n),
         )
-        lap = (k.T @ k if degree == 0 else k @ k.T).tocsc()
+        lap = (k.T @ k).tocsc()
         sigma = -0.5 * float(bound)
         try:
             lu = splu(lap - sigma * sparse.identity(n, format="csc"))
@@ -624,8 +618,8 @@ class DiscreteOperators:
     n_grid: int
     channels: tuple
 
-    def eigenvalues(self, degree):
-        evs = [ch.eigenvalues(degree) for ch in self.channels]
+    def eigenvalues(self):
+        evs = [ch.eigenvalues() for ch in self.channels]
         ev = np.concatenate(evs)
         order = np.lexsort((ev.imag, ev.real))
         return ev[order]
@@ -643,7 +637,6 @@ def _build_channel(lam, length, n_grid, phi_at):
     k_upper[-1] = lam * gap_upper[-1] / h  # the seam edge carries the holonomy
     return ChannelOperators(
         lam=complex(lam), length=length, n_grid=n_grid, nodes=nodes, mids=mids,
-        log_w0=log_w0, log_w1=log_w1,
         k_diag=(-np.exp(log_w1 - log_w0) / h).astype(complex), k_upper=k_upper,
     )
 

@@ -111,7 +111,7 @@ def _cmd_spectral(args):
         from .circle import build_discrete
 
         disc = build_discrete(model, n_grid)
-        ev = disc.eigenvalues(0)[:8]
+        ev = disc.eigenvalues()[:8]
         for k, mu in enumerate(ev):
             rows.append(["spectrum", f"n={k};N={n_grid}", complex(mu), 1e-6, True])
         print("lowest discrete eigenvalues:", ", ".join(f"{m:.6g}" for m in ev[:4]))
@@ -133,7 +133,8 @@ def _cmd_spectral(args):
               f"large-band min {rep.large_band_min:.4f}")
         rows.append(["witten_counts", f"T={t_param};N={n_grid}",
                      complex(rep.counts[0], rep.counts[1]), 0.0, True])
-        rows.append(["witten_band_trace", f"T={t_param};N={n_grid}", rep.band_trace, 1.0, True])
+        rows.append(["witten_band_trace", f"T={t_param};N={n_grid}", rep.band_trace,
+                     rep.trace_floor, bool(abs(rep.band_trace) > rep.trace_floor)])
     elif args.op == "thm33":
         t_values = [float(t) for t in (args.T_list.split(",") if args.T_list else ["4", "10"])]
         gate = DEFAULT_TOL.band_torsion_rel

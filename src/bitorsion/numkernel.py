@@ -2,12 +2,14 @@
 
 Everything here treats matrices as plain ``numpy.ndarray`` of complex128.
 Factorizations are delegated to LAPACK through scipy (partial-pivot LU
-determinants, sorted complex Schur forms); the bilinear-specific piece is
-the symmetry and nondegeneracy check every complex symmetric form passes.
-The circle Laplacians are cyclic tridiagonal and do not come here:
+determinants); the bilinear-specific piece is the symmetry and
+nondegeneracy check every complex symmetric form passes. The circle
+Laplacians are cyclic tridiagonal and do not come here:
 ``circle.ChannelOperators`` takes their determinants and band torsions in
 closed form from the two diagonals of K, and their small eigenvalues, where
-counted, by sparse shift-invert Arnoldi.
+counted, by sparse shift-invert Arnoldi. No package code calls
+``schur_decomposition``: it stays as the tests' dense oracle and for the
+benchmark tracer's probe, until a change to the benchmark drops that probe.
 
 The one structural difference from Hermitian numerics: pairings use the
 transpose, never the conjugate transpose.

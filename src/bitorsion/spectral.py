@@ -11,7 +11,8 @@ Cut-independence is then an exact cancellation, which the tests exercise at
 several cuts.
 
 On the grid the pairing is exact: K is square, so det(z - K K^T) = det(z - K^T K),
-and every routine here that needs a spectrum solves degree 0 only.
+and every routine here works on K alone: a spectrum is that of K^T K, and the
+conjugation check compares factors, not spectra.
 
 Deep in the Witten deformation that product is far below eps ||L||, where no
 eigensolver sees it. ``theorem33_experiment`` takes it in closed form from the
@@ -78,14 +79,14 @@ def spectral_cut(channel: ChannelOperators, radius):
     """The small band, the eigenvalues with |mu| <= radius, of both Laplacians.
 
     K^T K and K K^T share one spectrum, so one ``ChannelOperators.small_band``
-    run on degree 0 finds, in O(N), every eigenvalue within the cut and its
+    run finds, in O(N), every eigenvalue within the cut and its
     margin, and at least one beyond it; the smallest modulus beyond the cut is
     kept. An eigenvalue within the threshold margin (``threshold_margin``
     times ``radius``) of the cut circle means the gap between the small and
     the large band is not resolved on this grid: ResolutionError.
     """
     clearance = DEFAULT_TOL.threshold_margin * radius
-    vals = channel.small_band(0, radius + clearance)
+    vals = channel.small_band(radius + clearance)
     mags = np.abs(vals)
     near = np.abs(mags - radius) < clearance
     if np.any(near):
@@ -182,67 +183,50 @@ class SmallSpectrumReport:
     threshold: float
     counts: tuple
     band_trace: complex
+    trace_floor: float  # rounding bound on band_trace; a smaller |band_trace| is noise
     large_band_min: float
 
 
 def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
-    """Counts of eigenvalues with |mu| <= threshold per degree, plus band trace
-    and the smallest large-band magnitude (the two-band picture).
+    """Counts of eigenvalues with |mu| <= threshold per degree, plus band trace,
+    its rounding floor and the smallest large-band magnitude (the two-band picture).
 
     Each channel's threshold cut supplies the band eigenvalues and the
     smallest modulus beyond the threshold. The degrees share one spectrum, so
     the counts are (c, c) and the band trace, summed over both degrees, is
-    twice the band's sum. Raises ResolutionError if any eigenvalue sits
-    within the threshold margin.
+    twice the band's sum. An eigensolver places each band eigenvalue only to
+    about eps ||K^T K||_1, so the floor sums 2 c eps ||K^T K||_1 over the
+    channels, the norm taken as that of |K|^T |K|, in O(N) from K's diagonals.
+    Raises ResolutionError if any eigenvalue sits within the threshold margin.
     """
     deformed = witten_deform(model, t_param) if model.potential is not None else model
     disc = build_discrete(deformed, n_grid)
-    count, band_trace, large_min = 0, 0.0 + 0.0j, np.inf
+    count, band_trace, floor, large_min = 0, 0.0 + 0.0j, 0.0, np.inf
     for ch in disc.channels:
         cut = spectral_cut(ch, threshold)
+        a, b = np.abs(ch.k_diag), np.abs(ch.k_upper)
+        norm1 = float(np.max(a * a + np.roll(b * b, 1) + a * b + np.roll(a * b, 1)))
         count += int(cut.band.size)
         band_trace += 2.0 * complex(np.sum(cut.band))
+        floor += 2.0 * cut.band.size * np.finfo(float).eps * norm1
         large_min = min(large_min, cut.large_band_min)
     return SmallSpectrumReport(
         t_param=float(t_param), n_grid=int(n_grid), threshold=float(threshold),
-        counts=(count, count), band_trace=band_trace, large_band_min=large_min,
+        counts=(count, count), band_trace=band_trace, trace_floor=floor,
+        large_band_min=large_min,
     )
 
 
-def _matching_gap(left, right):
-    """Largest gap of a one-to-one pairing of two spectra of equal size.
-
-    One greedy pass over all pair distances, sorted once: each eigenvalue is
-    used once, where a nearest-neighbour lookup could map two eigenvalues of
-    a near-degenerate pair to the same partner.
-    """
-    dist = np.abs(left[:, None] - right[None, :])
-    n = left.size
-    used_left = np.zeros(n, dtype=bool)
-    used_right = np.zeros(n, dtype=bool)
-    worst, matched = 0.0, 0
-    for flat in np.argsort(dist, axis=None):
-        i, j = divmod(int(flat), n)
-        if used_left[i] or used_right[j]:
-            continue
-        used_left[i] = used_right[j] = True
-        worst = float(dist[i, j])  # distances ascend, so the last pair is the widest
-        matched += 1
-        if matched == n:
-            break
-    return worst
-
-
 def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
-    """Spectral mismatch between the deformed Laplacian and its conjugated form.
+    """Largest relative entry gap between the deformed factor and the conjugated one.
 
-    The conjugation e^{-Tf} D^2_{b_T} e^{Tf} is an exact diagonal matrix
-    similarity of the discretized square, so the two full spectra agree to
-    rounding; the returned value is the widest gap of a one-to-one pairing of
-    the degree-0 spectra, relative to the spectral radius. Degree 1 would
-    catch nothing more: on each side its spectrum is that of degree 0, both
-    coming from one K, and both sides would take it from the same
-    ``eigenvalues(1)`` code, so a fault there would show on both alike.
+    The conjugation e^{-Tf} D^2_{b_T} e^{Tf} holds in the factor, entry by
+    entry: K_T = diag(e^{-T f(mids)}) K_0 diag(e^{T f(nodes)}). The value is
+    max |conj - K_T| / |K_T| over both diagonals of every channel (no entry
+    of K is zero), in O(N) with no eigensolve. It is stronger than comparing
+    spectra: equal factors make K^T K one matrix, while a fault in
+    ``conjugated`` that is a similarity keeps the spectrum, as negating every
+    ``k_upper`` on an even grid does (S K S with S = diag((-1)^i)).
     """
     if model.potential is None:
         raise DimensionError("conjugation check requires a Morse potential")
@@ -254,9 +238,8 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
         f_nodes = model.potential.value(ch_0.nodes, model.length)
         f_mids = model.potential.value(ch_0.mids, model.length)
         conj = ch_0.conjugated(np.exp(-float(t_param) * f_mids), np.exp(float(t_param) * f_nodes))
-        left, right = ch_t.eigenvalues(0), conj.eigenvalues(0)
-        radius = max(np.max(np.abs(left)), np.max(np.abs(right)), 1e-300)
-        worst = max(worst, _matching_gap(left, right) / radius)
+        for got, want in ((conj.k_diag, ch_t.k_diag), (conj.k_upper, ch_t.k_upper)):
+            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     return worst
 
 

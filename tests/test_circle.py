@@ -5,6 +5,7 @@ import sys
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import bitorsion
 import bitorsion.circle as circle_module
@@ -20,7 +21,7 @@ from bitorsion.circle import (
     zeta_det_exact,
 )
 from bitorsion.errors import GridError, HolonomyError, ZeroModeError
-from bitorsion.spectral import _matching_gap, conjugation_isospectral_check, small_spectrum_dims
+from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims
 
 TWO_PI = 2 * np.pi
 _ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
@@ -29,7 +30,7 @@ _ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
 class TestBuildDiscrete:
     def test_kernel_multiplicity_at_trivial_holonomy(self):
         disc = build_discrete(CircleModel(1.0), 8)
-        ev = disc.eigenvalues(0)
+        ev = disc.eigenvalues()
         assert np.sum(np.abs(ev) < 1e-10) == 1
 
     def test_lowest_eigenvalue_matches_continuum(self):
@@ -39,7 +40,7 @@ class TestBuildDiscrete:
         errs = {}
         for n in (64, 128):
             disc = build_discrete(CircleModel(lam), n)
-            ev = disc.eigenvalues(0)
+            ev = disc.eigenvalues()
             low = ev[np.argmin(np.abs(ev))]
             errs[n] = abs(abs(low) - target)
         assert errs[64] < 0.01 * target
@@ -49,13 +50,16 @@ class TestBuildDiscrete:
     def test_adjoint_identity_exact(self):
         """<du, v>_b = <u, d*_b v>_b as a matrix identity, any density.
 
-        K is built from local exponent gaps; the oracle exponentiates the Gram
-        roots G^{1/2} = (h e^{2 log_w})^{1/2} separately and forms
+        K is built from local exponent gaps; the oracle takes the log density
+        log_w = phi_eff(x) - x log(lam) / L from the model, exponentiates the
+        Gram roots G^{1/2} = (h e^{2 log_w})^{1/2} separately and forms
         G1^{1/2} d G0^{-1/2}. With d*_b = G0^{-1} d^T G1, agreement is the
         statement that K^T K is similar to d*_b d."""
         model = CircleModel(0.7 + 1.1j, phi=TrigPoly.sin(0.3))
         for ch in build_discrete(model, 32).channels:
-            root0, root1 = np.exp(ch.log_w0), np.exp(ch.log_w1)  # the h^{1/2} cancel
+            log_w0, log_w1 = (model.phi_value(x) - x * np.log(ch.lam) / model.length
+                              for x in (ch.nodes, ch.mids))
+            root0, root1 = np.exp(log_w0), np.exp(log_w1)  # the h^{1/2} cancel
             diag = -root1 / root0 / ch.h
             upper = (root1 / np.roll(root0, -1) / ch.h).astype(complex)
             upper[-1] *= ch.lam
@@ -73,7 +77,7 @@ class TestBuildDiscrete:
         ns = np.arange(-n_grid // 2, n_grid // 2)
         pred = (2 * np.cos(2 * np.pi * z / n_grid) - 2 * np.cos(2 * np.pi * ns / n_grid)) / h**2
         pred = np.array(sorted(pred, key=lambda t: (t.real, t.imag)))
-        got = disc.eigenvalues(0)
+        got = disc.eigenvalues()
         assert np.max(np.abs(got - pred)) < 1e-10 * np.max(np.abs(pred))
 
     def test_grid_too_small(self):
@@ -88,48 +92,58 @@ class TestBuildDiscrete:
         _ROTATION @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(_ROTATION),
     ], ids=["real", "complex", "unitary", "rank_two"])
     def test_supersymmetry(self, holonomy, wells, t_param, n_grid):
-        """K^T K and K K^T share one spectrum, multiplicities included: the dense
-        spectra of the two degrees pair one to one to rounding, which is what
-        lets the spectral routines solve degree 0 only."""
+        """K^T K and K K^T share one spectrum, multiplicities included: the
+        spectrum of the operators and the dense spectrum of each channel's
+        K K^T pair one to one to rounding, which is what lets the spectral
+        routines work on K^T K alone."""
         model = make_circle_model(holonomy, f=("cos", wells))
         disc = build_discrete(witten_deform(model, t_param), n_grid)
-        e0, e1 = disc.eigenvalues(0), disc.eigenvalues(1)
+        e0 = disc.eigenvalues()
+        e1 = np.concatenate([np.linalg.eigvals(k @ k.T) for k in map(_dense_k, disc.channels)])
         radius = max(np.max(np.abs(e0)), np.max(np.abs(e1)))
-        assert _matching_gap(e0, e1) <= 1e-13 * radius
+        dist = np.abs(e0[:, None] - e1[None, :])
+        assert np.max(dist[linear_sum_assignment(dist)]) <= 1e-13 * radius
 
     def test_sector_condition(self):
         """|phi| <= 0.3: eigenvalues with |mu| > 1 stay in a narrow angle."""
         model = CircleModel(np.exp(0.4j), phi=TrigPoly.sin(0.3))
         disc = build_discrete(model, 64)
-        ev = disc.eigenvalues(0)
+        ev = disc.eigenvalues()
         big = ev[np.abs(ev) > 1.0]
         assert np.max(np.abs(np.angle(big))) < 0.5
 
     def test_rank_two_block_structure(self):
         disc = build_discrete(CircleModel(np.diag([2.0, 3.0])), 16)
         assert len(disc.channels) == 2
-        assert disc.eigenvalues(0).shape == (32,)
+        assert disc.eigenvalues().shape == (32,)
 
     def test_grading_preserved(self):
         """The square of the odd operator [[0, K^T], [K, 0]] is block-diagonal by
         degree, with the two degree Laplacians as its blocks."""
         ch = build_discrete(CircleModel(2.0, phi=TrigPoly.sin(0.2)), 16).channels[0]
-        n = ch.n_grid
-        k = np.diag(ch.k_diag)
-        k[np.arange(n), (np.arange(n) + 1) % n] = ch.k_upper  # the seam entry lands at (N-1, 0)
+        k = _dense_k(ch)
         zero = np.zeros_like(k)
         odd = np.block([[zero, k.T], [k, zero]])
         full = odd @ odd
         n = k.shape[0]
         assert np.max(np.abs(full[:n, n:])) == 0.0
         assert np.max(np.abs(full[n:, :n])) == 0.0
-        assert np.array_equal(full[:n, :n], ch.sym_laplacian(0))
-        assert np.array_equal(full[n:, n:], ch.sym_laplacian(1))
+        assert np.array_equal(full[:n, :n], ch.sym_laplacian())
+        assert np.array_equal(full[n:, n:], k @ k.T)
 
 
-def _dense_spectrum(ch, degree):
-    """The oracle: LAPACK's general eigensolver on the dense Laplacian, (Re, Im)-sorted."""
-    ev = np.linalg.eigvals(ch.sym_laplacian(degree))
+def _dense_k(ch):
+    """The channel's K as a dense matrix; the seam entry lands at (N-1, 0)."""
+    n = ch.n_grid
+    k = np.zeros((n, n), dtype=complex)
+    k[np.arange(n), np.arange(n)] = ch.k_diag
+    k[np.arange(n), (np.arange(n) + 1) % n] = ch.k_upper
+    return k
+
+
+def _dense_spectrum(lap):
+    """The oracle: LAPACK's general eigensolver on a dense Laplacian, (Re, Im)-sorted."""
+    ev = np.linalg.eigvals(lap)
     return ev[np.lexsort((ev.imag, ev.real))]
 
 
@@ -151,9 +165,10 @@ class TestRealSpectrum:
         model = witten_deform(make_circle_model(**_REAL_MODELS[kind]), t_param)
         for ch in build_discrete(model, n_grid).channels:
             assert not np.any(ch.k_diag.imag) and not np.any(ch.k_upper.imag)
-            for degree in (0, 1):
-                got, want = ch.eigenvalues(degree), _dense_spectrum(ch, degree)
-                assert got.shape == (n_grid,) and not np.any(got.imag)
+            got, k = ch.eigenvalues(), _dense_k(ch)
+            assert got.shape == (n_grid,) and not np.any(got.imag)
+            for lap in (k.T @ k, k @ k.T):  # each degree's dense spectrum is an oracle
+                want = _dense_spectrum(lap)
                 assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
     def test_complex_channel_stays_dense(self):
@@ -161,8 +176,8 @@ class TestRealSpectrum:
         is the dense eigensolver's, bit for bit."""
         model = make_circle_model(np.exp(1j * np.pi / 3), phi=("sin", 0.3), f=("cos", 1))
         ch = build_discrete(model, 64).channels[0]
-        for degree in (0, 1):
-            assert np.array_equal(ch.eigenvalues(degree), _dense_spectrum(ch, degree))
+        k = _dense_k(ch)
+        assert np.array_equal(ch.eigenvalues(), _dense_spectrum(k.T @ k))
 
     def test_complex_channel_refused_above_dense_bound(self):
         """N x N complex storage alone is 256 MiB just past the bound: the
@@ -170,7 +185,7 @@ class TestRealSpectrum:
         n_grid = circle_module.DENSE_MAX_N + 1
         ch = build_discrete(CircleModel(np.exp(1j * np.pi / 3)), n_grid).channels[0]
         with pytest.raises(GridError):
-            ch.eigenvalues(0)
+            ch.eigenvalues()
 
     def test_large_grid_without_dense_storage(self):
         """N = 8192: one dense N x N complex Laplacian needs 1 GiB, and the child
@@ -183,7 +198,7 @@ class TestRealSpectrum:
             "resource.setrlimit(resource.RLIMIT_AS, (n * n * 16, n * n * 16))\n"
             "import numpy as np\n"
             "from bitorsion import CircleModel, build_discrete\n"
-            "ev = build_discrete(CircleModel(2.0), n).channels[0].eigenvalues(0)\n"
+            "ev = build_discrete(CircleModel(2.0), n).channels[0].eigenvalues()\n"
             "h, z = 2 * np.pi / n, np.log(2.0) / (2j * np.pi)\n"
             "pred = np.sort((2 * np.cos(2 * np.pi * z / n)\n"
             "                - 2 * np.cos(2 * np.pi * np.arange(n) / n)).real / h**2)\n"
@@ -315,7 +330,7 @@ class TestExactSpectrum:
         lam = 2.0
         fam = exact_spectrum_circle(lam)
         disc = build_discrete(CircleModel(lam), 256)
-        ev = disc.eigenvalues(0)
+        ev = disc.eigenvalues()
         for n in (0, 1, -1, 2):
             mu = fam.mu(n)
             gap = np.min(np.abs(ev - mu))

@@ -206,6 +206,17 @@ class TestCommands:
         assert main(["spectral", circle, "--op", "witten", "--T", "5", "--grid", "128"]) == 0
         assert "(1, 1)" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_param, ok", [("5", "True"), ("20", "False")])
+    def test_spectral_witten_band_trace_pass(self, circle, capsys, t_param, ok):
+        """The band trace passes only above its rounding floor, which the
+        tolerance column holds: at T = 20 the band eigenvalue is about 1e-34,
+        and the trace an eigensolver reports is rounding."""
+        assert main(["spectral", circle, "--op", "witten", "--T", t_param, "--grid", "512"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert row[0] == "witten_band_trace" and row[5] == ok
+        assert 1e-12 < float(row[4]) < 1e-10
+        assert (abs(complex(float(row[2]), float(row[3]))) > float(row[4])) == (ok == "True")
+
     def test_spectral_thm33_pass_is_computed(self, circle, capsys):
         """The pass cell is a finite ratio with its Newton gap ratio inside the
         gate that the tolerance column holds; T = 0 has no gap and is refused."""

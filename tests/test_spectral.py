@@ -173,8 +173,8 @@ class TestSmallSpectrum:
         rep = small_spectrum_dims(model, t_param, 128, threshold=threshold)
         counts, trace, large_min, radius = [0, 0], 0.0 + 0.0j, np.inf, 0.0
         for ch in build_discrete(witten_deform(model, t_param), 128).channels:
-            for degree in (0, 1):
-                ev = ch.eigenvalues(degree)
+            k = _dense_k(ch)
+            for degree, ev in enumerate((ch.eigenvalues(), np.linalg.eigvals(k @ k.T))):
                 inside = np.abs(ev) <= threshold
                 counts[degree] += int(np.sum(inside))
                 trace += np.sum(ev[inside])
@@ -191,15 +191,22 @@ class TestConjugation:
         assert conjugation_isospectral_check(model, 0.0, 64) < 1e-12
 
     def test_matched_stencil_similarity(self):
+        """The conjugated factor is the deformed one to rounding, deep in the
+        deformation, with flat windows and for a non-diagonal holonomy."""
         model = make_circle_model(2.0, f=("cos", 1))
-        assert conjugation_isospectral_check(model, 5.0, 128) < 1e-10
+        assert conjugation_isospectral_check(model, 5.0, 128) < 1e-13
+        assert conjugation_isospectral_check(model, 40.0, 128) < 1e-13
+        flat = make_circle_model(0.5, phi=("sin", 0.3), f=("cos", 2), flat_windows=True)
+        assert conjugation_isospectral_check(flat, 10.0, 128) < 1e-13
+        rank_two = make_circle_model(HOLONOMIES["rank_two"], f=("cos", 1))
+        assert conjugation_isospectral_check(rank_two, 10.0, 128) < 1e-13
 
     @pytest.mark.parametrize("t_param", [5.0, 10.0])
     @pytest.mark.parametrize("holonomy", [np.exp(0.7j), np.diag([2.0, np.exp(2.5j)])],
                              ids=["unitary", "rank_two"])
     def test_pairing_is_one_to_one(self, holonomy, t_param):
         """Spectra with a unitary channel hold near-degenerate pairs that a
-        (Re, Im)-sorted pairing crosses; a one-use matching does not."""
+        (Re, Im)-sorted pairing crosses; the factors have no pairing to get wrong."""
         model = make_circle_model(holonomy, f=("cos", 1))
         assert conjugation_isospectral_check(model, t_param, 64) < 1e-10
 
@@ -217,33 +224,51 @@ class TestConjugation:
         monkeypatch.setattr(ChannelOperators, "conjugated", node_stencil)
         assert conjugation_isospectral_check(model, t_param, 128) > 1e-10
 
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_similarity_fault_surfaces_error(self, monkeypatch, kind):
+        """A fault in ``conjugated`` that is itself a similarity keeps the
+        spectrum but not the factor: negating every k_upper on an even grid
+        is S K S with S = diag((-1)^i)."""
+        conjugated = ChannelOperators.conjugated
+
+        def flipped(ch, left, right):
+            out = conjugated(ch, left, right)
+            return replace(out, k_upper=-out.k_upper)
+
+        monkeypatch.setattr(ChannelOperators, "conjugated", flipped)
+        model = make_circle_model(HOLONOMIES[kind], f=("cos", 1))
+        assert conjugation_isospectral_check(model, 5.0, 128) > 1e-10
+
 
 class TestOneSpectrumPerChannel:
-    """K^T K and K K^T share one spectrum, so each channel's Laplacian is
-    solved once, in degree 0."""
+    """K^T K and K K^T share one spectrum, so the Witten counts solve each
+    channel once, and the conjugation check compares factors, solving none."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
-        """The degree of every ``small_band`` and ``eigenvalues`` call, by method."""
-        calls = {"small_band": [], "eigenvalues": []}
-        for name, record in calls.items():
+        """The number of ``small_band`` and ``eigenvalues`` calls, by method."""
+        calls = {"small_band": 0, "eigenvalues": 0}
+        for name in calls:
             method = getattr(ChannelOperators, name)
-            monkeypatch.setattr(ChannelOperators, name,
-                                lambda ch, degree, *args, _method=method, _record=record:
-                                _record.append(degree) or _method(ch, degree, *args))
+
+            def counted(ch, *args, _method=method, _name=name):
+                calls[_name] += 1
+                return _method(ch, *args)
+
+            monkeypatch.setattr(ChannelOperators, name, counted)
         return calls
 
     @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
     def test_small_spectrum_dims(self, solves, kind):
         model = make_circle_model(HOLONOMIES[kind], f=("cos", 1))
         assert small_spectrum_dims(model, 5.0, 64).counts == (model.rank, model.rank)
-        assert solves == {"small_band": [0] * model.rank, "eigenvalues": []}
+        assert solves == {"small_band": model.rank, "eigenvalues": 0}
 
     @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
     def test_conjugation_check(self, solves, kind):
         model = make_circle_model(HOLONOMIES[kind], f=("cos", 1))
         assert conjugation_isospectral_check(model, 5.0, 64) < 1e-10
-        assert solves == {"small_band": [], "eigenvalues": [0] * (2 * model.rank)}
+        assert solves == {"small_band": 0, "eigenvalues": 0}
 
 
 class TestDeRham:
@@ -401,8 +426,9 @@ class TestTwoBandStructure:
         ch = build_discrete(witten_deform(model, 8.0), 256).channels[0]
         cut = spectral_cut(ch, 1.0)
         assert cut.dims == (1, 1)
-        for degree in (0, 1):  # each degree's full spectrum is an oracle for the one band
-            dense = ch.eigenvalues(degree)
+        k = _dense_k(ch)
+        # each degree's full spectrum is an oracle for the one band
+        for dense in (ch.eigenvalues(), np.linalg.eigvals(k @ k.T)):
             inside = np.abs(dense) <= 1.0
             scale = np.max(np.abs(dense))
             assert np.sum(inside) == 1
@@ -417,7 +443,7 @@ class TestTwoBandStructure:
         model = make_circle_model(2.0, f=("cos", 2))
         ch = build_discrete(witten_deform(model, 10.0), 256).channels[0]
         assert spectral_cut(ch, 1.0).dims == (2, 2)  # M_0 = M_1 for two wells
-        dec, sdim = schur_decomposition(ch.sym_laplacian(0), sort=lambda z: abs(z) <= 1.0)
+        dec, sdim = schur_decomposition(ch.sym_laplacian(), sort=lambda z: abs(z) <= 1.0)
         assert sdim == 2
         want = _schur_band_torsion(ch, dec.q[:, :sdim])
         assert abs(ch.log_band_torsion(2)[0][2] - np.log(want)) <= 1e-8
@@ -432,15 +458,20 @@ HOLONOMIES = {
 }
 
 
+def _dense_k(ch):
+    """The channel's K as a dense matrix; the seam entry lands at (N-1, 0)."""
+    n = ch.n_grid
+    k = np.diag(ch.k_diag)
+    k[np.arange(n), (np.arange(n) + 1) % n] = ch.k_upper
+    return k
+
+
 def _schur_band_torsion(ch, basis):
     """1 / prod(band eigenvalues) from a basis V of the band's invariant subspace
     of K^T K, as det(V^T V) / det((K V)^T (K V)). Deep in the deformation the
     band eigenvalue on the Schur diagonal is rounding (about eps ||L||), while
     K V keeps it to high relative accuracy."""
-    n = ch.n_grid
-    k = np.diag(ch.k_diag)
-    k[np.arange(n), (np.arange(n) + 1) % n] = ch.k_upper
-    image = k @ basis
+    image = _dense_k(ch) @ basis
     return np.linalg.det(basis.T @ basis) / np.linalg.det(image.T @ image)
 
 
@@ -457,8 +488,8 @@ class TestSmallBand:
         model = make_circle_model(HOLONOMIES[kind], f=("cos", wells))
         for ch in build_discrete(witten_deform(model, t_param), 128).channels:
             band = spectral_cut(ch, radius).band
-            for degree in (0, 1):  # the one band is both degrees' small band
-                lap = ch.sym_laplacian(degree)
+            k = _dense_k(ch)
+            for degree, lap in enumerate((k.T @ k, k @ k.T)):  # the one band is both degrees'
                 dec, sdim = schur_decomposition(lap, sort=lambda z: abs(z) <= radius)
                 assert band.size == sdim == (3 if t_param == 0.0 else wells)
                 gap = np.max(np.abs(np.sort_complex(band) - np.sort_complex(dec.eigenvalues[:sdim])))
