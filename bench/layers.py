@@ -15,7 +15,9 @@ one discrete ``rs_torsion`` call on acceptance criterion 8's model
 (phi = 0.3 sin, cut 0.5), whose grid is fixed. The ``band`` rows time the
 band torsion of the same model at every size and at T = 10, 40 and 200:
 ``ChannelOperators.log_band_torsion`` against the ARPACK ``spectral_cut``;
-a path that refuses a case gets its error's name. ``--src`` is the ``src``
+a path that refuses a case gets its error's name. The ``crit`` rows time the
+critical-point search ``circle._critical_points`` of cos(k theta), k = 1 to 5
+wells, at L = 2 pi. ``--src`` is the ``src``
 directory of the tree to time (default: this checkout); a tree whose
 ``small_band`` and ``eigenvalues`` still take a degree is timed at degree 0.
 Run with ``OPENBLAS_NUM_THREADS=1`` to match the benchmark's single BLAS
@@ -25,6 +27,7 @@ thread.
 import argparse
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -34,6 +37,8 @@ THRESHOLD = 1.0
 BAND_T = (10.0, 40.0, 200.0)
 COMPLEX_HOLONOMY = 0.5 + 0.8j
 COMPLEX_SIZES = (64, 128, 256)
+CRIT_WELLS = range(1, 6)
+TWO_PI = 2.0 * math.pi
 
 
 def best_of(repeats, fn):
@@ -54,7 +59,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from bitorsion import build_discrete, make_circle_model, rs_torsion, witten_deform
-    from bitorsion.circle import ChannelOperators
+    from bitorsion.circle import ChannelOperators, TrigPoly, _critical_points
     from bitorsion.errors import BitorsionError
     from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims, spectral_cut
 
@@ -101,13 +106,16 @@ def main():
         "conjugation_isospectral_check_s": best_of(args.repeats, lambda: (
             conjugation_isospectral_check(complex_model, T_PARAM, n))),
     } for n in COMPLEX_SIZES]
+    crit_rows = [{"wells": k, "critical_points_s": best_of(args.repeats, lambda: (
+        _critical_points(TrigPoly.cos(1.0, k), TWO_PI)))} for k in CRIT_WELLS]
     wavy = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
     rs_discrete_s = best_of(args.repeats, lambda: rs_torsion(wavy, cut=0.5, method="discrete"))
     json.dump({"model": {"holonomy": 2.0, "wells": 1, "T": T_PARAM, "threshold": THRESHOLD},
                "repeats": args.repeats, "rs_torsion_discrete_s": rs_discrete_s, "rows": rows,
                "band": band_rows,
                "complex": {"holonomy": str(COMPLEX_HOLONOMY), "T": T_PARAM,
-                           "rows": complex_rows}},
+                           "rows": complex_rows},
+               "crit": {"length": TWO_PI, "rows": crit_rows}},
               sys.stdout, indent=2)
     print()
 

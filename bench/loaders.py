@@ -9,10 +9,13 @@ Documents are built as the benchmark's ``combinatorial`` workload builds them
 each with its own critical forms. A loader row is the best of ``--repeats``
 calls of ``load_graded_complex`` or ``load_morse_system`` on the file, next to
 the best ``json.load`` of the same file, the part no decoder change touches.
-A kernel row is the best of ``--repeats`` samples of ``lu_det`` or
-``check_symmetric_form`` at n = 1, 3 and 40, each sample the mean of
-``KERNEL_CALLS`` calls. ``--src`` is the ``src`` directory of the tree to time
-(default: this checkout).
+A kernel row is the best of ``--repeats`` samples of ``lu_det``,
+``check_symmetric_form`` or ``nondegenerate_det`` at n = 1, 3 and 40, each
+sample the mean of ``KERNEL_CALLS`` calls. The ``torsion_form`` row times it
+in the same way on a complex of acceptance criterion 1's largest size (four
+degrees of 3) whose cohomology has been taken, as criterion 1 calls it.
+``--src`` is the ``src`` directory of the tree to time (default: this
+checkout).
 """
 
 import argparse
@@ -29,6 +32,7 @@ COMPLEX_SIZES = (16, 25, 40, 50, 75)
 MORSE_CASES = tuple((pairs, rank) for pairs in (32, 64, 128) for rank in (1, 2, 3))
 KERNEL_SIZES = (1, 3, 40)
 KERNEL_CALLS = 200
+TORSION_DIMS = (3, 3, 3, 3)
 
 
 def best_of(repeats, fn, calls=1):
@@ -48,7 +52,14 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
-    from bitorsion.numkernel import check_symmetric_form, lu_det
+    from bitorsion.complexes import (
+        cohomology,
+        random_bilinear_structure,
+        random_graded_complex,
+        torsion_form,
+    )
+    from bitorsion.errors import DegenerateFormError
+    from bitorsion.numkernel import check_symmetric_form, lu_det, nondegenerate_det
     from bitorsion.serialize import load_graded_complex, load_morse_system
     from workloads import (
         _mat,
@@ -98,6 +109,14 @@ def main():
         rows.append({"kind": "check_symmetric_form", "n": n,
                      "s": best_of(args.repeats, lambda: check_symmetric_form(form, "b"),
                                   KERNEL_CALLS)})
+        rows.append({"kind": "nondegenerate_det", "n": n,
+                     "s": best_of(args.repeats, lambda: nondegenerate_det(
+                         form, DegenerateFormError, "b"), KERNEL_CALLS)})
+    c = random_graded_complex(rng, dims=TORSION_DIMS)
+    b = random_bilinear_structure(rng, c.dims)
+    h = cohomology(c)
+    rows.append({"kind": "torsion_form", "dims": list(TORSION_DIMS),
+                 "s": best_of(args.repeats, lambda: torsion_form(c, b, h), KERNEL_CALLS)})
     total = sum(r.get("load_s", 0.0) for r in rows)
     json.dump({"repeats": args.repeats, "load_total_s": total, "rows": rows}, sys.stdout,
               indent=2)

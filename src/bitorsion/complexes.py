@@ -89,9 +89,9 @@ class GradedComplex:
         return sum((-1) ** i * d for i, d in enumerate(self.dims))
 
     @cached_property
-    def _svds(self):
-        """Full SVD of each nonempty differential, taken on first use, once per complex."""
-        return {i: np.linalg.svd(d) for i, d in enumerate(self.differentials) if d.size}
+    def _splits(self):
+        """``_split`` of each d_i, i = -1..n-1, made once per complex; callers only read it."""
+        return {i: _split(self.differential(i)) for i in range(-1, self.degree_count)}
 
 
 @dataclass(frozen=True)
@@ -134,46 +134,45 @@ class CohomologyData:
         return tuple(b.shape[1] for b in self.bases)
 
 
-def _split(d, svd, rng=None):
+def _split(d):
     """(image, lift, kernel) of d from its full SVD, with one relative rank cut.
 
     ``image`` and ``kernel`` are orthonormal (Hermitian) bases of im d and
     ker d; ``lift`` holds the leading right-singular vectors, on which d is
-    injective with image im d. With ``rng`` the lift is recombined by a random
-    invertible matrix and smeared by kernel directions, exercising the
-    claimed choice-independence of the torsion.
+    injective with image im d.
     """
     m, n = d.shape
     if not d.size:
         return (np.zeros((m, 0), dtype=complex), np.zeros((n, 0), dtype=complex),
                 np.eye(n, dtype=complex))
-    u, s, vh = svd
+    u, s, vh = np.linalg.svd(d)
     r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0]))
-    lift, ker = vh[:r].conj().T, vh[r:].conj().T
-    if rng is not None and r:
+    return u[:, :r], vh[:r].conj().T, vh[r:].conj().T
+
+
+def _mixed(split, rng):
+    """``split`` with its lift recombined by a random invertible matrix and
+    smeared by kernel directions, exercising the claimed choice-independence
+    of the torsion."""
+    image, lift, ker = split
+    r, k = lift.shape[1], ker.shape[1]
+    if r:
         mix = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
         lift = lift @ (mix + 3.0 * np.eye(r))
-        if ker.shape[1]:
-            noise = rng.standard_normal((ker.shape[1], r)) + 1j * rng.standard_normal(
-                (ker.shape[1], r)
-            )
+        if k:
+            noise = rng.standard_normal((k, r)) + 1j * rng.standard_normal((k, r))
             lift = lift + 0.5 * ker @ noise
-    return u[:, :r], lift, ker
-
-
-def _splits(c: GradedComplex, rng=None):
-    """``_split`` of every differential d_{-1}, ..., d_{n-1}, keyed by degree."""
-    return {i: _split(c.differential(i), c._svds.get(i), rng) for i in range(-1, c.degree_count)}
+    return image, lift, ker
 
 
 def cohomology(c: GradedComplex):
     """Representative bases for H^i = ker d_i / im d_{i-1}, by rank-revealing SVD."""
-    split = _splits(c)
+    split = c._splits
     bases = []
     for i in range(c.degree_count):
         im, ker = split[i - 1][0], split[i][2]
         if im.shape[1] == 0 or ker.shape[1] == 0:
-            bases.append(ker)
+            bases.append(ker.copy())  # the caller's to keep: not a view of the cache
             continue
         # kernel components orthogonal to the coboundary image; the projected
         # columns have scale <= 1, so rank against floor 1
@@ -208,7 +207,7 @@ def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, rng=
     if len(h.bases) != c.degree_count:
         raise ShapeError("cohomology data has wrong number of degrees")
 
-    split = _splits(c, rng)
+    split = c._splits if rng is None else {i: _mixed(x, rng) for i, x in c._splits.items()}
     rank = {i: lift.shape[1] for i, (_, lift, _) in split.items()}
     expected = tuple(n_i - rank[i] - rank[i - 1] for i, n_i in enumerate(c.dims))
     if h.dims != expected:

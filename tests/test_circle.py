@@ -20,7 +20,7 @@ from bitorsion.circle import (
     witten_deform,
     zeta_det_exact,
 )
-from bitorsion.errors import GridError, HolonomyError, ZeroModeError
+from bitorsion.errors import DimensionError, GridError, HolonomyError, ZeroModeError
 from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims
 
 TWO_PI = 2 * np.pi
@@ -503,7 +503,7 @@ class TestFlatWindows:
 
 
 def _critical_points_scalar(pot, length):
-    """The scalar scan-and-bisect loop that the vectorized search replaced."""
+    """The scalar scan-and-bisect loop, the reference for count and indices."""
     n_scan = 4096
     xs = np.linspace(0.0, length, n_scan, endpoint=False)
     der = pot.derivative(xs, length)
@@ -529,6 +529,28 @@ def _critical_points_scalar(pot, length):
     )
 
 
+def _oracle_gap(pot, length, x):
+    """Distance from x to the zero of f' next to it, found by 50-digit
+    ``mpmath.findroot`` on f' written from the coefficients of ``pot``."""
+    with mp.workdps(50):
+        big_l = mp.mpf(length)
+
+        def der(t):
+            theta, scale = 2 * mp.pi * t / big_l, 2 * mp.pi / big_l
+            return (sum(-mp.mpf(c) * k * scale * mp.sin(k * theta) for k, c in pot.cos_coeffs)
+                    + sum(mp.mpf(c) * k * scale * mp.cos(k * theta) for k, c in pot.sin_coeffs))
+
+        return float(abs(mp.findroot(der, mp.mpf(x)) - mp.mpf(x)))
+
+
+def _assert_matches_oracles(pot, length, got):
+    """Count and indices of the scalar bisection; positions within two float
+    spacings of L of the true zeros."""
+    assert [i for _, i in got] == [i for _, i in _critical_points_scalar(pot, length)]
+    for x, _ in got:
+        assert _oracle_gap(pot, length, x) <= 2 * np.spacing(length)
+
+
 class TestCriticalPoints:
     @pytest.mark.parametrize("pot", [
         TrigPoly.cos(1.0, 1), TrigPoly.cos(1.0, 2), TrigPoly.cos(0.7, 3),
@@ -536,19 +558,37 @@ class TestCriticalPoints:
     ], ids=["one_well", "two_wells", "three_wells", "asymmetric"])
     @pytest.mark.parametrize("length", [TWO_PI, 3.7])
     def test_matches_scalar_bisection(self, pot, length):
-        """Same sign tests and midpoints as the scalar loop, so the same bits."""
-        assert _critical_points(pot, length) == _critical_points_scalar(pot, length)
+        """The scalar loop's count and indices, and positions at the true zeros."""
+        _assert_matches_oracles(pot, length, _critical_points(pot, length))
 
     @pytest.mark.parametrize("wells", range(1, 6))
     def test_bisection_stops_at_fixed_point(self, wells, monkeypatch):
-        """The halvings end once one changes no bracket, well before 80, with
-        the bits of the full 80-step loop."""
+        """The Newton polish stops once it moves no point, at most six
+        evaluations of f' after the scan."""
         pot = TrigPoly.cos(1.0, wells)
-        expected = _critical_points_scalar(pot, TWO_PI)
         calls = []
         derivative = TrigPoly.derivative
         monkeypatch.setattr(TrigPoly, "derivative",
                             lambda self, x, length=TWO_PI: calls.append(1)
                             or derivative(self, x, length))
-        assert _critical_points(pot, TWO_PI) == expected
-        assert len(calls) <= 1 + 50  # the scan, then the halvings
+        got = _critical_points(pot, TWO_PI)
+        assert len(calls) <= 1 + 6  # the scan, then the Newton steps
+        monkeypatch.undo()
+        _assert_matches_oracles(pot, TWO_PI, got)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3], ids=["on_scan_point", "between"])
+    def test_degenerate_zero_refused(self, shift):
+        """f = cos u + c cos 2u, u = theta - shift: f' = -sin u (1 + 4c cos u).
+        At c = 1/4 its zero at u = pi is cubic and is refused, whether the scan
+        lands on it or Newton, converging only linearly, has to find it. At
+        c = 0.2499999 it is simple, f'' = 4e-7 there, and is kept with the
+        bisection's indices."""
+        def pot(c):
+            return TrigPoly(
+                cos_coeffs=((1, np.cos(shift)), (2, c * np.cos(2 * shift))),
+                sin_coeffs=((1, np.sin(shift)), (2, c * np.sin(2 * shift))) if shift else ())
+        with pytest.raises(DimensionError, match="degenerate critical point"):
+            _critical_points(pot(0.25), TWO_PI)
+        got = _critical_points(pot(0.2499999), TWO_PI)
+        assert got[1][0] == pytest.approx(np.pi + shift, abs=1e-8)
+        assert [i for _, i in got] == [i for _, i in _critical_points_scalar(pot(0.2499999), TWO_PI)]

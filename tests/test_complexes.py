@@ -6,6 +6,8 @@ from bitorsion.complexes import (
     BilinearStructure,
     CohomologyData,
     GradedComplex,
+    _project_to_cocycles,
+    _split,
     anomaly_ratio,
     cohomology,
     random_bilinear_structure,
@@ -13,8 +15,10 @@ from bitorsion.complexes import (
     torsion_form,
     transform_structure,
 )
-from bitorsion.errors import ChainComplexError, ShapeError
+from bitorsion.config import DEFAULT_TOL
+from bitorsion.errors import ChainComplexError, ConditioningError, InvalidMatrixError, ShapeError
 from bitorsion.morse import CriticalForms, make_circle_morse, milnor_torsion
+from bitorsion.numkernel import lu_det
 
 
 def two_term(a):
@@ -103,6 +107,16 @@ class TestTorsionForm:
         with pytest.raises(ShapeError):
             torsion_form(c, BilinearStructure.standard(c.dims), bad)
 
+    @pytest.mark.parametrize("c, grams", [
+        (GradedComplex((2, 2), (1e160 * np.eye(2),)), (np.eye(2), 1e10 * np.eye(2))),
+        (two_term(1e200), (np.eye(1), np.eye(1))),
+    ], ids=["gram_1e330", "gram_1e400"])
+    def test_overflowing_gram_refused(self, c, grams):
+        """A torsion Gram that overflows is refused, never returned as nan."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrixError, match="non-finite entries"):
+                torsion_form(c, BilinearStructure(grams), cohomology(c))
+
     def test_non_cocycle_rejected(self):
         c = GradedComplex((2, 1), (np.array([[1.0, 0.0]]),))
         # representative with a component outside the kernel
@@ -140,6 +154,70 @@ class TestOneSplitPerDifferential:
         assert h.dims == (1, 0, 2, 3)
         oracle = _wedge_oracle_torsion(c, b, h)
         assert abs(value - oracle) <= 1e-9 * abs(oracle)
+
+
+def _reference_torsion(c, b, h):
+    """torsion_form with fresh splits and the determinant and scale test
+    written out: validated ``lu_det`` of v^T G v, refused when |det| <=
+    nondegeneracy_rel * max|gram|^n."""
+    split = {i: _split(c.differential(i)) for i in range(-1, c.degree_count)}
+    result = 1.0 + 0.0j
+    for i, n_i in enumerate(c.dims):
+        if n_i == 0:
+            continue
+        boundary = c.differential(i - 1) @ split[i - 1][1]
+        v = np.hstack([boundary, _project_to_cocycles(h.bases[i], split[i][2]), split[i][1]])
+        gram = v.T @ b.grams[i] @ v
+        det = lu_det(gram)
+        scale = np.maximum(np.max(np.abs(gram), axis=(-2, -1)), 1e-300)
+        if np.abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale ** n_i:
+            raise ConditioningError(f"degree {i}: torsion Gram numerically singular")
+        result = result * det if i % 2 == 0 else result / det
+    return result
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ConditioningError as exc:
+        return f"ConditioningError: {exc}"
+
+
+class TestFinitePathUnchanged:
+    """The cached splits and the scalar nondegeneracy test change no bit of a
+    torsion or a cohomology basis, and no refusal."""
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_torsion_bit_identical(self, block):
+        for seed in range(50 * block, 50 * block + 50):
+            rng = np.random.default_rng(seed)
+            c = random_graded_complex(rng)
+            b = random_bilinear_structure(rng, c.dims)
+            h = cohomology(c)
+            assert _outcome(torsion_form, c, b, h) == _outcome(_reference_torsion, c, b, h)
+            warm = cohomology(c)  # from the splits cached by the first call
+            assert all(np.array_equal(x, y) for x, y in zip(h.bases, warm.bases))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_refusals(self, seed):
+        """At dims (6, 6, 6, 6) seeds 1, 3 and 7 are refused at degree 1 on a
+        well-conditioned Gram (a known false refusal), the others are not."""
+        rng = np.random.default_rng(seed)
+        c = random_graded_complex(rng, dims=(6, 6, 6, 6))
+        b = random_bilinear_structure(rng, c.dims)
+        h = cohomology(c)
+        got = _outcome(torsion_form, c, b, h)
+        assert got == _outcome(_reference_torsion, c, b, h)
+        refused = got == "ConditioningError: degree 1: torsion Gram numerically singular"
+        assert refused == (seed in (1, 3, 7))
+
+    def test_bases_do_not_alias_the_cache(self):
+        c = random_graded_complex(np.random.default_rng(0), dims=(6, 6, 6, 6))
+        first = cohomology(c)
+        kept = [b.copy() for b in first.bases]
+        for b in first.bases:
+            b[...] = 0.0
+        assert all(np.array_equal(x, y) for x, y in zip(cohomology(c).bases, kept))
 
 
 class TestAnomaly:
