@@ -9,7 +9,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .circle import build_discrete, make_circle_model, witten_deform
 from .complexes import (
@@ -87,6 +86,8 @@ def _wedge_oracle_torsion(c, b, h):
     kernels from ``scipy.linalg.null_space``, and pairs top wedges through the
     full Gram pairing matrix, sidestepping the production SVD path.
     """
+    from scipy.linalg import null_space
+
     def rref_lift(d):
         # pivot columns by Gaussian elimination: a lift basis transverse to ker
         if d.size == 0 or min(d.shape) == 0:

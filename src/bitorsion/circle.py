@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigvals_banded
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -533,6 +532,8 @@ class ChannelOperators:
         above DENSE_MAX_N.
         """
         if not (np.any(self.k_diag.imag) or np.any(self.k_upper.imag)):
+            from scipy.linalg import eigvals_banded
+
             return eigvals_banded(self._real_laplacian_band(), lower=True).astype(complex)
         if self.n_grid > DENSE_MAX_N:
             raise GridError(f"a complex channel's full spectrum is a dense eigensolve; "
@@ -580,7 +581,8 @@ class ChannelOperators:
         the disk is open. The start vector is fixed, so the result is
         reproducible.
         """
-        # loaded on first use: the dense paths never pay its import time
+        # scipy is imported at first use, inside the function that calls it:
+        # `import bitorsion` loads none of it
         from scipy import sparse
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 

@@ -2,10 +2,11 @@
 
 Everything here treats matrices as plain ``numpy.ndarray`` of complex128.
 Factorizations are delegated to LAPACK through scipy (partial-pivot LU
-determinants); the bilinear-specific piece is the symmetry and
-nondegeneracy check every complex symmetric form passes. ``lu_det``
-validates its input with ``as_cmatrix``; ``check_symmetric_form`` and
-``nondegenerate_det`` take arrays their callers built or validated, and
+determinants). scipy is imported at first use, inside the function that calls
+it, so ``import bitorsion`` loads none of it. The bilinear-specific piece is
+the symmetry and nondegeneracy check every complex symmetric form passes.
+``lu_det`` validates its input with ``as_cmatrix``; ``check_symmetric_form``
+and ``nondegenerate_det`` take arrays their callers built or validated, and
 ``nondegenerate_det`` checks one thing again, that its matrix is finite. The
 circle Laplacians are cyclic tridiagonal and do not come here:
 ``circle.ChannelOperators`` takes their determinants and band torsions in
@@ -21,8 +22,6 @@ transpose, never the conjugate transpose.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .config import DEFAULT_TOL
 from .errors import (
@@ -59,6 +58,8 @@ def _lu_det(a):
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
+    from scipy.linalg import lapack
+
     # a singular matrix legitimately yields a zero pivot and determinant zero
     lu, piv, _ = lapack.zgetrf(a)
     # piv records row swaps; each swap flips the sign.
@@ -129,6 +130,8 @@ class SchurDecomposition:
 
 def schur_decomposition(m, sort=None):
     """Complex Schur form, optionally with eigenvalues satisfying ``sort`` leading."""
+    import scipy.linalg as sla
+
     a = as_cmatrix(m, square=True)
     try:
         if sort is None:

@@ -29,7 +29,7 @@ __all__ = [
 
 
 def decode_complex_number(obj, field="value"):
-    if isinstance(obj, (int, float)):
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
         return complex(obj)
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         try:
@@ -70,8 +70,12 @@ def decode_matrix(obj, field="matrix"):
 
 
 def _scalar(obj, kind, field):
-    """A JSON scalar cast by ``kind`` (int or float); a failed cast is a SchemaError."""
+    """A JSON scalar cast by ``kind`` (float, int or bool); a failed cast is a
+    SchemaError. An int or bool field takes only that JSON type: ``int(64.9)``,
+    ``int(True)`` and ``bool("false")`` would all succeed with a wrong value."""
     try:
+        if kind is not float and type(obj) is not kind:
+            raise TypeError
         return kind(obj)
     except (TypeError, ValueError):
         raise SchemaError(f"{field}: expected {kind.__name__}, got {obj!r}", field=field) from None
@@ -197,8 +201,10 @@ def load_circle_model(path_or_doc):
     f_doc = _container(doc.get("f") or {}, dict, "f")
     f = ((str(f_doc.get("kind", "cos")), _scalar(f_doc.get("wells", 1), int, "f.wells"))
          if f_doc else None)
+    if f and f[1] < 1:
+        raise SchemaError(f"f.wells: expected at least 1, got {f[1]}", field="f.wells")
     model = make_circle_model(lam, length=length, phi=phi, f=f,
-                              flat_windows=bool(doc.get("flat", False)))
+                              flat_windows=_scalar(doc.get("flat", False), bool, "flat"))
     extras = {"N": _scalar(doc.get("N", 256), int, "N"),
               "T": _scalar(doc.get("T", 0.0), float, "T")}
     return model, extras

@@ -432,9 +432,12 @@ class TestGelfandYaglom:
         expected = np.prod([zeta_det_exact(lam) for lam in model.channel_holonomies()])
         assert abs(gelfand_yaglom_det(model) / expected - 1.0) < 1e-12
 
-    def test_import_leaves_scipy_integrate_out(self):
-        """The monodromy is closed-form: importing the package loads no ODE solver."""
-        code = "import sys, bitorsion; print('scipy.integrate' in sys.modules)"
+    @pytest.mark.parametrize("module", ["scipy.integrate", "scipy.linalg", "scipy.sparse"])
+    def test_import_leaves_scipy_out(self, module):
+        """The monodromy is closed-form, and LAPACK, ARPACK and the oracle's null
+        space are imported where they are called: importing the package loads
+        none of these modules."""
+        code = f"import sys, bitorsion; print({module!r} in sys.modules)"
         src = os.path.dirname(os.path.dirname(bitorsion.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})

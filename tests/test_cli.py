@@ -285,8 +285,32 @@ class TestCommands:
         (["torsion", "morse", "{}"], {"points": [{"id": "m0", "index": 0}], "forms": [1]},
          "forms"),
         (["torsion", "morse", "{}"], [{"points": []}], "morse.json"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "flat": "false"},
+         "flat"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "flat": 0}, "flat"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "N": 64.9}, "N"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "N": True}, "N"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "N": "64"}, "N"),
+        (["spectral", "{}", "--op", "zetadet"],
+         {"lambda": [2.0, 0.0], "f": {"kind": "cos", "wells": 1.7}}, "f.wells"),
+        (["spectral", "{}", "--op", "zetadet"],
+         {"lambda": [2.0, 0.0], "f": {"kind": "cos", "wells": -1}}, "f.wells"),
+        (["spectral", "{}", "--op", "zetadet"],
+         {"lambda": [2.0, 0.0], "f": {"kind": "cos", "wells": 0}}, "f.wells"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": True}, "lambda"),
+        (["torsion", "finite", "{}"], {"dims": [1.9, 1]}, "dims[0]"),
+        (["torsion", "finite", "{}"], {"dims": [1, True]}, "dims[1]"),
+        (["torsion", "morse", "{}"], {"rank": 1.0, "points": []}, "rank"),
+        (["torsion", "morse", "{}"], {"points": [{"id": "m0", "index": False}]},
+         "points[0].index"),
+        (["torsion", "morse", "{}"],
+         {"points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1}],
+          "instantons": [{"from": "M0", "to": "m0", "sign": 1.0}]}, "instantons[0].sign"),
     ], ids=["N", "dims", "index", "phi", "dims_array", "generators_array", "point_object",
-            "instanton_object", "forms_object", "document_object"])
+            "instanton_object", "forms_object", "document_object", "flat_string",
+            "flat_integer", "N_float", "N_bool", "N_string", "wells_float", "wells_negative",
+            "wells_zero", "lambda_bool", "dims_float", "dims_bool", "rank_float",
+            "index_bool", "sign_float"])
     def test_malformed_field_is_schema_error(self, tmp_path, capsys, argv, doc, field):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -1,0 +1,96 @@
+"""Start-up cost: which requests load scipy, and the sites that import it late.
+
+Every CLI request is a fresh process, and importing scipy.linalg costs more
+than the package's own import. scipy is imported inside the function that
+calls it, so these tests run fresh interpreters: the commands that never
+reach LAPACK or ARPACK must leave scipy unloaded, and each late import must
+name the right module, giving the same result as an in-process call.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import bitorsion
+from bitorsion.acceptance import criterion_2_bruteforce_oracle
+from bitorsion.circle import build_discrete, make_circle_model
+from bitorsion.numkernel import lu_det, schur_decomposition
+from bitorsion.spectral import small_spectrum_dims
+
+SRC = os.path.dirname(os.path.dirname(bitorsion.__file__))
+SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+
+
+def fresh(code):
+    """stdout of ``code`` run by a new interpreter that imports this tree."""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": SRC})
+    return out.stdout
+
+
+@pytest.fixture
+def docs(tmp_path):
+    knot = tmp_path / "trefoil.json"
+    knot.write_text(json.dumps({"generators": ["a", "b", "c"],
+                                "relators": ["a b A C", "b c B A"]}))
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps({"lambda": [2.0, 0.0], "phi": {"kind": "sin", "amp": 0.3},
+                                  "f": {"kind": "cos", "wells": 1}, "N": 64}))
+    return {"knot": str(knot), "circle": str(circle)}
+
+
+class TestScipyFreeStart:
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["alexander", "{knot}"],
+        ["spectral", "{circle}", "--op", "zetadet"],
+        ["spectral", "{circle}", "--op", "rstorsion"],
+    ], ids=["help", "alexander", "zetadet", "rstorsion"])
+    def test_command_leaves_scipy_out(self, docs, argv):
+        argv = [a.format(**docs) for a in argv]
+        code = ("import sys\nfrom bitorsion import cli\n"
+                f"try:\n    code = cli.main({argv!r})\nexcept SystemExit as exc:\n"
+                "    code = exc.code\n"
+                f"print('exit', code, 'scipy', {SCIPY_LOADED})\n")
+        assert fresh(code).splitlines()[-1] == "exit 0 scipy False"
+
+    def test_verify_all_warmup_leaves_scipy_out(self):
+        code = ("import sys\nfrom bitorsion import acceptance, cli\n"
+                "cli.build_parser(); acceptance.criterion_7_cut_independence()\n"
+                f"print({SCIPY_LOADED})\n")
+        assert fresh(code).strip() == "False"
+
+
+def _lazy_site_calls():
+    """One call per function that imports scipy late, each result as a repr."""
+    a = np.array([[2.0, 1.0, 0.5j], [1.0, -3.0, 0.25], [0.5, 4.0, 1.0 + 1.0j]])
+    channel = build_discrete(make_circle_model(2.0, f=("cos", 1)), 32).channels[0]
+    schur = schur_decomposition(a)
+    model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
+    return [
+        repr(lu_det(a)),
+        repr(channel.eigenvalues().tolist()),
+        repr([schur.q.tolist(), schur.t.tolist(), schur.eigenvalues.tolist()]),
+        repr(small_spectrum_dims(model, 5.0, 64)),
+        repr(dataclasses.replace(criterion_2_bruteforce_oracle(), seconds=0.0)),
+    ]
+
+
+def test_lazy_sites_from_a_cold_interpreter():
+    """Each late import, made first in a process with no scipy loaded, gives the
+    in-process result: a local import of the wrong name would raise there."""
+    code = (
+        "import sys, json\n"
+        f"sys.path.insert(0, {os.path.dirname(__file__)!r})\n"
+        "import numpy as np\n"
+        f"assert not {SCIPY_LOADED}\n"
+        "from test_startup import _lazy_site_calls\n"
+        f"assert not {SCIPY_LOADED}\n"
+        "print(json.dumps(_lazy_site_calls()))\n"
+    )
+    assert json.loads(fresh(code)) == _lazy_site_calls()
