@@ -677,10 +677,6 @@ class SpectralCut:
     band: np.ndarray
     large_band_min: float
 
-    @property
-    def dims(self):
-        return (self.band.size, self.band.size)
-
 
 def _log_transfer_trace(log_x, log_r, size):
     """Logs of the coefficients of x^0, ..., x^(size-1) in

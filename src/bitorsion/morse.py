@@ -8,9 +8,9 @@ the signed sum of transposed instanton transports, which in rank 1 reduces
 to sum of n_gamma * tau_gamma. The critical-point bilinear forms sit
 block-diagonally.
 
-``make_circle_morse`` generates the standard circle family: N minima and N
-maxima alternating, all transports trivial except one carrying the holonomy.
-Its Milnor torsion is (1 - holonomy)^{-2} in rank one.
+``circle_system`` lays out every circle: N minima and N maxima alternating, all
+transports trivial except the seam arc's. ``make_circle_morse`` spaces them
+evenly; its Milnor torsion is (1 - holonomy)^{-2} in rank one.
 """
 
 from dataclasses import dataclass
@@ -35,6 +35,8 @@ __all__ = [
     "build_thom_smale",
     "milnor_torsion",
     "milnor_anomaly_check",
+    "circle_layout",
+    "circle_system",
     "make_circle_morse",
 ]
 
@@ -214,58 +216,48 @@ def milnor_anomaly_check(ms: MorseSystem, forms: CriticalForms, forms1: Critical
     return ratio
 
 
-def make_circle_morse(pair_count, holonomy, seam_arc=None, rank=None):
-    """Circle with ``pair_count`` minima and maxima alternating.
+def circle_layout(pair_count, seam_arc):
+    """Evenly spaced angles k pi / pair_count of the 2 pair_count points, and
+    the seam angle at the middle of arc ``seam_arc``."""
+    step = np.pi / pair_count
+    return [k * step for k in range(2 * pair_count)], (seam_arc + 0.5) * step
 
-    Points sit at angles k*pi/pair_count, minima on even slots. Arc j runs
-    counterclockwise from point j to point j+1; exactly one instanton (the
-    one whose arc contains the seam, by default the last arc, closing
-    through angle 2 pi) carries the holonomy, every other transport is the
-    identity. Signs alternate so that trivial holonomy yields the constant
-    cocycle: the coboundary row of each maximum is (+1, -1) against its two
-    neighbouring minima.
+
+def circle_system(block, positions, seam_arc, seam_angle, circumference=2.0 * np.pi):
+    """Circle Thom-Smale system: point k at angle ``positions[k]``, minima m_{k/2}
+    on even k and maxima M_{k/2} on odd k. Arc j runs counterclockwise from
+    point j to point j+1 (mod 2n). Its instanton flows down from the maximum:
+    clockwise on even arcs (M_k -> m_k, sign -1), counterclockwise on odd ones
+    (M_k -> m_{k+1}, sign +1), so that trivial holonomy yields the constant
+    cocycle. The seam at ``seam_angle`` lies in arc ``seam_arc``, whose
+    instanton carries ``block``, the transport in the direction it crosses the
+    seam: lam counterclockwise, lam^{-1} clockwise. Every other transport is
+    the identity.
+    """
+    block = as_cmatrix(block, square=True, name="holonomy")
+    eye = np.eye(block.shape[0], dtype=complex)
+    size = len(positions)
+    labels = [f"{'mM'[k % 2]}{k // 2}" for k in range(size)]
+    instantons = []
+    for j in range(size):
+        maxi, mini = (j + 1, j) if j % 2 == 0 else (j, (j + 1) % size)
+        instantons.append(Instanton(labels[maxi], labels[mini], 1 if j % 2 else -1,
+                                    block if j == seam_arc else eye))
+    geometry = CircleGeometry(dict(zip(labels, positions)), seam_angle, circumference)
+    return MorseSystem(tuple(CriticalPoint(lab, k % 2) for k, lab in enumerate(labels)),
+                       tuple(instantons), rank=block.shape[0], geometry=geometry)
+
+
+def make_circle_morse(pair_count, holonomy, seam_arc=None):
+    """Circle with ``pair_count`` minima and maxima alternating at angles
+    k pi / pair_count (``circle_system``); the instanton of arc ``seam_arc``,
+    by default the last one, closing through angle 2 pi, carries ``holonomy``.
     """
     n = int(pair_count)
     if n < 1:
         raise DimensionError("pair_count must be >= 1")
     hol = np.asarray(holonomy, dtype=complex)
-    if hol.ndim == 0:
-        if hol == 0:
-            raise HolonomyError("holonomy must be nonzero")
-        hol = hol.reshape(1, 1)
-    hol = as_cmatrix(hol, square=True, name="holonomy")
-    r = hol.shape[0]
-    if rank is not None and rank != r:
-        raise DimensionError("rank does not match holonomy size")
-    if abs(lu_det(hol)) == 0.0:
-        raise HolonomyError("holonomy must be invertible")
-
-    if seam_arc is None:
-        seam_arc = 2 * n - 1
-    seam_arc = int(seam_arc) % (2 * n)
-
-    points = []
-    positions = {}
-    step = np.pi / n
-    for k in range(2 * n):
-        lab = f"m{k // 2}" if k % 2 == 0 else f"M{k // 2}"
-        points.append(CriticalPoint(lab, k % 2))
-        positions[lab] = k * step
-
-    eye = np.eye(r, dtype=complex)
-    instantons = []
-    for k in range(n):
-        maxi = f"M{k}"
-        # arc 2k runs m_k -> M_k; arc 2k+1 runs M_k -> m_{k+1 mod n}
-        left_arc, right_arc = 2 * k, 2 * k + 1
-        left_min, right_min = f"m{k}", f"m{(k + 1) % n}"
-        instantons.append(
-            Instanton(maxi, left_min, -1, hol if left_arc == seam_arc else eye)
-        )
-        instantons.append(
-            Instanton(maxi, right_min, +1, hol if right_arc == seam_arc else eye)
-        )
-
-    seam_angle = (seam_arc + 0.5) * step
-    geometry = CircleGeometry(positions=positions, seam_angle=seam_angle)
-    return MorseSystem(tuple(points), tuple(instantons), rank=r, geometry=geometry)
+    seam_arc = (2 * n - 1 if seam_arc is None else int(seam_arc)) % (2 * n)
+    positions, seam_angle = circle_layout(n, seam_arc)
+    return circle_system(hol.reshape(1, 1) if hol.ndim == 0 else hol, positions, seam_arc,
+                         seam_angle)

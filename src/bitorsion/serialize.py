@@ -28,14 +28,16 @@ __all__ = [
 ]
 
 
+def _is_number(obj):
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def decode_complex_number(obj, field="value"):
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+    if _is_number(obj):
         return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        try:
-            return complex(float(obj[0]), float(obj[1]))
-        except (TypeError, ValueError):
-            pass
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_number, obj)):
+        return complex(float(obj[0]), float(obj[1]))
     raise SchemaError(f"{field}: expected number or [re, im] pair, got {obj!r}", field=field)
 
 
@@ -70,15 +72,13 @@ def decode_matrix(obj, field="matrix"):
 
 
 def _scalar(obj, kind, field):
-    """A JSON scalar cast by ``kind`` (float, int or bool); a failed cast is a
-    SchemaError. An int or bool field takes only that JSON type: ``int(64.9)``,
-    ``int(True)`` and ``bool("false")`` would all succeed with a wrong value."""
-    try:
-        if kind is not float and type(obj) is not kind:
-            raise TypeError
+    """A JSON scalar of type ``kind`` (float, int or bool), else a SchemaError.
+    A float field takes any JSON number; an int or bool field only its own
+    type. ``int(64.9)``, ``float(True)``, ``float("6.28")`` and ``bool("false")``
+    would all succeed with a wrong or unchecked value."""
+    if type(obj) is kind or (kind is float and _is_number(obj)):
         return kind(obj)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{field}: expected {kind.__name__}, got {obj!r}", field=field) from None
+    raise SchemaError(f"{field}: expected {kind.__name__}, got {obj!r}", field=field)
 
 
 def _container(obj, kind, field):

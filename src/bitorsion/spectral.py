@@ -21,11 +21,12 @@ and the Newton ratio e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1},
 of the same sums certifies the gap above the band of k.
 
 The combinatorial side is derived from the same model: ``morse_from_potential``
-reads off critical points of the potential, assigns the seam-gauge instanton
-transports, and evaluates the model's bilinear density at the critical points.
-The main comparison ``bz_compare`` divides the analytic torsion by that Milnor
-torsion; in the zero relative-density regime the conventions pinned here make
-the ratio exactly one, a fact frozen by the calibration test at holonomy 2.
+lays out the potential's critical points with ``morse.circle_system``, whose
+one instanton crossing the seam at x = 0 carries the transport in the direction
+it crosses: lam counterclockwise, lam^{-1} clockwise. The main comparison
+``bz_compare`` divides the analytic torsion by the Milnor torsion of that system
+with the model's density at the critical points; in the zero relative-density
+regime the ratio is exactly one, at every rotation of the potential.
 """
 
 from dataclasses import dataclass, replace
@@ -48,10 +49,12 @@ from .errors import (
     AmbiguousCutError,
     DimensionError,
     ResolutionError,
+    ShapeError,
     ThetaNotZeroError,
     ZeroModeError,
 )
-from .morse import CircleGeometry, CriticalForms, CriticalPoint, Instanton, MorseSystem, milnor_torsion
+from .complexes import CohomologyData
+from .morse import CriticalForms, MorseSystem, circle_system, milnor_torsion
 
 __all__ = [
     "spectral_cut",
@@ -249,49 +252,22 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
 
 
 def morse_from_potential(model: CircleModel):
-    """Thom-Smale system of the model's potential in the seam gauge.
-
-    Instanton transports are trivial except where the flow arc crosses the
-    seam at x = 0, which carries lam^{-1} (per channel): the cochain transport
-    of a counterclockwise seam crossing. Conventions are pinned by acceptance
-    criteria 6 and 12, which compare the analytic torsion with the Milnor
-    torsion of this system.
+    """Thom-Smale system of the model's potential, laid out by ``circle_system``
+    with the seam at x = 0. A scan of [0, L) that starts at a minimum puts the
+    seam on the closing arc, which flows counterclockwise and carries lam; one
+    that starts at a maximum is rotated by one, putting the seam on arc 2n - 2,
+    which flows clockwise and carries lam^{-1}.
     """
     if model.rank != 1:
         raise DimensionError("morse_from_potential works per rank-one channel")
     lam = complex(model.holonomy)
     crits = model.critical_points()
-    if not crits or len(crits) % 2 != 0:
+    seam_arc, block = len(crits) - 1, lam
+    if crits and crits[0][1] == 1:
+        crits, seam_arc, block = crits[1:] + crits[:1], len(crits) - 2, lam ** -1.0
+    if not crits or [ind for _, ind in crits] != [0, 1] * (len(crits) // 2):
         raise DimensionError("potential must have alternating minima and maxima")
-    length = model.length
-    points = []
-    positions = {}
-    n_min = n_max = 0
-    for pos, ind in crits:
-        lab = f"m{n_min}" if ind == 0 else f"M{n_max}"
-        if ind == 0:
-            n_min += 1
-        else:
-            n_max += 1
-        points.append(CriticalPoint(lab, ind))
-        positions[lab] = pos
-    order = sorted(points, key=lambda p: positions[p.label])
-    k = len(order)
-    instantons = []
-    for i, p in enumerate(order):
-        if p.index != 1:
-            continue
-        nxt = order[(i + 1) % k]
-        prv = order[(i - 1) % k]
-        # ccw arc max -> next min; crossing the seam contributes lam^{-1}
-        cross_next = positions[nxt.label] < positions[p.label]
-        cross_prev = positions[prv.label] > positions[p.label]
-        hol_next = np.array([[lam ** (-1.0) if cross_next else 1.0]], dtype=complex)
-        hol_prev = np.array([[lam ** (-1.0) if cross_prev else 1.0]], dtype=complex)
-        instantons.append(Instanton(p.label, nxt.label, +1, hol_next))
-        instantons.append(Instanton(p.label, prv.label, -1, hol_prev))
-    geometry = CircleGeometry(positions=positions, seam_angle=0.0, circumference=length)
-    return MorseSystem(tuple(points), tuple(instantons), rank=1, geometry=geometry)
+    return circle_system([[block]], [x for x, _ in crits], seam_arc, 0.0, model.length)
 
 
 def model_critical_forms(model: CircleModel, ms: MorseSystem):
@@ -306,14 +282,24 @@ def model_critical_forms(model: CircleModel, ms: MorseSystem):
     return CriticalForms(forms)
 
 
+def _acyclic_milnor(sub: CircleModel):
+    """One channel's Thom-Smale system and Milnor torsion, taken acyclic as the
+    analytic side takes it; a rank cut that finds cohomology is a ZeroModeError."""
+    ms = morse_from_potential(sub)
+    acyclic = CohomologyData(tuple(np.zeros((c, 0), dtype=complex) for c in ms.morse_counts()))
+    try:
+        return ms, milnor_torsion(ms, model_critical_forms(sub, ms), acyclic)
+    except ShapeError as exc:
+        raise ZeroModeError(f"|lam - 1| = {abs(complex(sub.holonomy) - 1.0):.1e}: the "
+                            "Thom-Smale complex has numerical cohomology") from exc
+
+
 def milnor_from_model(model: CircleModel):
     """Milnor torsion of the model-derived Thom-Smale pair (channel product)."""
     out = 1.0 + 0.0j
     model.critical_points()  # one scan, which channels() hands on
     for sub in model.channels():
-        ms = morse_from_potential(sub)
-        forms = model_critical_forms(sub, ms)
-        out *= milnor_torsion(ms, forms)
+        out *= _acyclic_milnor(sub)[1]
     return out
 
 
@@ -341,13 +327,13 @@ def _counting_data(ms: MorseSystem, potential: TrigPoly, length):
     return chi, chi_prime, trs
 
 
-def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0):
+def theorem33_experiment(model: CircleModel, t_values, n_grid):
     """Scaled band-torsion over Milnor-torsion ratios along a T sweep.
 
     Per T and channel, with k its Morse count, the sums e_{N-m}(K^T K) of
     ``ChannelOperators.log_band_torsion`` give the band torsion at any T.
     The band dims count the m <= k with |e_{N-m+1} / e_{N-m}|, about mu_m,
-    at most ``threshold``. The Newton ratio r = e_{N-k+1} e_{N-k-1} / e_{N-k}^2,
+    at most 1. The Newton ratio r = e_{N-k+1} e_{N-k-1} / e_{N-k}^2,
     about mu_k / mu_{k+1}, certifies the gap, and e_{N-k} (1 - r) / det(K)^2
     is 1 / (mu_1 ... mu_k) up to a relative O(r^2). Dims other than the Morse
     counts, or r or the noise floor above ``band_torsion_rel``, raise
@@ -364,8 +350,7 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0):
     channels = []
     model.critical_points()  # one scan, which channels() hands on
     for sub in model.channels():
-        ms = morse_from_potential(sub)
-        milnor = milnor_torsion(ms, model_critical_forms(sub, ms))
+        ms, milnor = _acyclic_milnor(sub)
         counting = _counting_data(ms, sub.potential, sub.length)
         channels.append((sub, tuple(ms.morse_counts()), np.log(milnor), counting))
     for t_param in t_values:
@@ -374,7 +359,7 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid, threshold=1.0):
             k = counts[0]
             ch = build_discrete(witten_deform(sub, t_param), n_grid).channels[0]
             logs, floor = ch.log_band_torsion(k)
-            band = int(np.sum(np.abs(np.exp(logs[:k] - logs[1:k + 1])) <= threshold))
+            band = int(np.sum(np.abs(np.exp(logs[:k] - logs[1:k + 1])) <= 1.0))
             if (band, band) != counts:
                 raise ResolutionError(
                     f"band dims {(band, band)} do not match Morse counts {counts} at T={t_param}")
@@ -398,18 +383,14 @@ def bz_compare(model: CircleModel, method="exact", cut=0.0):
 
     Only valid in the zero relative-density regime (constant phi against the
     canonical reference); the acyclic transport on determinant lines is then
-    canonical and the predicted value of the ratio is exactly 1.
+    canonical and the predicted value of the ratio is exactly 1. Near lam = 1
+    it refuses, with ZeroModeError, where either side does.
     """
     if not model.phi.is_constant() or model.deform_t != 0.0:
         raise ThetaNotZeroError(
             "relative density form is nonzero; use the anomaly invariance test instead"
         )
     work = model if model.potential is not None else replace(model, potential=TrigPoly.cos(1.0, 1))
-    for lam in work.channel_holonomies():
-        if abs(lam - 1.0) < 1e-12:
-            raise ZeroModeError(
-                "holonomy 1 is non-acyclic; bz_compare requires |1 - lam| > 0"
-            )
     rs = rs_torsion(work, cut=cut, method=method)
     milnor = milnor_from_model(work)
     return rs / milnor

@@ -18,7 +18,7 @@ long division. It is normalized so the lowest exponent is zero and the
 leading coefficient positive.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     ShapeError,
     UnsupportedSystemError,
 )
-from .morse import CriticalForms, MorseSystem, milnor_torsion
+from .morse import CircleGeometry, CriticalForms, MorseSystem, circle_layout, milnor_torsion
 from .numkernel import as_cmatrix, lu_det
 
 __all__ = [
@@ -88,7 +88,7 @@ def ensure_circle_geometry(ms: MorseSystem):
     """Attach canonical circle geometry to a bare alternating min/max system.
 
     Points are laid out in their given order, minima on even slots, with the
-    seam inside the closing arc, matching ``make_circle_morse``'s layout.
+    seam inside the closing arc: ``make_circle_morse``'s ``circle_layout``.
     """
     if ms.geometry is not None:
         return ms
@@ -98,16 +98,9 @@ def ensure_circle_geometry(ms: MorseSystem):
         raise UnsupportedSystemError(
             "cannot synthesize circle geometry: need equal counts of minima and maxima"
         )
-    from dataclasses import replace
-    from .morse import CircleGeometry
-
-    step = np.pi / len(mins)
-    positions = {}
-    for k, (mn, mx) in enumerate(zip(mins, maxs)):
-        positions[mn.label] = 2 * k * step
-        positions[mx.label] = (2 * k + 1) * step
-    seam = (2 * len(mins) - 0.5) * step
-    return replace(ms, geometry=CircleGeometry(positions=positions, seam_angle=seam))
+    positions, seam = circle_layout(len(mins), 2 * len(mins) - 1)
+    labels = [p.label for pair in zip(mins, maxs) for p in pair]
+    return replace(ms, geometry=CircleGeometry(dict(zip(labels, positions)), seam))
 
 
 def _direct_path_crossings(geom, base_angle, target_angle):

@@ -306,11 +306,17 @@ class TestCommands:
         (["torsion", "morse", "{}"],
          {"points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1}],
           "instantons": [{"from": "M0", "to": "m0", "sign": 1.0}]}, "instantons[0].sign"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "T": True}, "T"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "L": "6.28"}, "L"),
+        (["spectral", "{}", "--op", "zetadet"],
+         {"lambda": [2.0, 0.0], "phi": {"kind": "sin", "amp": True}}, "phi.amp"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": ["2", "0"]}, "lambda"),
     ], ids=["N", "dims", "index", "phi", "dims_array", "generators_array", "point_object",
             "instanton_object", "forms_object", "document_object", "flat_string",
             "flat_integer", "N_float", "N_bool", "N_string", "wells_float", "wells_negative",
             "wells_zero", "lambda_bool", "dims_float", "dims_bool", "rank_float",
-            "index_bool", "sign_float"])
+            "index_bool", "sign_float", "T_bool", "L_string", "amp_bool",
+            "lambda_pair_string"])
     def test_malformed_field_is_schema_error(self, tmp_path, capsys, argv, doc, field):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

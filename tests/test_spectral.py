@@ -11,6 +11,7 @@ import bitorsion.circle as circle_module
 from bitorsion.circle import (
     ChannelOperators,
     CircleModel,
+    TrigPoly,
     build_discrete,
     make_circle_model,
     witten_deform,
@@ -284,6 +285,15 @@ class TestDeRham:
 
 
 class TestTheorem33:
+    @pytest.mark.parametrize("shift", [0.3, -0.3])
+    def test_rotation_invariance(self, shift):
+        """At s = -0.3 the scan of cos(theta - s) starts at a minimum, at +0.3
+        at a maximum: both sweeps tend to 1 alike."""
+        pot = TrigPoly(cos_coeffs=((1, np.cos(shift)),), sin_coeffs=((1, np.sin(shift)),))
+        rows = theorem33_experiment(CircleModel(2.0, potential=pot), [10.0, 40.0, 160.0], 1024)
+        assert [round(r.ratio.real, 4) for r in rows] == [1.0154, 1.0038, 1.0009]
+        assert all(abs(r.ratio.imag) < 1e-12 for r in rows)
+
     def test_trend_single_case(self):
         model = make_circle_model(2.0, f=("cos", 1))
         rows = theorem33_experiment(model, [4.0, 8.0], 256)
@@ -409,6 +419,26 @@ class TestBzCompare:
         with pytest.raises(ThetaNotZeroError):
             bz_compare(model)
 
+    @pytest.mark.parametrize("wells", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [2.0, 0.5 + 0.8j, np.exp(1j), np.diag([2.0, 0.4 + 0.3j])],
+                             ids=["2", "0.5+0.8i", "e^i", "diag(2,0.4+0.3i)"])
+    def test_rotation_invariance(self, lam, wells):
+        """cos(k theta - s) is a rigid rotation of cos(k theta): the ratio stays 1
+        whether the scan of [0, L) starts at a minimum or at a maximum, so the
+        seam crossing carries lam counterclockwise and lam^{-1} clockwise."""
+        for s in np.linspace(-np.pi, np.pi, 13):
+            pot = TrigPoly(cos_coeffs=((wells, np.cos(s)),), sin_coeffs=((wells, np.sin(s)),))
+            assert abs(bz_compare(CircleModel(lam, potential=pot)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("wells", [2, 3])
+    @pytest.mark.parametrize("offset", [1e-10, -1e-10, 5e-12, -5e-12])
+    def test_near_trivial_holonomy_refused(self, offset, wells):
+        """Near lam = 1 the rank cut finds cohomology in the Thom-Smale complex
+        while the analytic side is still acyclic: the comparison refuses
+        instead of dividing the acyclic value by the non-acyclic one."""
+        with pytest.raises(ZeroModeError):
+            bz_compare(make_circle_model(1.0 + offset, f=("cos", wells)))
+
 
 class TestTwoBandStructure:
     def test_band_separation_grows(self):
@@ -425,7 +455,7 @@ class TestTwoBandStructure:
 
         ch = build_discrete(witten_deform(model, 8.0), 256).channels[0]
         cut = spectral_cut(ch, 1.0)
-        assert cut.dims == (1, 1)
+        assert cut.band.size == 1
         k = _dense_k(ch)
         # each degree's full spectrum is an oracle for the one band
         for dense in (ch.eigenvalues(), np.linalg.eigvals(k @ k.T)):
@@ -442,7 +472,7 @@ class TestTwoBandStructure:
         torsion is that of the Schur invariant subspace."""
         model = make_circle_model(2.0, f=("cos", 2))
         ch = build_discrete(witten_deform(model, 10.0), 256).channels[0]
-        assert spectral_cut(ch, 1.0).dims == (2, 2)  # M_0 = M_1 for two wells
+        assert spectral_cut(ch, 1.0).band.size == 2  # M_0 = M_1 for two wells
         dec, sdim = schur_decomposition(ch.sym_laplacian(), sort=lambda z: abs(z) <= 1.0)
         assert sdim == 2
         want = _schur_band_torsion(ch, dec.q[:, :sdim])
@@ -521,11 +551,11 @@ class TestSmallBand:
             "model = make_circle_model(2.0, f=('cos', 1))\n"
             "ch = build_discrete(witten_deform(model, 20.0), 65536).channels[0]\n"
             "row = theorem33_experiment(model, [20.0], 65536)[0]\n"
-            "print(spectral_cut(ch, 1.0).dims, row.band_dims, row.abs_log_ratio < 0.01)\n"
+            "print(spectral_cut(ch, 1.0).band.size, row.band_dims, row.abs_log_ratio < 0.01)\n"
         )
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "(1, 1) (1, 1) True"
+        assert out.stdout.strip() == "1 (1, 1) True"
