@@ -50,6 +50,8 @@ DOCS = {
     "knot": {"generators": ["a", "b", "c"], "relators": ["a b A C", "b c B A"]},
     "circle": {"lambda": [2.0, 0.0], "phi": {"kind": "sin", "amp": 0.3},
                "f": {"kind": "cos", "wells": 1}, "N": 64, "T": 5.0},
+    # phi = 0: ``bz`` refuses the density above (theta != 0) before its Milnor side
+    "flat": {"lambda": [2.0, 0.0], "f": {"kind": "cos", "wells": 1}, "N": 64},
 }
 
 COMMANDS = {
@@ -60,7 +62,7 @@ COMMANDS = {
     "torsion finite": ["torsion", "finite", "{complex}"],
     "torsion morse": ["torsion", "morse", "{morse}"],
     "torsion turaev": ["torsion", "turaev", "{morse}", "--euler", "M0=1"],
-    "spectral bz": ["spectral", "{circle}", "--op", "bz"],
+    "spectral bz": ["spectral", "{flat}", "--op", "bz"],
     "spectral thm33": ["spectral", "{circle}", "--op", "thm33"],
     "spectral witten": ["spectral", "{circle}", "--op", "witten"],
     "spectral spectrum": ["spectral", "{circle}", "--op", "spectrum"],

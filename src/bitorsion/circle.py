@@ -44,7 +44,7 @@ from .errors import (
     ResolutionError,
     ZeroModeError,
 )
-from .numkernel import as_cmatrix
+from .numkernel import as_cmatrix, lu_det
 
 __all__ = [
     "TrigPoly",
@@ -158,8 +158,7 @@ class CircleModel:
             object.__setattr__(self, "holonomy", complex(hol))
         else:
             hol = as_cmatrix(hol, square=True, name="holonomy")
-            ev = np.linalg.eigvals(hol)
-            if np.any(np.abs(ev) == 0.0):
+            if lu_det(hol) == 0:
                 raise HolonomyError("holonomy matrix is singular")
             object.__setattr__(self, "holonomy", hol)
         if not np.isfinite(self.phi.sup_norm_bound()):

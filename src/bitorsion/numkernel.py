@@ -1,17 +1,18 @@
 """Dense complex linear algebra under a symmetric-bilinear regime.
 
 Everything here treats matrices as plain ``numpy.ndarray`` of complex128.
-Factorizations are delegated to LAPACK through scipy (partial-pivot LU
-determinants). scipy is imported at first use, inside the function that calls
-it, so ``import bitorsion`` loads none of it. The bilinear-specific piece is
-the symmetry and nondegeneracy check every complex symmetric form passes.
-``lu_det`` validates its input with ``as_cmatrix``; ``check_symmetric_form``
-and ``nondegenerate_det`` take arrays their callers built or validated, and
-``nondegenerate_det`` checks one thing again, that its matrix is finite. The
-circle Laplacians are cyclic tridiagonal and do not come here:
-``circle.ChannelOperators`` takes their determinants and band torsions in
-closed form from the two diagonals of K, and their small eigenvalues, where
-counted, by sparse shift-invert Arnoldi. No package code calls
+Every determinant is numpy's partial-pivot LU (``np.linalg.det``), of one
+matrix or of a stack. Only ``schur_decomposition`` calls scipy, imported
+inside it, so neither ``import bitorsion`` nor a torsion loads scipy. The
+bilinear-specific piece is the symmetry and nondegeneracy check every complex
+symmetric form passes. ``lu_det`` validates its input with ``as_cmatrix``;
+``check_symmetric_form`` and ``nondegenerate_det`` take arrays their callers
+built or validated, and ``nondegenerate_det`` checks again that its matrix,
+and then its determinant, are finite. The circle Laplacians are cyclic
+tridiagonal and do not come here: ``circle.ChannelOperators`` takes their
+determinants and band torsions in closed form from the two diagonals of K,
+and their small eigenvalues, where counted, by sparse shift-invert Arnoldi
+(scipy, imported there). No package code calls
 ``schur_decomposition``: it stays as the tests' dense oracle and the
 benchmark tracer's probe, until a change to the benchmark drops that probe.
 
@@ -19,6 +20,7 @@ The one structural difference from Hermitian numerics: pairings use the
 transpose, never the conjugate transpose.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,23 +55,10 @@ def as_cmatrix(m, square=False, name="matrix"):
     return a
 
 
-def _lu_det(a):
-    """det a by partial-pivot LU (LAPACK ``zgetrf``), permutation sign included."""
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    from scipy.linalg import lapack
-
-    # a singular matrix legitimately yields a zero pivot and determinant zero
-    lu, piv, _ = lapack.zgetrf(a)
-    # piv records row swaps; each swap flips the sign.
-    sign = -1.0 if np.count_nonzero(piv != np.arange(n)) % 2 else 1.0
-    return complex(sign * lu.diagonal().prod())
-
-
 def lu_det(m):
-    """``_lu_det`` of ``m`` once ``as_cmatrix`` has validated it."""
-    return _lu_det(as_cmatrix(m, square=True))
+    """det m by partial-pivot LU (``np.linalg.det``) once ``as_cmatrix`` has
+    validated it; a singular matrix yields a zero pivot and exactly 0."""
+    return complex(np.linalg.det(as_cmatrix(m, square=True)))
 
 
 def check_symmetric_form(a, name):
@@ -95,19 +84,22 @@ def check_symmetric_form(a, name):
 
 
 def nondegenerate_det(a, error, message):
-    """det a; raises ``error(message)`` when |det a| <= nondegeneracy_rel *
-    max|a_jk|^n, the one nondegeneracy test of the package. ``a`` is not
-    validated again: one square matrix gets ``_lu_det``, the value callers
-    keep, and a test on scalars, and an entry that is not finite (a torsion
-    Gram that overflowed) raises ``InvalidMatrixError``. A stack (k, n, n) is
-    only tested, by one batched ``np.linalg.det``; ``message`` then holds k
-    strings and the first failing matrix's is raised.
+    """det a by ``np.linalg.det``; raises ``error(message)`` when |det a| <=
+    nondegeneracy_rel * max|a_jk|^n, the one nondegeneracy test of the
+    package. ``a`` is not validated again: one square matrix gets its
+    determinant, the value callers keep, and a test on scalars, and an entry
+    or a determinant that is not finite (a torsion Gram or an LU product that
+    overflowed) raises ``InvalidMatrixError``. A stack (k, n, n) is only
+    tested, by one batched determinant; ``message`` then holds k strings and
+    the first failing matrix's is raised.
     """
     if a.ndim == 2:
         scale = np.abs(a).max()  # inf also for finite parts whose modulus overflows
         if not np.isfinite(scale) and not np.isfinite(a).all():
             raise InvalidMatrixError("matrix contains non-finite entries")
-        det = _lu_det(a)
+        det = complex(np.linalg.det(a))
+        if not cmath.isfinite(det):
+            raise InvalidMatrixError("determinant is not finite: its LU product overflows")
         if abs(det) <= DEFAULT_TOL.nondegeneracy_rel * max(scale, 1e-300) ** a.shape[0]:
             raise error(message)
         return det

@@ -340,6 +340,12 @@ class TestExactSpectrum:
         with pytest.raises(HolonomyError):
             exact_spectrum_circle(0.0)
 
+    def test_singular_holonomy_matrix_rejected(self):
+        """Refused on its exact LU determinant, 0: the smallest eigenvalue of
+        this rank-one holonomy reads 1.2e-32, not 0."""
+        with pytest.raises(HolonomyError, match="singular"):
+            make_circle_model(np.array([[1, 2], [2, 4]]), f=("cos", 1))
+
 
 def _zeta_det_oracle(lam, length=TWO_PI):
     """Independent Hurwitz-style continuation of the eigenvalue zeta function."""

@@ -25,6 +25,12 @@ def two_term(a):
     return GradedComplex((1, 1), (np.array([[a]], dtype=complex),))
 
 
+def _random_symmetric(rng, n):
+    """a + aᵀ for a complex Gaussian n×n matrix a."""
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return a + a.T
+
+
 class TestCohomology:
     def test_acyclic_two_term(self):
         h = cohomology(two_term(1.0))
@@ -107,14 +113,18 @@ class TestTorsionForm:
         with pytest.raises(ShapeError):
             torsion_form(c, BilinearStructure.standard(c.dims), bad)
 
-    @pytest.mark.parametrize("c, grams", [
-        (GradedComplex((2, 2), (1e160 * np.eye(2),)), (np.eye(2), 1e10 * np.eye(2))),
-        (two_term(1e200), (np.eye(1), np.eye(1))),
-    ], ids=["gram_1e330", "gram_1e400"])
-    def test_overflowing_gram_refused(self, c, grams):
-        """A torsion Gram that overflows is refused, never returned as nan."""
+    @pytest.mark.parametrize("c, grams, match", [
+        (GradedComplex((2, 2), (1e160 * np.eye(2),)), (np.eye(2), 1e10 * np.eye(2)),
+         "non-finite entries"),
+        (two_term(1e200), (np.eye(1), np.eye(1)), "non-finite entries"),
+        (GradedComplex((256,), ()), (_random_symmetric(np.random.default_rng(0), 256),),
+         "determinant is not finite"),
+    ], ids=["gram_1e330", "gram_1e400", "det_n256"])
+    def test_overflowing_gram_refused(self, c, grams, match):
+        """A torsion Gram whose entries or whose LU product overflow is refused,
+        never returned as nan or inf."""
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(InvalidMatrixError, match="non-finite entries"):
+            with pytest.raises(InvalidMatrixError, match=match):
                 torsion_form(c, BilinearStructure(grams), cohomology(c))
 
     def test_non_cocycle_rejected(self):

@@ -41,7 +41,21 @@ def docs(tmp_path):
     circle = tmp_path / "circle.json"
     circle.write_text(json.dumps({"lambda": [2.0, 0.0], "phi": {"kind": "sin", "amp": 0.3},
                                   "f": {"kind": "cos", "wells": 1}, "N": 64}))
-    return {"knot": str(knot), "circle": str(circle)}
+    flat = tmp_path / "flat.json"  # φ = 0: bz refuses a density with θ ≠ 0
+    flat.write_text(json.dumps({"lambda": [2.0, 0.0], "f": {"kind": "cos", "wells": 1},
+                                "N": 64}))
+    complex_ = tmp_path / "complex.json"
+    complex_.write_text(json.dumps({"dims": [1, 1], "differentials": [[[[3.0, 0.0]]]]}))
+    morse = tmp_path / "morse.json"
+    morse.write_text(json.dumps({
+        "rank": 1,
+        "points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1}],
+        "instantons": [{"from": "M0", "to": "m0", "sign": -1, "holonomy": [[[1, 0]]]},
+                       {"from": "M0", "to": "m0", "sign": 1, "holonomy": [[[3, 0]]]}],
+        "forms": {"m0": [[[1, 0]]], "M0": [[[1, 0]]]},
+    }))
+    return {"knot": str(knot), "circle": str(circle), "flat": str(flat),
+            "complex": str(complex_), "morse": str(morse)}
 
 
 class TestScipyFreeStart:
@@ -50,7 +64,13 @@ class TestScipyFreeStart:
         ["alexander", "{knot}"],
         ["spectral", "{circle}", "--op", "zetadet"],
         ["spectral", "{circle}", "--op", "rstorsion"],
-    ], ids=["help", "alexander", "zetadet", "rstorsion"])
+        ["torsion", "finite", "{complex}"],
+        ["torsion", "morse", "{morse}"],
+        ["torsion", "turaev", "{morse}", "--euler", "M0=1"],
+        ["spectral", "{flat}", "--op", "bz"],
+        ["spectral", "{circle}", "--op", "thm33"],
+    ], ids=["help", "alexander", "zetadet", "rstorsion", "finite", "morse", "turaev", "bz",
+            "thm33"])
     def test_command_leaves_scipy_out(self, docs, argv):
         argv = [a.format(**docs) for a in argv]
         code = ("import sys\nfrom bitorsion import cli\n"
@@ -64,6 +84,20 @@ class TestScipyFreeStart:
                 "cli.build_parser(); acceptance.criterion_7_cut_independence()\n"
                 f"print({SCIPY_LOADED})\n")
         assert fresh(code).strip() == "False"
+
+    @pytest.mark.parametrize("warmup", [
+        "from bitorsion import make_circle_model\n"
+        "from bitorsion.spectral import bz_compare\n"
+        "bz_compare(make_circle_model(2.0, f=('cos', 1)))\n",
+        "from bitorsion import CriticalForms, fox_alexander, knot_from_braid\n"
+        "from bitorsion import make_circle_morse, milnor_torsion\n"
+        "ms = make_circle_morse(2, 3.0); milnor_torsion(ms, CriticalForms.standard(ms))\n"
+        "fox_alexander(knot_from_braid([1, 1, 1], 2))\n",
+    ], ids=["circle-requests", "combinatorial"])
+    def test_workload_warmup_leaves_scipy_out(self, warmup):
+        """The first calls of the benchmark's circle and combinatorial workloads:
+        a bz comparison, a Milnor torsion and a Fox determinant, with no scipy."""
+        assert fresh(f"import sys\n{warmup}print({SCIPY_LOADED})\n").strip() == "False"
 
 
 def _lazy_site_calls():
