@@ -42,6 +42,7 @@ from .errors import (
     HolonomyError,
     HomotopyClassError,
     ResolutionError,
+    SchemaError,
     ZeroModeError,
 )
 from .numkernel import as_cmatrix, lu_det
@@ -126,6 +127,13 @@ class TrigPoly:
             abs(c) for _, c in self.sin_coeffs
         )
 
+    @cached_property
+    def critical_angles(self):
+        """(angle, morse_index) of the critical points in theta, scanned on first
+        use, once per polynomial: every model that holds this object as its
+        potential shares the scan."""
+        return tuple(_critical_points(self, TWO_PI))
+
 
 @dataclass(frozen=True)
 class CircleModel:
@@ -139,6 +147,10 @@ class CircleModel:
     the Witten deformation parameter: the effective log-density is
     phi - deform_t * potential, with the flattening applied to phi only so
     the deformation wells keep their quadratic shape.
+
+    The model caches nothing: the critical points are scanned once per
+    potential object (``TrigPoly.critical_angles``), so channels,
+    deformations and any other ``replace`` of a model share its one scan.
     """
 
     holonomy: object
@@ -181,11 +193,11 @@ class CircleModel:
 
     def channels(self):
         """Rank-one models, one per holonomy eigenvalue; a scalar-holonomy model
-        is its own channel. The channels share this model's critical-point
-        scan if it has been made."""
+        is its own channel. The channels hold this model's potential, and with
+        it its one critical-point scan."""
         if np.ndim(self.holonomy) == 0:
             return [self]
-        return [_with_scan(replace(self, holonomy=lam), self) for lam in self.channel_holonomies()]
+        return [replace(self, holonomy=lam) for lam in self.channel_holonomies()]
 
     def phi_value(self, x):
         vals = self.phi.value(x, self.length)
@@ -206,31 +218,12 @@ class CircleModel:
         return der
 
     def critical_points(self):
-        """(position, morse_index) of the potential's critical points."""
-        return self._critical_scan
-
-    @cached_property
-    def _critical_scan(self):
-        """The critical points, scanned on first use, once per model."""
+        """(position, morse_index) of the potential's critical points: its
+        cached angles times L / 2 pi, an exact 1.0 at L = 2 pi."""
         if self.potential is None:
             raise DimensionError("model has no Morse potential")
-        return tuple(_critical_points(self.potential, self.length))
-
-    @cached_property
-    def _window_layout(self):
-        """Flat-window centres and half-width: 15% of the smallest gap between
-        critical points. Found on first use, once per model; a model that never
-        evaluates phi never scans."""
-        centres = [c for c, _ in self.critical_points()]
-        gaps = np.diff(centres + [centres[0] + self.length])
-        return centres, 0.15 * float(np.min(gaps))
-
-
-def _with_scan(child, parent):
-    """``child`` with ``parent``'s critical-point scan, if made: they share potential and length."""
-    if "_critical_scan" in parent.__dict__:
-        child.__dict__["_critical_scan"] = parent._critical_scan
-    return child
+        scale = self.length / TWO_PI
+        return tuple((x * scale, index) for x, index in self.potential.critical_angles)
 
 
 def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_windows=False):
@@ -238,7 +231,8 @@ def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_w
 
     phi: ("zero", _) or ("sin", amp); f: ("cos", wells) or None. A
     ("winding", _) density is not periodic: it would change the holonomy
-    class, and it is refused.
+    class, and it is refused. Any other kind is a SchemaError naming
+    ``phi.kind`` or ``f.kind``.
     """
     kind, amp = phi
     if kind == "zero":
@@ -248,12 +242,12 @@ def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_w
     elif kind == "winding":
         raise HomotopyClassError("log-density with winding changes the holonomy class; rejected")
     else:
-        raise DimensionError(f"unknown phi kind '{kind}'")
+        raise SchemaError(f"phi.kind: unknown kind {kind!r}", field="phi.kind")
     pot = None
     if f is not None:
         fkind, wells = f
         if fkind != "cos":
-            raise DimensionError(f"unknown potential kind '{fkind}'")
+            raise SchemaError(f"f.kind: unknown kind {fkind!r}", field="f.kind")
         pot = TrigPoly.cos(1.0, int(wells))
     # undeformed user densities must stay clear of degeneracy
     if np.exp(-2.0 * phi_poly.sup_norm_bound()) < DEFAULT_TOL.density_floor:
@@ -296,9 +290,15 @@ def _critical_points(pot: TrigPoly, length):
 
 
 def _windows(x, model: CircleModel):
-    """(critical point, mask of x inside its flat window) for each critical point."""
-    centres, half_width = model._window_layout
+    """(critical point, mask of x inside its flat window) for each critical point.
+
+    Each window reaches 15% of the smallest gap between critical points to
+    either side. The points come from the potential's one cached scan, so a
+    model that never evaluates phi never scans.
+    """
+    centres = [c for c, _ in model.critical_points()]
     length = model.length
+    half_width = 0.15 * float(np.min(np.diff(centres + [centres[0] + length])))
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     return [
         (c, np.abs((xa - c + length / 2) % length - length / 2) <= half_width)
@@ -343,12 +343,6 @@ class SpectrumFamily:
             if abs(mu) <= radius:
                 out.append((n, mu))
         return out
-
-    def min_modulus_outside(self, radius):
-        n_max = int(np.ceil(abs(self.z) + self.length / TWO_PI * np.sqrt(max(radius, 0.0)) + 3))
-        vals = [abs(self.mu(n)) for n in range(-n_max, n_max + 1)]
-        outside = [v for v in vals if v > radius]
-        return min(outside) if outside else np.inf
 
 
 def exact_spectrum_circle(lam, length=TWO_PI):
@@ -421,18 +415,15 @@ def witten_deform(model: CircleModel, t_param):
     """Deformed model with density e^{-2 T f} b, i.e. log-density phi - T f.
 
     Deformations compose additively in T. The deformation term is kept apart
-    from the user density so that flat windows never touch it.
+    from the user density so that flat windows never touch it. The deformed
+    model holds the same potential, so it shares the potential's one
+    critical-point scan, and with it the flat windows.
     """
     if model.potential is None:
         raise DimensionError("witten_deform requires a Morse potential")
     if t_param == 0:
         return model
-    deformed = replace(model, deform_t=model.deform_t + float(t_param))
-    if model.flat_windows:
-        # the windows depend only on the potential and the length, which T
-        # leaves alone: every deformation of one model shares its one scan
-        deformed.__dict__["_window_layout"] = model._window_layout
-    return _with_scan(deformed, model)
+    return replace(model, deform_t=model.deform_t + float(t_param))
 
 
 # ----------------------------------------------------------------------------
@@ -456,16 +447,11 @@ class ChannelOperators:
     """
 
     lam: complex
-    length: float
     n_grid: int
     nodes: np.ndarray
     mids: np.ndarray
     k_diag: np.ndarray      # K[m, m], from local exponent gaps
     k_upper: np.ndarray     # K[m, m+1 mod N]; the seam entry K[N-1, 0] carries lam
-
-    @property
-    def h(self):
-        return self.length / self.n_grid
 
     def log_det(self):
         """log det K modulo 2 pi i, in closed form and in O(N).
@@ -642,7 +628,7 @@ def _build_channel(lam, length, n_grid, phi_at):
     k_upper = (gap_upper / h).astype(complex)
     k_upper[-1] = lam * gap_upper[-1] / h  # the seam edge carries the holonomy
     return ChannelOperators(
-        lam=complex(lam), length=length, n_grid=n_grid, nodes=nodes, mids=mids,
+        lam=complex(lam), n_grid=n_grid, nodes=nodes, mids=mids,
         k_diag=(-np.exp(log_w1 - log_w0) / h).astype(complex), k_upper=k_upper,
     )
 

@@ -90,8 +90,9 @@ def nondegenerate_det(a, error, message):
     determinant, the value callers keep, and a test on scalars, and an entry
     or a determinant that is not finite (a torsion Gram or an LU product that
     overflowed) raises ``InvalidMatrixError``. A stack (k, n, n) is only
-    tested, by one batched determinant; ``message`` then holds k strings and
-    the first failing matrix's is raised.
+    tested, by one batched determinant; ``message`` then holds k strings. The
+    first matrix that fails is refused: ``InvalidMatrixError`` if its
+    determinant is not finite, else its message is raised.
     """
     if a.ndim == 2:
         scale = np.abs(a).max()  # inf also for finite parts whose modulus overflows
@@ -105,7 +106,12 @@ def nondegenerate_det(a, error, message):
         return det
     det = np.linalg.det(a)
     scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
-    failed = np.flatnonzero(np.abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[-1])
+    overflow = ~np.isfinite(det)
+    failed = np.flatnonzero(
+        overflow | (np.abs(det) <= DEFAULT_TOL.nondegeneracy_rel * scale ** a.shape[-1]))
+    if failed.size and overflow[failed[0]]:
+        raise InvalidMatrixError(f"determinant of matrix {failed[0]} in the stack is not "
+                                 "finite: its LU product overflows")
     if failed.size:
         raise error(message[failed[0]])
     return det

@@ -106,25 +106,30 @@ def spectral_cut(channel: ChannelOperators, radius):
 
 
 def _rs_exact_channel(lam, length, cut):
-    """Exact-method rs for one channel: band product times primed determinant inverse."""
-    fam = exact_spectrum_circle(lam, length)
-    modes = fam.modes_in_disk(cut) if cut and cut > 0 else []
+    """Exact-method rs for one channel: band product times primed determinant inverse.
+
+    As in ``spectral_cut``, one enumeration of the modes within the cut and its
+    clearance refuses an eigenvalue within the clearance of the cut circle and
+    gives the band, the modes within the cut.
+    """
+    modes = []
     if cut and cut > 0:
         clearance = DEFAULT_TOL.cut_clearance
-        gaps = [abs(abs(mu) - cut) for _, mu in modes]
-        gaps.append(abs(fam.min_modulus_outside(cut) - cut))
-        if min(gaps) < clearance:
+        near = exact_spectrum_circle(lam, length).modes_in_disk(cut + clearance)
+        if any(abs(abs(mu) - cut) < clearance for _, mu in near):
             raise AmbiguousCutError(f"eigenvalue within {clearance:.1e} of cut {cut}")
-    if abs(lam - 1.0) < 1e-14 and (not cut or cut <= 0):
+        modes = [mu for _, mu in near if abs(mu) <= cut]
+    elif abs(lam - 1.0) < 1e-14:
         raise ZeroModeError("holonomy 1 requires a positive cut (zero mode present)")
-    band = 1.0 + 0.0j
-    for _, mu in modes:
+    band, removed = 1.0 + 0.0j, 1.0 + 0.0j
+    for mu in modes:
         # acyclic pair (u, du): the Gram ratio contributes mu^{-1}; zero modes
-        # (holonomy 1) cancel between degrees with the standard harmonic bases
+        # (holonomy 1) cancel between degrees with the standard harmonic bases.
+        # The primed determinant is the full one with the band divided out.
         if mu != 0:
             band /= mu
-    detp = zeta_det_exact(lam, length, cut=cut if cut and cut > 0 else None)
-    return band / detp
+            removed *= mu
+    return band / (zeta_det_exact(lam, length, cut=0.0) / removed)
 
 
 def _rs_discrete_channel(channel_model, lam, length, cut):
@@ -297,7 +302,6 @@ def _acyclic_milnor(sub: CircleModel):
 def milnor_from_model(model: CircleModel):
     """Milnor torsion of the model-derived Thom-Smale pair (channel product)."""
     out = 1.0 + 0.0j
-    model.critical_points()  # one scan, which channels() hands on
     for sub in model.channels():
         out *= _acyclic_milnor(sub)[1]
     return out
@@ -348,7 +352,6 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid):
     gate = DEFAULT_TOL.band_torsion_rel
     rows = []
     channels = []
-    model.critical_points()  # one scan, which channels() hands on
     for sub in model.channels():
         ms, milnor = _acyclic_milnor(sub)
         counting = _counting_data(ms, sub.potential, sub.length)

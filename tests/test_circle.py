@@ -21,7 +21,12 @@ from bitorsion.circle import (
     zeta_det_exact,
 )
 from bitorsion.errors import DimensionError, GridError, HolonomyError, ZeroModeError
-from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims
+from bitorsion.spectral import (
+    bz_compare,
+    conjugation_isospectral_check,
+    rs_torsion,
+    small_spectrum_dims,
+)
 
 TWO_PI = 2 * np.pi
 _ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
@@ -60,8 +65,9 @@ class TestBuildDiscrete:
             log_w0, log_w1 = (model.phi_value(x) - x * np.log(ch.lam) / model.length
                               for x in (ch.nodes, ch.mids))
             root0, root1 = np.exp(log_w0), np.exp(log_w1)  # the h^{1/2} cancel
-            diag = -root1 / root0 / ch.h
-            upper = (root1 / np.roll(root0, -1) / ch.h).astype(complex)
+            h = model.length / ch.n_grid
+            diag = -root1 / root0 / h
+            upper = (root1 / np.roll(root0, -1) / h).astype(complex)
             upper[-1] *= ch.lam
             scale = max(np.max(np.abs(ch.k_diag)), np.max(np.abs(ch.k_upper)))
             assert np.max(np.abs(diag - ch.k_diag)) < 1e-12 * scale
@@ -510,6 +516,22 @@ class TestFlatWindows:
         conjugation_isospectral_check(model, 10.0, 64)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("method", ["gy", "discrete"])
+    def test_channels_share_one_scan(self, calls, method):
+        """The channels of a rank-2 flat-window model hold its potential, and
+        with it one scan: the torsion scans once, not once per channel."""
+        model = make_circle_model(np.diag([2.0, 3.0]), phi=("sin", 0.3), f=("cos", 1),
+                                  flat_windows=True)
+        rs_torsion(model, method=method)
+        assert len(calls) == 1
+
+    def test_comparison_scans_once(self, calls):
+        """bz_compare's analytic side, on both channels, and its Milnor side
+        share one scan."""
+        model = make_circle_model(np.diag([2.0, 3.0]), f=("cos", 1), flat_windows=True)
+        assert abs(bz_compare(model, method="discrete") - 1.0) < 1e-10
+        assert len(calls) == 1
+
 
 def _critical_points_scalar(pot, length):
     """The scalar scan-and-bisect loop, the reference for count and indices."""
@@ -561,6 +583,23 @@ def _assert_matches_oracles(pot, length, got):
 
 
 class TestCriticalPoints:
+    @pytest.mark.parametrize("pot", [
+        TrigPoly.cos(1.0, 1), TrigPoly.cos(1.0, 2), TrigPoly.cos(0.7, 3),
+        TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),)),
+        TrigPoly(const=0.5, cos_coeffs=((2, 0.4),), sin_coeffs=((1, -1.0), (3, 0.2))),
+    ], ids=["one_well", "two_wells", "three_wells", "asymmetric", "mixed"])
+    def test_model_scales_the_potential_scan(self, pot):
+        """A model's critical points are its potential's one scan in theta,
+        times L / 2 pi: bit for bit the scan at L = 2 pi, and within one float
+        spacing of L of a scan at L itself, with the same indices."""
+        scan = CircleModel(2.0, potential=pot).critical_points()
+        assert scan == tuple(_critical_points(pot, TWO_PI))
+        for length in (1.0, 3.0, 10.0, 100.0):
+            got = CircleModel(2.0, length=length, potential=pot).critical_points()
+            want = _critical_points(pot, length)
+            assert [i for _, i in got] == [i for _, i in want]
+            assert max(abs(g - w) for (g, _), (w, _) in zip(got, want)) <= np.spacing(length)
+
     @pytest.mark.parametrize("pot", [
         TrigPoly.cos(1.0, 1), TrigPoly.cos(1.0, 2), TrigPoly.cos(0.7, 3),
         TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),)),

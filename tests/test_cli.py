@@ -311,12 +311,16 @@ class TestCommands:
         (["spectral", "{}", "--op", "zetadet"],
          {"lambda": [2.0, 0.0], "phi": {"kind": "sin", "amp": True}}, "phi.amp"),
         (["spectral", "{}", "--op", "zetadet"], {"lambda": ["2", "0"]}, "lambda"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "phi": {"kind": "cos"}},
+         "phi.kind"),
+        (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "f": {"kind": "sin"}},
+         "f.kind"),
     ], ids=["N", "dims", "index", "phi", "dims_array", "generators_array", "point_object",
             "instanton_object", "forms_object", "document_object", "flat_string",
             "flat_integer", "N_float", "N_bool", "N_string", "wells_float", "wells_negative",
             "wells_zero", "lambda_bool", "dims_float", "dims_bool", "rank_float",
             "index_bool", "sign_float", "T_bool", "L_string", "amp_bool",
-            "lambda_pair_string"])
+            "lambda_pair_string", "phi_kind", "f_kind"])
     def test_malformed_field_is_schema_error(self, tmp_path, capsys, argv, doc, field):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -7,6 +7,7 @@ from bitorsion.errors import (
     DegenerateFormError,
     DimensionError,
     HolonomyError,
+    InvalidMatrixError,
 )
 from bitorsion.morse import (
     CriticalForms,
@@ -94,6 +95,13 @@ class TestStackedChecks:
         forms["m4"] = np.zeros((3, 3))
         with pytest.raises(DegenerateFormError, match="^critical form at m3 degenerate$"):
             CriticalForms(forms)
+
+    def test_overflowing_form_is_not_called_degenerate(self):
+        """1e200 I has a determinant that overflows, not a degenerate one: the
+        refusal says so instead of calling the form degenerate."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrixError, match="matrix 1 in the stack is not finite"):
+                CriticalForms({"a": np.eye(2), "b": 1e200 * np.eye(2)})
 
     def test_forms_of_different_shapes_refused(self):
         with pytest.raises(DimensionError, match="differ in shape"):

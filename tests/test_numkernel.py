@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from bitorsion.complexes import BilinearStructure
-from bitorsion.errors import DegenerateFormError, DimensionError
+from bitorsion.errors import DegenerateFormError, DimensionError, InvalidMatrixError
 from bitorsion.morse import CriticalForms
 from bitorsion.numkernel import check_symmetric_form, lu_det, schur_decomposition
 
@@ -187,6 +187,18 @@ class TestCheckSymmetricForm:
             check_symmetric_form(third_degenerate, names)
         check_symmetric_form(forms, names)
         check_symmetric_form(np.zeros((0, 2, 2), dtype=complex), [])
+
+    def test_stack_refuses_overflowing_determinant(self):
+        """A stacked form whose LU product overflows is refused as not finite,
+        as one matrix alone is; a degenerate matrix ahead of it is named first."""
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+        g = a + a.T  # |det g| is about 1e332
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrixError, match="matrix 0 in the stack is not finite"):
+                check_symmetric_form(np.stack([g, g]), ["x", "y"])
+            with pytest.raises(DegenerateFormError, match="^x degenerate$"):
+                check_symmetric_form(np.stack([np.zeros_like(g), g]), ["x", "y"])
 
     def test_shared_by_both_form_containers(self):
         asym = np.array([[1.0, 2.0], [0.0, 1.0]])
