@@ -13,9 +13,14 @@ complex regime, at N = 64, 128 and 256, where the full spectrum is a dense
 complex eigensolve. Outside the size sweep, ``rs_torsion_discrete_s`` times
 one discrete ``rs_torsion`` call on acceptance criterion 8's model
 (phi = 0.3 sin, cut 0.5), whose grid is fixed. The ``band`` rows time the
-band torsion of the same model at every size and at T = 10, 40 and 200:
+band torsion of the same model, and of its copy at holonomy 0.5 + 0.8i, at
+every size and at T = 10, 40, 200 and 640:
 ``ChannelOperators.log_band_torsion`` against the ARPACK ``spectral_cut``;
-a path that refuses a case gets its error's name. The ``crit`` rows time the
+a path that refuses a case gets its error's name. The ``thm33_sweep`` rows
+time ``theorem33_experiment`` over five T (4, 10, 40, 160, 640) at N = 64,
+512 and 4096, on one well at holonomy 2 (rank 1 real), 0.5 + 0.8i (rank 1
+complex) and a non-diagonal rank-2 holonomy with eigenvalues 2 and
+0.5 + 0.8i. The ``crit`` rows time the
 critical-point search ``circle._critical_points`` of cos(k theta), k = 1 to 5
 wells, at L = 2 pi. ``--src`` is the ``src``
 directory of the tree to time (default: this checkout); a tree whose
@@ -32,10 +37,14 @@ import os
 import sys
 import time
 
+import numpy as np
+
 T_PARAM = 10.0
 THRESHOLD = 1.0
-BAND_T = (10.0, 40.0, 200.0)
+BAND_T = (10.0, 40.0, 200.0, 640.0)
 COMPLEX_HOLONOMY = 0.5 + 0.8j
+SWEEP_T = (4.0, 10.0, 40.0, 160.0, 640.0)
+SWEEP_SIZES = (64, 512, 4096)
 COMPLEX_SIZES = (64, 128, 256)
 CRIT_WELLS = range(1, 6)
 TWO_PI = 2.0 * math.pi
@@ -61,7 +70,12 @@ def main():
     from bitorsion import build_discrete, make_circle_model, rs_torsion, witten_deform
     from bitorsion.circle import ChannelOperators, TrigPoly, _critical_points
     from bitorsion.errors import BitorsionError
-    from bitorsion.spectral import conjugation_isospectral_check, small_spectrum_dims, spectral_cut
+    from bitorsion.spectral import (
+        conjugation_isospectral_check,
+        small_spectrum_dims,
+        spectral_cut,
+        theorem33_experiment,
+    )
 
     model = make_circle_model(2.0, f=("cos", 1))
     deformed = witten_deform(model, T_PARAM)
@@ -89,16 +103,27 @@ def main():
         except BitorsionError as exc:
             return type(exc).__name__
 
-    band_rows = []
-    for t_param in BAND_T:
-        for n in args.sizes:
-            ch = build_discrete(witten_deform(model, t_param), n).channels[0]
-            band_rows.append({
-                "N": n, "T": t_param,
-                "log_band_torsion_s": timed(lambda: ch.log_band_torsion(1)),
-                "spectral_cut_s": timed(lambda: spectral_cut(ch, THRESHOLD)),
-            })
     complex_model = make_circle_model(COMPLEX_HOLONOMY, f=("cos", 1))
+    band_rows = []
+    for holonomy, band_model in ((2.0, model), (COMPLEX_HOLONOMY, complex_model)):
+        for t_param in BAND_T:
+            for n in args.sizes:
+                ch = build_discrete(witten_deform(band_model, t_param), n).channels[0]
+                band_rows.append({
+                    "holonomy": str(holonomy), "N": n, "T": t_param,
+                    "log_band_torsion_s": timed(lambda: ch.log_band_torsion(1)),
+                    "spectral_cut_s": timed(lambda: spectral_cut(ch, THRESHOLD)),
+                })
+    rotation = np.array([[2.0, 1.0], [1.0, 3.0]])
+    sweep_models = {
+        "rank 1 real": model,
+        "rank 1 complex": complex_model,
+        "rank 2": make_circle_model(rotation @ np.diag([2.0, COMPLEX_HOLONOMY])
+                                    @ np.linalg.inv(rotation), f=("cos", 1)),
+    }
+    sweep_rows = [{"model": name, "N": n, "theorem33_experiment_s": timed(
+        lambda: theorem33_experiment(sweep_model, SWEEP_T, n))}
+        for name, sweep_model in sweep_models.items() for n in SWEEP_SIZES]
     complex_rows = [{
         "N": n,
         "small_spectrum_dims_s": best_of(args.repeats, lambda: small_spectrum_dims(
@@ -113,6 +138,7 @@ def main():
     json.dump({"model": {"holonomy": 2.0, "wells": 1, "T": T_PARAM, "threshold": THRESHOLD},
                "repeats": args.repeats, "rs_torsion_discrete_s": rs_discrete_s, "rows": rows,
                "band": band_rows,
+               "thm33_sweep": {"T": SWEEP_T, "rows": sweep_rows},
                "complex": {"holonomy": str(COMPLEX_HOLONOMY), "T": T_PARAM,
                            "rows": complex_rows},
                "crit": {"length": TWO_PI, "rows": crit_rows}},

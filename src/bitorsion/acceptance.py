@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import build_discrete, make_circle_model, witten_deform
+from .circle import build_discrete, log_band_torsions, make_circle_model, witten_deform
 from .complexes import (
     anomaly_ratio,
     cohomology,
@@ -331,8 +331,9 @@ def criterion_9_witten_clustering():
     r12 = small_spectrum_dims(m2, 12.0, 512)
     if r12.counts != (2, 2):
         failures.append(f"counts {r12.counts} != (2,2) for two wells at T=12")
-    logs = np.array([build_discrete(witten_deform(m1, t), 512).channels[0].log_band_torsion(1)[0]
-                     for t in ts])
+    chans = [build_discrete(witten_deform(m1, t), 512).channels[0] for t in ts]
+    logs = log_band_torsions(np.array([ch.k_diag for ch in chans]),
+                             np.array([ch.k_upper for ch in chans]), 2.0, 1)[0]
     band = np.exp(-logs[:, 1])  # a real channel: the logs are real
     newton = np.exp(logs[:, 0] + logs[:, 2] - 2.0 * logs[:, 1])
     if not np.all(np.diff(band) < 0):

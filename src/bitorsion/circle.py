@@ -41,6 +41,7 @@ from .errors import (
     GridError,
     HolonomyError,
     HomotopyClassError,
+    InvalidMatrixError,
     ResolutionError,
     SchemaError,
     ZeroModeError,
@@ -64,6 +65,8 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 GY_POINTS = 1024  # trapezoid samples for the monodromy growth factor
 DENSE_MAX_N = 4096  # largest grid whose complex channel takes a dense eigensolve
+LINEAR_LOG_RANGE = 700.0  # bound on |log| of what a linear block forms; log(max double) = 709.78
+LOG_3 = float(np.log(3.0))
 
 
 @dataclass(frozen=True)
@@ -469,27 +472,8 @@ class ChannelOperators:
 
     def log_band_torsion(self, k):
         """log(e_{N-m}(K^T K) / det(K)^2), m = 0, ..., k + 1, and their relative
-        noise floor, in O(N k^2) time and O(N) memory, with no eigensolve.
-
-        With mu the eigenvalues of K^T K this is log e_m(1 / mu): entry k is the
-        band torsion 1 / (mu_1 ... mu_k) up to a relative O(mu_k / mu_{k+1}).
-        By Cauchy-Binet (transposed, so valid for bilinear K), e_{N-m} sums
-        det(K_{R,S})^2 over m removed rows and columns. On the 2N-cycle of K's
-        rows and columns a minor with m >= 1 has at most one matching, so
-        e_{N-m} is the x^m coefficient of tr prod_i [[a_i^2 + x, b_i^2],
-        [x, b_i^2]] (a = k_diag, b = k_upper). Its x^0 one is not det(K)^2 =
-        (1 - lam)^2 prod a^2 (``log_det``), which divides the rest. The floor
-        is eps * sum|term| / |sum term| at its largest, eps on a real channel.
-        """
-        a, b = self.k_diag, self.k_upper
-        log_x, log_r, log_det2 = -2.0 * np.log(a), 2.0 * np.log(b / a), 2.0 * np.log(1.0 - self.lam)
-        real = not (np.any(a.imag) or np.any(b.imag))
-        if real:
-            log_x, log_r, log_det2 = log_x.real, log_r.real, log_det2.real
-        sums = _log_transfer_trace(log_x, log_r, k + 2)[1:]
-        moduli = sums if real else _log_transfer_trace(log_x.real, log_r.real, k + 2)[1:]
-        floor = np.finfo(float).eps * float(np.max(np.exp(moduli - sums.real)))
-        return np.concatenate([[0.0], sums - log_det2]), floor
+        noise floor: this channel's ``log_band_torsions``."""
+        return log_band_torsions(self.k_diag, self.k_upper, self.lam, k)
 
     def conjugated(self, left, right):
         """These operators with K replaced by diag(left) K diag(right)."""
@@ -603,6 +587,50 @@ class ChannelOperators:
             n_pairs = min(2 * n_pairs, n - 2)
 
 
+def log_band_torsions(k_diag, k_upper, lam, k):
+    """log(e_{N-m}(K^T K) / det(K)^2), m = 0, ..., k + 1, and their relative
+    noise floor, for each K of a stack: diagonals of shape (..., N), holonomy
+    lam broadcasting against the leading axes. O(N k^2) time and O(N) memory
+    per K, with no eigensolve, in one ``_log_transfer_trace`` call.
+
+    With mu the eigenvalues of K^T K this is log e_m(1 / mu): entry k is the
+    band torsion 1 / (mu_1 ... mu_k) up to a relative O(mu_k / mu_{k+1}).
+    By Cauchy-Binet (transposed, so valid for bilinear K), e_{N-m} sums
+    det(K_{R,S})^2 over m removed rows and columns. On the 2N-cycle of K's
+    rows and columns a minor with m >= 1 has at most one matching, so
+    e_{N-m} is the x^m coefficient of tr prod_i [[a_i^2 + x, b_i^2],
+    [x, b_i^2]] (a = k_diag, b = k_upper). Its x^0 one is not det(K)^2 =
+    (1 - lam)^2 prod a^2 (``ChannelOperators.log_det``), which divides the
+    rest. The factors are divided by a_i^2 as logs, log b - log a, so no
+    ratio overflows. The floor is eps * sum|term| / |sum term| at its
+    largest: eps on a real stack (every entry real), and on a complex one
+    from the moduli, which ride in the same kernel call. A K with a zero or
+    non-finite entry has no logs: InvalidMatrixError.
+    """
+    a, b = np.asarray(k_diag), np.asarray(k_upper)
+    if not _k_in_range(a, b).all():
+        raise InvalidMatrixError(f"K on the {a.shape[-1]}-point grid has a zero or non-finite "
+                                 "entry; refine the grid or lower T")
+    log_a = np.log(a)
+    log_x, log_r = -2.0 * log_a, 2.0 * (np.log(b) - log_a)
+    log_det2 = 2.0 * np.log(1.0 - np.asarray(lam, dtype=complex))[..., None]
+    if not (np.any(a.imag) or np.any(b.imag)):
+        sums = _log_transfer_trace(log_x.real, log_r.real, k + 2)[..., 1:]
+        log_det2, moduli = log_det2.real, sums
+    else:
+        both = _log_transfer_trace(np.stack([log_x, log_x.real + 0j]),
+                                   np.stack([log_r, log_r.real + 0j]), k + 2)[..., 1:]
+        sums, moduli = both[0], both[1].real
+    floor = np.finfo(float).eps * np.max(np.exp(moduli - sums.real), axis=-1)
+    return np.concatenate([np.zeros_like(sums[..., :1]), sums - log_det2], axis=-1), floor
+
+
+def _k_in_range(k_diag, k_upper):
+    """Whether every entry of K is finite and nonzero, per K of a stack."""
+    ok = np.isfinite(k_diag) & np.isfinite(k_upper) & (k_diag != 0) & (k_upper != 0)
+    return np.all(ok, axis=-1)
+
+
 @dataclass(frozen=True)
 class DiscreteOperators:
     """Per-channel staggered operators for a circle model on an N-point grid."""
@@ -665,29 +693,94 @@ class SpectralCut:
 
 def _log_transfer_trace(log_x, log_r, size):
     """Logs of the coefficients of x^0, ..., x^(size-1) in
-    tr prod_i [[1 + x e^{log_x_i}, e^{log_r_i}], [x e^{log_x_i}, e^{log_r_i}]].
+    tr prod_i [[1 + x e^{log_x_i}, e^{log_r_i}], [x e^{log_x_i}, e^{log_r_i}]],
+    for each item of the leading batch axes of log_x and log_r, shape (..., N).
 
-    Factors hold the logs of their entries' coefficients, plus a -inf one
-    that pads the 2 (m + 1) terms of power m, left (l, p) times right
-    (l, m - p); identities pad their number to a power of two, and
-    neighbours multiply pairwise, in O(log N) numpy calls.
+    Identities pad the N factors to a power of two P, cut into blocks of B.
+    A block's product is taken in the linear domain (``_block_products``), its
+    coefficients' logs are taken, and neighbouring blocks then multiply
+    pairwise in log space (``_log_tree``). B is the largest power of two up to
+    P with B (l + ln 3) <= LINEAR_LOG_RANGE, l the largest |Re| of the item's
+    factor logs and 0. Every term of a B-factor product is a product of B
+    entries of modulus in [e^-l, e^l], and a coefficient sums at most 3^B of
+    them, so all a block forms stays in the normal double range. An l beyond
+    range, or a zero entry (log -inf), gives B = 1: the log-space tree then
+    multiplies the factors themselves. Items are grouped by B, so a batched
+    item's value is that of its own call, bit for bit.
     """
-    n = log_x.size
-    t = np.full((1 << (n - 1).bit_length(), 2, 2, size + 1), -np.inf, dtype=log_x.dtype)
-    t[:, 0, 0, 0] = 0.0
-    t[n:, 1, 1, 0] = 0.0
-    t[:n, 0, 0, 1] = t[:n, 1, 0, 1] = log_x
-    t[:n, 0, 1, 0] = t[:n, 1, 1, 0] = log_r
+    batch, n = log_x.shape[:-1], log_x.shape[-1]
+    log_x, log_r = log_x.reshape(-1, n), log_r.reshape(-1, n)
+    padded = 1 << (n - 1).bit_length()
+    blocks = np.array([_block_size(ell, padded) for ell in
+                       np.max(np.maximum(abs(log_x.real), abs(log_r.real)), axis=-1).tolist()])
+    out = np.empty((len(log_x), size), dtype=log_x.dtype)
+    for block in set(blocks.tolist()):
+        pick = blocks == block
+        if block == 1:
+            t = np.full((pick.sum(), padded, 2, 2, size + 1), -np.inf, dtype=log_x.dtype)
+            t[..., 0, 0, 0] = 0.0
+            t[:, n:, 1, 1, 0] = 0.0
+            t[:, :n, 0, 0, 1] = t[:, :n, 1, 0, 1] = log_x[pick]
+            t[:, :n, 0, 1, 0] = t[:, :n, 1, 1, 0] = log_r[pick]
+        else:
+            coeffs = _block_products(log_x[pick], log_r[pick], size, padded, block)
+            t = np.full(coeffs.shape[:-1] + (size + 1,), -np.inf, dtype=log_x.dtype)
+            with np.errstate(divide="ignore"):  # a zero coefficient is -inf
+                t[..., :size] = np.log(coeffs)
+        out[pick] = _log_tree(t, size)
+    return out.reshape(batch + (size,))
+
+
+def _block_size(ell, padded):
+    """The largest power of two B <= padded with B (ell + ln 3) <= LINEAR_LOG_RANGE,
+    or 1; a nan or infinite ell fits no block."""
+    block = 1
+    while 2 * block <= padded and 2 * block * (ell + LOG_3) <= LINEAR_LOG_RANGE:
+        block *= 2
+    return block
+
+
+def _block_products(log_x, log_r, size, padded, block):
+    """Coefficients of x^0, ..., x^(size-1) of each entry of the products of
+    ``block`` consecutive factors, identities padding N to ``padded``: shape
+    (items, padded / block, 2, 2, size).
+
+    A 2 x 2 matrix of polynomials mod x^size is the 2 size-square matrix of
+    lower-triangular Toeplitz blocks whose first columns hold the entries'
+    coefficients; products correspond, so neighbours multiply pairwise with
+    one ``np.matmul`` per level.
+    """
+    items, n = log_x.shape
+    diag, sub = np.arange(size), np.arange(1, size)
+    f = np.zeros((items, padded, 2 * size, 2 * size), dtype=log_x.dtype)
+    f[:, :, diag, diag] = 1.0
+    f[:, n:, size + diag, size + diag] = 1.0
+    x, r = np.exp(log_x)[..., None], np.exp(log_r)[..., None]
+    f[:, :n, sub, sub - 1] = f[:, :n, size + sub, sub - 1] = x
+    f[:, :n, diag, size + diag] = f[:, :n, size + diag, size + diag] = r
+    f = f.reshape(items, padded // block, block, 2 * size, 2 * size)
+    while f.shape[2] > 1:
+        f = f[:, :, 0::2] @ f[:, :, 1::2]
+    cols = f[:, :, 0, :, ::size].reshape(items, padded // block, 2, size, 2)
+    return cols.swapaxes(-1, -2)
+
+
+def _log_tree(t, size):
+    """The trace's coefficient logs from t, shape (items, blocks, 2, 2, size + 1):
+    the logs of the blocks' entries' coefficients, plus a -inf one that pads
+    the 2 (m + 1) terms of power m, left (l, p) times right (l, m - p).
+    Neighbours multiply pairwise in O(log blocks) numpy calls."""
     m, term = np.indices((size, 2 * size))
     l, p = np.divmod(term, m + 1)
     left = np.where(l < 2, l * (size + 1) + p, size)
     right = np.where(l < 2, l * (size + 1) + m - p, 0)
-    while len(t) > 1:
-        a = t[0::2].reshape(-1, 2, 2 * size + 2)
-        b = t[1::2].swapaxes(1, 2).reshape(-1, 2, 2 * size + 2)
-        t = np.full((len(a), 2, 2, size + 1), -np.inf, dtype=t.dtype)
-        t[..., :size] = _log_sum_exp(a[:, :, None, left] + b[:, None, :, right])
-    return _log_sum_exp(np.stack([t[0, 0, 0, :size], t[0, 1, 1, :size]], axis=-1))
+    items = len(t)
+    while t.shape[1] > 1:
+        a = t[:, 0::2].reshape(items, -1, 2, 2 * size + 2)
+        b = t[:, 1::2].swapaxes(2, 3).reshape(items, -1, 2, 2 * size + 2)
+        t = np.full(a.shape[:2] + (2, 2, size + 1), -np.inf, dtype=t.dtype)
+        t[..., :size] = _log_sum_exp(a[:, :, :, None, left] + b[:, :, None, :, right])
+    return _log_sum_exp(np.stack([t[:, 0, 0, 0, :size], t[:, 0, 1, 1, :size]], axis=-1))
 
 
 def _log_sum_exp(z):

@@ -16,9 +16,10 @@ conjugation check compares factors, not spectra.
 
 Deep in the Witten deformation that product is far below eps ||L||, where no
 eigensolver sees it. ``theorem33_experiment`` takes it in closed form from the
-sums e_{N-m} of squared minors of K (``ChannelOperators.log_band_torsion``),
-and the Newton ratio e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1},
-of the same sums certifies the gap above the band of k.
+sums e_{N-m} of squared minors of K (``circle.log_band_torsions``, one call on
+the stacked K of a whole T sweep per channel), and the Newton ratio
+e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1}, of the same sums
+certifies the gap above the band of k.
 
 The combinatorial side is derived from the same model: ``morse_from_potential``
 lays out the potential's critical points with ``morse.circle_system``, whose
@@ -38,9 +39,11 @@ from .circle import (
     CircleModel,
     SpectralCut,
     TrigPoly,
+    _k_in_range,
     build_discrete,
     exact_spectrum_circle,
     gelfand_yaglom_det,
+    log_band_torsions,
     witten_deform,
     zeta_det_exact,
 )
@@ -48,6 +51,7 @@ from .config import DEFAULT_TOL
 from .errors import (
     AmbiguousCutError,
     DimensionError,
+    InvalidMatrixError,
     ResolutionError,
     ShapeError,
     ThetaNotZeroError,
@@ -234,7 +238,9 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
     of K is zero), in O(N) with no eigensolve. It is stronger than comparing
     spectra: equal factors make K^T K one matrix, while a fault in
     ``conjugated`` that is a similarity keeps the spectrum, as negating every
-    ``k_upper`` on an even grid does (S K S with S = diag((-1)^i)).
+    ``k_upper`` on an even grid does (S K S with S = diag((-1)^i)). Where
+    e^{+-T f} or K_T leaves double range (T beyond about 709 on cos
+    potentials), a gap would be nan: InvalidMatrixError, naming T.
     """
     if model.potential is None:
         raise DimensionError("conjugation check requires a Morse potential")
@@ -245,9 +251,17 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
     for ch_t, ch_0 in zip(disc_t.channels, disc_0.channels):
         f_nodes = model.potential.value(ch_0.nodes, model.length)
         f_mids = model.potential.value(ch_0.mids, model.length)
-        conj = ch_0.conjugated(np.exp(-float(t_param) * f_mids), np.exp(float(t_param) * f_nodes))
-        for got, want in ((conj.k_diag, ch_t.k_diag), (conj.k_upper, ch_t.k_upper)):
-            worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
+        # np.max carries a nan gap, so none is compared away
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            conj = ch_0.conjugated(np.exp(-float(t_param) * f_mids),
+                                   np.exp(float(t_param) * f_nodes))
+            gaps = [float(np.max(np.abs(got - want) / np.abs(want)))
+                    for got, want in ((conj.k_diag, ch_t.k_diag), (conj.k_upper, ch_t.k_upper))]
+        if not np.isfinite(gaps).all():
+            raise InvalidMatrixError(
+                f"conjugation at T={t_param} on the {n_grid}-point grid: e^(+-T f) or K_T "
+                "leaves double range")
+        worst = max(worst, *gaps)
     return worst
 
 
@@ -334,8 +348,9 @@ def _counting_data(ms: MorseSystem, potential: TrigPoly, length):
 def theorem33_experiment(model: CircleModel, t_values, n_grid):
     """Scaled band-torsion over Milnor-torsion ratios along a T sweep.
 
-    Per T and channel, with k its Morse count, the sums e_{N-m}(K^T K) of
-    ``ChannelOperators.log_band_torsion`` give the band torsion at any T.
+    Per channel, with k its Morse count, one ``log_band_torsions`` call on the
+    stacked K of every T gives the sums e_{N-m}(K^T K), and with them the
+    band torsion at any T; the checks then run in T order.
     The band dims count the m <= k with |e_{N-m+1} / e_{N-m}|, about mu_m,
     at most 1. The Newton ratio r = e_{N-k+1} e_{N-k-1} / e_{N-k}^2,
     about mu_k / mu_{k+1}, certifies the gap, and e_{N-k} (1 - r) / det(K)^2
@@ -345,23 +360,38 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid):
     Thom-Smale pair is scaled by (T/pi)^{chi/2 - chi'} exp(2 rk Tr_s[f] T),
     all in logs, and tends to 1; rows record |log ratio| and the largest
     Newton ratio. The Morse data does not depend on T and is built once per
-    channel.
+    channel. A K with a zero or non-finite entry, as e^{T f} leaves double
+    range, raises InvalidMatrixError naming the grid and T.
     """
     if model.potential is None:
         raise DimensionError("theorem33_experiment requires a Morse potential")
     gate = DEFAULT_TOL.band_torsion_rel
+    t_values = list(t_values)
     rows = []
     channels = []
     for sub in model.channels():
         ms, milnor = _acyclic_milnor(sub)
         counting = _counting_data(ms, sub.potential, sub.length)
         channels.append((sub, tuple(ms.morse_counts()), np.log(milnor), counting))
-    for t_param in t_values:
+    if not t_values:
+        return rows
+    sweeps = []
+    for sub, counts, _, _ in channels:
+        ops = [build_discrete(witten_deform(sub, t), n_grid).channels[0] for t in t_values]
+        k_diag, k_upper = np.array([op.k_diag for op in ops]), np.array([op.k_upper for op in ops])
+        in_range = _k_in_range(k_diag, k_upper)
+        usable = len(ops) if in_range.all() else int(np.argmin(in_range))
+        sweeps.append((usable, *log_band_torsions(k_diag[:usable], k_upper[:usable],
+                                                  complex(sub.holonomy), counts[0])))
+    for i, t_param in enumerate(t_values):
         log_ratio, gap, dims = 0.0, 0.0, 0
-        for sub, counts, log_milnor, (chi, chi_prime, trs) in channels:
-            k = counts[0]
-            ch = build_discrete(witten_deform(sub, t_param), n_grid).channels[0]
-            logs, floor = ch.log_band_torsion(k)
+        for (_, counts, log_milnor, (chi, chi_prime, trs)), (usable, sweep_logs, floors) in zip(
+                channels, sweeps):
+            if i == usable:
+                raise InvalidMatrixError(
+                    f"K on the {n_grid}-point grid has a zero or non-finite entry at "
+                    f"T={t_param}; refine the grid or lower T")
+            k, logs, floor = counts[0], sweep_logs[i], floors[i]
             band = int(np.sum(np.abs(np.exp(logs[:k] - logs[1:k + 1])) <= 1.0))
             if (band, band) != counts:
                 raise ResolutionError(

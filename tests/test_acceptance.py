@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bitorsion import acceptance
-from bitorsion.circle import ChannelOperators
 
 BUDGETS = {
     1: 5.0,
@@ -80,17 +79,17 @@ def test_09_band_gates_can_fail(monkeypatch, fault, message):
     """Criterion 9 fails when the band eigenvalue from the minors stops
     decaying, as an eigensolver's reading does once it reaches rounding
     (7e-13 at T >= 10, N = 512), or when a Newton ratio exceeds the gate."""
-    exact = ChannelOperators.log_band_torsion
+    exact = acceptance.log_band_torsions
 
-    def faulty(ch, k):
-        logs, floor = exact(ch, k)
+    def faulty(k_diag, k_upper, lam, k):
+        logs, floor = exact(k_diag, k_upper, lam, k)
         if fault == "rounding_band":
-            logs[1] = min(logs[1], -np.log(7e-13))
+            logs[:, 1] = np.minimum(logs[:, 1], -np.log(7e-13))
         else:
-            logs[2] = 2.0 * logs[1] + np.log(1e-3)
+            logs[:, 2] = 2.0 * logs[:, 1] + np.log(1e-3)
         return logs, floor
 
-    monkeypatch.setattr(ChannelOperators, "log_band_torsion", faulty)
+    monkeypatch.setattr(acceptance, "log_band_torsions", faulty)
     result = acceptance.criterion_9_witten_clustering()
     assert not result.passed
     assert message in result.detail

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -20,7 +22,13 @@ from bitorsion.circle import (
     witten_deform,
     zeta_det_exact,
 )
-from bitorsion.errors import DimensionError, GridError, HolonomyError, ZeroModeError
+from bitorsion.errors import (
+    DimensionError,
+    GridError,
+    HolonomyError,
+    InvalidMatrixError,
+    ZeroModeError,
+)
 from bitorsion.spectral import (
     bz_compare,
     conjugation_isospectral_check,
@@ -265,6 +273,144 @@ class TestLogBandTorsion:
             tracemalloc.stop()
         assert peak < 2048 * 65536
         assert abs(got - want) < 1e-9 and abs(want - 158.15275476) < 1e-8
+
+
+    def test_deep_deformation_takes_ratios_as_logs(self):
+        """N = 64, T = 8000: K is finite, but b / a overflows. The factors are
+        taken as log b - log a, so no warning is raised, and e_{N-1} / det(K)^2
+        is the 40-digit product of K's own factors."""
+        model = witten_deform(make_circle_model(2.0, f=("cos", 1)), 8000.0)
+        ch = build_discrete(model, 64).channels[0]
+        assert np.isfinite(ch.k_diag).all() and np.isfinite(ch.k_upper).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logs, floor = ch.log_band_torsion(1)
+        with mp.workdps(40):
+            a = [mp.mpf(v) for v in ch.k_diag.real]
+            b = [mp.mpf(v) for v in ch.k_upper.real]
+            log_x = [-2 * mp.log(abs(v)) for v in a]
+            log_r = [2 * (mp.log(abs(u)) - mp.log(abs(v))) for u, v in zip(b, a)]
+            want = _transfer_trace_oracle(log_x, log_r, 3)[1] / (1 - mp.mpf(2)) ** 2
+            assert abs(logs[1] - mp.log(want)) <= 1e-12 * abs(mp.log(want))
+        assert floor == np.finfo(float).eps
+
+    @pytest.mark.parametrize("entry", [0.0, np.inf, np.nan], ids=["zero", "inf", "nan"])
+    def test_entry_out_of_range_refused(self, entry):
+        ch = build_discrete(make_circle_model(2.0), 16).channels[0]
+        k_diag = ch.k_diag.copy()
+        k_diag[3] = entry
+        with pytest.raises(InvalidMatrixError, match="16-point grid"):
+            replace(ch, k_diag=k_diag).log_band_torsion(1)
+
+
+def _transfer_trace_oracle(log_x, log_r, size):
+    """Coefficients of x^0, ..., x^(size-1) of tr prod_i [[1 + x X_i, R_i],
+    [x X_i, R_i]], X = e^{log_x}, R = e^{log_r}, in the current mpmath
+    precision: the truncated 2 x 2 polynomial factors multiplied out one by
+    one, with no logs and no blocks."""
+    one, zero = mp.mpf(1), mp.mpf(0)
+    p00, p01 = [one] + [zero] * (size - 1), [zero] * size
+    p10, p11 = [zero] * size, [one] + [zero] * (size - 1)
+    for lx, lr in zip(log_x, log_r):
+        big_x, big_r = mp.exp(mp.mpmathify(lx)), mp.exp(mp.mpmathify(lr))
+
+        def times_x(c):
+            return [zero] + [big_x * v for v in c[:-1]]
+
+        s00, s01, s10, s11 = times_x(p00), times_x(p01), times_x(p10), times_x(p11)
+        p00, p01, p10, p11 = (
+            [u + v + w for u, v, w in zip(p00, s00, s01)],
+            [(u + v) * big_r for u, v in zip(p00, p01)],
+            [u + v + w for u, v, w in zip(p10, s10, s11)],
+            [(u + v) * big_r for u, v in zip(p10, p11)],
+        )
+    return [u + v for u, v in zip(p00, p11)]
+
+
+# per-factor |Re log| scales whose block sizes run through every power of two
+# from 512 down to 1 (B (l + ln 3) <= 700, l the largest |Re log|)
+_KERNEL_SCALES = (0.1, 1.0, 3.0, 8.0, 20.0, 40.0, 80.0, 150.0, 300.0, 900.0)
+
+
+def _kernel_inputs(n_factors, kind, seed):
+    """Seeded factor logs, one (log_x, log_r) pair per scale, uniform in
+    [-scale, scale], with random phases on a complex kind."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for scale in _KERNEL_SCALES:
+        logs = rng.uniform(-scale, scale, (2, n_factors))
+        if kind == "complex":
+            logs = logs + 1j * rng.uniform(-np.pi, np.pi, (2, n_factors))
+        out.append(logs)
+    return out
+
+
+class TestTransferTrace:
+    """``circle._log_transfer_trace`` against a 40-digit mpmath product of the
+    truncated 2 x 2 polynomial factors, with no logs and no blocks. A double
+    log of modulus |L| carries about eps |L| of its own, so each coefficient's
+    log is checked to 1e-12 max(1, |L|)."""
+
+    @staticmethod
+    def _assert_matches_oracle(log_x, log_r, size, kind):
+        got = circle_module._log_transfer_trace(log_x, log_r, size)
+        with mp.workdps(40):
+            want = _transfer_trace_oracle(log_x.tolist(), log_r.tolist(), size)
+            for g, w in zip(got.tolist(), want):
+                if w == 0:
+                    assert np.real(g) == -np.inf
+                    continue
+                gap = mp.mpmathify(g) - mp.log(w)
+                if kind == "complex":  # logs agree modulo 2 pi i
+                    gap = mp.mpc(gap.real, (gap.imag + mp.pi) % (2 * mp.pi) - mp.pi)
+                assert abs(gap) <= 1e-12 * max(1.0, abs(mp.re(mp.log(w))))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n_factors", [1, 3, 7, 64, 100, 1000])
+    def test_matches_high_precision_product(self, n_factors, kind):
+        padded = 1 << (n_factors - 1).bit_length()
+        blocks = set()
+        for i, (log_x, log_r) in enumerate(_kernel_inputs(n_factors, kind, n_factors)):
+            ell = max(np.max(np.abs(log_x.real)), np.max(np.abs(log_r.real)))
+            blocks.add(circle_module._block_size(ell, padded))
+            self._assert_matches_oracle(log_x, log_r, 2 + i % 5, kind)
+        assert blocks == {1 << j for j in range(min(10, padded.bit_length()))}
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n_factors", [1, 7, 100])
+    def test_zero_entry(self, n_factors, kind):
+        """A zero X (log -inf) is exact: its item takes the log-space tree."""
+        log_x, log_r = _kernel_inputs(n_factors, kind, 5)[1]
+        log_x[n_factors // 2] = -np.inf
+        self._assert_matches_oracle(log_x, log_r, 4, kind)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n_factors", [3, 64, 1000])
+    def test_batch_is_bit_equal_to_single_calls(self, n_factors, kind):
+        """Items with different block sizes, stacked two deep, give the values
+        of their own calls bit for bit."""
+        logs = np.array(_kernel_inputs(n_factors, kind, 11))
+        logs[3, 0, 1] = -np.inf
+        stacked = logs.reshape(2, 5, 2, n_factors)
+        batched = circle_module._log_transfer_trace(stacked[:, :, 0], stacked[:, :, 1], 4)
+        assert batched.shape == (2, 5, 4)
+        singles = [circle_module._log_transfer_trace(lx, lr, 4) for lx, lr in logs]
+        np.testing.assert_array_equal(batched.reshape(10, 4), np.array(singles))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n_factors", [7, 100, 1000])
+    def test_linear_stage_stays_in_range(self, n_factors, kind):
+        """Every block size the bound allows multiplies with no overflow,
+        underflow or invalid operation."""
+        padded = 1 << (n_factors - 1).bit_length()
+        for log_x, log_r in _kernel_inputs(n_factors, kind, 3):
+            ell = max(np.max(np.abs(log_x.real)), np.max(np.abs(log_r.real)))
+            block = circle_module._block_size(ell, padded)
+            if block == 1:
+                continue
+            with np.errstate(all="raise"):
+                coeffs = circle_module._block_products(log_x[None], log_r[None], 6, padded, block)
+            assert coeffs.shape == (1, padded // block, 2, 2, 6)
 
 
 _LOG_DET_MODELS = {

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import mpmath
@@ -18,6 +19,7 @@ from bitorsion.circle import (
 )
 from bitorsion.config import DEFAULT_TOL
 from bitorsion.errors import (
+    InvalidMatrixError,
     ResolutionError,
     ThetaNotZeroError,
     ZeroModeError,
@@ -202,6 +204,17 @@ class TestConjugation:
         rank_two = make_circle_model(HOLONOMIES["rank_two"], f=("cos", 1))
         assert conjugation_isospectral_check(rank_two, 10.0, 128) < 1e-13
 
+    @pytest.mark.parametrize("t_param, n_grid", [(1000.0, 64), (1000.0, 512), (2000.0, 64),
+                                                 (2000.0, 512), (20000.0, 64)])
+    def test_factors_out_of_range_refused(self, t_param, n_grid):
+        """e^{+-T f} overflows for T beyond about 709 on cos potentials, and
+        the conjugated entries become nan; at T = 20000 and N = 64 K itself
+        does. A nan gap is refused by T, never compared away as 0.0."""
+        model = make_circle_model(2.0, f=("cos", 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrixError, match=f"T={t_param}"):
+                conjugation_isospectral_check(model, t_param, n_grid)
+
     @pytest.mark.parametrize("t_param", [5.0, 10.0])
     @pytest.mark.parametrize("holonomy", [np.exp(0.7j), np.diag([2.0, np.exp(2.5j)])],
                              ids=["unitary", "rank_two"])
@@ -383,6 +396,60 @@ class TestTheorem33:
         for holonomy in (2.0, np.exp(1j * np.pi / 5), np.diag([2.0, 3.0])):
             rows = theorem33_experiment(make_circle_model(holonomy, f=("cos", 1)), [4.0, 40.0], 64)
             assert rows[1].abs_log_ratio < rows[0].abs_log_ratio
+
+    @pytest.mark.parametrize("holonomy", [2.0, 0.5 + 0.8j, np.diag([2.0, 3.0])],
+                             ids=["real", "complex", "rank_two"])
+    def test_one_kernel_call_per_channel(self, monkeypatch, holonomy):
+        """A five-value sweep stacks its K per channel: one transfer-trace call
+        per channel, the moduli of a complex channel riding in it."""
+        model = make_circle_model(holonomy, f=("cos", 1))
+        t_values = [4.0, 10.0, 20.0, 30.0, 40.0]
+        singles = [theorem33_experiment(model, [t], 64)[0] for t in t_values]
+        calls = []
+        kernel = circle_module._log_transfer_trace
+        monkeypatch.setattr(circle_module, "_log_transfer_trace",
+                            lambda *args: calls.append(1) or kernel(*args))
+        rows = theorem33_experiment(model, t_values, 64)
+        assert len(calls) == model.rank
+        assert rows == singles
+
+    def test_empty_and_generator_sweeps(self):
+        model = make_circle_model(2.0, f=("cos", 1))
+        assert theorem33_experiment(model, [], 64) == []
+        rows = theorem33_experiment(model, (t for t in (4.0, 10.0)), 64)
+        assert rows == theorem33_experiment(model, [4.0, 10.0], 64)
+
+    @pytest.mark.parametrize("t_values, message", [
+        ([4, 0, 10], "band unresolved at T=0: Newton gap ratio 3.7e-02, noise floor 2.2e-16, "
+                     "gate 1e-04; raise T for the gap, lower it for the floor, or refine the grid"),
+        ([4, -1], "band unresolved at T=-1: Newton gap ratio 5.7e-03, noise floor 2.2e-16, "
+                  "gate 1e-04; raise T for the gap, lower it for the floor, or refine the grid"),
+    ], ids=["zero", "negative"])
+    def test_refusals_in_sweep_order(self, t_values, message):
+        """The checks run in T order after the one kernel call: the first T
+        that fails is refused, with its own text."""
+        with pytest.raises(ResolutionError) as info:
+            theorem33_experiment(make_circle_model(2.0, f=("cos", 1)), t_values, 64)
+        assert str(info.value) == message
+
+    def test_overflowing_grid_refused_in_order(self):
+        """At N = 64 and T = 20000, e^{T f} leaves double range in K itself:
+        the sweep refuses that T by name, after the earlier T's checks."""
+        model = make_circle_model(2.0, f=("cos", 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrixError, match=r"64-point grid .* at T=20000\.0"):
+                theorem33_experiment(model, [4.0, 20000.0], 64)
+            with pytest.raises(ResolutionError, match="at T=0"):
+                theorem33_experiment(model, [0.0, 20000.0], 64)
+
+    def test_deep_deformation_without_warnings(self):
+        """N = 64, T = 8000: K is finite, and the sweep returns its row with
+        the band of one well and no RuntimeWarning (b / a overflowed)."""
+        model = make_circle_model(2.0, f=("cos", 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = theorem33_experiment(model, [4.0, 8000.0], 64)
+        assert rows[1].band_dims == (1, 1) and np.isfinite(rows[1].abs_log_ratio)
 
     def test_finite_and_decreasing_at_large_t(self):
         model = make_circle_model(2.0, f=("cos", 1))
