@@ -68,7 +68,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from bitorsion import build_discrete, make_circle_model, rs_torsion, witten_deform
-    from bitorsion.circle import ChannelOperators, TrigPoly, _critical_points
+    from bitorsion.circle import ChannelOperators, TrigPoly, _critical_points, log_band_torsions
     from bitorsion.errors import BitorsionError
     from bitorsion.spectral import (
         conjugation_isospectral_check,
@@ -111,7 +111,8 @@ def main():
                 ch = build_discrete(witten_deform(band_model, t_param), n).channels[0]
                 band_rows.append({
                     "holonomy": str(holonomy), "N": n, "T": t_param,
-                    "log_band_torsion_s": timed(lambda: ch.log_band_torsion(1)),
+                    "log_band_torsion_s": timed(
+                        lambda: log_band_torsions(ch.k_diag, ch.k_upper, ch.lam, 1)),
                     "spectral_cut_s": timed(lambda: spectral_cut(ch, THRESHOLD)),
                 })
     rotation = np.array([[2.0, 1.0], [1.0, 3.0]])

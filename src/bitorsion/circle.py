@@ -5,11 +5,11 @@ Geometry and conventions
 Sections of the flat line bundle with holonomy ``lam`` live on [0, L) in the
 seam gauge: smooth functions with u(L) = lam * u(0), the jump sitting on the
 "seam" edge between grid nodes N-1 and 0. The canonical reference bilinear
-density spreads the compensating weight evenly: its log-density is
--A x with A = log(lam)/L, so the weight e^{-2Ax} jumps by lam^{-2} across the
-seam, exactly what a global pairing on the bundle squared requires. User
-densities multiply this reference by e^{2 phi} with phi periodic; a phi with
-winding would change the holonomy class, so ``make_circle_model`` refuses it.
+density spreads the compensating weight evenly: its log-density is -A x with
+A = log(lam)/L, so the weight e^{-2Ax} jumps by lam^{-2} across the seam, as a
+global pairing on the bundle squared requires. A periodic phi multiplies it
+by e^{2 phi}; ``CircleModel.log_density`` is that sum, the one home of A. A phi
+with winding would change the holonomy class: ``make_circle_model`` refuses it.
 
 With that pairing the degree-0 Laplacian is -(u'' + (2 phi' - 2A) u') under
 twisted boundary conditions. For phi = 0 its spectrum is exactly
@@ -219,6 +219,14 @@ class CircleModel:
         if self.deform_t != 0.0 and self.potential is not None:
             der = der - self.deform_t * self.potential.derivative(x, self.length)
         return der
+
+    def log_density(self, x):
+        """The rank-one model's log-density phi_eff(x) - (log lam / L) x: e^{2 phi}
+        times the canonical reference e^{-2Ax}, where phi_eff is ``phi_value``."""
+        if self.rank != 1:
+            raise DimensionError("the log-density is per rank-one channel")
+        slope = np.log(complex(self.holonomy)) / self.length
+        return np.asarray(self.phi_value(x), dtype=float) - slope * x
 
     def critical_points(self):
         """(position, morse_index) of the potential's critical points: its
@@ -443,8 +451,8 @@ class ChannelOperators:
     K K^T (degree 1) are cyclic tridiagonal. K is square, so the two share
     one characteristic polynomial, and every spectral method here works on
     K^T K. ``log_det`` gives log det K in closed form in O(N), and
-    det L0 = det L1 = (det K)^2; ``log_band_torsion``
-    the small band's torsion from the minors of K; ``small_band`` the small
+    det L0 = det L1 = (det K)^2 (``log_band_torsions`` takes the small
+    band's torsion from the minors of K); ``small_band`` the small
     eigenvalues in O(N); ``eigenvalues`` the full spectrum, in O(N) memory
     for a real channel and from the dense N x N Laplacian for a complex one.
     """
@@ -469,11 +477,6 @@ class ChannelOperators:
         log|det K| is about 6e5, so it is summed in log space.
         """
         return complex(np.sum(np.log(self.k_diag)) + np.log(1.0 - self.lam))
-
-    def log_band_torsion(self, k):
-        """log(e_{N-m}(K^T K) / det(K)^2), m = 0, ..., k + 1, and their relative
-        noise floor: this channel's ``log_band_torsions``."""
-        return log_band_torsions(self.k_diag, self.k_upper, self.lam, k)
 
     def conjugated(self, left, right):
         """These operators with K replaced by diag(left) K diag(right)."""
@@ -645,18 +648,17 @@ class DiscreteOperators:
         return ev[order]
 
 
-def _build_channel(lam, length, n_grid, phi_at):
-    h = length / n_grid
+def _build_channel(model: CircleModel, n_grid):
+    lam = complex(model.holonomy)
+    h = model.length / n_grid
     nodes = np.arange(n_grid) * h
     mids = nodes + 0.5 * h
-    a_coef = np.log(lam) / length
-    log_w0 = phi_at(nodes) - a_coef * nodes
-    log_w1 = phi_at(mids) - a_coef * mids
+    log_w0, log_w1 = model.log_density(nodes), model.log_density(mids)
     gap_upper = np.exp(log_w1 - np.roll(log_w0, -1))
     k_upper = (gap_upper / h).astype(complex)
     k_upper[-1] = lam * gap_upper[-1] / h  # the seam edge carries the holonomy
     return ChannelOperators(
-        lam=complex(lam), n_grid=n_grid, nodes=nodes, mids=mids,
+        lam=lam, n_grid=n_grid, nodes=nodes, mids=mids,
         k_diag=(-np.exp(log_w1 - log_w0) / h).astype(complex), k_upper=k_upper,
     )
 
@@ -665,21 +667,15 @@ def build_discrete(model: CircleModel, n_grid):
     """Staggered-grid operators: nodes carry 0-forms, midpoints 1-forms.
 
     The forward difference carries the holonomy on the seam edge; the Grams
-    are diagonal with the model's density (reference winding included) and
-    the grid measure, making the adjoint identity an exact matrix statement.
+    are diagonal with each channel's density (``CircleModel.log_density``,
+    reference winding included) and the grid measure, making the adjoint
+    identity an exact matrix statement.
     """
     n_grid = int(n_grid)
     if n_grid < 8:
         raise GridError("grid too small: need N >= 8")
-    chans = []
-    for lam in model.channel_holonomies():
-        chans.append(
-            _build_channel(
-                lam, model.length, n_grid,
-                lambda x: np.asarray(model.phi_value(x), dtype=float),
-            )
-        )
-    return DiscreteOperators(n_grid=n_grid, channels=tuple(chans))
+    return DiscreteOperators(n_grid=n_grid, channels=tuple(
+        _build_channel(ch, n_grid) for ch in model.channels()))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .circle import exact_spectrum_circle, zeta_det_exact
 from .complexes import cohomology, torsion_form
 from .config import DEFAULT_TOL
 from .errors import BitorsionError, SchemaError
-from .morse import milnor_torsion
+from .morse import circle_loop, milnor_torsion
 from .serialize import (
     load_circle_model,
     load_graded_complex,
@@ -78,10 +78,7 @@ def _cmd_torsion(args):
 
     ms = ensure_circle_geometry(ms)
     base = args.base_point or ms.points[0].label
-    loop = np.eye(ms.rank, dtype=complex)
-    for ins in ms.instantons:
-        loop = loop @ ins.holonomy
-    rep = Representation({"g": loop}, ms.rank)
+    rep = Representation({"g": circle_loop(ms)}, ms.rank)
     b0 = np.eye(ms.rank, dtype=complex)
     value = turaev_torsion(ms, rep, EulerStructure(base, windings), b0)
     print(f"turaev torsion = {value.real:.12g} + {value.imag:.12g}i")

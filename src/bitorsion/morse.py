@@ -37,6 +37,7 @@ __all__ = [
     "milnor_anomaly_check",
     "circle_layout",
     "circle_system",
+    "circle_loop",
     "make_circle_morse",
 ]
 
@@ -232,7 +233,7 @@ def circle_system(block, positions, seam_arc, seam_angle, circumference=2.0 * np
     cocycle. The seam at ``seam_angle`` lies in arc ``seam_arc``, whose
     instanton carries ``block``, the transport in the direction it crosses the
     seam: lam counterclockwise, lam^{-1} clockwise. Every other transport is
-    the identity.
+    the identity, and ``circle_loop`` reads the loop back in either case.
     """
     block = as_cmatrix(block, square=True, name="holonomy")
     eye = np.eye(block.shape[0], dtype=complex)
@@ -246,6 +247,18 @@ def circle_system(block, positions, seam_arc, seam_angle, circumference=2.0 * np
     geometry = CircleGeometry(dict(zip(labels, positions)), seam_angle, circumference)
     return MorseSystem(tuple(CriticalPoint(lab, k % 2) for k, lab in enumerate(labels)),
                        tuple(instantons), rank=block.shape[0], geometry=geometry)
+
+
+def circle_loop(ms: MorseSystem):
+    """Transport once counterclockwise around a circle system: the instanton
+    transports in tuple order, each sign +1 (counterclockwise) one as it is and
+    each sign -1 (clockwise) one inverted, as ``circle_system`` orients them."""
+    inverses = np.linalg.inv(np.array([ins.holonomy for ins in ms.instantons],
+                                      dtype=complex).reshape(-1, ms.rank, ms.rank))
+    loop = np.eye(ms.rank, dtype=complex)
+    for ins, inverse in zip(ms.instantons, inverses):
+        loop = loop @ (ins.holonomy if ins.sign > 0 else inverse)
+    return loop
 
 
 def make_circle_morse(pair_count, holonomy, seam_arc=None):

@@ -22,12 +22,13 @@ e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1}, of the same sums
 certifies the gap above the band of k.
 
 The combinatorial side is derived from the same model: ``morse_from_potential``
-lays out the potential's critical points with ``morse.circle_system``, whose
-one instanton crossing the seam at x = 0 carries the transport in the direction
-it crosses: lam counterclockwise, lam^{-1} clockwise. The main comparison
-``bz_compare`` divides the analytic torsion by the Milnor torsion of that system
-with the model's density at the critical points; in the zero relative-density
-regime the ratio is exactly one, at every rotation of the potential.
+lays out the potential's critical points, or cos theta's in closed form on a
+model without one, with ``morse.circle_system``. Its seam instanton carries the
+transport in the direction it crosses x = 0, lam counterclockwise and lam^{-1}
+clockwise, and ``morse.circle_loop`` reads lam back. ``bz_compare`` divides the
+analytic torsion by the Milnor torsion of that system with the density
+e^{2 log_density} at the critical points; in the zero relative-density regime
+the ratio is exactly one, at every rotation of the potential.
 """
 
 from dataclasses import dataclass, replace
@@ -90,8 +91,13 @@ def spectral_cut(channel: ChannelOperators, radius):
     margin, and at least one beyond it; the smallest modulus beyond the cut is
     kept. An eigenvalue within the threshold margin (``threshold_margin``
     times ``radius``) of the cut circle means the gap between the small and
-    the large band is not resolved on this grid: ResolutionError.
+    the large band is not resolved on this grid: ResolutionError. A K with a
+    zero or non-finite entry, as e^{T f} leaves double range, is refused first
+    with InvalidMatrixError naming the grid.
     """
+    if not _k_in_range(channel.k_diag, channel.k_upper):
+        raise InvalidMatrixError(f"K on the {channel.n_grid}-point grid has a zero or "
+                                 "non-finite entry; refine the grid or lower T")
     clearance = DEFAULT_TOL.threshold_margin * radius
     vals = channel.small_band(radius + clearance)
     mags = np.abs(vals)
@@ -275,12 +281,15 @@ def morse_from_potential(model: CircleModel):
     with the seam at x = 0. A scan of [0, L) that starts at a minimum puts the
     seam on the closing arc, which flows counterclockwise and carries lam; one
     that starts at a maximum is rotated by one, putting the seam on arc 2n - 2,
-    which flows clockwise and carries lam^{-1}.
+    which flows clockwise and carries lam^{-1}. A model without a potential
+    takes cos theta's layout in closed form, with no scan: the maximum at 0 and
+    the minimum at L / 2.
     """
     if model.rank != 1:
         raise DimensionError("morse_from_potential works per rank-one channel")
     lam = complex(model.holonomy)
-    crits = model.critical_points()
+    crits = (model.critical_points() if model.potential is not None
+             else ((0.0, 1), (0.5 * model.length, 0)))
     seam_arc, block = len(crits) - 1, lam
     if crits and crits[0][1] == 1:
         crits, seam_arc, block = crits[1:] + crits[:1], len(crits) - 2, lam ** -1.0
@@ -290,15 +299,9 @@ def morse_from_potential(model: CircleModel):
 
 
 def model_critical_forms(model: CircleModel, ms: MorseSystem):
-    """The model's bilinear density evaluated at the critical points."""
-    lam = complex(model.holonomy)
-    a_coef = np.log(lam) / model.length
-    forms = {}
-    for p in ms.points:
-        x = ms.geometry.positions[p.label]
-        w = np.exp(2.0 * complex(model.phi_value(x)) - 2.0 * a_coef * x)
-        forms[p.label] = np.array([[w]], dtype=complex)
-    return CriticalForms(forms)
+    """The model's bilinear density e^{2 log_density} at the critical points."""
+    return CriticalForms({p.label: np.array([[np.exp(2.0 * model.log_density(
+        ms.geometry.positions[p.label]))]], dtype=complex) for p in ms.points})
 
 
 def _acyclic_milnor(sub: CircleModel):
@@ -336,13 +339,11 @@ class Theorem33Row:
 
 
 def _counting_data(ms: MorseSystem, potential: TrigPoly, length):
-    chi = sum((-1) ** p.index for p in ms.points)
-    chi_prime = sum((-1) ** p.index * p.index for p in ms.points)
-    trs = sum(
-        (-1) ** p.index * float(potential.value(ms.geometry.positions[p.label], length))
-        for p in ms.points
-    )
-    return chi, chi_prime, trs
+    """Tr_s[f] = sum_x (-1)^{ind x} f(x), and the |f''(x)|, at the Morse positions."""
+    positions = [ms.geometry.positions[p.label] for p in ms.points]
+    trs = sum((-1) ** p.index * float(potential.value(x, length))
+              for p, x in zip(ms.points, positions))
+    return trs, np.abs(potential.second_derivative(np.array(positions), length))
 
 
 def theorem33_experiment(model: CircleModel, t_values, n_grid):
@@ -357,10 +358,11 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid):
     is 1 / (mu_1 ... mu_k) up to a relative O(r^2). Dims other than the Morse
     counts, or r or the noise floor above ``band_torsion_rel``, raise
     ResolutionError. The torsion over the Milnor torsion of the model-derived
-    Thom-Smale pair is scaled by (T/pi)^{chi/2 - chi'} exp(2 rk Tr_s[f] T),
-    all in logs, and tends to 1; rows record |log ratio| and the largest
-    Newton ratio. The Morse data does not depend on T and is built once per
-    channel. A K with a zero or non-finite entry, as e^{T f} leaves double
+    Thom-Smale pair is scaled by prod_x (T |f''(x)| / pi)^{1/2} exp(2 Tr_s[f] T)
+    per channel, x over its critical points and f'' read at the Morse positions,
+    never fitted; all in logs. It tends to 1; rows record |log ratio| and the
+    largest Newton ratio. The Morse data does not depend on T and is built once
+    per channel. A K with a zero or non-finite entry, as e^{T f} leaves double
     range, raises InvalidMatrixError naming the grid and T.
     """
     if model.potential is None:
@@ -385,7 +387,7 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid):
                                                   complex(sub.holonomy), counts[0])))
     for i, t_param in enumerate(t_values):
         log_ratio, gap, dims = 0.0, 0.0, 0
-        for (_, counts, log_milnor, (chi, chi_prime, trs)), (usable, sweep_logs, floors) in zip(
+        for (_, counts, log_milnor, (trs, hessians)), (usable, sweep_logs, floors) in zip(
                 channels, sweeps):
             if i == usable:
                 raise InvalidMatrixError(
@@ -404,7 +406,7 @@ def theorem33_experiment(model: CircleModel, t_values, n_grid):
                     "floor, or refine the grid")
             gap, dims = max(gap, float(abs(newton))), dims + band
             log_ratio += (logs[k] + np.log1p(-newton) - log_milnor + 2.0 * trs * t_param
-                          + (0.5 * chi - chi_prime) * np.log(complex(t_param / np.pi)))
+                          + 0.5 * np.sum(np.log(t_param * hessians / np.pi + 0j)))
         ratio = complex(np.exp(log_ratio))
         rows.append(Theorem33Row(float(t_param), ratio, float(abs(np.log(ratio))),
                                  (dims, dims), gap))
@@ -423,7 +425,4 @@ def bz_compare(model: CircleModel, method="exact", cut=0.0):
         raise ThetaNotZeroError(
             "relative density form is nonzero; use the anomaly invariance test instead"
         )
-    work = model if model.potential is not None else replace(model, potential=TrigPoly.cos(1.0, 1))
-    rs = rs_torsion(work, cut=cut, method=method)
-    milnor = milnor_from_model(work)
-    return rs / milnor
+    return rs_torsion(model, cut=cut, method=method) / milnor_from_model(model)

@@ -30,7 +30,8 @@ from .errors import (
     ShapeError,
     UnsupportedSystemError,
 )
-from .morse import CircleGeometry, CriticalForms, MorseSystem, circle_layout, milnor_torsion
+from .morse import (CircleGeometry, CriticalForms, MorseSystem, circle_layout, circle_loop,
+                    milnor_torsion)
 from .numkernel import as_cmatrix, lu_det
 
 __all__ = [
@@ -123,30 +124,21 @@ def spider_transport(ms: MorseSystem, rep: Representation, e: EulerStructure, la
     return np.linalg.matrix_power(loop, w + k)
 
 
-def _check_rep_consistency(ms: MorseSystem, rep: Representation):
-    """The loop image must reproduce the product of instanton transports around the circle."""
-    loop = rep.loop()
-    prod = np.eye(ms.rank, dtype=complex)
-    for ins in ms.instantons:
-        prod = prod @ ins.holonomy
-    # all but the seam transport are the identity in canonical systems, so the
-    # unordered product is the full monodromy
-    if np.max(np.abs(prod - loop)) > 1e-9 * max(np.max(np.abs(loop)), 1.0):
-        raise HolonomyError("representation inconsistent with instanton holonomies")
-
-
 def turaev_torsion(ms: MorseSystem, rep: Representation, e: EulerStructure, b0, h=None, rng=None):
     """Milnor torsion with forms transported from b0 along the spider paths.
 
     Requires chi = 0. The value depends only on (bundle, Euler structure,
     flow): base point, b0 and individual spider representatives may be
-    re-chosen freely at fixed Euler class.
+    re-chosen freely at fixed Euler class. The loop image must be the system's
+    counterclockwise loop, ``circle_loop``: HolonomyError otherwise.
     """
     if ms.euler_characteristic() != 0:
         raise EulerCharacteristicError(
             f"Turaev torsion needs chi = 0, got {ms.euler_characteristic()}"
         )
-    _check_rep_consistency(ms, rep)
+    loop = rep.loop()
+    if np.max(np.abs(circle_loop(ms) - loop)) > 1e-9 * max(np.max(np.abs(loop)), 1.0):
+        raise HolonomyError("representation inconsistent with instanton holonomies")
     b0 = as_cmatrix(b0, square=True, name="b0")
     if b0.shape != (ms.rank, ms.rank):
         raise DimensionError("b0 has wrong rank")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bitorsion.serialize as serialize
 from bitorsion.cli import main
-from bitorsion.errors import HomotopyClassError, SchemaError
+from bitorsion.errors import HolonomyError, HomotopyClassError, SchemaError
 from bitorsion.serialize import (
     decode_complex_number,
     decode_matrix,
@@ -17,6 +17,7 @@ from bitorsion.serialize import (
     load_morse_system,
     write_rows_csv,
 )
+from bitorsion.turaev import EulerStructure, Representation, ensure_circle_geometry, turaev_torsion
 
 
 @pytest.fixture
@@ -179,6 +180,25 @@ class TestCommands:
     def test_torsion_turaev(self, morse, capsys):
         assert main(["torsion", "turaev", morse, "--euler", "M0=1"]) == 0
         assert "2.25" in capsys.readouterr().out
+
+    def test_torsion_turaev_clockwise_holonomy(self, morse, tmp_path):
+        """The holonomy 3 on the sign -1 (clockwise) instanton: the
+        counterclockwise loop is 1/3, and the command's value is the Turaev
+        torsion at that representation. The representation 3 is refused."""
+        with open(morse) as fh:
+            doc = json.load(fh)
+        doc["instantons"][0]["holonomy"], doc["instantons"][1]["holonomy"] = [[[3, 0]]], [[[1, 0]]]
+        path = tmp_path / "clockwise.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--out", str(tmp_path / "rows.csv"), "torsion", "turaev", str(path),
+                     "--euler", "M0=1"]) == 0
+        value = complex(*map(float, (tmp_path / "rows.csv").read_text().splitlines()[1]
+                             .split(",")[2:4]))
+        ms = ensure_circle_geometry(load_morse_system(str(path))[0])
+        e = EulerStructure("m0", {"M0": 1})
+        assert value == turaev_torsion(ms, Representation({"g": [[1 / 3]]}, 1), e, [[1.0]])
+        with pytest.raises(HolonomyError):
+            turaev_torsion(ms, Representation({"g": [[3.0]]}, 1), e, [[1.0]])
 
     def test_alexander(self, trefoil, capsys):
         assert main(["alexander", trefoil]) == 0

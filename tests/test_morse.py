@@ -15,6 +15,7 @@ from bitorsion.morse import (
     Instanton,
     MorseSystem,
     build_thom_smale,
+    circle_loop,
     make_circle_morse,
     milnor_anomaly_check,
     milnor_torsion,
@@ -229,3 +230,30 @@ class TestMakeCircleMorse:
         v0 = milnor_torsion(ms, CriticalForms.standard(ms))
         v1 = milnor_torsion(flipped, CriticalForms.standard(flipped))
         assert v1 == pytest.approx(v0, rel=1e-12)
+
+
+class TestCircleLoop:
+    @pytest.mark.parametrize("holonomy", [3.0, np.array([[2.0, 1.0], [0.5, 3.0 + 1.0j]])],
+                             ids=["rank_one", "rank_two"])
+    def test_clockwise_transport_inverted(self, holonomy):
+        """The seam block sits on arc ``seam_arc``: an odd arc's instanton flows
+        counterclockwise (sign +1) and the loop is the block, an even arc's flows
+        clockwise (sign -1) and the loop is the block's inverse."""
+        block = np.asarray(holonomy, dtype=complex).reshape(np.shape(holonomy) or (1, 1))
+        for arc in range(4):
+            ms = make_circle_morse(2, holonomy, seam_arc=arc)
+            want = block if arc % 2 else np.linalg.inv(block)
+            assert np.max(np.abs(circle_loop(ms) - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_transports_in_tuple_order(self):
+        """Two non-commuting transports: the loop is a b^{-1}, not b^{-1} a."""
+        a = np.array([[1.0, 2.0], [0.0, 1.0]])
+        b = np.array([[1.0, 0.0], [3.0, 1.0]])
+        ms = MorseSystem((CriticalPoint("m0", 0), CriticalPoint("M0", 1)),
+                         (Instanton("M0", "m0", 1, a), Instanton("M0", "m0", -1, b)), rank=2)
+        assert np.array_equal(circle_loop(ms), a @ np.linalg.inv(b))
+        assert not np.allclose(a @ np.linalg.inv(b), np.linalg.inv(b) @ a)
+
+    def test_no_instantons(self):
+        ms = MorseSystem((CriticalPoint("m0", 0), CriticalPoint("M0", 1)), (), rank=2)
+        assert np.array_equal(circle_loop(ms), np.eye(2))

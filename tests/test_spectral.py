@@ -14,11 +14,13 @@ from bitorsion.circle import (
     CircleModel,
     TrigPoly,
     build_discrete,
+    log_band_torsions,
     make_circle_model,
     witten_deform,
 )
 from bitorsion.config import DEFAULT_TOL
 from bitorsion.errors import (
+    DimensionError,
     InvalidMatrixError,
     ResolutionError,
     ThetaNotZeroError,
@@ -29,12 +31,14 @@ from bitorsion.spectral import (
     bz_compare,
     conjugation_isospectral_check,
     milnor_from_model,
+    model_critical_forms,
     morse_from_potential,
     rs_torsion,
     small_spectrum_dims,
     spectral_cut,
     theorem33_experiment,
 )
+from bitorsion.turaev import EulerStructure, Representation, euler_class_circle, turaev_torsion
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -164,6 +168,21 @@ class TestSmallSpectrum:
         model = make_circle_model(2.0, f=("cos", 2))
         rep = small_spectrum_dims(model, 12.0, 256)
         assert rep.counts == (2, 2)
+
+    def test_out_of_range_k_refused(self):
+        """At N = 64 and T = 20000 e^{T f} leaves double range in K itself: the
+        cut refuses K by name instead of factoring it."""
+        model = make_circle_model(2.0, f=("cos", 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrixError, match="64-point grid"):
+                small_spectrum_dims(model, 20000.0, 64)
+
+    def test_zero_entry_refused(self):
+        ch = build_discrete(witten_deform(make_circle_model(2.0, f=("cos", 1)), 5.0), 64).channels[0]
+        k_upper = ch.k_upper.copy()
+        k_upper[7] = 0.0
+        with pytest.raises(InvalidMatrixError, match="64-point grid"):
+            spectral_cut(replace(ch, k_upper=k_upper), 1.0)
 
     @pytest.mark.parametrize("t_param, threshold, wells", [
         (5.0, 1.0, 1), (5.0, 1.0, 2), (0.0, 0.5, 1),
@@ -296,6 +315,18 @@ class TestDeRham:
         ms = morse_from_potential(make_circle_model(2.0, f=("cos", 2)))
         assert ms.morse_counts() == [2, 2]
 
+    @pytest.mark.parametrize("length", [2 * np.pi, 3.0])
+    def test_default_layout_is_cos_theta(self, length):
+        """Without a potential the system is cos theta's, laid out in closed form:
+        the maximum at 0, the minimum at L / 2, lam^{-1} on the clockwise seam."""
+        model = CircleModel(0.5 + 0.8j, length=length)
+        ms = morse_from_potential(model)
+        scanned = morse_from_potential(replace(model, potential=TrigPoly.cos(1.0, 1)))
+        assert ms.geometry == scanned.geometry
+        assert ms.geometry.positions == {"m0": length / 2, "M0": 0.0}
+        assert all(a.sign == b.sign and np.array_equal(a.holonomy, b.holonomy)
+                   for a, b in zip(ms.instantons, scanned.instantons, strict=True))
+
 
 class TestTheorem33:
     @pytest.mark.parametrize("shift", [0.3, -0.3])
@@ -380,9 +411,10 @@ class TestTheorem33:
                     k[i, i] = mpmath.mpf(ch.k_diag[i].real)
                     k[i, (i + 1) % 64] = mpmath.mpf(ch.k_upper[i].real)
                 band = sorted(mpmath.eigsy(k.T * k, eigvals_only=True))[:wells]
-                # chi = 0, chi' = -wells, Tr_s[f] = -2 wells for cos(wells theta)
+                # chi = 0, chi' = -wells, Tr_s[f] = -2 wells for cos(wells theta),
+                # and prod_x |f''(x)|^{1/2} = wells^{2 wells} over the 2 wells points
                 scale = (mpmath.mpf(row.t_param) / mpmath.pi) ** wells * mpmath.exp(
-                    -4 * wells * mpmath.mpf(row.t_param))
+                    -4 * wells * mpmath.mpf(row.t_param)) * wells ** (2 * wells)
                 want = complex(scale / mpmath.fprod(band)) / milnor
                 assert row.band_dims == (wells, wells)
                 assert abs(row.ratio - want) <= 1e-8 * abs(want)
@@ -412,6 +444,29 @@ class TestTheorem33:
         rows = theorem33_experiment(model, t_values, 64)
         assert len(calls) == model.rank
         assert rows == singles
+
+    @pytest.mark.parametrize("potential, want", [
+        (TrigPoly.cos(1.0, 1), 0.150),
+        (TrigPoly.cos(1.0, 2), 0.263),
+        (TrigPoly.cos(1.0, 3), 0.384),
+        (TrigPoly.cos(2.0, 1), 0.075),
+        (TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),)), 0.197),
+    ], ids=["cos", "cos_2", "cos_3", "2cos", "asymmetric"])
+    def test_hessian_factor_limit(self, potential, want):
+        """With prod_x (T |f''(x)| / pi)^{1/2} the ratio tends to 1 at a rate
+        c_1 / T on every potential, not to prod_x |f''(x)|^{-1/2} (1/16 for
+        two wells): T log|ratio| at T = 160 is the continuum value, which
+        N = 512 and N = 4096 give alike to 5 digits."""
+        row = theorem33_experiment(CircleModel(2.0, potential=potential), [160.0], 512)[0]
+        assert abs(160.0 * np.log(abs(row.ratio)) - want) <= 1e-3
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
+    def test_two_wells_tend_to_one(self, kind):
+        """Two wells at N = 512: |log ratio| halves as T doubles, at every holonomy."""
+        model = make_circle_model(HOLONOMIES[kind], f=("cos", 2))
+        logs = [r.abs_log_ratio for r in theorem33_experiment(model, [10.0, 20.0, 40.0], 512)]
+        assert logs[2] < 0.015
+        assert all(0.45 < b / a < 0.55 for a, b in zip(logs, logs[1:]))
 
     def test_empty_and_generator_sweeps(self):
         model = make_circle_model(2.0, f=("cos", 1))
@@ -497,6 +552,24 @@ class TestBzCompare:
             pot = TrigPoly(cos_coeffs=((wells, np.cos(s)),), sin_coeffs=((wells, np.sin(s)),))
             assert abs(bz_compare(CircleModel(lam, potential=pot)) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("holonomy", [2.0, 0.5 + 0.8j, np.diag([2.0, 3.0])],
+                             ids=["2", "0.5+0.8i", "diag(2,3)"])
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_no_potential_scans_nothing(self, monkeypatch, holonomy, flat):
+        """A model without a potential compares on cos theta's closed-form
+        layout: three calls scan no critical points, and each value is that of
+        the model given cos theta, bit for bit."""
+        model = CircleModel(holonomy, length=3.0, phi=TrigPoly(const=0.3), flat_windows=flat)
+        methods = ("exact", "gy", "discrete")
+        want = [bz_compare(replace(model, potential=TrigPoly.cos(1.0, 1)), method=m)
+                for m in methods]
+        calls = []
+        scan = circle_module._critical_points
+        monkeypatch.setattr(circle_module, "_critical_points",
+                            lambda *args: calls.append(1) or scan(*args))
+        assert [bz_compare(model, method=m) for m in methods] == want
+        assert calls == []
+
     @pytest.mark.parametrize("wells", [2, 3])
     @pytest.mark.parametrize("offset", [1e-10, -1e-10, 5e-12, -5e-12])
     def test_near_trivial_holonomy_refused(self, offset, wells):
@@ -543,7 +616,7 @@ class TestTwoBandStructure:
         dec, sdim = schur_decomposition(ch.sym_laplacian(), sort=lambda z: abs(z) <= 1.0)
         assert sdim == 2
         want = _schur_band_torsion(ch, dec.q[:, :sdim])
-        assert abs(ch.log_band_torsion(2)[0][2] - np.log(want)) <= 1e-8
+        assert abs(log_band_torsions(ch.k_diag, ch.k_upper, ch.lam, 2)[0][2] - np.log(want)) <= 1e-8
 
 
 _ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
@@ -593,7 +666,7 @@ class TestSmallBand:
                 assert gap <= 1e-10 * np.linalg.norm(lap, 2)
                 if degree == 0 and t_param > 0.0:
                     # e_k(1 / mu) against 1 / prod(band): the relative gap is the Newton ratio
-                    logs, floor = ch.log_band_torsion(wells)
+                    logs, floor = log_band_torsions(ch.k_diag, ch.k_upper, ch.lam, wells)
                     want = _schur_band_torsion(ch, dec.q[:, :sdim])
                     assert abs(np.exp(logs[wells]) / want - 1.0) <= 1e-5
                     assert floor <= 1e-15
@@ -626,3 +699,102 @@ class TestSmallBand:
                              env=env, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "1 (1, 1) True"
+
+
+def _rotations(lam):
+    """cos(k (theta - s)) for k = 1, 2, 3 and 13 rotations s in [-pi, pi]."""
+    for wells in (1, 2, 3):
+        for shift in np.linspace(-np.pi, np.pi, 13):
+            yield CircleModel(lam, potential=TrigPoly(cos_coeffs=((wells, np.cos(wells * shift)),),
+                                                      sin_coeffs=((wells, np.sin(wells * shift)),)))
+
+
+class TestTuraevOnModelSystems:
+    """Turaev torsion of the model's own Thom-Smale system. A scan that starts
+    at a maximum puts lam^{-1} on a clockwise seam instanton, and the loop check
+    reads it back as lam."""
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5 + 0.8j, np.exp(0.7j)], ids=["2", "0.5+0.8i", "e^0.7i"])
+    def test_every_rotation(self, lam):
+        """All 39 layouts return, over windings -1, 0 and 1 on the base point.
+        Within each family (scan from a minimum, scan from a maximum), turaev
+        over rs at one Euler class is the same at every rotation and well count."""
+        ratios = {}
+        for model in _rotations(lam):
+            ms = morse_from_potential(model)
+            first = ms.points[0].label
+            family = model.critical_points()[0][1]
+            rs = rs_torsion(model)
+            for winding in (-1, 0, 1):
+                e = EulerStructure(first, {first: winding})
+                value = turaev_torsion(ms, Representation({"g": [[lam]]}, 1), e, [[1.0]])
+                ratios.setdefault((family, euler_class_circle(ms, e)), []).append(value / rs)
+        assert {family for family, _ in ratios} == {0, 1}
+        for values in ratios.values():
+            assert np.max(np.abs(np.array(values) / values[0] - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("lam, wells, shift, want", [
+        (0.5 + 0.8j, 1, 3, -0.4923620754955183 + 1.0099734881959348j),
+        (np.exp(0.7j), 2, 9, -1.6262317174419727 + 1.369756079541892j),
+    ], ids=["0.5+0.8i", "e^0.7i"])
+    def test_min_first_values_kept(self, lam, wells, shift, want):
+        """A scan that starts at a minimum puts lam on the counterclockwise
+        closing instanton: the value is the one the unoriented check gave."""
+        s = np.linspace(-np.pi, np.pi, 13)[shift]
+        model = CircleModel(lam, potential=TrigPoly(cos_coeffs=((wells, np.cos(wells * s)),),
+                                                    sin_coeffs=((wells, np.sin(wells * s)),)))
+        ms = morse_from_potential(model)
+        assert model.critical_points()[0][1] == 0
+        value = turaev_torsion(ms, Representation({"g": [[lam]]}, 1),
+                               EulerStructure("m0", {"m0": 0}), [[1]])
+        assert value == want
+
+
+DENSITY_MODELS = {
+    "flat_windows": lambda: make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 2),
+                                              flat_windows=True),
+    "deformed": lambda: witten_deform(make_circle_model(0.5 + 0.8j, phi=("sin", 0.2),
+                                                        f=("cos", 1)), 7.0),
+    "rank_two": lambda: make_circle_model(np.diag([2.0, 0.5 + 0.8j]), phi=("sin", 0.3),
+                                          f=("cos", 1)),
+    "length_3": lambda: make_circle_model(np.exp(0.7j), length=3.0, phi=("sin", 0.3),
+                                          f=("cos", 3)),
+}
+
+
+class TestLogDensity:
+    """The model's log-density phi_eff(x) - (log lam / L) x has one home,
+    ``CircleModel.log_density``; the discrete operators and the critical forms
+    read it."""
+
+    @pytest.mark.parametrize("name", sorted(DENSITY_MODELS))
+    def test_discrete_operator_reads_it(self, name):
+        """K[m, m] = -e^{l(mid_m) - l(node_m)} / h and K[m, m+1] =
+        e^{l(mid_m) - l(node_m+1)} / h, the seam entry times lam, bit for bit."""
+        model, n = DENSITY_MODELS[name](), 64
+        for sub, ch in zip(model.channels(), build_discrete(model, n).channels, strict=True):
+            h = sub.length / n
+            nodes = np.arange(n) * h
+            at_nodes, at_mids = sub.log_density(nodes), sub.log_density(nodes + 0.5 * h)
+            k_upper = np.exp(at_mids - np.roll(at_nodes, -1)) / h
+            k_upper[-1] = sub.holonomy * np.exp(at_mids[-1] - at_nodes[0]) / h
+            assert np.array_equal(ch.k_diag, -np.exp(at_mids - at_nodes) / h)
+            assert np.array_equal(ch.k_upper, k_upper)
+
+    @pytest.mark.parametrize("name", sorted(DENSITY_MODELS))
+    def test_critical_forms_read_it(self, name):
+        for sub in DENSITY_MODELS[name]().channels():
+            ms = morse_from_potential(sub)
+            forms = model_critical_forms(sub, ms).forms
+            for label, x in ms.geometry.positions.items():
+                assert forms[label][0, 0] == np.exp(2.0 * sub.log_density(x))
+
+    def test_closed_form(self):
+        """phi - T f - (log lam / L) x on a deformed model, from its formula."""
+        lam, x = 0.5 + 0.8j, np.linspace(0.0, 2 * np.pi, 9)
+        want = 0.2 * np.sin(x) - 7.0 * np.cos(x) - np.log(lam) * x / (2 * np.pi)
+        assert np.max(np.abs(DENSITY_MODELS["deformed"]().log_density(x) - want)) <= 1e-14
+
+    def test_rank_two_refused(self):
+        with pytest.raises(DimensionError, match="rank-one"):
+            DENSITY_MODELS["rank_two"]().log_density(0.0)
