@@ -15,12 +15,18 @@ one discrete ``rs_torsion`` call on acceptance criterion 8's model
 (phi = 0.3 sin, cut 0.5), whose grid is fixed. The ``band`` rows time the
 band torsion of the same model, and of its copy at holonomy 0.5 + 0.8i, at
 every size and at T = 10, 40, 200 and 640:
-``ChannelOperators.log_band_torsion`` against the ARPACK ``spectral_cut``;
-a path that refuses a case gets its error's name. The ``thm33_sweep`` rows
-time ``theorem33_experiment`` over five T (4, 10, 40, 160, 640) at N = 64,
-512 and 4096, on one well at holonomy 2 (rank 1 real), 0.5 + 0.8i (rank 1
-complex) and a non-diagonal rank-2 holonomy with eigenvalues 2 and
-0.5 + 0.8i. The ``crit`` rows time the
+``circle.log_band_torsions`` against ``spectral_cut``; a path that refuses
+a case gets its error's name. The ``crossover`` rows time ``spectral_cut``
+at T = 10 on real one-well, complex one-well and complex two-well channels
+at N = 32 to 128, best of 25 interleaved calls on each branch of
+``small_band``: the dense spectrum (``circle.DENSE_BAND_MAX_N`` patched to
+N) and ARPACK (patched to 0). Their ``dense_band_max_n`` is the largest N
+at which the dense branch is faster on all three, the value
+``DENSE_BAND_MAX_N`` takes from them; a tree without the constant gets no
+rows. The ``thm33_sweep`` rows time ``theorem33_experiment`` over five T
+(4, 10, 40, 160, 640) at N = 64, 512 and 4096, on one well at holonomy 2
+(rank 1 real), 0.5 + 0.8i (rank 1 complex) and a non-diagonal rank-2
+holonomy with eigenvalues 2 and 0.5 + 0.8i. The ``crit`` rows time the
 critical-point search ``circle._critical_points`` of cos(k theta), k = 1 to 5
 wells, at L = 2 pi. ``--src`` is the ``src``
 directory of the tree to time (default: this checkout); a tree whose
@@ -46,6 +52,8 @@ COMPLEX_HOLONOMY = 0.5 + 0.8j
 SWEEP_T = (4.0, 10.0, 40.0, 160.0, 640.0)
 SWEEP_SIZES = (64, 512, 4096)
 COMPLEX_SIZES = (64, 128, 256)
+CROSSOVER_SIZES = (32, 48, 64, 80, 96, 128)
+CROSSOVER_REPEATS = 25
 CRIT_WELLS = range(1, 6)
 TWO_PI = 2.0 * math.pi
 
@@ -67,7 +75,7 @@ def main():
                                                       "..", "src"))
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from bitorsion import build_discrete, make_circle_model, rs_torsion, witten_deform
+    from bitorsion import build_discrete, circle, make_circle_model, rs_torsion, witten_deform
     from bitorsion.circle import ChannelOperators, TrigPoly, _critical_points, log_band_torsions
     from bitorsion.errors import BitorsionError
     from bitorsion.spectral import (
@@ -132,6 +140,30 @@ def main():
         "conjugation_isospectral_check_s": best_of(args.repeats, lambda: (
             conjugation_isospectral_check(complex_model, T_PARAM, n))),
     } for n in COMPLEX_SIZES]
+    crossover_models = {
+        "real 1-well": model,
+        "complex 1-well": complex_model,
+        "complex 2-well": make_circle_model(COMPLEX_HOLONOMY, f=("cos", 2)),
+    }
+    crossover_rows, dense_band_max_n = [], None
+    if hasattr(circle, "DENSE_BAND_MAX_N"):
+        committed = circle.DENSE_BAND_MAX_N
+        for n in CROSSOVER_SIZES:
+            row = {"N": n}
+            for name, crossover_model in crossover_models.items():
+                ch = build_discrete(witten_deform(crossover_model, T_PARAM), n).channels[0]
+                best = {"dense": float("inf"), "arpack": float("inf")}
+                for _ in range(CROSSOVER_REPEATS):  # interleaved: both see one host state
+                    for branch, limit in (("dense", n), ("arpack", 0)):
+                        circle.DENSE_BAND_MAX_N = limit
+                        best[branch] = min(best[branch],
+                                           best_of(1, lambda: spectral_cut(ch, THRESHOLD)))
+                row.update({f"{name} {branch}_s": t for branch, t in best.items()})
+            circle.DENSE_BAND_MAX_N = committed
+            crossover_rows.append(row)
+        faster = [row["N"] for row in crossover_rows if all(
+            row[f"{name} dense_s"] < row[f"{name} arpack_s"] for name in crossover_models)]
+        dense_band_max_n = max(faster, default=0)
     crit_rows = [{"wells": k, "critical_points_s": best_of(args.repeats, lambda: (
         _critical_points(TrigPoly.cos(1.0, k), TWO_PI)))} for k in CRIT_WELLS]
     wavy = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
@@ -142,6 +174,8 @@ def main():
                "thm33_sweep": {"T": SWEEP_T, "rows": sweep_rows},
                "complex": {"holonomy": str(COMPLEX_HOLONOMY), "T": T_PARAM,
                            "rows": complex_rows},
+               "crossover": {"T": T_PARAM, "repeats": CROSSOVER_REPEATS,
+                             "dense_band_max_n": dense_band_max_n, "rows": crossover_rows},
                "crit": {"length": TWO_PI, "rows": crit_rows}},
               sys.stdout, indent=2)
     print()

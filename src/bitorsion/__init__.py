@@ -12,8 +12,9 @@ Layers, bottom up:
   Alexander polynomials.
 - ``circle`` / ``spectral``: the analytic side on the circle (non-self-adjoint
   Laplacians kept as the two diagonals of their cyclic bidiagonal factor,
-  with small bands by sparse shift-invert Arnoldi in O(N) and the full
-  spectra of real channels by a symmetric band eigensolve; zeta and
+  with small bands from the dense spectrum on small grids and by sparse
+  shift-invert Arnoldi in O(N) on large ones, and the full spectra of real
+  channels by a symmetric band eigensolve; zeta and
   monodromy determinants, Ray-Singer bilinear torsion, Witten deformation
   experiments, and the comparison against the combinatorial torsion).
 - ``acceptance`` / ``cli``: the executable verification suite and its

@@ -65,6 +65,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 GY_POINTS = 1024  # trapezoid samples for the monodromy growth factor
 DENSE_MAX_N = 4096  # largest grid whose complex channel takes a dense eigensolve
+DENSE_BAND_MAX_N = 64  # largest grid whose small band is the dense spectrum (bench/layers.py)
 LINEAR_LOG_RANGE = 700.0  # bound on |log| of what a linear block forms; log(max double) = 709.78
 LOG_3 = float(np.log(3.0))
 
@@ -450,11 +451,13 @@ class ChannelOperators:
     and is stored as its two diagonals; the Laplacians K^T K (degree 0) and
     K K^T (degree 1) are cyclic tridiagonal. K is square, so the two share
     one characteristic polynomial, and every spectral method here works on
-    K^T K. ``log_det`` gives log det K in closed form in O(N), and
-    det L0 = det L1 = (det K)^2 (``log_band_torsions`` takes the small
-    band's torsion from the minors of K); ``small_band`` the small
-    eigenvalues in O(N); ``eigenvalues`` the full spectrum, in O(N) memory
-    for a real channel and from the dense N x N Laplacian for a complex one.
+    K^T K, whose entries ``laplacian_entries`` writes out. ``log_det`` gives
+    log det K in closed form in O(N), and det L0 = det L1 = (det K)^2
+    (``log_band_torsions`` takes the small band's torsion from the minors of
+    K); ``small_band`` the small eigenvalues, from the dense spectrum up to
+    DENSE_BAND_MAX_N and by sparse shift-invert Arnoldi in O(N) above it;
+    ``eigenvalues`` the full spectrum, in O(N) memory for a real channel and
+    from the dense N x N Laplacian for a complex one.
     """
 
     lam: complex
@@ -485,13 +488,15 @@ class ChannelOperators:
 
     def sym_laplacian(self):
         """Dense K^T K, the Laplacian in symmetrized coordinates: similar to
-        d*_b d, assembled at unit scale. Its spectrum is also that of d d*_b."""
+        d*_b d, assembled at unit scale from ``laplacian_entries``. Its
+        spectrum is also that of d d*_b."""
         n = self.n_grid
-        rows = np.arange(n)
-        k = np.zeros((n, n), dtype=complex)
-        k[rows, rows] = self.k_diag
-        k[rows, (rows + 1) % n] = self.k_upper
-        return k.T @ k
+        rows, nxt = np.arange(n), (np.arange(n) + 1) % n
+        diag, coupling = laplacian_entries(self.k_diag, self.k_upper)
+        lap = np.zeros((n, n), dtype=complex)
+        lap[rows, rows] = diag
+        lap[rows, nxt] = lap[nxt, rows] = coupling
+        return lap
 
     def eigenvalues(self):
         """The full spectrum of K^T K, shared by both degrees, (Re, Im)-sorted.
@@ -517,14 +522,12 @@ class ChannelOperators:
     def _real_laplacian_band(self):
         """Lower band storage, half-width 2, of a real channel's K^T K.
 
-        K^T K has diagonal a_i^2 + b_{i-1}^2 and couples nodes i, i+1 by
-        a_i b_i (a = k_diag, b = k_upper, indices mod N). The cyclic
-        coupling is a band once the nodes are interleaved as 0, N-1, 1, N-2,
-        ...: every neighbour then sits one or two places away.
+        The cyclic coupling of ``laplacian_entries`` is a band once the nodes
+        are interleaved as 0, N-1, 1, N-2, ...: every neighbour then sits one
+        or two places away.
         """
         n = self.n_grid
-        a, b = self.k_diag.real, self.k_upper.real
-        diag, coupling = a * a + np.roll(b, 1) ** 2, a * b
+        diag, coupling = laplacian_entries(self.k_diag.real, self.k_upper.real)
         order = np.empty(n, dtype=int)
         order[0::2] = np.arange((n + 1) // 2)
         order[1::2] = n - 1 - np.arange(n // 2)
@@ -537,13 +540,16 @@ class ChannelOperators:
         return band
 
     def small_band(self, bound):
-        """The eigenvalues of K^T K of smallest modulus, in O(N).
+        """The eigenvalues of K^T K of smallest modulus.
 
         Returns every eigenvalue with |mu| <= bound and at least one beyond
         it, such that no eigenvalue left out has a smaller modulus than one
-        returned.
+        returned; GridError when none lies beyond.
 
-        Shift-invert Arnoldi (ARPACK) runs on a sparse LU of L - sigma I with
+        Up to DENSE_BAND_MAX_N points that is the whole spectrum, from
+        LAPACK's dense eigensolver: below that crossover it is faster than
+        Arnoldi, needs no start vector and loads no scipy. Above it,
+        shift-invert Arnoldi (ARPACK) runs on a sparse LU of L - sigma I with
         sigma = -bound/2, not 0: deep in the Witten deformation the band
         eigenvalue is zero to rounding and L itself factors as exactly
         singular. The k Ritz pairs nearest sigma, the farthest at distance r,
@@ -551,26 +557,37 @@ class ChannelOperators:
         |mu| < r - |sigma|; k doubles until that disk holds a pair beyond the
         bound. A degenerate pair at distance r may be found only in part, so
         the disk is open. The start vector is fixed, so the result is
-        reproducible.
+        reproducible. ``band_rounding_scale`` says how closely either branch
+        places an eigenvalue.
         """
+        n = self.n_grid
+        if n <= DENSE_BAND_MAX_N:
+            try:
+                vals = np.linalg.eigvals(self.sym_laplacian())
+            except np.linalg.LinAlgError as exc:
+                raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
+            if not np.any(np.abs(vals) > bound):
+                raise GridError(
+                    f"|mu| <= {bound:.3e} holds all {n} eigenvalues; refine the grid")
+            return vals
         # scipy is imported at first use, inside the function that calls it:
         # `import bitorsion` loads none of it
-        from scipy import sparse
+        from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, splu
 
-        n = self.n_grid
-        rows = np.arange(n)
-        k = sparse.csr_matrix(
-            (np.concatenate([self.k_diag, self.k_upper]),
-             (np.concatenate([rows, rows]), np.concatenate([rows, (rows + 1) % n]))),
-            shape=(n, n),
-        )
-        lap = (k.T @ k).tocsc()
         sigma = -0.5 * float(bound)
+        diag, coupling = laplacian_entries(self.k_diag, self.k_upper)
+        # column j of L - sigma I holds rows j - 1, j, j + 1 (mod N); the
+        # conversion from coordinates sorts each column's indices
+        rows = (np.arange(n)[:, None] + np.arange(-1, 2)) % n
+        data = np.stack([np.roll(coupling, 1), diag - sigma, coupling], axis=1)
+        shifted = csc_matrix((data.ravel(), (rows.ravel(), np.repeat(np.arange(n), 3))),
+                             shape=(n, n))
         try:
-            lu = splu(lap - sigma * sparse.identity(n, format="csc"))
+            lu = splu(shifted)
         except RuntimeError as exc:
             raise ResolutionError(f"shift {sigma:.3e} is an eigenvalue to rounding: {exc}") from exc
+        lap = LinearOperator((n, n), matvec=lambda x: shifted @ x + sigma * x, dtype=complex)
         op_inv = LinearOperator((n, n), matvec=lu.solve, dtype=complex)
         v0 = np.random.default_rng(0).standard_normal(n).astype(complex)
         n_pairs = min(6, n - 2)  # a band of up to three wells and the next pair: one run
@@ -588,6 +605,30 @@ class ChannelOperators:
                     f"|mu| <= {bound:.3e} holds nearly all {n} eigenvalues; refine the grid"
                 )
             n_pairs = min(2 * n_pairs, n - 2)
+
+    def band_rounding_scale(self):
+        """The s for which ``small_band`` places each eigenvalue to about eps s.
+
+        Shift-invert Arnoldi solves with the LU of the cyclic tridiagonal
+        L - sigma I, whose rounding stays entrywise, and places even a band
+        eigenvalue far below rounding to about eps ||K^T K||_1 (at most 0.16
+        eps ||K^T K||_1 on 149 deep-T channels at N = 32 to 64). The dense
+        solver's unitary reductions perturb L by about eps ||L|| as a whole,
+        and it placed them up to 6 eps ||K^T K||_1 on the same channels: s is
+        N ||K^T K||_1 there, LAPACK's normwise bound p(N) eps ||L|| with its
+        modestly growing p(N) taken as N. ||K^T K||_1 is taken as that of
+        |K|^T |K|, in O(N).
+        """
+        diag, coupling = laplacian_entries(np.abs(self.k_diag), np.abs(self.k_upper))
+        norm1 = float(np.max(diag + coupling + np.roll(coupling, 1)))
+        return self.n_grid * norm1 if self.n_grid <= DENSE_BAND_MAX_N else norm1
+
+
+def laplacian_entries(k_diag, k_upper):
+    """The entries of K^T K from K's two diagonals a = k_diag, b = k_upper:
+    the diagonal a_i^2 + b_{i-1}^2 and the coupling a_i b_i of nodes i and
+    i + 1 (indices mod N). The only place they are written out."""
+    return k_diag * k_diag + np.roll(k_upper * k_upper, 1), k_diag * k_upper
 
 
 def log_band_torsions(k_diag, k_upper, lam, k):

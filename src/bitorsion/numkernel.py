@@ -11,8 +11,9 @@ built or validated, and ``nondegenerate_det`` checks again that its matrix,
 and then its determinant, are finite. The circle Laplacians are cyclic
 tridiagonal and do not come here: ``circle.ChannelOperators`` takes their
 determinants and band torsions in closed form from the two diagonals of K,
-and their small eigenvalues, where counted, by sparse shift-invert Arnoldi
-(scipy, imported there). No package code calls
+and their small eigenvalues, where counted, from numpy's dense eigensolver
+on grids up to ``circle.DENSE_BAND_MAX_N`` and by sparse shift-invert
+Arnoldi above it (scipy, imported there). No package code calls
 ``schur_decomposition``: it stays as the tests' dense oracle and the
 benchmark tracer's probe, until a change to the benchmark drops that probe.
 

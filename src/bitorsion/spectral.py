@@ -87,8 +87,8 @@ def spectral_cut(channel: ChannelOperators, radius):
     """The small band, the eigenvalues with |mu| <= radius, of both Laplacians.
 
     K^T K and K K^T share one spectrum, so one ``ChannelOperators.small_band``
-    run finds, in O(N), every eigenvalue within the cut and its
-    margin, and at least one beyond it; the smallest modulus beyond the cut is
+    run finds every eigenvalue within the cut and its margin, and at least
+    one beyond it; the smallest modulus beyond the cut is
     kept. An eigenvalue within the threshold margin (``threshold_margin``
     times ``radius``) of the cut circle means the gap between the small and
     the large band is not resolved on this grid: ResolutionError. A K with a
@@ -212,9 +212,10 @@ def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
     Each channel's threshold cut supplies the band eigenvalues and the
     smallest modulus beyond the threshold. The degrees share one spectrum, so
     the counts are (c, c) and the band trace, summed over both degrees, is
-    twice the band's sum. An eigensolver places each band eigenvalue only to
-    about eps ||K^T K||_1, so the floor sums 2 c eps ||K^T K||_1 over the
-    channels, the norm taken as that of |K|^T |K|, in O(N) from K's diagonals.
+    twice the band's sum. ``ChannelOperators.small_band`` places each band
+    eigenvalue only to about eps s, s its ``band_rounding_scale``: ||K^T K||_1
+    by Arnoldi on large grids, N ||K^T K||_1 by the dense spectrum on small
+    ones. So the floor sums 2 c eps s over the channels.
     Raises ResolutionError if any eigenvalue sits within the threshold margin.
     """
     deformed = witten_deform(model, t_param) if model.potential is not None else model
@@ -222,11 +223,9 @@ def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
     count, band_trace, floor, large_min = 0, 0.0 + 0.0j, 0.0, np.inf
     for ch in disc.channels:
         cut = spectral_cut(ch, threshold)
-        a, b = np.abs(ch.k_diag), np.abs(ch.k_upper)
-        norm1 = float(np.max(a * a + np.roll(b * b, 1) + a * b + np.roll(a * b, 1)))
         count += int(cut.band.size)
         band_trace += 2.0 * complex(np.sum(cut.band))
-        floor += 2.0 * cut.band.size * np.finfo(float).eps * norm1
+        floor += 2.0 * cut.band.size * np.finfo(float).eps * ch.band_rounding_scale()
         large_min = min(large_min, cut.large_band_min)
     return SmallSpectrumReport(
         t_param=float(t_param), n_grid=int(n_grid), threshold=float(threshold),

@@ -88,19 +88,36 @@ def _circle_data(ms: MorseSystem):
 def ensure_circle_geometry(ms: MorseSystem):
     """Attach canonical circle geometry to a bare alternating min/max system.
 
-    Points are laid out in their given order, minima on even slots, with the
-    seam inside the closing arc: ``make_circle_morse``'s ``circle_layout``.
+    Points are laid out in their given order, minima on even slots, as
+    ``make_circle_morse``'s ``circle_layout`` lays them. Arc j runs from slot
+    j to slot j + 1 and, as ``circle_system`` orients it, holds the instanton
+    M_{j/2} -> m_{j/2} with sign -1 when j is even and M_{(j-1)/2} -> the next
+    m with sign +1 when j is odd. When exactly one instanton carries a
+    non-identity transport and it is one of those, the seam lies inside its
+    arc; otherwise, as for a trivial or spread holonomy, inside the closing
+    arc.
     """
     if ms.geometry is not None:
         return ms
-    mins = [p for p in ms.points if p.index == 0]
-    maxs = [p for p in ms.points if p.index == 1]
-    if len(mins) != len(maxs) or not mins or ms.degree_count() != 2:
+    mins = [p.label for p in ms.points if p.index == 0]
+    maxs = [p.label for p in ms.points if p.index == 1]
+    n = len(mins)
+    if len(maxs) != n or not mins or ms.degree_count() != 2:
         raise UnsupportedSystemError(
             "cannot synthesize circle geometry: need equal counts of minima and maxima"
         )
-    positions, seam = circle_layout(len(mins), 2 * len(mins) - 1)
-    labels = [p.label for pair in zip(mins, maxs) for p in pair]
+    arcs = {}  # (source, target, sign) -> arc
+    for k in range(n):
+        arcs[maxs[k], mins[k], -1] = 2 * k
+        arcs[maxs[k], mins[(k + 1) % n], 1] = 2 * k + 1
+    transports = np.array([ins.holonomy for ins in ms.instantons]).reshape(-1, ms.rank, ms.rank)
+    carriers = np.flatnonzero(np.any(transports != np.eye(ms.rank), axis=(1, 2)))
+    seam_arc = 2 * n - 1
+    if len(carriers) == 1:
+        ins = ms.instantons[carriers[0]]
+        seam_arc = arcs.get((ins.source, ins.target, ins.sign), seam_arc)
+    positions, seam = circle_layout(n, seam_arc)
+    labels = [label for pair in zip(mins, maxs) for label in pair]
     return replace(ms, geometry=CircleGeometry(dict(zip(labels, positions)), seam))
 
 

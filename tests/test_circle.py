@@ -133,17 +133,23 @@ class TestBuildDiscrete:
 
     def test_grading_preserved(self):
         """The square of the odd operator [[0, K^T], [K, 0]] is block-diagonal by
-        degree, with the two degree Laplacians as its blocks."""
-        ch = build_discrete(CircleModel(2.0, phi=TrigPoly.sin(0.2)), 16).channels[0]
-        k = _dense_k(ch)
-        zero = np.zeros_like(k)
-        odd = np.block([[zero, k.T], [k, zero]])
-        full = odd @ odd
-        n = k.shape[0]
-        assert np.max(np.abs(full[:n, n:])) == 0.0
-        assert np.max(np.abs(full[n:, :n])) == 0.0
-        assert np.array_equal(full[:n, :n], ch.sym_laplacian())
-        assert np.array_equal(full[n:, n:], k @ k.T)
+        degree, with the two degree Laplacians as its blocks. ``sym_laplacian``
+        writes K^T K's entries out from K's diagonals, each within one rounding
+        of the matrix product's."""
+        for holonomy in (2.0, 0.5 + 0.8j):
+            ch = build_discrete(CircleModel(holonomy, phi=TrigPoly.sin(0.2)), 16).channels[0]
+            k = _dense_k(ch)
+            zero = np.zeros_like(k)
+            odd = np.block([[zero, k.T], [k, zero]])
+            full = odd @ odd
+            n = k.shape[0]
+            assert np.max(np.abs(full[:n, n:])) == 0.0
+            assert np.max(np.abs(full[n:, :n])) == 0.0
+            assert np.array_equal(full[:n, :n], k.T @ k)
+            assert np.array_equal(full[n:, n:], k @ k.T)
+            lap, product = ch.sym_laplacian(), full[:n, :n]
+            assert np.array_equal(lap == 0, product == 0)
+            assert np.all(np.abs(lap - product) <= np.finfo(float).eps * np.abs(product))
 
 
 def _dense_k(ch):
@@ -190,8 +196,7 @@ class TestRealSpectrum:
         is the dense eigensolver's, bit for bit."""
         model = make_circle_model(np.exp(1j * np.pi / 3), phi=("sin", 0.3), f=("cos", 1))
         ch = build_discrete(model, 64).channels[0]
-        k = _dense_k(ch)
-        assert np.array_equal(ch.eigenvalues(), _dense_spectrum(k.T @ k))
+        assert np.array_equal(ch.eigenvalues(), _dense_spectrum(ch.sym_laplacian()))
 
     def test_complex_channel_refused_above_dense_bound(self):
         """N x N complex storage alone is 256 MiB just past the bound: the

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from bitorsion.serialize import (
     load_morse_system,
     write_rows_csv,
 )
-from bitorsion.turaev import EulerStructure, Representation, ensure_circle_geometry, turaev_torsion
+from bitorsion.morse import make_circle_morse
+from bitorsion.turaev import (
+    EulerStructure,
+    Representation,
+    ensure_circle_geometry,
+    euler_class_circle,
+    turaev_torsion,
+)
 
 
 @pytest.fixture
@@ -199,6 +207,33 @@ class TestCommands:
         assert value == turaev_torsion(ms, Representation({"g": [[1 / 3]]}, 1), e, [[1.0]])
         with pytest.raises(HolonomyError):
             turaev_torsion(ms, Representation({"g": [[3.0]]}, 1), e, [[1.0]])
+
+    @pytest.mark.parametrize("winding", [-1, 0, 1])
+    def test_synthesized_seam_on_the_holonomy_arc(self, morse, tmp_path, winding):
+        """The holonomy 3 on the clockwise instanton, arc 0: the synthesized
+        seam lies on that arc, so a winding on M0 names the class and the value
+        it names on ``make_circle_morse(1, 3, seam_arc=0)``."""
+        with open(morse) as fh:
+            doc = json.load(fh)
+        doc["instantons"][0]["holonomy"], doc["instantons"][1]["holonomy"] = [[[3, 0]]], [[[1, 0]]]
+        path = tmp_path / "clockwise.json"
+        path.write_text(json.dumps(doc))
+        synthesized = ensure_circle_geometry(load_morse_system(str(path))[0])
+        laid_out = make_circle_morse(1, 3, seam_arc=0)
+        e, rep = EulerStructure("m0", {"M0": winding}), Representation({"g": [[1 / 3]]}, 1)
+        assert euler_class_circle(synthesized, e) == euler_class_circle(laid_out, e)
+        assert (turaev_torsion(synthesized, rep, e, [[1.0]])
+                == turaev_torsion(laid_out, rep, e, [[1.0]]))
+
+    def test_synthesized_seam_defaults_to_closing_arc(self, morse):
+        """The holonomy on the closing arc, or on no instanton: the seam is the
+        closing arc's, as in ``make_circle_morse``'s default layout."""
+        ms = load_morse_system(morse)[0]
+        want = make_circle_morse(1, 3).geometry
+        assert ensure_circle_geometry(ms).geometry == want
+        trivial = replace(ms, instantons=tuple(replace(ins, holonomy=np.eye(1))
+                                               for ins in ms.instantons))
+        assert ensure_circle_geometry(trivial).geometry == want
 
     def test_alexander(self, trefoil, capsys):
         assert main(["alexander", trefoil]) == 0

@@ -20,6 +20,7 @@ from bitorsion.circle import (
 )
 from bitorsion.config import DEFAULT_TOL
 from bitorsion.errors import (
+    BitorsionError,
     DimensionError,
     InvalidMatrixError,
     ResolutionError,
@@ -169,6 +170,20 @@ class TestSmallSpectrum:
         rep = small_spectrum_dims(model, 12.0, 256)
         assert rep.counts == (2, 2)
 
+    @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
+    def test_floor_bounds_dense_rounding(self, kind):
+        """From T = 15 the band eigenvalues are far below rounding, so the band
+        trace of the dense branch (N <= DENSE_BAND_MAX_N) is its rounding
+        alone, up to several eps ||K^T K||_1 an eigenvalue: the floor bounds
+        it, and the band reads as noise."""
+        for wells in (1, 2, 3):
+            model = make_circle_model(HOLONOMIES[kind], f=("cos", wells))
+            for n_grid in (32, 48, 64):
+                for t_param in (15.0, 20.0, 25.0):
+                    rep = small_spectrum_dims(model, t_param, n_grid)
+                    assert rep.counts == (model.rank * wells,) * 2
+                    assert abs(rep.band_trace) <= rep.trace_floor
+
     def test_out_of_range_k_refused(self):
         """At N = 64 and T = 20000 e^{T f} leaves double range in K itself: the
         cut refuses K by name instead of factoring it."""
@@ -190,21 +205,23 @@ class TestSmallSpectrum:
     @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
     def test_report_matches_dense_oracle(self, kind, t_param, threshold, wells):
         """Counts, band trace and large-band minimum against the full dense
-        spectra of every channel at N = 128."""
+        spectra of every channel, at N = 64 (the dense branch of ``small_band``)
+        and N = 128 (ARPACK)."""
         model = make_circle_model(HOLONOMIES[kind], f=("cos", wells))
-        rep = small_spectrum_dims(model, t_param, 128, threshold=threshold)
-        counts, trace, large_min, radius = [0, 0], 0.0 + 0.0j, np.inf, 0.0
-        for ch in build_discrete(witten_deform(model, t_param), 128).channels:
-            k = _dense_k(ch)
-            for degree, ev in enumerate((ch.eigenvalues(), np.linalg.eigvals(k @ k.T))):
-                inside = np.abs(ev) <= threshold
-                counts[degree] += int(np.sum(inside))
-                trace += np.sum(ev[inside])
-                large_min = min(large_min, np.min(np.abs(ev[~inside])))
-                radius = max(radius, np.max(np.abs(ev)))
-        assert rep.counts == tuple(counts)
-        assert abs(rep.band_trace - trace) <= 1e-13 * radius
-        assert abs(rep.large_band_min - large_min) <= 1e-13 * radius
+        for n_grid in (64, 128):
+            rep = small_spectrum_dims(model, t_param, n_grid, threshold=threshold)
+            counts, trace, large_min, radius = [0, 0], 0.0 + 0.0j, np.inf, 0.0
+            for ch in build_discrete(witten_deform(model, t_param), n_grid).channels:
+                k = _dense_k(ch)
+                for degree, ev in enumerate((ch.eigenvalues(), np.linalg.eigvals(k @ k.T))):
+                    inside = np.abs(ev) <= threshold
+                    counts[degree] += int(np.sum(inside))
+                    trace += np.sum(ev[inside])
+                    large_min = min(large_min, np.min(np.abs(ev[~inside])))
+                    radius = max(radius, np.max(np.abs(ev)))
+            assert rep.counts == tuple(counts)
+            assert abs(rep.band_trace - trace) <= 1e-13 * radius
+            assert abs(rep.large_band_min - large_min) <= 1e-13 * radius
 
 
 class TestConjugation:
@@ -328,6 +345,67 @@ class TestDeRham:
                    for a, b in zip(ms.instantons, scanned.instantons, strict=True))
 
 
+def _mp_smallest_eigenvalues(ch, count):
+    """The ``count`` smallest eigenvalues of a real channel's K^T K at the
+    working precision, ascending, by inverse subspace iteration from a seeded
+    start. Each step applies (K^T K)^{-1} as two O(N) cyclic bidiagonal solves,
+    with K^T and then K, and a Rayleigh-Ritz step on the ``count``-dimensional
+    subspace follows. It stops when every Ritz pair has
+    ||K^T K v - mu v|| <= 1e-150 ||K^T K||_1; no minor of K is formed."""
+    a = [mpmath.mpf(float(x.real)) for x in ch.k_diag]
+    b = [mpmath.mpf(float(x.real)) for x in ch.k_upper]
+    n = len(a)
+
+    def dot(x, y):
+        return mpmath.fsum(xi * yi for xi, yi in zip(x, y))
+
+    def combine(vecs, coeffs, col):
+        return [mpmath.fsum(coeffs[j, col] * v[i] for j, v in enumerate(vecs)) for i in range(n)]
+
+    def laplacian(x):  # K^T (K x); K[i, i] = a_i, K[i, i + 1 mod N] = b_i
+        kx = [a[i] * x[i] + b[i] * x[(i + 1) % n] for i in range(n)]
+        return [a[j] * kx[j] + b[j - 1] * kx[j - 1] for j in range(n)]
+
+    def solve_kt(y):  # a_j z_j + b_{j-1} z_{j-1} = y_j: z_j = p_j + q_j z_{N-1}
+        p, q = [y[0] / a[0]], [-b[-1] / a[0]]
+        for j in range(1, n):
+            p.append((y[j] - b[j - 1] * p[-1]) / a[j])
+            q.append(-b[j - 1] * q[-1] / a[j])
+        wrap = p[-1] / (1 - q[-1])
+        return [pj + qj * wrap for pj, qj in zip(p, q)]
+
+    def solve_k(z):  # a_i x_i + b_i x_{i+1} = z_i: x_i = p_i + q_i x_0
+        p, q = [z[-1] / a[-1]], [-b[-1] / a[-1]]
+        for i in range(n - 2, -1, -1):
+            p.append((z[i] - b[i] * p[-1]) / a[i])
+            q.append(-b[i] * q[-1] / a[i])
+        wrap = p[-1] / (1 - q[-1])
+        return [pi + qi * wrap for pi, qi in zip(reversed(p), reversed(q))]
+
+    norm1 = max(a[i] ** 2 + b[i - 1] ** 2 + abs(a[i] * b[i]) + abs(a[i - 1] * b[i - 1])
+                for i in range(n))
+    rng = np.random.default_rng(0)
+    basis = [[mpmath.mpf(float(x)) for x in rng.standard_normal(n)] for _ in range(count)]
+    for _ in range(100):
+        basis = [solve_k(solve_kt(v)) for v in basis]
+        for _ in range(2):  # Gram-Schmidt, twice
+            for i, v in enumerate(basis):
+                for u in basis[:i]:
+                    c = dot(u, v)
+                    v = [vi - c * ui for vi, ui in zip(v, u)]
+                norm = mpmath.sqrt(dot(v, v))
+                basis[i] = [vi / norm for vi in v]
+        images = [laplacian(v) for v in basis]
+        mus, vecs = mpmath.eigsy(mpmath.matrix([[dot(u, w) for w in images] for u in basis]))
+        basis = [combine(basis, vecs, c) for c in range(count)]
+        images = [combine(images, vecs, c) for c in range(count)]
+        residual = max(mpmath.sqrt(sum((w - mus[c] * v) ** 2 for v, w in zip(basis[c], images[c])))
+                       for c in range(count))
+        if residual <= mpmath.mpf("1e-150") * norm1:
+            return sorted(mus[c] for c in range(count))
+    raise AssertionError("inverse subspace iteration did not converge")
+
+
 class TestTheorem33:
     @pytest.mark.parametrize("shift", [0.3, -0.3])
     def test_rotation_invariance(self, shift):
@@ -397,20 +475,16 @@ class TestTheorem33:
     def test_matches_high_precision_oracle(self, wells, t_values):
         """Deep in the deformation the band eigenvalue of K^T K is far below
         eps ||L|| (about 2e-69 at T = 40). The oracle takes it from a 200-digit
-        eigensolve of the same K and scales it as the experiment does. At
-        T = 4, e_{N-1} / det(K)^2 alone is 6.8e-8 above 1 / mu_1: the Newton
-        correction must close that."""
+        inverse subspace iteration on the same K and scales it as the
+        experiment does. At T = 4, e_{N-1} / det(K)^2 alone is 6.8e-8 above
+        1 / mu_1: the Newton correction must close that."""
         model = make_circle_model(2.0, f=("cos", wells))
         rows = theorem33_experiment(model, list(t_values), 64)
         milnor = milnor_from_model(model)
         with mpmath.workdps(200):
             for row in rows:
                 ch = build_discrete(witten_deform(model, row.t_param), 64).channels[0]
-                k = mpmath.zeros(64, 64)
-                for i in range(64):
-                    k[i, i] = mpmath.mpf(ch.k_diag[i].real)
-                    k[i, (i + 1) % 64] = mpmath.mpf(ch.k_upper[i].real)
-                band = sorted(mpmath.eigsy(k.T * k, eigvals_only=True))[:wells]
+                band = _mp_smallest_eigenvalues(ch, wells)
                 # chi = 0, chi' = -wells, Tr_s[f] = -2 wells for cos(wells theta),
                 # and prod_x |f''(x)|^{1/2} = wells^{2 wells} over the 2 wells points
                 scale = (mpmath.mpf(row.t_param) / mpmath.pi) ** wells * mpmath.exp(
@@ -613,7 +687,8 @@ class TestTwoBandStructure:
         model = make_circle_model(2.0, f=("cos", 2))
         ch = build_discrete(witten_deform(model, 10.0), 256).channels[0]
         assert spectral_cut(ch, 1.0).band.size == 2  # M_0 = M_1 for two wells
-        dec, sdim = schur_decomposition(ch.sym_laplacian(), sort=lambda z: abs(z) <= 1.0)
+        k = _dense_k(ch)
+        dec, sdim = schur_decomposition(k.T @ k, sort=lambda z: abs(z) <= 1.0)
         assert sdim == 2
         want = _schur_band_torsion(ch, dec.q[:, :sdim])
         assert abs(log_band_torsions(ch.k_diag, ch.k_upper, ch.lam, 2)[0][2] - np.log(want)) <= 1e-8
@@ -643,6 +718,56 @@ def _schur_band_torsion(ch, basis):
     K V keeps it to high relative accuracy."""
     image = _dense_k(ch) @ basis
     return np.linalg.det(basis.T @ basis) / np.linalg.det(image.T @ image)
+
+
+def _cut_outcome(ch, threshold):
+    """``spectral_cut``'s band and large-band minimum, or its refusal's type."""
+    try:
+        cut = spectral_cut(ch, threshold)
+    except BitorsionError as exc:
+        return type(exc)
+    return cut.band, cut.large_band_min
+
+
+class TestDenseBandBranch:
+    """Up to DENSE_BAND_MAX_N points the small band is the dense spectrum.
+    ARPACK, the branch above it, run on the same channels with the constant
+    patched to 0, gives the same counts and refusals, and the same band and
+    large-band minimum to 1e-10 ||L||_1."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "unitary", "rank_two"])
+    @pytest.mark.parametrize("n_grid", [32, 48, 64])
+    def test_arpack_branch_agrees(self, monkeypatch, n_grid, kind):
+        rng = np.random.default_rng(n_grid)
+        modulus, phase = rng.uniform(1.3, 3.0), rng.uniform(0.3, np.pi)
+        holonomy = {"real": modulus, "complex": modulus * np.exp(1j * phase),
+                    "unitary": np.exp(1j * phase),
+                    "rank_two": _ROTATION @ np.diag([modulus, np.exp(1j * phase)])
+                    @ np.linalg.inv(_ROTATION)}[kind]
+        assert n_grid <= circle_module.DENSE_BAND_MAX_N
+        refusals = 0
+        for wells in (1, 2, 3):
+            model = make_circle_model(holonomy, f=("cos", wells))
+            for t_param in (0.0, 2.0, 5.0, 10.0, 12.0, 20.0):
+                for ch in build_discrete(witten_deform(model, t_param), n_grid).channels:
+                    norm1 = np.linalg.norm(_dense_k(ch).T @ _dense_k(ch), 1)
+                    for threshold in (0.5, 1.0):
+                        dense = _cut_outcome(ch, threshold)
+                        monkeypatch.setattr(circle_module, "DENSE_BAND_MAX_N", 0)
+                        arpack = _cut_outcome(ch, threshold)
+                        monkeypatch.undo()
+                        if isinstance(dense, type):
+                            assert arpack is dense
+                            refusals += 1
+                            continue
+                        (band, large_min), (arpack_band, arpack_min) = dense, arpack
+                        assert band.size == arpack_band.size
+                        gaps = np.abs(band[:, None] - arpack_band[None, :])
+                        if band.size:
+                            assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= (
+                                1e-10 * norm1)
+                        assert abs(large_min - arpack_min) <= 1e-10 * norm1
+        assert refusals < 36 * (2 if kind == "rank_two" else 1)  # most cases are compared
 
 
 class TestSmallBand:

@@ -3,8 +3,10 @@
 Every CLI request is a fresh process, and importing scipy.linalg costs more
 than the package's own import. scipy is imported inside the function that
 calls it, so these tests run fresh interpreters: the commands that never
-reach LAPACK or ARPACK must leave scipy unloaded, and each late import must
-name the right module, giving the same result as an in-process call.
+reach scipy's LAPACK or ARPACK must leave scipy unloaded (a Witten count on
+a grid of at most ``circle.DENSE_BAND_MAX_N`` points takes numpy's dense
+eigensolver), and each late import must name the right module, giving the
+same result as an in-process call.
 """
 
 import dataclasses
@@ -69,8 +71,9 @@ class TestScipyFreeStart:
         ["torsion", "turaev", "{morse}", "--euler", "M0=1"],
         ["spectral", "{flat}", "--op", "bz"],
         ["spectral", "{circle}", "--op", "thm33"],
+        ["spectral", "{circle}", "--op", "witten", "--T", "5"],
     ], ids=["help", "alexander", "zetadet", "rstorsion", "finite", "morse", "turaev", "bz",
-            "thm33"])
+            "thm33", "witten"])
     def test_command_leaves_scipy_out(self, docs, argv):
         argv = [a.format(**docs) for a in argv]
         code = ("import sys\nfrom bitorsion import cli\n"
@@ -110,7 +113,7 @@ def _lazy_site_calls():
         repr(lu_det(a)),
         repr(channel.eigenvalues().tolist()),
         repr([schur.q.tolist(), schur.t.tolist(), schur.eigenvalues.tolist()]),
-        repr(small_spectrum_dims(model, 5.0, 64)),
+        repr(small_spectrum_dims(model, 5.0, 128)),  # above DENSE_BAND_MAX_N: ARPACK
         repr(dataclasses.replace(criterion_2_bruteforce_oracle(), seconds=0.0)),
     ]
 
