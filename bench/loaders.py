@@ -8,8 +8,12 @@ Documents are built as the benchmark's ``combinatorial`` workload builds them
 ``morse.json`` with 32, 64 and 128 critical-point pairs at ranks 1 to 3,
 each with its own critical forms. A loader row is the best of ``--repeats``
 calls of ``load_graded_complex`` or ``load_morse_system`` on the file, next to
-the best ``json.load`` of the same file, the part no decoder change touches.
-A kernel row is the best of ``--repeats`` samples of ``lu_det``,
+the best ``json.load`` of the same file and the best parse by the loader
+itself, ``serialize._load_json`` (``parse_s``: orjson, or ``json.load`` in a
+tree from before orjson). A ``CriticalForms`` row times the constructor on
+the 2 x 128 forms of a 128-pair document at rank 1, 2 or 3, as
+``load_morse_system`` calls it, each sample the mean of ``FORMS_CALLS``
+calls. A kernel row is the best of ``--repeats`` samples of ``lu_det``,
 ``check_symmetric_form`` or ``nondegenerate_det`` at n = 1, 3 and 40, each
 sample the mean of ``KERNEL_CALLS`` calls. The ``torsion_form`` row times it
 in the same way on a complex of acceptance criterion 1's largest size (four
@@ -32,6 +36,8 @@ COMPLEX_SIZES = (16, 25, 40, 50, 75)
 MORSE_CASES = tuple((pairs, rank) for pairs in (32, 64, 128) for rank in (1, 2, 3))
 KERNEL_SIZES = (1, 3, 40)
 KERNEL_CALLS = 200
+FORMS_PAIRS = 128
+FORMS_CALLS = 20
 TORSION_DIMS = (3, 3, 3, 3)
 
 
@@ -59,8 +65,9 @@ def main():
         torsion_form,
     )
     from bitorsion.errors import DegenerateFormError
+    from bitorsion.morse import CriticalForms
     from bitorsion.numkernel import check_symmetric_form, lu_det, nondegenerate_det
-    from bitorsion.serialize import load_graded_complex, load_morse_system
+    from bitorsion.serialize import _load_json, load_graded_complex, load_morse_system
     from workloads import (
         _mat,
         _matrix_holonomy,
@@ -85,6 +92,7 @@ def main():
             loader(path)  # loads every module before timing
             rows.append({"kind": kind, "doc": name, "bytes": os.path.getsize(path),
                          "json_load_s": best_of(args.repeats, parse),
+                         "parse_s": best_of(args.repeats, lambda: _load_json(path, name)),
                          "load_s": best_of(args.repeats, lambda: loader(path))})
 
         for n in COMPLEX_SIZES:
@@ -101,6 +109,11 @@ def main():
             timed("load_morse_system", f"milnor.p{pairs}.r{rank}",
                   _morse_doc(pairs, hol, forms), load_morse_system)
 
+    for rank in (1, 2, 3):
+        forms = {f"{c}{k}": _near_identity_symmetric(rng, rank, 0.4)
+                 for k in range(FORMS_PAIRS) for c in ("m", "M")}
+        rows.append({"kind": "CriticalForms", "pairs": FORMS_PAIRS, "rank": rank,
+                     "s": best_of(args.repeats, lambda: CriticalForms(forms), FORMS_CALLS)})
     for n in KERNEL_SIZES:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         form = _near_identity_symmetric(rng, n, 0.4)

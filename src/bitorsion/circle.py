@@ -29,6 +29,7 @@ normalization; both the Hurwitz-continuation oracle in the tests and the
 monodromy (Gelfand-Yaglom) route reproduce it.
 """
 
+import cmath
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -165,13 +166,11 @@ class CircleModel:
     deform_t: float = 0.0
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise DimensionError("circumference must be positive")
+        if not (np.isfinite(self.length) and self.length > 0):
+            raise DimensionError(f"circumference must be finite and positive, got {self.length}")
         hol = np.asarray(self.holonomy, dtype=complex)
         if hol.ndim == 0:
-            if hol == 0:
-                raise HolonomyError("holonomy must be nonzero")
-            object.__setattr__(self, "holonomy", complex(hol))
+            object.__setattr__(self, "holonomy", _scalar_holonomy(hol))
         else:
             hol = as_cmatrix(hol, square=True, name="holonomy")
             if lu_det(hol) == 0:
@@ -357,10 +356,18 @@ class SpectrumFamily:
         return out
 
 
-def exact_spectrum_circle(lam, length=TWO_PI):
+def _scalar_holonomy(lam):
+    """``lam`` as a complex number; HolonomyError unless it is finite and nonzero."""
     lam = complex(lam)
     if lam == 0:
         raise HolonomyError("holonomy must be nonzero")
+    if not cmath.isfinite(lam):
+        raise HolonomyError(f"holonomy must be finite, got {lam}")
+    return lam
+
+
+def exact_spectrum_circle(lam, length=TWO_PI):
+    lam = _scalar_holonomy(lam)
     z = np.log(lam) / (2j * np.pi)  # principal branch, Im(log) in (-pi, pi]
     return SpectrumFamily(lam, float(length), complex(z))
 
@@ -374,10 +381,8 @@ def zeta_det_exact(lam, length=TWO_PI, cut=None):
     the cut are divided out. Degrees 0 and 1 carry the same family, so one
     value serves both.
     """
-    lam = complex(lam)
-    if lam == 0:
-        raise HolonomyError("holonomy must be nonzero")
     fam = exact_spectrum_circle(lam, length)
+    lam = fam.holonomy
     if lam == 1.0:
         if cut is None:
             raise ZeroModeError(

@@ -58,8 +58,8 @@ class Instanton:
     def __post_init__(self):
         if self.sign not in (-1, 1):
             raise ShapeError(f"instanton sign must be +-1, got {self.sign}")
-        object.__setattr__(self, "holonomy",
-                           as_cmatrix(self.holonomy, square=True, name="holonomy"))
+        # validated by MorseSystem, with every other holonomy, as one stack
+        object.__setattr__(self, "holonomy", np.asarray(self.holonomy, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,15 @@ class MorseSystem:
     geometry: CircleGeometry | None = None
 
     def __post_init__(self):
+        hols = [ins.holonomy for ins in self.instantons]
+        try:
+            stack = np.stack(hols) if hols else None
+        except ValueError:  # holonomies of different shapes
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2] or (
+                not np.isfinite(stack).all()):
+            for hol in hols:  # the first one that is not a finite square matrix is refused
+                as_cmatrix(hol, square=True, name="holonomy")
         labels = [p.label for p in self.points]
         if len(set(labels)) != len(labels):
             raise ShapeError("duplicate critical point labels")
@@ -94,7 +103,7 @@ class MorseSystem:
                 raise DimensionError("instanton holonomy has wrong rank")
         if self.instantons:
             # all holonomies in one batched determinant; the first singular one is named
-            dets = np.linalg.det(np.stack([ins.holonomy for ins in self.instantons]))
+            dets = np.linalg.det(stack)
             singular = np.flatnonzero(dets == 0.0)
             if singular.size:
                 ins = self.instantons[singular[0]]
@@ -124,15 +133,28 @@ class CriticalForms:
     forms: dict
 
     def __post_init__(self):
-        checked = {label: as_cmatrix(g, square=True, name=f"form[{label}]")
-                   for label, g in self.forms.items()}
-        shapes = {a.shape for a in checked.values()}
-        if len(shapes) > 1:
-            raise DimensionError(f"critical forms differ in shape: {sorted(shapes)}")
-        if checked:
-            check_symmetric_form(np.stack(list(checked.values())),
-                                 [f"critical form at {label}" for label in checked])
-        object.__setattr__(self, "forms", checked)
+        labels = list(self.forms)
+        if not labels:
+            return
+        try:
+            stack = np.asarray(list(self.forms.values()), dtype=complex)
+        except (TypeError, ValueError):  # forms of different shapes, or not numbers
+            stack = None
+        if stack is None or stack.ndim != 3:
+            # form by form, so that the first one that is not a matrix is named
+            checked = [as_cmatrix(g, square=True, name=f"form[{label}]")
+                       for label, g in self.forms.items()]
+            shapes = {a.shape for a in checked}
+            if len(shapes) > 1:
+                raise DimensionError(f"critical forms differ in shape: {sorted(shapes)}")
+            stack = np.stack(checked)
+        square = stack.shape[1] == stack.shape[2]
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not (square and finite.all()):
+            first = int(np.argmin(finite)) if square else 0
+            as_cmatrix(stack[first], square=True, name=f"form[{labels[first]}]")  # raises
+        check_symmetric_form(stack, [f"critical form at {label}" for label in labels])
+        object.__setattr__(self, "forms", dict(zip(labels, stack)))
 
     @classmethod
     def standard(cls, ms: MorseSystem):

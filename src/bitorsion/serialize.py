@@ -2,11 +2,20 @@
 
 Complex numbers travel as [re, im] pairs in JSON and as split _re/_im columns
 in CSV. Schema violations raise SchemaError carrying the offending field.
+
+A file is read as bytes and parsed by orjson, imported at the first load, so
+``import bitorsion`` does not load it. orjson keeps to RFC 8259: ``NaN``,
+``Infinity`` and a number beyond double range such as ``1e400`` are invalid
+JSON, and an integer beyond 64 bits arrives as a float, which an integer
+field refuses. A dict document is taken as it is, non-finite numbers and all.
+Each matrix is decoded by one ``np.asarray``, and so is each stack of
+matrices in a ``morse.json``: the instanton holonomies and the critical forms.
+A document that is not well formed is decoded entry by entry instead, so that
+the SchemaError names the offending entry.
 """
 
 import csv
 import io
-import json
 
 import numpy as np
 
@@ -51,15 +60,9 @@ def decode_matrix(obj, field="matrix"):
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{field}: expected a nonempty row-major matrix", field=field)
     if all(isinstance(row, list) for row in obj):
-        try:
-            a = np.asarray(obj)
-        except ValueError:  # ragged rows, or numbers mixed with pairs
-            a = None
-        if a is not None and a.dtype.kind in "iuf":
-            if a.ndim == 2:
-                return a.astype(complex)
-            if a.ndim == 3 and a.shape[2] == 2:
-                return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+        a = _numeric_as_complex(obj, 2)
+        if a is not None:
+            return a
     rows = []
     for i, row in enumerate(obj):
         if not isinstance(row, list):
@@ -69,6 +72,36 @@ def decode_matrix(obj, field="matrix"):
     if any(len(r) != width for r in rows):
         raise SchemaError(f"{field}: ragged rows", field=field)
     return np.array(rows, dtype=complex)
+
+
+def _numeric_as_complex(obj, ndim):
+    """``obj`` as complex128 by one ``np.asarray`` if it is an ``ndim``-dimensional
+    array of numbers, or one of [re, im] pairs, viewed as complex bit for bit;
+    else None."""
+    try:
+        a = np.asarray(obj)
+    except ValueError:  # ragged rows, or numbers mixed with pairs
+        return None
+    if a.dtype.kind in "iuf":
+        if a.ndim == ndim:
+            return a.astype(complex)
+        if a.ndim == ndim + 1 and a.shape[-1] == 2:
+            return np.ascontiguousarray(a, dtype=float).view(complex)[..., 0]
+    return None
+
+
+def _decode_matrices(objs, fields):
+    """JSON matrices as one complex128 stack (k, n, m) by one ``np.asarray``
+    when every one is a nonempty list of list rows and all share one shape, of
+    numbers or of pairs: each the value ``decode_matrix`` gives it, bit for bit.
+    Otherwise a list of ``decode_matrix`` results, one matrix at a time, so that
+    the SchemaError names the first offending matrix (``fields[i]``)."""
+    if ({type(m) for m in objs} == {list} and all(objs)
+            and {type(row) for m in objs for row in m} == {list}):
+        a = _numeric_as_complex(objs, 3)
+        if a is not None:
+            return a
+    return [decode_matrix(m, field) for m, field in zip(objs, fields)]
 
 
 def _scalar(obj, kind, field):
@@ -99,10 +132,12 @@ def _require(doc, key, where):
 def _load_json(path_or_doc, where):
     if isinstance(path_or_doc, dict):
         return path_or_doc
+    import orjson  # late: a process that reads no file never imports it
+
     try:
-        with open(path_or_doc) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path_or_doc, "rb") as fh:
+            doc = orjson.loads(fh.read())
+    except orjson.JSONDecodeError as exc:
         raise SchemaError(f"{where}: invalid JSON ({exc})", field=None) from exc
     except OSError as exc:
         raise SchemaError(f"{where}: cannot read ({exc})", field=None) from exc
@@ -155,24 +190,27 @@ def load_morse_system(path_or_doc):
         points.append(CriticalPoint(str(_require(p, "id", f"points[{i}]")),
                                     _scalar(_require(p, "index", f"points[{i}]"), int,
                                             f"points[{i}].index")))
-    instantons = []
+    ends, hols = [], []
     for i, ins in enumerate(_container(doc.get("instantons", []), list, "instantons")):
         ins = _container(ins, dict, f"instantons[{i}]")
-        hol = ins.get("holonomy")
-        mat = decode_matrix(hol, f"instantons[{i}].holonomy") if hol is not None else np.eye(rank, dtype=complex)
-        instantons.append(
-            Instanton(
-                str(_require(ins, "from", f"instantons[{i}]")),
-                str(_require(ins, "to", f"instantons[{i}]")),
-                _scalar(_require(ins, "sign", f"instantons[{i}]"), int, f"instantons[{i}].sign"),
-                mat,
-            )
-        )
-    ms = MorseSystem(tuple(points), tuple(instantons), rank=rank)
+        ends.append((str(_require(ins, "from", f"instantons[{i}]")),
+                     str(_require(ins, "to", f"instantons[{i}]")),
+                     _scalar(_require(ins, "sign", f"instantons[{i}]"), int,
+                             f"instantons[{i}].sign")))
+        hols.append(ins.get("holonomy"))
+    given = [i for i, hol in enumerate(hols) if hol is not None]
+    decoded = _decode_matrices([hols[i] for i in given],
+                               [f"instantons[{i}].holonomy" for i in given])
+    for i, mat in zip(given, decoded):
+        hols[i] = mat
+    instantons = tuple(Instanton(*end, np.eye(rank, dtype=complex) if hol is None else hol)
+                       for end, hol in zip(ends, hols))
+    ms = MorseSystem(tuple(points), instantons, rank=rank)
     forms_doc = doc.get("forms")
     if forms_doc:
-        forms = CriticalForms({k: decode_matrix(v, f"forms[{k}]")
-                               for k, v in _container(forms_doc, dict, "forms").items()})
+        forms_doc = _container(forms_doc, dict, "forms")
+        forms = CriticalForms(dict(zip(forms_doc, _decode_matrices(
+            list(forms_doc.values()), [f"forms[{k}]" for k in forms_doc]))))
     else:
         forms = CriticalForms.standard(ms)
     return ms, forms

@@ -29,6 +29,7 @@ from bitorsion.errors import (
     InvalidMatrixError,
     ZeroModeError,
 )
+from bitorsion.serialize import load_circle_model
 from bitorsion.spectral import (
     bz_compare,
     conjugation_isospectral_check,
@@ -497,6 +498,27 @@ class TestExactSpectrum:
     def test_zero_holonomy_rejected(self):
         with pytest.raises(HolonomyError):
             exact_spectrum_circle(0.0)
+
+    @pytest.mark.parametrize("lam", [complex("nan"), complex(2.0, float("nan")), float("inf"),
+                                     complex(float("-inf"), 1.0)],
+                             ids=["nan", "nan_imag", "inf", "minus_inf"])
+    def test_non_finite_holonomy_rejected(self, lam):
+        """A non-finite scalar holonomy is refused like 0, not carried into a nan
+        spectrum, determinant or torsion; a dict document reaches it too."""
+        for call in (lambda: exact_spectrum_circle(lam), lambda: zeta_det_exact(lam),
+                     lambda: zeta_det_exact(lam, cut=0.5), lambda: CircleModel(lam),
+                     lambda: make_circle_model(lam, f=("cos", 1)),
+                     lambda: load_circle_model({"lambda": [lam.real, lam.imag]
+                                                if isinstance(lam, complex) else lam})):
+            with pytest.raises(HolonomyError, match="holonomy must be finite"):
+                call()
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+    def test_circumference_must_be_finite_and_positive(self, length):
+        with pytest.raises(DimensionError, match="circumference must be finite and positive"):
+            CircleModel(2.0, length=length)
+        with pytest.raises(DimensionError, match="circumference must be finite and positive"):
+            load_circle_model({"lambda": 2.0, "L": length})
 
     def test_singular_holonomy_matrix_rejected(self):
         """Refused on its exact LU determinant, 0: the smallest eigenvalue of

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 
 import bitorsion.serialize as serialize
 from bitorsion.cli import main
-from bitorsion.errors import HolonomyError, HomotopyClassError, SchemaError
+from bitorsion.errors import (
+    DegenerateFormError,
+    DimensionError,
+    HolonomyError,
+    HomotopyClassError,
+    InvalidMatrixError,
+    SchemaError,
+)
 from bitorsion.serialize import (
     decode_complex_number,
     decode_matrix,
@@ -173,6 +180,279 @@ class TestDecodeMatrix:
             assert (str(info.value), info.value.field) == (str(exc), exc.field)
         else:
             assert np.array_equal(_bits(decode_matrix(obj, "m")), _bits(expected))
+
+
+class _Num(str):
+    """A JSON number written out as this text."""
+
+
+def _dump(obj):
+    """JSON text of ``obj``, whose numbers are ``_Num`` texts written as they are."""
+    if isinstance(obj, _Num):
+        return str(obj)
+    if isinstance(obj, list):
+        return "[" + ", ".join(map(_dump, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in obj.items()) + "}"
+    return json.dumps(obj)
+
+
+def _float_texts(floats):
+    """Shortest round-trip and 17-significant-digit spellings of the floats."""
+    return floats.flatmap(lambda x: st.sampled_from([_Num(repr(x)), _Num("%.17g" % x)]))
+
+
+def _digits25(lead, exponents):
+    """25-digit decimals ``lead``.ddd...e``exp``, either sign."""
+    return st.builds(lambda sign, d, digits, e: _Num(f"{sign}{d}.{digits:025d}e{e}"),
+                     st.sampled_from(["", "-"]), lead, st.integers(0, 10**25 - 1), exponents)
+
+
+# |x| <= 0.1: +-0.0, subnormals and the smallest normal among them
+_SMALL = st.one_of(
+    _float_texts(st.floats(-0.1, 0.1)),
+    _float_texts(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308])),
+    _digits25(st.just(0), st.integers(-330, -1)),
+)
+# 2 <= |x| < 10: diagonals that keep a matrix of _SMALL entries nonsingular
+_LARGE = st.one_of(_float_texts(st.floats(2.0, 9.5)), st.integers(2, 9).map(lambda k: _Num(k)),
+                   _digits25(st.integers(2, 9), st.just(0)))
+_ANY = st.one_of(_SMALL, _LARGE, _float_texts(st.floats(allow_nan=False, allow_infinity=False)),
+                 st.integers(-2**63, 2**63 - 1).map(lambda k: _Num(k)))
+_STYLES = st.sampled_from(["numbers", "pairs", "either"])
+_BAD_ENTRIES = [_Num('"1.5"'), None, {}, [_Num("1")], [_Num("1"), _Num("2"), _Num("3")]]
+
+
+@st.composite
+def _json_matrix(draw, style, rows, cols, off, diag=None, symmetric=False):
+    """A rows x cols matrix of numbers or of [re, im] pairs (``style`` "numbers",
+    "pairs" or, drawn for each matrix, "either"), entries drawn from ``off`` and,
+    on the diagonal, from ``diag``; a symmetric one repeats each entry across
+    the diagonal, text and all."""
+    pairs = style == "pairs" or (style == "either" and draw(st.booleans()))
+
+    def entry(strategy):
+        return [draw(strategy), draw(_SMALL)] if pairs else draw(strategy)
+
+    m = [[None] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            m[i][j] = (entry(diag) if diag is not None and i == j
+                       else m[j][i] if symmetric and j < i else entry(off))
+    return m
+
+
+def _mutated(draw, m):
+    """``m`` with one flaw: a number written as a pair or a diagonal pair as its
+    real part (mixed rows, still the same kind of matrix), a ragged row, an
+    entry of a bad type, a row that is not a list, or no rows at all."""
+    kind = draw(st.sampled_from(["mixed", "ragged", "bad", "row", "empty"]))
+    m = [list(row) for row in m]
+    i = draw(st.integers(0, len(m) - 1))
+    j = min(i, len(m[i]) - 1)
+    if kind == "mixed":
+        m[i][j] = m[i][j][0] if isinstance(m[i][j], list) else [m[i][j], _Num("0")]
+    elif kind == "ragged" and len(m) > 1:
+        m[-1].pop()
+    elif kind == "bad":
+        m[i][draw(st.integers(0, len(m[i]) - 1))] = draw(st.sampled_from(_BAD_ENTRIES))
+    elif kind == "row":
+        m[i] = _Num("1")
+    elif kind == "empty":
+        m = []
+    return m
+
+
+def _with_one_flaw(draw, slots):
+    """Half the documents as drawn; in the other half one matrix, of the
+    ``(container, key)`` slots, gets one flaw (``_mutated``)."""
+    if slots and draw(st.booleans()):
+        container, key = draw(st.sampled_from(slots))
+        container[key] = _mutated(draw, container[key])
+
+
+def _oracle_matrix(obj, field):
+    """``json.load``'s value of a matrix decoded entry by entry, as the loaders
+    did one matrix at a time."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{field}: expected a nonempty row-major matrix", field=field)
+    return _decode_per_entry(obj, field)
+
+
+@st.composite
+def _complex_doc(draw):
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    style = draw(_STYLES)
+    diffs = [draw(_json_matrix(style, m, n, _ANY))]
+    grams = [draw(_json_matrix(style, d, d, _SMALL, _LARGE, symmetric=True)) for d in (n, m)]
+    _with_one_flaw(draw, [(diffs, 0), (grams, 0), (grams, 1)])
+    return {"dims": [_Num(n), _Num(m)], "differentials": diffs, "grams": grams}
+
+
+@st.composite
+def _morse_doc(draw):
+    pairs, rank, style = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(_STYLES)
+    points, instantons, forms = [], [], {}
+    for k in range(pairs):
+        points += [{"id": f"m{k}", "index": _Num(0)}, {"id": f"M{k}", "index": _Num(1)}]
+        for target, sign in ((f"m{k}", -1), (f"m{(k + 1) % pairs}", 1)):
+            ins = {"from": f"M{k}", "to": target, "sign": _Num(sign)}
+            if draw(st.integers(0, 4)):  # else the identity
+                ins["holonomy"] = draw(_json_matrix(style, rank, rank, _SMALL, _LARGE))
+            instantons.append(ins)
+    for point in points:
+        forms[point["id"]] = draw(_json_matrix(style, rank, rank, _SMALL, _LARGE,
+                                               symmetric=True))
+    _with_one_flaw(draw, [(ins, "holonomy") for ins in instantons if "holonomy" in ins]
+                   + [(forms, label) for label in forms])
+    return {"rank": _Num(rank), "points": points, "instantons": instantons, "forms": forms}
+
+
+def _complex_oracle(doc):
+    n, m = doc["dims"]
+    diff = doc["differentials"][0]
+    mats = [_oracle_matrix(diff, "differentials[0]") if diff else np.zeros((m, n), complex)]
+    for i, g in enumerate(doc["grams"]):
+        mats.append(_oracle_matrix(g, f"grams[{i}]") if g else np.eye(doc["dims"][i],
+                                                                        dtype=complex))
+    return mats
+
+
+def _complex_loaded(path):
+    complex_, structure, _ = load_graded_complex(path)
+    return [*complex_.differentials, *structure.grams]
+
+
+def _morse_oracle(doc):
+    mats = [_oracle_matrix(ins["holonomy"], f"instantons[{i}].holonomy")
+            if "holonomy" in ins else np.eye(doc["rank"], dtype=complex)
+            for i, ins in enumerate(doc["instantons"])]
+    return mats + [_oracle_matrix(f, f"forms[{k}]") for k, f in doc["forms"].items()]
+
+
+def _morse_loaded(path):
+    ms, forms = load_morse_system(path)
+    return [ins.holonomy for ins in ms.instantons] + list(forms.forms.values())
+
+
+class TestLoadersMatchJsonOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(st.tuples(_complex_doc(), st.just("complex")),
+                     st.tuples(_morse_doc(), st.just("morse"))), st.data())
+    def test_file_loads_bit_equal_to_json_and_per_entry_decoding(self, tmp_path_factory,
+                                                                 case, data):
+        """A seeded document written to a file: the loader's C parse and stacked
+        decoding give every matrix bit for bit as ``json.load`` and entry-by-entry
+        decoding do, or the same SchemaError, message and field."""
+        doc, kind = case
+        path = tmp_path_factory.mktemp("doc") / f"{kind}.json"
+        path.write_text(_dump(doc))
+        with open(path) as fh:
+            parsed = json.load(fh)
+        oracle, loaded = ((_complex_oracle, _complex_loaded) if kind == "complex"
+                          else (_morse_oracle, _morse_loaded))
+        try:
+            expected = oracle(parsed)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as info:
+                loaded(str(path))
+            assert (str(info.value), info.value.field) == (str(exc), exc.field)
+            return
+        got = loaded(str(path))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.dtype == complex and a.shape == b.shape
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_stack_is_one_asarray(self, monkeypatch):
+        """A well-formed morse.json decodes its holonomies and its forms as two
+        stacks, with no matrix decoded on its own."""
+        def refuse(obj, field="matrix"):
+            raise AssertionError(f"{field} decoded on its own")
+
+        monkeypatch.setattr(serialize, "decode_matrix", refuse)
+        doc = {"rank": 1, "points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1}],
+               "instantons": [{"from": "M0", "to": "m0", "sign": -1, "holonomy": [[[1, 0]]]},
+                              {"from": "M0", "to": "m0", "sign": 1, "holonomy": [[[3, 0]]]}],
+               "forms": {"m0": [[1]], "M0": [[2.5]]}}
+        ms, forms = load_morse_system(doc)
+        assert ms.instantons[1].holonomy[0, 0] == 3.0
+        assert forms.forms["M0"][0, 0] == 2.5
+        doc["forms"] = {"m0": [[[1, -0.0]]], "M0": [[[2, 5e-324]]]}
+        forms = load_morse_system(doc)[1]
+        assert _bits(forms.forms["M0"]).tolist() == _bits(np.array([[2 + 5e-324j]])).tolist()
+
+
+def _morse_case(hol=None, m0=None, big_m0=None, rank=1):
+    """A two-point circle morse.json: the second instanton carries ``hol`` (by
+    default 3) and the points the forms ``m0`` and ``big_m0`` (by default 1)."""
+    eye = np.eye(rank).tolist()
+    return {"rank": rank, "points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1}],
+            "instantons": [{"from": "M0", "to": "m0", "sign": -1, "holonomy": eye},
+                           {"from": "M0", "to": "m0", "sign": 1, "holonomy": hol or [[3]]}],
+            "forms": {"m0": m0 or [[1]], "M0": big_m0 or [[1]]}}
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestLoaderRefusals:
+    """The stacked checks refuse what the matrix-by-matrix ones did, with the
+    same error and message, naming the same point or instanton."""
+
+    @pytest.mark.parametrize("doc, error, message", [
+        (_morse_case(big_m0=[[[_NAN, 0]]]), InvalidMatrixError,
+         "form[M0] contains non-finite entries"),
+        (_morse_case(m0=[[_INF]], big_m0=[[_NAN]]), InvalidMatrixError,
+         "form[m0] contains non-finite entries"),
+        (_morse_case(hol=[[_NAN]]), InvalidMatrixError, "holonomy contains non-finite entries"),
+        (_morse_case(hol=[[[1, _INF]]]), InvalidMatrixError,
+         "holonomy contains non-finite entries"),
+        (_morse_case(m0=[[1, 0]], big_m0=[[1, 0]]), DimensionError,
+         "form[m0] must be square, got shape (1, 2)"),
+        (_morse_case(hol=[[1, 2]]), DimensionError, "holonomy must be square, got shape (1, 2)"),
+        (_morse_case(hol=[[1, 0], [0, 1]]), DimensionError, "instanton holonomy has wrong rank"),
+        (_morse_case(m0=[[1]], big_m0=[[1, 0], [0, 1]]), DimensionError,
+         "critical forms differ in shape: [(1, 1), (2, 2)]"),
+    ], ids=["nan_form", "first_nonfinite_form", "nan_holonomy", "inf_holonomy_pair",
+            "nonsquare_form", "nonsquare_holonomy", "wrong_rank_holonomy", "shapes_differ"])
+    def test_dict_document(self, doc, error, message):
+        with pytest.raises(error) as info:
+            load_morse_system(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc, error, message", [
+        (_morse_case(rank=2, hol=[[1, 0], [0, 2]], m0=[[1, 0], [0, 1]], big_m0=[[1, 2], [0, 1]]),
+         DegenerateFormError, "critical form at M0 not symmetric"),
+        (_morse_case(rank=2, hol=[[1, 0], [0, 2]], m0=[[1, 0], [0, 1]], big_m0=[[1, 1], [1, 1]]),
+         DegenerateFormError, "critical form at M0 degenerate"),
+        (_morse_case(hol=[[[0, 0]]]), HolonomyError, "instanton M0->m0 holonomy singular"),
+    ], ids=["asymmetric_form", "degenerate_form", "singular_holonomy"])
+    def test_file(self, tmp_path, doc, error, message):
+        path = tmp_path / "morse.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error) as info:
+            load_morse_system(str(path))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("argv, text", [
+        (["spectral", "{}", "--op", "rstorsion"], '{"lambda": [NaN, 0]}'),
+        (["spectral", "{}", "--op", "zetadet"], '{"lambda": [2, 0], "L": Infinity}'),
+        (["spectral", "{}", "--op", "zetadet"], '{"lambda": [-Infinity, 0]}'),
+        (["torsion", "finite", "{}"], '{"dims": [1, 1], "differentials": [[[1e400]]]}'),
+    ], ids=["nan", "infinity", "minus_infinity", "out_of_range"])
+    def test_non_finite_literal_is_invalid_json(self, tmp_path, capsys, argv, text):
+        """NaN, Infinity and 1e400 are not JSON numbers (RFC 8259): exit code 2."""
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert main([a.format(path) for a in argv]) == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_integer_beyond_64_bits_is_refused_by_name(self, tmp_path, capsys):
+        path = tmp_path / "complex.json"
+        path.write_text('{"dims": [18446744073709551616, 1]}')
+        assert main(["torsion", "finite", str(path)]) == 2
+        assert "(field: dims[0])" in capsys.readouterr().err
 
 
 class TestCommands:

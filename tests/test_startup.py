@@ -1,4 +1,4 @@
-"""Start-up cost: which requests load scipy, and the sites that import it late.
+"""Start-up cost: which requests load scipy or orjson, and the sites that import them late.
 
 Every CLI request is a fresh process, and importing scipy.linalg costs more
 than the package's own import. scipy is imported inside the function that
@@ -101,6 +101,38 @@ class TestScipyFreeStart:
         """The first calls of the benchmark's circle and combinatorial workloads:
         a bz comparison, a Milnor torsion and a Fox determinant, with no scipy."""
         assert fresh(f"import sys\n{warmup}print({SCIPY_LOADED})\n").strip() == "False"
+
+
+ORJSON_LOADED = "'orjson' in sys.modules"
+
+
+class TestOrjsonAtFirstLoad:
+    """orjson is imported by the first file a loader reads, inside
+    ``serialize._load_json``: neither ``import bitorsion`` nor a benchmark
+    workload's warm-up, which reads no file, loads it."""
+
+    @pytest.mark.parametrize("warmup", [
+        "import bitorsion\n",
+        "from bitorsion import acceptance, cli, make_circle_model\n"
+        "from bitorsion.spectral import conjugation_isospectral_check\n"
+        "cli.build_parser(); acceptance.criterion_7_cut_independence()\n"
+        "conjugation_isospectral_check(make_circle_model(2.0, f=('cos', 1)), 5.0, 16)\n",
+        "from bitorsion import make_circle_model\n"
+        "from bitorsion.spectral import bz_compare\n"
+        "bz_compare(make_circle_model(2.0, f=('cos', 1)))\n",
+        "from bitorsion import CriticalForms, fox_alexander, knot_from_braid\n"
+        "from bitorsion import make_circle_morse, milnor_torsion\n"
+        "ms = make_circle_morse(2, 3.0); milnor_torsion(ms, CriticalForms.standard(ms))\n"
+        "fox_alexander(knot_from_braid([1, 1, 1], 2))\n",
+    ], ids=["import", "verify-all", "circle-requests", "combinatorial"])
+    def test_warmup_leaves_orjson_out(self, warmup):
+        assert fresh(f"import sys\n{warmup}print({ORJSON_LOADED})\n").strip() == "False"
+
+    def test_first_file_loads_orjson(self, docs):
+        code = ("import sys\nfrom bitorsion import cli\n"
+                f"code = cli.main(['torsion', 'finite', {docs['complex']!r}])\n"
+                f"print('exit', code, 'orjson', {ORJSON_LOADED})\n")
+        assert fresh(code).splitlines()[-1] == "exit 0 orjson True"
 
 
 def _lazy_site_calls():
