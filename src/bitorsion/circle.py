@@ -144,14 +144,11 @@ class TrigPoly:
 class CircleModel:
     """Circle of circumference L with holonomy, bilinear log-density and Morse data.
 
-    ``holonomy`` is a nonzero complex number or a diagonalizable invertible
-    matrix; ``phi`` multiplies the canonical reference density by e^{2 phi};
-    ``potential`` is the Morse function used by the Witten experiments.
-    ``flat_windows``, when set, freezes phi to local constants on small
-    windows around the critical points of the potential. ``deform_t`` holds
-    the Witten deformation parameter: the effective log-density is
-    phi - deform_t * potential, with the flattening applied to phi only so
-    the deformation wells keep their quadratic shape.
+    ``holonomy`` is a nonzero complex number or an invertible matrix; ``phi``
+    multiplies the canonical reference density by e^{2 phi}; ``potential`` is
+    the Morse function used by the Witten experiments. ``deform_t`` holds the
+    Witten deformation parameter: the effective log-density is
+    phi - deform_t * potential.
 
     The model caches nothing: the critical points are scanned once per
     potential object (``TrigPoly.critical_angles``), so channels,
@@ -162,7 +159,6 @@ class CircleModel:
     length: float = TWO_PI
     phi: TrigPoly = field(default_factory=TrigPoly.zero)
     potential: TrigPoly | None = None
-    flat_windows: bool = False
     deform_t: float = 0.0
 
     def __post_init__(self):
@@ -185,14 +181,12 @@ class CircleModel:
         return 1 if np.ndim(h) == 0 else h.shape[0]
 
     def channel_holonomies(self):
-        """Scalar holonomies of the diagonalized channels (rank-1: itself)."""
+        """The holonomy's eigenvalues, one per channel (rank-1: itself). Each rank-r
+        value is a product over them, so a Jordan block needs no eigenvectors."""
         h = self.holonomy
         if np.ndim(h) == 0:
             return [complex(h)]
-        ev, vec = np.linalg.eig(h)
-        if abs(np.linalg.det(vec)) < 1e-12:
-            raise HolonomyError("holonomy matrix must be diagonalizable")
-        return [complex(l) for l in ev]
+        return [complex(l) for l in np.linalg.eigvals(h)]
 
     def channels(self):
         """Rank-one models, one per holonomy eigenvalue; a scalar-holonomy model
@@ -204,18 +198,12 @@ class CircleModel:
 
     def phi_value(self, x):
         vals = self.phi.value(x, self.length)
-        if self.flat_windows and self.potential is not None:
-            vals = _flatten_near_critical(vals, x, self)
         if self.deform_t != 0.0 and self.potential is not None:
             vals = vals - self.deform_t * self.potential.value(x, self.length)
         return vals
 
     def phi_derivative(self, x):
         der = self.phi.derivative(x, self.length)
-        if self.flat_windows and self.potential is not None:
-            # windows are plateaus of the user density: its derivative vanishes
-            der = np.asarray(der, dtype=float).copy()
-            der[_window_mask(x, self)] = 0.0
         if self.deform_t != 0.0 and self.potential is not None:
             der = der - self.deform_t * self.potential.derivative(x, self.length)
         return der
@@ -237,7 +225,7 @@ class CircleModel:
         return tuple((x * scale, index) for x, index in self.potential.critical_angles)
 
 
-def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_windows=False):
+def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None):
     """Factory mirroring the circle.json vocabulary.
 
     phi: ("zero", _) or ("sin", amp); f: ("cos", wells) or None. A
@@ -263,7 +251,7 @@ def make_circle_model(holonomy, length=TWO_PI, phi=("zero", 0.0), f=None, flat_w
     # undeformed user densities must stay clear of degeneracy
     if np.exp(-2.0 * phi_poly.sup_norm_bound()) < DEFAULT_TOL.density_floor:
         raise HomotopyClassError("density e^{2 phi} too close to degenerate")
-    return CircleModel(holonomy, length, phi_poly, pot, flat_windows)
+    return CircleModel(holonomy, length, phi_poly, pot)
 
 
 def _critical_points(pot: TrigPoly, length):
@@ -298,35 +286,6 @@ def _critical_points(pot: TrigPoly, length):
     if np.any(np.abs(curv) < 1e-8):
         raise DimensionError("degenerate critical point in Morse potential")
     return sorted((float(x % length), 0 if c > 0 else 1) for x, c in zip(crits, curv))
-
-
-def _windows(x, model: CircleModel):
-    """(critical point, mask of x inside its flat window) for each critical point.
-
-    Each window reaches 15% of the smallest gap between critical points to
-    either side. The points come from the potential's one cached scan, so a
-    model that never evaluates phi never scans.
-    """
-    centres = [c for c, _ in model.critical_points()]
-    length = model.length
-    half_width = 0.15 * float(np.min(np.diff(centres + [centres[0] + length])))
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    return [
-        (c, np.abs((xa - c + length / 2) % length - length / 2) <= half_width)
-        for c in centres
-    ]
-
-
-def _window_mask(x, model: CircleModel):
-    return np.logical_or.reduce([mask for _, mask in _windows(x, model)])
-
-
-def _flatten_near_critical(vals, x, model: CircleModel):
-    """Replace phi by its critical-point value on a window around each critical point."""
-    vals = np.atleast_1d(np.asarray(vals, dtype=float)).copy()
-    for c, mask in _windows(x, model):
-        vals[mask] = model.phi.value(c, model.length)
-    return vals if np.ndim(x) else float(vals[0])
 
 
 # ----------------------------------------------------------------------------
@@ -431,10 +390,9 @@ def gelfand_yaglom_det(model: CircleModel):
 def witten_deform(model: CircleModel, t_param):
     """Deformed model with density e^{-2 T f} b, i.e. log-density phi - T f.
 
-    Deformations compose additively in T. The deformation term is kept apart
-    from the user density so that flat windows never touch it. The deformed
-    model holds the same potential, so it shares the potential's one
-    critical-point scan, and with it the flat windows.
+    Deformations compose additively in T, in ``deform_t``. The deformed model
+    holds the same potential, so it shares the potential's one critical-point
+    scan.
     """
     if model.potential is None:
         raise DimensionError("witten_deform requires a Morse potential")
@@ -482,8 +440,9 @@ class ChannelOperators:
         so det K = (1 - lam) prod a, and the value is taken in that form:
         near lam = 1 the factor 1 - lam is exact, where a rounded telescoped
         product would cancel. prod a overflows long before N = 65536, where
-        log|det K| is about 6e5, so it is summed in log space.
-        """
+        log|det K| is about 6e5, so it is summed in log space. A zero or
+        non-finite entry of K is an InvalidMatrixError."""
+        _require_k_in_range(self.k_diag, self.k_upper)
         return complex(np.sum(np.log(self.k_diag)) + np.log(1.0 - self.lam))
 
     def conjugated(self, left, right):
@@ -511,8 +470,8 @@ class ChannelOperators:
         symmetric band solver, in O(N) memory and O(N^2) time, which returns
         the values ascending. A complex channel's Laplacian is complex
         symmetric, not Hermitian, and takes a dense O(N^3) eigensolve, refused
-        above DENSE_MAX_N.
-        """
+        above DENSE_MAX_N. A zero or non-finite entry of K is an InvalidMatrixError."""
+        _require_k_in_range(self.k_diag, self.k_upper)
         if not (np.any(self.k_diag.imag) or np.any(self.k_upper.imag)):
             from scipy.linalg import eigvals_banded
 
@@ -657,9 +616,7 @@ def log_band_torsions(k_diag, k_upper, lam, k):
     non-finite entry has no logs: InvalidMatrixError.
     """
     a, b = np.asarray(k_diag), np.asarray(k_upper)
-    if not _k_in_range(a, b).all():
-        raise InvalidMatrixError(f"K on the {a.shape[-1]}-point grid has a zero or non-finite "
-                                 "entry; refine the grid or lower T")
+    _require_k_in_range(a, b)
     log_a = np.log(a)
     log_x, log_r = -2.0 * log_a, 2.0 * (np.log(b) - log_a)
     log_det2 = 2.0 * np.log(1.0 - np.asarray(lam, dtype=complex))[..., None]
@@ -678,6 +635,14 @@ def _k_in_range(k_diag, k_upper):
     """Whether every entry of K is finite and nonzero, per K of a stack."""
     ok = np.isfinite(k_diag) & np.isfinite(k_upper) & (k_diag != 0) & (k_upper != 0)
     return np.all(ok, axis=-1)
+
+
+def _require_k_in_range(k_diag, k_upper):
+    """InvalidMatrixError naming the grid unless every entry of every K of the
+    stack is finite and nonzero, as it is until e^{T f} leaves double range."""
+    if not _k_in_range(k_diag, k_upper).all():
+        raise InvalidMatrixError(f"K on the {np.shape(k_diag)[-1]}-point grid has a zero or "
+                                 "non-finite entry; refine the grid or lower T")
 
 
 @dataclass(frozen=True)

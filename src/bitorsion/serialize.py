@@ -226,7 +226,7 @@ def load_knot(path_or_doc):
 
 
 def load_circle_model(path_or_doc):
-    """circle.json: { L, lambda, phi: {kind, amp}, f: {kind, wells}, N?, T? }."""
+    """circle.json: { L, lambda, phi: {kind, amp}, f: {kind, wells}, N?, T?, flat? }."""
     doc = _load_json(path_or_doc, "circle.json")
     length = _scalar(doc.get("L", 2.0 * np.pi), float, "L")
     lam_doc = _require(doc, "lambda", "circle.json")
@@ -241,8 +241,11 @@ def load_circle_model(path_or_doc):
          if f_doc else None)
     if f and f[1] < 1:
         raise SchemaError(f"f.wells: expected at least 1, got {f[1]}", field="f.wells")
-    model = make_circle_model(lam, length=length, phi=phi, f=f,
-                              flat_windows=_scalar(doc.get("flat", False), bool, "flat"))
+    flat = _scalar(doc.get("flat", False), bool, "flat")
+    model = make_circle_model(lam, length=length, phi=phi, f=f)
+    if flat and model.phi.sup_norm_bound() != 0.0:
+        raise SchemaError("flat: flat windows were removed; true is accepted only with a zero phi",
+                          field="flat")
     extras = {"N": _scalar(doc.get("N", 256), int, "N"),
               "T": _scalar(doc.get("T", 0.0), float, "T")}
     return model, extras

@@ -41,6 +41,7 @@ from .circle import (
     SpectralCut,
     TrigPoly,
     _k_in_range,
+    _require_k_in_range,
     build_discrete,
     exact_spectrum_circle,
     gelfand_yaglom_det,
@@ -95,9 +96,7 @@ def spectral_cut(channel: ChannelOperators, radius):
     zero or non-finite entry, as e^{T f} leaves double range, is refused first
     with InvalidMatrixError naming the grid.
     """
-    if not _k_in_range(channel.k_diag, channel.k_upper):
-        raise InvalidMatrixError(f"K on the {channel.n_grid}-point grid has a zero or "
-                                 "non-finite entry; refine the grid or lower T")
+    _require_k_in_range(channel.k_diag, channel.k_upper)
     clearance = DEFAULT_TOL.threshold_margin * radius
     vals = channel.small_band(radius + clearance)
     mags = np.abs(vals)
@@ -150,9 +149,9 @@ def _rs_discrete_channel(channel_model, lam, length, cut):
     exact value times (det K_ref / det K_model)^2 (Forman 1987; Kirsten-McKane
     2003, the discrete Gelfand-Yaglom theorem). Both determinants come from
     ``log_det``, and the value is within 5e-13 relative of the exact one on
-    wavy, flat-window and Witten-deformed densities.
+    wavy and Witten-deformed densities.
     """
-    reference = replace(channel_model, phi=TrigPoly.zero(), flat_windows=False, deform_t=0.0)
+    reference = replace(channel_model, phi=TrigPoly.zero(), deform_t=0.0)
     log_det_m = build_discrete(channel_model, DISCRETE_N).channels[0].log_det()
     log_det_r = build_discrete(reference, DISCRETE_N).channels[0].log_det()
     return _rs_exact_channel(lam, length, cut) * np.exp(-2.0 * (log_det_m - log_det_r))

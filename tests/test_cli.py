@@ -623,6 +623,8 @@ class TestCommands:
         (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "flat": "false"},
          "flat"),
         (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "flat": 0}, "flat"),
+        (["spectral", "{}", "--op", "rstorsion"],
+         {"lambda": [2.0, 0.0], "flat": True, "phi": {"kind": "sin", "amp": 0.3}}, "flat"),
         (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "N": 64.9}, "N"),
         (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "N": True}, "N"),
         (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "N": "64"}, "N"),
@@ -652,8 +654,8 @@ class TestCommands:
          "f.kind"),
     ], ids=["N", "dims", "index", "phi", "dims_array", "generators_array", "point_object",
             "instanton_object", "forms_object", "document_object", "flat_string",
-            "flat_integer", "N_float", "N_bool", "N_string", "wells_float", "wells_negative",
-            "wells_zero", "lambda_bool", "dims_float", "dims_bool", "rank_float",
+            "flat_integer", "flat_nonzero_phi", "N_float", "N_bool", "N_string", "wells_float",
+            "wells_negative", "wells_zero", "lambda_bool", "dims_float", "dims_bool", "rank_float",
             "index_bool", "sign_float", "T_bool", "L_string", "amp_bool",
             "lambda_pair_string", "phi_kind", "f_kind"])
     def test_malformed_field_is_schema_error(self, tmp_path, capsys, argv, doc, field):
@@ -661,6 +663,27 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main([a.format(path) for a in argv]) == 2
         assert f"(field: {field})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, phi", [
+        (["--op", "bz"], {"kind": "zero"}),
+        (["--op", "rstorsion", "--method", "exact", "--cut", "0.5"], {"kind": "zero"}),
+        (["--op", "rstorsion", "--method", "gy"], {"kind": "zero"}),
+        (["--op", "rstorsion", "--method", "discrete"], {"kind": "zero"}),
+        (["--op", "rstorsion", "--method", "discrete"], {"kind": "sin", "amp": 0.0}),
+        (["--op", "thm33", "--T-list", "4,10"], {"kind": "zero"}),
+        (["--op", "witten", "--T", "10"], {"kind": "zero"}),
+    ], ids=["bz", "rs_exact", "rs_gy", "rs_discrete", "rs_discrete_amp_0", "thm33", "witten"])
+    def test_flat_with_zero_phi_changes_no_byte(self, tmp_path, argv, phi):
+        """``flat`` is read for compatibility: with a zero phi (kind zero, or
+        amplitude 0), true writes the CSV bytes of false."""
+        out = {}
+        for flat in (False, True):
+            path = tmp_path / f"circle_{flat}.json"
+            path.write_text(json.dumps({"lambda": [2.0, 0.0], "phi": phi, "N": 64, "flat": flat,
+                                        "f": {"kind": "cos", "wells": 2}}))
+            out[flat] = tmp_path / f"out_{flat}.csv"
+            assert main(["--out", str(out[flat]), "spectral", str(path), *argv]) == 0
+        assert out[True].read_bytes() == out[False].read_bytes()
 
     def test_form_of_wrong_shape_is_refused(self, tmp_path, capsys):
         """A 2x2 critical form at rank 1 is a typed refusal naming the point."""

@@ -41,6 +41,10 @@ from bitorsion.spectral import (
 )
 from bitorsion.turaev import EulerStructure, Representation, euler_class_circle, turaev_torsion
 
+# cos theta + 0.3 sin 2 theta, whose critical points are not symmetric: a
+# density wrong near them moves rs by 5% (discrete) and 3.48x (gy) at lam = 2
+ASYMMETRIC = TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),))
+COS = TrigPoly.cos(1.0, 1)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -76,24 +80,54 @@ class TestRsTorsion:
         assert abs(got - ref) <= 1e-9 * abs(ref)
 
     @pytest.mark.parametrize("cut", [0.0, 0.5, 2.0, 5.0])
-    @pytest.mark.parametrize("lam, amp, flat, t_param", [
-        (2.0, 0.3, False, 0.0),
-        (1.1, 2.0, True, 3.0),
-        (0.5, 0.9, True, 0.0),
-        (-2.0, 0.9, False, 3.0),
-        (0.4 - 0.8j, 0.3, True, 3.0),
-        (np.exp(0.9j), 2.0, False, 3.0),
+    @pytest.mark.parametrize("lam, phi, potential, t_param", [
+        (2.0, TrigPoly.sin(0.3), COS, 0.0),
+        (1.1, TrigPoly.cos(0.4), ASYMMETRIC, 3.0),
+        (0.5, TrigPoly.sin(0.3), ASYMMETRIC, 0.0),
+        (-2.0, TrigPoly.sin(0.9), COS, 3.0),
+        (0.4 - 0.8j, TrigPoly.cos(0.4), ASYMMETRIC, 3.0),
+        (np.exp(0.9j), TrigPoly.sin(2.0), COS, 3.0),
     ], ids=["real", "near_one_flat_T3", "half_flat", "negative_T3", "complex_flat_T3",
-            "unitary_T3"])
-    def test_discrete_matches_exact_at_every_cut(self, lam, amp, flat, t_param, cut):
+            "unitary_T3"])  # the "flat" ids are the asymmetric potential
+    def test_discrete_matches_exact_at_every_cut(self, lam, phi, potential, t_param, cut):
         """det K in closed form does not depend on the cut, and neither does
-        the value: it is the exact one at every cut, wavy, flat-window and
+        the value: it is the exact one at every cut, wavy, asymmetric and
         deformed densities included."""
-        model = make_circle_model(lam, phi=("sin", amp), f=("cos", 1), flat_windows=flat)
-        model = witten_deform(model, t_param)
+        model = witten_deform(CircleModel(lam, phi=phi, potential=potential), t_param)
         want = rs_torsion(model, cut=cut, method="exact")
         got = rs_torsion(model, cut=cut, method="discrete")
         assert abs(got - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("phi", [TrigPoly.sin(0.3), TrigPoly.cos(0.4)], ids=["sin", "cos"])
+    @pytest.mark.parametrize("lam", [2.0, 0.5 + 0.8j, np.diag([2.0, 0.4 + 0.3j])],
+                             ids=["2", "0.5+0.8i", "diag(2,0.4+0.3i)"])
+    def test_methods_agree_on_asymmetric_potential(self, lam, phi):
+        """The smooth density phi - T f on cos theta + 0.3 sin 2 theta: gy and
+        discrete are the exact value, deformed or not."""
+        model = CircleModel(lam, phi=phi, potential=ASYMMETRIC)
+        for t_param in (0.0, 3.0):
+            deformed = witten_deform(model, t_param)
+            want = rs_torsion(deformed, method="exact")
+            assert abs(rs_torsion(deformed, method="gy") - want) <= 1e-12 * abs(want)
+            assert abs(rs_torsion(deformed, method="discrete") - want) <= 1e-11 * abs(want)
+
+    def test_discrete_refuses_k_out_of_range(self):
+        """At T = 20000, e^{T f} leaves double range: det K is refused by name
+        with the grid, not returned as nan, and so is the full spectrum.
+        At T = 300 and 1000 K stays in range and the value is exact."""
+        model = make_circle_model(2.0, f=("cos", 1))
+        for t_param in (300.0, 1000.0):
+            assert rs_torsion(witten_deform(model, t_param), method="discrete") == \
+                pytest.approx(2.0, rel=1e-11)
+        deep = witten_deform(model, 20000.0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(InvalidMatrixError, match="32-point grid"):
+                rs_torsion(deep, method="discrete")
+            disc = build_discrete(deep, 64)
+            with pytest.raises(InvalidMatrixError, match="64-point grid"):
+                disc.channels[0].log_det()
+            with pytest.raises(InvalidMatrixError, match="64-point grid"):
+                disc.eigenvalues()
 
     def test_discrete_refuses_trivial_holonomy(self):
         """det K = 0 at holonomy 1 whatever the density, so model and reference
@@ -122,7 +156,7 @@ class TestRsTorsion:
         assert rs_torsion(model) == pytest.approx(expected)
 
     def test_non_diagonal_holonomy(self):
-        """A diagonalizable non-diagonal holonomy goes through the channel split."""
+        """A non-diagonal holonomy goes through the channel split."""
         from dataclasses import replace
 
         rng = np.random.default_rng(5)
@@ -231,12 +265,14 @@ class TestConjugation:
 
     def test_matched_stencil_similarity(self):
         """The conjugated factor is the deformed one to rounding, deep in the
-        deformation, with flat windows and for a non-diagonal holonomy."""
+        deformation, on a wavy density over an asymmetric potential and for a
+        non-diagonal holonomy."""
         model = make_circle_model(2.0, f=("cos", 1))
         assert conjugation_isospectral_check(model, 5.0, 128) < 1e-13
         assert conjugation_isospectral_check(model, 40.0, 128) < 1e-13
-        flat = make_circle_model(0.5, phi=("sin", 0.3), f=("cos", 2), flat_windows=True)
-        assert conjugation_isospectral_check(flat, 10.0, 128) < 1e-13
+        for phi in (TrigPoly.sin(0.3), TrigPoly.cos(0.4)):
+            asymmetric = CircleModel(0.5, phi=phi, potential=ASYMMETRIC)
+            assert conjugation_isospectral_check(asymmetric, 10.0, 128) < 1e-13
         rank_two = make_circle_model(HOLONOMIES["rank_two"], f=("cos", 1))
         assert conjugation_isospectral_check(rank_two, 10.0, 128) < 1e-13
 
@@ -429,13 +465,6 @@ class TestTheorem33:
         with pytest.raises(ResolutionError):
             theorem33_experiment(model, [0.0], 128)
 
-    def test_flat_windows_keep_wells(self):
-        """Plateauing phi near critical points must not flatten the T f wells."""
-        model = make_circle_model(2.0, phi=("sin", 0.25), f=("cos", 1), flat_windows=True)
-        rows = theorem33_experiment(model, [4.0, 8.0], 256)
-        assert rows[0].band_dims == (1, 1)
-        assert rows[1].abs_log_ratio < rows[0].abs_log_ratio
-
     def test_morse_data_built_once_per_channel(self, monkeypatch):
         """The Morse side does not depend on T: a three-value sweep of a rank-2
         model scans the critical points once, for both channels, and its rows
@@ -453,12 +482,12 @@ class TestTheorem33:
         assert len(calls) == 1
         assert rows == singles
 
-    def test_flat_windows_found_once_per_sweep(self, monkeypatch):
-        """A Witten-deformed flat-window model keeps its parent's windows: a
-        three-value sweep scans once, for the Morse data and the windows
-        together, not once more per T, and its rows are those of single-T runs."""
+    def test_wavy_sweep_scans_once(self, monkeypatch):
+        """On a wavy density the deformed operators read phi - T f and never the
+        critical points: a three-value sweep scans once, for the Morse data, and
+        its rows are those of single-T runs."""
         def model():
-            return make_circle_model(0.5, phi=("sin", 0.3), f=("cos", 1), flat_windows=True)
+            return make_circle_model(0.5, phi=("sin", 0.3), f=("cos", 1))
 
         t_values = [4.0, 8.0, 12.0]
         singles = [theorem33_experiment(model(), [t], 128)[0] for t in t_values]
@@ -600,6 +629,49 @@ class TestCutErrors:
             rs_torsion(model, cut=bad_cut)
 
 
+def _jordan_cases():
+    """(holonomy, its exact eigenvalues): [[b, c], [0, b + d]] across scales
+    and near-defects, a conjugated 2 x 2 Jordan block and a 3 x 3 one."""
+    cases, ids = [], []
+    for base, name in ((2.0, "2"), (0.5 + 0.8j, "0.5+0.8i")):
+        for c in (1e-4, 1.0, 1e4):
+            for d in (0.0, 1e-12, 1e-8):
+                cases.append((np.array([[base, c], [0.0, base + d]], dtype=complex),
+                              [base, base + d]))
+                ids.append(f"{name}-c{c:g}-d{d:g}")
+    p = np.array([[1.0, 2.0], [0.5, -1.0]])
+    cases.append((p @ np.array([[2.0, 1.0], [0.0, 2.0]]) @ np.linalg.inv(p), [2.0, 2.0]))
+    cases.append((np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]), [2.0] * 3))
+    return pytest.mark.parametrize("holonomy, eigenvalues", cases,
+                                   ids=ids + ["conjugated", "jordan_3x3"])
+
+
+class TestJordanHolonomy:
+    """Every rank-r value is a product over the holonomy's eigenvalues, a
+    symmetric function of them: a Jordan or near-defective holonomy needs no
+    eigenvectors, and gives the diagonal holonomy's values."""
+
+    @_jordan_cases()
+    def test_torsion_and_comparison(self, holonomy, eigenvalues):
+        """The oracle is det H / det(1 - H)^2 from LAPACK's determinants, with
+        no eigensolve."""
+        model = make_circle_model(holonomy, phi=("sin", 0.3), f=("cos", 1))
+        eye = np.eye(len(holonomy))
+        want = np.linalg.det(holonomy) / np.linalg.det(eye - holonomy) ** 2
+        for method in ("exact", "discrete"):
+            assert abs(rs_torsion(model, method=method) - want) <= 1e-12 * abs(want)
+        zero_phi = make_circle_model(holonomy, f=("cos", 1))
+        assert abs(bz_compare(zero_phi) - 1.0) <= 1e-12
+
+    @_jordan_cases()
+    def test_theorem33_matches_diagonal(self, holonomy, eigenvalues):
+        rows = theorem33_experiment(make_circle_model(holonomy, f=("cos", 1)), [10.0], 512)
+        want = theorem33_experiment(make_circle_model(np.diag(eigenvalues), f=("cos", 1)),
+                                    [10.0], 512)
+        assert rows[0].band_dims == want[0].band_dims
+        assert abs(rows[0].ratio - want[0].ratio) <= 1e-12 * abs(want[0].ratio)
+
+
 class TestBzCompare:
     @pytest.mark.parametrize("lam", [2.0, np.exp(1j * np.pi / 5)])
     def test_unity(self, lam):
@@ -628,12 +700,11 @@ class TestBzCompare:
 
     @pytest.mark.parametrize("holonomy", [2.0, 0.5 + 0.8j, np.diag([2.0, 3.0])],
                              ids=["2", "0.5+0.8i", "diag(2,3)"])
-    @pytest.mark.parametrize("flat", [False, True])
-    def test_no_potential_scans_nothing(self, monkeypatch, holonomy, flat):
+    def test_no_potential_scans_nothing(self, monkeypatch, holonomy):
         """A model without a potential compares on cos theta's closed-form
         layout: three calls scan no critical points, and each value is that of
         the model given cos theta, bit for bit."""
-        model = CircleModel(holonomy, length=3.0, phi=TrigPoly(const=0.3), flat_windows=flat)
+        model = CircleModel(holonomy, length=3.0, phi=TrigPoly(const=0.3))
         methods = ("exact", "gy", "discrete")
         want = [bz_compare(replace(model, potential=TrigPoly.cos(1.0, 1)), method=m)
                 for m in methods]
@@ -879,9 +950,8 @@ class TestTuraevOnModelSystems:
         assert value == want
 
 
-DENSITY_MODELS = {
-    "flat_windows": lambda: make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 2),
-                                              flat_windows=True),
+DENSITY_MODELS = {  # "flat_windows" is the asymmetric potential
+    "flat_windows": lambda: CircleModel(2.0, phi=TrigPoly.sin(0.3), potential=ASYMMETRIC),
     "deformed": lambda: witten_deform(make_circle_model(0.5 + 0.8j, phi=("sin", 0.2),
                                                         f=("cos", 1)), 7.0),
     "rank_two": lambda: make_circle_model(np.diag([2.0, 0.5 + 0.8j]), phi=("sin", 0.3),
