@@ -125,7 +125,8 @@ class TrigPoly:
         return out
 
     def is_constant(self):
-        return not self.cos_coeffs and not self.sin_coeffs
+        """No term with a nonzero coefficient: ``sin(0.0)`` is constant too."""
+        return not any(c for _, c in self.cos_coeffs + self.sin_coeffs)
 
     def sup_norm_bound(self):
         return abs(self.const) + sum(abs(c) for _, c in self.cos_coeffs) + sum(

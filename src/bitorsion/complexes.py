@@ -24,7 +24,7 @@ from .errors import (
     DimensionError,
     ShapeError,
 )
-from .numkernel import as_cmatrix, check_symmetric_form, lu_det, nondegenerate_det
+from .numkernel import as_cmatrix, check_symmetric_form, lu_det, nondegenerate_det, scaled_cmatrix
 
 __all__ = [
     "GradedComplex",
@@ -49,22 +49,22 @@ class GradedComplex:
         dims = tuple(int(d) for d in self.dims)
         if any(d < 0 for d in dims):
             raise DimensionError("negative dimension in complex")
-        diffs = []
+        diffs, scale = [], 0.0
         for i, d in enumerate(self.differentials):
-            a = as_cmatrix(d, name=f"differential[{i}]")
+            a, a_scale = scaled_cmatrix(d, name=f"differential[{i}]")
             want = (dims[i + 1], dims[i])
             if a.shape != want:
                 raise DimensionError(
                     f"differential {i} has shape {a.shape}, expected {want}"
                 )
             diffs.append(a)
+            scale = max(scale, a_scale)
         if len(diffs) != max(len(dims) - 1, 0):
             raise DimensionError(
                 f"expected {max(len(dims) - 1, 0)} differentials, got {len(diffs)}"
             )
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "differentials", tuple(diffs))
-        scale = max((np.max(np.abs(d)) for d in diffs if d.size), default=0.0)
         for i in range(len(diffs) - 1):
             if diffs[i].size and diffs[i + 1].size:
                 dd = diffs[i + 1] @ diffs[i]
@@ -103,8 +103,8 @@ class BilinearStructure:
     def __post_init__(self):
         checked = []
         for i, g in enumerate(self.grams):
-            a = as_cmatrix(g, square=True, name=f"gram[{i}]")
-            check_symmetric_form(a, f"gram[{i}]")
+            a, scale = scaled_cmatrix(g, square=True, name=f"gram[{i}]")
+            check_symmetric_form(a, f"gram[{i}]", scale)
             checked.append(a)
         object.__setattr__(self, "grams", tuple(checked))
 
@@ -146,7 +146,7 @@ def _split(d):
         return (np.zeros((m, 0), dtype=complex), np.zeros((n, 0), dtype=complex),
                 np.eye(n, dtype=complex))
     u, s, vh = np.linalg.svd(d)
-    r = int(np.sum(s > DEFAULT_TOL.rank_rel * s[0]))
+    r = np.count_nonzero(s > DEFAULT_TOL.rank_rel * s[0])
     return u[:, :r], vh[:r].conj().T, vh[r:].conj().T
 
 
@@ -177,7 +177,7 @@ def cohomology(c: GradedComplex):
         # kernel components orthogonal to the coboundary image; the projected
         # columns have scale <= 1, so rank against floor 1
         u, s, _ = np.linalg.svd(ker - im @ (im.conj().T @ ker), full_matrices=False)
-        bases.append(u[:, : int(np.sum(s > DEFAULT_TOL.rank_rel * max(s[0], 1.0)))])
+        bases.append(u[:, : np.count_nonzero(s > DEFAULT_TOL.rank_rel * max(s[0], 1.0))])
     return CohomologyData(tuple(bases))
 
 
@@ -217,9 +217,15 @@ def torsion_form(c: GradedComplex, b: BilinearStructure, h: CohomologyData, rng=
     for i, n_i in enumerate(c.dims):
         if n_i == 0:
             continue
-        boundary = c.differential(i - 1) @ split[i - 1][1]
-        reps = _project_to_cocycles(h.bases[i], split[i][2])
-        v = np.hstack([boundary, reps, split[i][1]])
+        # the nonempty blocks of (d a~_{i-1} | h~_i | a~_i); they fill n_i columns
+        blocks = []
+        if rank[i - 1]:
+            blocks.append(c.differential(i - 1) @ split[i - 1][1])
+        if h.bases[i].shape[1]:
+            blocks.append(_project_to_cocycles(h.bases[i], split[i][2]))
+        if rank[i]:
+            blocks.append(split[i][1])
+        v = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         det = nondegenerate_det(v.T @ b.grams[i] @ v, ConditioningError,
                                 f"degree {i}: torsion Gram numerically singular")
         result = result * det if i % 2 == 0 else result / det

@@ -14,6 +14,7 @@ evenly; its Milnor torsion is (1 - holonomy)^{-2} in rank one.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +23,10 @@ from .errors import (
     ChainComplexError,
     DimensionError,
     HolonomyError,
+    InvalidMatrixError,
     ShapeError,
 )
-from .numkernel import as_cmatrix, check_symmetric_form, lu_det
+from .numkernel import as_cmatrix, check_symmetric_form
 
 __all__ = [
     "CriticalPoint",
@@ -124,6 +126,42 @@ class MorseSystem:
     def euler_characteristic(self):
         return sum((-1) ** p.index for p in self.points)
 
+    @cached_property
+    def cochain_complex(self):
+        """The dual Thom-Smale cochain complex, assembled once per system: every
+        torsion of the system, at any forms, shares it and the SVD splits it
+        caches in turn. Raises ChainComplexError naming an offending (x, z)
+        pair if the signed instanton data fails d^2 = 0; an error is not
+        cached, so each access raises it again.
+        """
+        r = self.rank
+        order = _ordered_labels(self)
+        dims = tuple(r * len(labels) for labels in order)
+        col_of = [{lab: j for j, lab in enumerate(labels)} for labels in order]
+        index = {p.label: p.index for p in self.points}
+
+        diffs = []
+        for i in range(len(dims) - 1):
+            d = np.zeros((dims[i + 1], dims[i]), dtype=complex)
+            for ins in self.instantons:
+                if index[ins.source] != i + 1:
+                    continue
+                row = col_of[i + 1][ins.source]
+                col = col_of[i][ins.target]
+                # dual complex: cochains pick up the transposed transport
+                d[row * r:(row + 1) * r, col * r:(col + 1) * r] += ins.sign * ins.holonomy.T
+            diffs.append(d)
+
+        try:
+            return GradedComplex(dims, tuple(diffs))
+        except ChainComplexError as exc:
+            i, _ = exc.offending_pair
+            pair = (order[i][0] if order[i] else "?", order[i + 2][0] if order[i + 2] else "?")
+            raise ChainComplexError(
+                f"instanton data inconsistent: d^2 != 0 near degrees {i}..{i + 2}",
+                offending_pair=pair,
+            ) from exc
+
 
 @dataclass(frozen=True)
 class CriticalForms:
@@ -167,42 +205,18 @@ def _ordered_labels(ms: MorseSystem):
 
 
 def build_thom_smale(ms: MorseSystem, forms: CriticalForms):
-    """Assemble the cochain complex and the block-diagonal bilinear structure.
+    """The system's cochain complex (``MorseSystem.cochain_complex``, built once
+    per system) and the block-diagonal bilinear structure of ``forms``.
 
     Raises ChainComplexError naming an offending (x, z) pair if the signed
-    instanton data fails d^2 = 0.
+    instanton data fails d^2 = 0, and ShapeError or DimensionError naming a
+    point whose form is missing or not rank x rank, on every call.
     """
+    complex_ = ms.cochain_complex
     r = ms.rank
-    order = _ordered_labels(ms)
-    dims = tuple(r * len(labels) for labels in order)
-    col_of = [{lab: j for j, lab in enumerate(labels)} for labels in order]
-    index = {p.label: p.index for p in ms.points}
-
-    diffs = []
-    for i in range(len(dims) - 1):
-        d = np.zeros((dims[i + 1], dims[i]), dtype=complex)
-        for ins in ms.instantons:
-            if index[ins.source] != i + 1:
-                continue
-            row = col_of[i + 1][ins.source]
-            col = col_of[i][ins.target]
-            # dual complex: cochains pick up the transposed transport
-            d[row * r:(row + 1) * r, col * r:(col + 1) * r] += ins.sign * ins.holonomy.T
-        diffs.append(d)
-
-    try:
-        complex_ = GradedComplex(dims, tuple(diffs))
-    except ChainComplexError as exc:
-        i, _ = exc.offending_pair
-        pair = (order[i][0] if order[i] else "?", order[i + 2][0] if order[i + 2] else "?")
-        raise ChainComplexError(
-            f"instanton data inconsistent: d^2 != 0 near degrees {i}..{i + 2}",
-            offending_pair=pair,
-        ) from exc
-
     grams = []
-    for i, labels in enumerate(order):
-        g = np.zeros((dims[i], dims[i]), dtype=complex)
+    for labels, dim in zip(_ordered_labels(ms), complex_.dims):
+        g = np.zeros((dim, dim), dtype=complex)
         for j, lab in enumerate(labels):
             if lab not in forms.forms:
                 raise ShapeError(f"no critical form supplied for {lab}")
@@ -229,12 +243,17 @@ def milnor_torsion(ms: MorseSystem, forms: CriticalForms, h: CohomologyData | No
 
 
 def milnor_anomaly_check(ms: MorseSystem, forms: CriticalForms, forms1: CriticalForms):
-    """Predicted torsion ratio prod_x det(b_x^{-1} b1_x)^{(-1)^{ind x}}."""
+    """Predicted torsion ratio prod_x det(b_x^{-1} b1_x)^{(-1)^{ind x}}, from one
+    stacked solve and one stacked determinant over the points."""
+    if not ms.points:
+        return 1.0 + 0.0j
+    b0 = np.array([forms.forms[p.label] for p in ms.points], dtype=complex)
+    b1 = np.array([forms1.forms[p.label] for p in ms.points], dtype=complex)
+    quotients = np.linalg.solve(b0, b1)
+    if not np.isfinite(quotients).all():
+        raise InvalidMatrixError("matrix contains non-finite entries")
     ratio = 1.0 + 0.0j
-    for p in ms.points:
-        b0 = forms.forms[p.label]
-        b1 = forms1.forms[p.label]
-        det = lu_det(np.linalg.solve(b0, b1))
+    for p, det in zip(ms.points, np.linalg.det(quotients).tolist()):
         ratio = ratio * det if p.index % 2 == 0 else ratio / det
     return ratio
 

@@ -7,7 +7,8 @@ inside it, so neither ``import bitorsion`` nor a torsion loads scipy. The
 bilinear-specific piece is the symmetry and nondegeneracy check every complex
 symmetric form passes. ``lu_det`` validates its input with ``as_cmatrix``;
 ``check_symmetric_form`` and ``nondegenerate_det`` take arrays their callers
-built or validated, and ``nondegenerate_det`` checks again that its matrix,
+built or validated, with the max|a_jk| that ``scaled_cmatrix`` found where
+the caller has it, and ``nondegenerate_det`` checks again that its matrix,
 and then its determinant, are finite. The circle Laplacians are cyclic
 tridiagonal and do not come here: ``circle.ChannelOperators`` takes their
 determinants and band torsions in closed form from the two diagonals of K,
@@ -36,6 +37,7 @@ from .errors import (
 
 __all__ = [
     "as_cmatrix",
+    "scaled_cmatrix",
     "lu_det",
     "check_symmetric_form",
     "nondegenerate_det",
@@ -46,14 +48,25 @@ __all__ = [
 
 def as_cmatrix(m, square=False, name="matrix"):
     """Validate and return a complex128 2-D array (no NaN/inf admitted)."""
+    return scaled_cmatrix(m, square, name)[0]
+
+
+def scaled_cmatrix(m, square=False, name="matrix"):
+    """(a, max|a_jk|) for ``as_cmatrix``'s validated complex128 2-D array ``a``;
+    the scale is 0 for an empty matrix. One pass over |a| gives both the scale
+    and the finiteness test: the maximum is NaN or inf exactly when an entry
+    is not finite or a finite entry's modulus overflows, and only then are the
+    entries tested one by one.
+    """
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"{name} must be 2-dimensional, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.view(float))):
+    scale = np.abs(a).max() if a.size else 0.0
+    if not np.isfinite(scale) and not np.isfinite(a).all():
         raise InvalidMatrixError(f"{name} contains non-finite entries")
     if square and a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    return a
+    return a, scale
 
 
 def lu_det(m):
@@ -62,17 +75,21 @@ def lu_det(m):
     return complex(np.linalg.det(as_cmatrix(m, square=True)))
 
 
-def check_symmetric_form(a, name):
+def check_symmetric_form(a, name, scale=None):
     """Raise DegenerateFormError unless ``a`` is symmetric and nondegenerate to
     tolerance. ``a`` is one square matrix and ``name`` leads the message, or a
     stack (k, n, n) and ``name`` holds its k names: the first matrix that fails
-    is named, its symmetry tested before its determinant. Empty forms pass."""
+    is named, its symmetry tested before its determinant. Empty forms pass.
+    ``scale`` is max|a_jk| of one matrix where the caller has it
+    (``scaled_cmatrix``); both tests then take it instead of a new pass."""
     if not a.size:
         return
     if a.ndim == 2:
-        if np.abs(a - a.T).max() > DEFAULT_TOL.symmetry_rel * max(np.abs(a).max(), 1e-300):
+        if scale is None:
+            scale = np.abs(a).max()
+        if np.abs(a - a.T).max() > DEFAULT_TOL.symmetry_rel * max(scale, 1e-300):
             raise DegenerateFormError(f"{name} not symmetric")
-        nondegenerate_det(a, DegenerateFormError, f"{name} degenerate")
+        nondegenerate_det(a, DegenerateFormError, f"{name} degenerate", scale)
         return
     scale = np.maximum(np.max(np.abs(a), axis=(-2, -1)), 1e-300)
     asym = np.max(np.abs(a - np.swapaxes(a, -2, -1)), axis=(-2, -1)) > (
@@ -84,7 +101,7 @@ def check_symmetric_form(a, name):
         raise DegenerateFormError(f"{name[first]} not symmetric")
 
 
-def nondegenerate_det(a, error, message):
+def nondegenerate_det(a, error, message, scale=None):
     """det a by ``np.linalg.det``; raises ``error(message)`` when |det a| <=
     nondegeneracy_rel * max|a_jk|^n, the one nondegeneracy test of the
     package. ``a`` is not validated again: one square matrix gets its
@@ -93,10 +110,12 @@ def nondegenerate_det(a, error, message):
     overflowed) raises ``InvalidMatrixError``. A stack (k, n, n) is only
     tested, by one batched determinant; ``message`` then holds k strings. The
     first matrix that fails is refused: ``InvalidMatrixError`` if its
-    determinant is not finite, else its message is raised.
+    determinant is not finite, else its message is raised. ``scale``, for one
+    matrix, is its max|a_jk| where the caller has it.
     """
     if a.ndim == 2:
-        scale = np.abs(a).max()  # inf also for finite parts whose modulus overflows
+        if scale is None:
+            scale = np.abs(a).max()  # inf also for finite parts whose modulus overflows
         if not np.isfinite(scale) and not np.isfinite(a).all():
             raise InvalidMatrixError("matrix contains non-finite entries")
         det = complex(np.linalg.det(a))

@@ -7,7 +7,7 @@ deviation and runtime, and asserts both the criterion and its budget.
 import numpy as np
 import pytest
 
-from bitorsion import acceptance
+from bitorsion import acceptance, complexes, morse
 
 BUDGETS = {
     1: 5.0,
@@ -44,8 +44,44 @@ def test_02_bruteforce_oracle():
     _check(acceptance.criterion_2_bruteforce_oracle())
 
 
+def test_02_oracle_sees_a_degree_one_gram_fault(monkeypatch):
+    """Criterion 2 fails when torsion_form scales the degree-1 Gram determinant
+    by 1 + 1e-9: its worst value is that 1e-9, against a 1e-10 gate.
+    Criterion 1 does not see the fault, because its ratio of two torsions
+    of one complex cancels it."""
+    exact = complexes.nondegenerate_det
+
+    def scaled(a, error, message, *args):
+        det = exact(a, error, message, *args)
+        return det * (1.0 + 1e-9) if message.startswith("degree 1:") else det
+
+    monkeypatch.setattr(complexes, "nondegenerate_det", scaled)
+    result = acceptance.criterion_2_bruteforce_oracle()
+    assert not result.passed
+    assert result.worst == pytest.approx(1e-9, rel=1e-3)
+    assert acceptance.criterion_1_finite_anomaly().passed
+
+
 def test_03_milnor_anomaly():
     _check(acceptance.criterion_3_milnor_anomaly())
+
+
+def test_03_anomaly_law_sees_swapped_forms(monkeypatch):
+    """Criterion 3 fails when build_thom_smale swaps the forms of the minimum
+    m0 and the maximum M0 (worst about 58). Criterion 4 does not see the
+    fault, because both of its sides share it."""
+    exact = morse.build_thom_smale
+
+    def swapped(ms, forms):
+        moved = dict(forms.forms)
+        moved["m0"], moved["M0"] = forms.forms["M0"], forms.forms["m0"]
+        return exact(ms, morse.CriticalForms(moved))
+
+    monkeypatch.setattr(morse, "build_thom_smale", swapped)
+    result = acceptance.criterion_3_milnor_anomaly()
+    assert not result.passed
+    assert result.worst > 1.0
+    assert acceptance.criterion_4_turaev_independence().passed
 
 
 def test_04_turaev_independence():

@@ -623,6 +623,24 @@ class TestGelfandYaglom:
         assert out.stdout.strip() == "False"
 
 
+class TestTrigPoly:
+    @pytest.mark.parametrize("poly, constant", [
+        (TrigPoly.zero(), True),
+        (TrigPoly(const=0.7), True),
+        (TrigPoly.sin(0.0), True),
+        (TrigPoly.cos(0.0, 3), True),
+        (TrigPoly(cos_coeffs=((1, 0.0),), sin_coeffs=((2, 0.0),)), True),
+        (TrigPoly.sin(0.3), False),
+        (TrigPoly.cos(1e-300, 2), False),
+        (TrigPoly(cos_coeffs=((1, 0.0),), sin_coeffs=((2, 0.3),)), False),
+    ])
+    def test_is_constant_reads_the_coefficients(self, poly, constant):
+        """Constant exactly when every cos and sin coefficient is zero, the
+        test ``sup_norm_bound`` makes for a zero phi."""
+        assert poly.is_constant() is constant
+        assert poly.is_constant() == (poly.sup_norm_bound() == abs(poly.const))
+
+
 class TestWittenDeform:
     def test_zero_deformation_identity(self):
         model = make_circle_model(2.0, f=("cos", 1))

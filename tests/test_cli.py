@@ -685,6 +685,18 @@ class TestCommands:
             assert main(["--out", str(out[flat]), "spectral", str(path), *argv]) == 0
         assert out[True].read_bytes() == out[False].read_bytes()
 
+    def test_zero_amplitude_phi_writes_the_zero_phi_bytes(self, tmp_path):
+        """``spectral --op bz`` on a phi of amplitude 0 prints the CSV of the
+        zero phi, not a ThetaNotZeroError."""
+        out = {}
+        for name, phi in (("zero", {"kind": "zero"}), ("amp0", {"kind": "sin", "amp": 0.0})):
+            path = tmp_path / f"circle_{name}.json"
+            path.write_text(json.dumps({"lambda": [2.0, 0.0], "phi": phi,
+                                        "f": {"kind": "cos", "wells": 1}}))
+            out[name] = tmp_path / f"out_{name}.csv"
+            assert main(["--out", str(out[name]), "spectral", str(path), "--op", "bz"]) == 0
+        assert out["amp0"].read_bytes() == out["zero"].read_bytes()
+
     def test_form_of_wrong_shape_is_refused(self, tmp_path, capsys):
         """A 2x2 critical form at rank 1 is a typed refusal naming the point."""
         doc = {"rank": 1, "points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1}],

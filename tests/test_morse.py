@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bitorsion.complexes import cohomology
+from bitorsion.complexes import GradedComplex, cohomology
 from bitorsion.errors import (
     ChainComplexError,
     DegenerateFormError,
     DimensionError,
     HolonomyError,
     InvalidMatrixError,
+    ShapeError,
 )
 from bitorsion.morse import (
     CriticalForms,
@@ -20,6 +23,16 @@ from bitorsion.morse import (
     milnor_anomaly_check,
     milnor_torsion,
 )
+from bitorsion.numkernel import lu_det
+from bitorsion.turaev import EulerStructure, Representation, turaev_torsion
+
+
+def _random_forms(rng, ms):
+    forms = {}
+    for p in ms.points:
+        a = rng.standard_normal((ms.rank, ms.rank)) + 1j * rng.standard_normal((ms.rank, ms.rank))
+        forms[p.label] = a + a.T + 3 * np.eye(ms.rank)
+    return CriticalForms(forms)
 
 
 class TestBuild:
@@ -124,6 +137,72 @@ class TestStackedChecks:
         MorseSystem(points, instantons[:1], rank=2)
 
 
+class TestOneComplexPerSystem:
+    """A Morse system assembles its Thom-Smale complex once, whatever the forms;
+    the values are those of a freshly built system, bit for bit."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = [0]
+        check = GradedComplex.__post_init__
+
+        def counting(self):
+            count[0] += 1
+            check(self)
+
+        monkeypatch.setattr(GradedComplex, "__post_init__", counting)
+        return count
+
+    def test_turaev_calls_build_one_complex(self, builds):
+        rep = Representation({"g": np.array([[3.0]])}, 1)
+        ms = make_circle_morse(1, 3.0)
+        calls = [(EulerStructure("m0", {"m0": k, "M0": k}), [[1.0 + 0.5j * k]]) for k in range(12)]
+        values = [turaev_torsion(ms, rep, e, b0) for e, b0 in calls]
+        assert builds[0] == 1
+        for (e, b0), value in zip(calls, values):
+            assert value == turaev_torsion(make_circle_morse(1, 3.0), rep, e, b0)
+
+    def test_milnor_calls_with_different_forms_build_one_complex(self, builds):
+        rng = np.random.default_rng(5)
+        hol = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) + 2 * np.eye(2)
+        ms = make_circle_morse(2, hol)
+        f0, f1 = _random_forms(rng, ms), _random_forms(rng, ms)
+        values = [milnor_torsion(ms, f0), milnor_torsion(ms, f1)]
+        assert builds[0] == 1
+        assert values[0] != values[1]
+        assert values == [milnor_torsion(make_circle_morse(2, hol), f) for f in (f0, f1)]
+
+    def test_replaced_system_builds_its_own(self, builds):
+        ms = make_circle_morse(1, 3.0)
+        forms = CriticalForms.standard(ms)
+        assert milnor_torsion(ms, forms) == pytest.approx(0.25, rel=1e-12)
+        seam = replace(ms.instantons[-1], holonomy=np.array([[5.0]]))
+        moved = replace(ms, instantons=ms.instantons[:-1] + (seam,))
+        assert milnor_torsion(moved, forms) == pytest.approx(1.0 / 16.0, rel=1e-12)
+        assert milnor_torsion(ms, forms) == pytest.approx(0.25, rel=1e-12)
+        assert builds[0] == 2
+
+    def test_missing_or_misshapen_form_raises_on_every_call(self, builds):
+        ms = make_circle_morse(2, 3.0)
+        missing = CriticalForms({lab: np.eye(1) for lab in ("m0", "M0", "m1")})
+        misshapen = CriticalForms({p.label: np.eye(2) for p in ms.points})
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="^no critical form supplied for M1$"):
+                milnor_torsion(ms, missing)
+            with pytest.raises(DimensionError, match="^critical form at m0 has shape"):
+                milnor_torsion(ms, misshapen)
+        assert builds[0] == 1
+
+    def test_inconsistent_system_raises_on_every_call(self):
+        points = (CriticalPoint("a", 0), CriticalPoint("b", 1), CriticalPoint("c", 2))
+        one = np.eye(1)
+        ms = MorseSystem(points, (Instanton("b", "a", +1, one), Instanton("c", "b", +1, one)))
+        for _ in range(2):
+            with pytest.raises(ChainComplexError) as info:
+                milnor_torsion(ms, CriticalForms.standard(ms))
+            assert info.value.offending_pair == ("a", "c")
+
+
 class TestMilnorTorsion:
     def test_circle_lam_three(self):
         ms = make_circle_morse(1, 3.0)
@@ -188,6 +267,21 @@ class TestAnomaly:
         predicted = milnor_anomaly_check(ms, f0, f1)
         ratio = milnor_torsion(ms, f1) / milnor_torsion(ms, f0)
         assert ratio == pytest.approx(predicted, rel=1e-9)
+
+
+    @pytest.mark.parametrize("rank, pairs", [(1, 1), (1, 3), (2, 2), (3, 1)])
+    def test_stacked_matches_pointwise(self, rank, pairs):
+        """One stacked solve and determinant give, bit for bit, the product of
+        the per-point determinants of b_x^{-1} b1_x."""
+        rng = np.random.default_rng(10 * rank + pairs)
+        hol = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+        ms = make_circle_morse(pairs, hol + 2 * np.eye(rank))
+        f0, f1 = _random_forms(rng, ms), _random_forms(rng, ms)
+        want = 1.0 + 0.0j
+        for p in ms.points:
+            det = lu_det(np.linalg.solve(f0.forms[p.label], f1.forms[p.label]))
+            want = want * det if p.index % 2 == 0 else want / det
+        assert milnor_anomaly_check(ms, f0, f1) == want
 
 
 class TestMakeCircleMorse:

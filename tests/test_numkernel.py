@@ -2,10 +2,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from bitorsion.complexes import BilinearStructure
+from bitorsion.complexes import BilinearStructure, GradedComplex
 from bitorsion.errors import DegenerateFormError, DimensionError, InvalidMatrixError
 from bitorsion.morse import CriticalForms
-from bitorsion.numkernel import check_symmetric_form, lu_det, schur_decomposition
+from bitorsion.numkernel import (
+    as_cmatrix,
+    check_symmetric_form,
+    lu_det,
+    scaled_cmatrix,
+    schur_decomposition,
+)
 
 
 def _random_matrix(rng, n):
@@ -206,3 +212,46 @@ class TestCheckSymmetricForm:
             BilinearStructure((np.eye(2), asym))
         with pytest.raises(DegenerateFormError, match="^critical form at m0 degenerate$"):
             CriticalForms({"m0": np.zeros((1, 1))})
+
+
+class TestScaledCmatrix:
+    """One pass over |a| gives the scale and the finiteness test, with the
+    checks, errors and messages of ``as_cmatrix``."""
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, complex(1.0, np.nan),
+                                       complex(0.0, -np.inf), complex(np.inf, np.nan)])
+    def test_non_finite_entry_refused_like_as_cmatrix(self, entry):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = entry
+        for check in (as_cmatrix, scaled_cmatrix):
+            with pytest.raises(InvalidMatrixError, match=r"^gram\[0\] contains non-finite entries$"):
+                check(a, square=True, name="gram[0]")
+        with pytest.raises(InvalidMatrixError, match="non-finite"):
+            BilinearStructure((a,))
+        with pytest.raises(InvalidMatrixError, match=r"^differential\[0\] contains non-finite"):
+            GradedComplex((3, 3), (a,))
+
+    def test_scale_is_the_largest_modulus(self):
+        a = np.array([[1.0, -3.0 + 4.0j], [2.0j, 0.5]])
+        checked, scale = scaled_cmatrix(a)
+        assert checked.dtype == complex and scale == 5.0
+        assert scaled_cmatrix(np.zeros((0, 3)))[1] == 0.0
+
+    def test_overflowing_modulus_is_finite(self):
+        """A finite entry whose modulus overflows has scale inf and passes, as
+        it passes ``as_cmatrix``; the Gram check then refuses its determinant."""
+        a = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert scaled_cmatrix(a)[1] == np.inf
+            as_cmatrix(a)
+            with pytest.raises(InvalidMatrixError, match="determinant is not finite"):
+                BilinearStructure((a,))
+
+    @pytest.mark.parametrize("m, square, message", [
+        (np.ones(3), False, "must be 2-dimensional"),
+        (np.ones((2, 3)), True, "must be square"),
+    ])
+    def test_shape_errors_as_before(self, m, square, message):
+        for check in (as_cmatrix, scaled_cmatrix):
+            with pytest.raises(DimensionError, match=message):
+                check(m, square=square)

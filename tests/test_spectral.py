@@ -129,6 +129,19 @@ class TestRsTorsion:
             with pytest.raises(InvalidMatrixError, match="64-point grid"):
                 disc.eigenvalues()
 
+    @pytest.mark.parametrize("t_param, gate", [
+        (10.0, 8e-14), (300.0, 3.4e-12), (1000.0, 1.2e-11), (3000.0, 3e-11),
+    ])
+    def test_discrete_error_grows_with_deformation(self, t_param, gate):
+        """The discrete value's error grows like eps N T: log det K holds a sum
+        of N terms T (f(node) - f(mid)) that cancels to 0, and its rounding
+        stays. On one well at holonomy 2 the relative errors are 4.3e-14,
+        1.7e-12, 6.4e-12 and 1.6e-11 at T = 10, 300, 1000 and 3000; each gate
+        is under twice its value."""
+        model = witten_deform(make_circle_model(2.0, f=("cos", 1)), t_param)
+        exact = rs_torsion(model, method="exact")
+        assert abs(rs_torsion(model, method="discrete") - exact) <= gate * abs(exact)
+
     def test_discrete_refuses_trivial_holonomy(self):
         """det K = 0 at holonomy 1 whatever the density, so model and reference
         cancel only when phi = 0: the method refuses instead of returning a
@@ -686,6 +699,13 @@ class TestBzCompare:
         model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
         with pytest.raises(ThetaNotZeroError):
             bz_compare(model)
+
+    @pytest.mark.parametrize("phi", [("sin", 0.0), ("sin", -0.0)])
+    def test_zero_amplitude_phi_is_constant(self, phi):
+        """A density written with amplitude 0 is the zero density: the ratio is
+        that of no phi, not a ThetaNotZeroError."""
+        zero = bz_compare(make_circle_model(2.0, f=("cos", 1)))
+        assert bz_compare(make_circle_model(2.0, phi=phi, f=("cos", 1))) == zero
 
     @pytest.mark.parametrize("wells", [1, 2, 3])
     @pytest.mark.parametrize("lam", [2.0, 0.5 + 0.8j, np.exp(1j), np.diag([2.0, 0.4 + 0.3j])],
