@@ -10,6 +10,7 @@ import numpy as np
 
 from bitorsion import make_circle_model
 from bitorsion.spectral import (
+    band_sweep,
     conjugation_isospectral_check,
     small_spectrum_dims,
     theorem33_experiment,
@@ -20,9 +21,10 @@ print("1. Spectral clustering (two bands)")
 print("=" * 70)
 model = make_circle_model(2.0, f=("cos", 1))
 print("  f = cos t (one min, one max), holonomy 2, N = 512")
-for t_param in (5.0, 10.0, 20.0):
+t_values = (5.0, 10.0, 20.0)
+for t_param, (reading,) in zip(t_values, band_sweep(model, t_values, 512)):
     rep = small_spectrum_dims(model, t_param, 512)
-    print(f"  T = {t_param:4}: counts {rep.counts}, band trace {abs(rep.band_trace):.2e},"
+    print(f"  T = {t_param:4}: counts {rep.counts}, band mu_1 {np.exp(-reading.log_torsion):.2e},"
           f" large-band min {rep.large_band_min:7.3f}")
 
 model2 = make_circle_model(2.0, f=("cos", 2))
@@ -31,6 +33,8 @@ print(f"  f = cos 2t (two of each), T = 12: counts {rep.counts}")
 print()
 print("  Counts equal (rank x number of critical points) per degree; the large")
 print("  band climbs linearly in T while the small band collapses exponentially.")
+print("  The eigensolver counts the band; its size, far below rounding from")
+print("  T = 10 on, comes from the minors of K.")
 
 print()
 print("=" * 70)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import build_discrete, log_band_torsions, make_circle_model, witten_deform
+from .circle import make_circle_model
 from .complexes import (
     anomaly_ratio,
     cohomology,
@@ -22,6 +22,7 @@ from .complexes import (
 from .config import DEFAULT_TOL
 from .morse import CriticalForms, make_circle_morse, milnor_anomaly_check, milnor_torsion
 from .spectral import (
+    band_sweep,
     bz_compare,
     conjugation_isospectral_check,
     rs_torsion,
@@ -320,8 +321,8 @@ def criterion_8_anomaly_invariance():
 
 
 def criterion_9_witten_clustering():
-    """Small-band counts, linear large-band growth, and band decay: mu_1 from the
-    minors of K (an eigensolver reads rounding at T >= 10), Newton ratios gated."""
+    """Small-band counts, linear large-band growth, and band decay: mu_1 from
+    ``band_sweep`` (an eigensolver reads rounding at T >= 10), Newton ratios gated."""
     t0 = time.perf_counter()
     failures = []
     m1 = make_circle_model(2.0, f=("cos", 1))
@@ -333,21 +334,16 @@ def criterion_9_witten_clustering():
     r12 = small_spectrum_dims(m2, 12.0, 512)
     if r12.counts != (2, 2):
         failures.append(f"counts {r12.counts} != (2,2) for two wells at T=12")
-    chans = [build_discrete(witten_deform(m1, t), 512).channels[0] for t in ts]
-    logs = log_band_torsions(np.array([ch.k_diag for ch in chans]),
-                             np.array([ch.k_upper for ch in chans]), 2.0, 1)[0]
-    band = np.exp(-logs[:, 1])  # a real channel: the logs are real
-    newton = np.exp(logs[:, 0] + logs[:, 2] - 2.0 * logs[:, 1])
+    readings = [reading for reading, in band_sweep(m1, ts, 512)]
+    band = np.exp([-r.log_torsion for r in readings])  # a real channel: the logs are real
     if not np.all(np.diff(band) < 0):
         failures.append(f"band eigenvalue {band} did not decrease over T=5,10,20")
-    if not np.max(newton) <= DEFAULT_TOL.band_torsion_rel:
-        failures.append(f"Newton gap ratio {np.max(newton):.1e} above the band torsion gate")
+    if not all(r.resolved for r in readings):
+        failures.append(f"Newton gap ratio {max(abs(r.newton) for r in readings):.1e} or "
+                        "noise floor above the band torsion gate")
     mins = np.array([r.large_band_min for r in reports])
-    slope, intercept = np.polyfit(ts, mins, 1)
-    fitted = slope * ts + intercept
-    ss_res = float(np.sum((mins - fitted) ** 2))
-    ss_tot = float(np.sum((mins - mins.mean()) ** 2))
-    r_squared = 1.0 - ss_res / ss_tot
+    slope = np.polyfit(ts, mins, 1)[0]
+    r_squared = np.corrcoef(ts, mins)[0, 1] ** 2  # that of the least-squares line
     if not (slope > 0 and r_squared > 0.9):
         failures.append(f"large-band growth slope={slope:.3f} R2={r_squared:.3f}")
     worst = float(len(failures))

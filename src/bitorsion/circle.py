@@ -522,8 +522,8 @@ class ChannelOperators:
         |mu| < r - |sigma|; k doubles until that disk holds a pair beyond the
         bound. A degenerate pair at distance r may be found only in part, so
         the disk is open. The start vector is fixed, so the result is
-        reproducible. ``band_rounding_scale`` says how closely either branch
-        places an eigenvalue.
+        reproducible. Either branch places an eigenvalue only to about
+        eps ||K^T K||; ``log_band_torsions`` measures a deep band.
         """
         n = self.n_grid
         if n <= DENSE_BAND_MAX_N:
@@ -570,23 +570,6 @@ class ChannelOperators:
                     f"|mu| <= {bound:.3e} holds nearly all {n} eigenvalues; refine the grid"
                 )
             n_pairs = min(2 * n_pairs, n - 2)
-
-    def band_rounding_scale(self):
-        """The s for which ``small_band`` places each eigenvalue to about eps s.
-
-        Shift-invert Arnoldi solves with the LU of the cyclic tridiagonal
-        L - sigma I, whose rounding stays entrywise, and places even a band
-        eigenvalue far below rounding to about eps ||K^T K||_1 (at most 0.16
-        eps ||K^T K||_1 on 149 deep-T channels at N = 32 to 64). The dense
-        solver's unitary reductions perturb L by about eps ||L|| as a whole,
-        and it placed them up to 6 eps ||K^T K||_1 on the same channels: s is
-        N ||K^T K||_1 there, LAPACK's normwise bound p(N) eps ||L|| with its
-        modestly growing p(N) taken as N. ||K^T K||_1 is taken as that of
-        |K|^T |K|, in O(N).
-        """
-        diag, coupling = laplacian_entries(np.abs(self.k_diag), np.abs(self.k_upper))
-        norm1 = float(np.max(diag + coupling + np.roll(coupling, 1)))
-        return self.n_grid * norm1 if self.n_grid <= DENSE_BAND_MAX_N else norm1
 
 
 def laplacian_entries(k_diag, k_upper):

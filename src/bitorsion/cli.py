@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .circle import exact_spectrum_circle, zeta_det_exact
+from .circle import build_discrete, exact_spectrum_circle, zeta_det_exact
 from .complexes import cohomology, torsion_form
 from .config import DEFAULT_TOL
 from .errors import BitorsionError, SchemaError
@@ -32,6 +32,7 @@ from .serialize import (
     write_rows_csv,
 )
 from .spectral import (
+    band_sweep,
     bz_compare,
     rs_torsion,
     small_spectrum_dims,
@@ -105,10 +106,7 @@ def _cmd_spectral(args):
     if args.op == "spectrum":
         lam = model.channel_holonomies()[0]
         fam = exact_spectrum_circle(lam, model.length)
-        from .circle import build_discrete
-
-        disc = build_discrete(model, n_grid)
-        ev = disc.eigenvalues()[:8]
+        ev = build_discrete(model, n_grid).eigenvalues()[:8]
         for k, mu in enumerate(ev):
             rows.append(["spectrum", f"n={k};N={n_grid}", complex(mu), 1e-6, True])
         print("lowest discrete eigenvalues:", ", ".join(f"{m:.6g}" for m in ev[:4]))
@@ -126,12 +124,17 @@ def _cmd_spectral(args):
         rows.append(["rstorsion", f"cut={args.cut};method={args.method}", value, 1e-8, True])
     elif args.op == "witten":
         rep = small_spectrum_dims(model, t_param, n_grid)
-        print(f"small-band counts {rep.counts}, band trace {rep.band_trace:.3e}, "
-              f"large-band min {rep.large_band_min:.4f}")
-        rows.append(["witten_counts", f"T={t_param};N={n_grid}",
-                     complex(rep.counts[0], rep.counts[1]), 0.0, True])
-        rows.append(["witten_band_trace", f"T={t_param};N={n_grid}", rep.band_trace,
-                     rep.trace_floor, bool(abs(rep.band_trace) > rep.trace_floor)])
+        print(f"small-band counts {rep.counts}, large-band min {rep.large_band_min:.4f}")
+        params = f"T={t_param};N={n_grid}"
+        readings = () if model.potential is None else next(band_sweep(model, [t_param], n_grid))
+        morse = sum(r.morse_count for r in readings)  # rank x minima; no Morse count without f
+        rows.append(["witten_counts", params, complex(*rep.counts), 0.0,
+                     not readings or rep.counts == (morse, morse)])
+        if readings:
+            band = complex(np.exp(-sum(r.log_torsion for r in readings)))
+            print(f"small band mu_1...mu_k = {band:.4e}, from the minors of K")
+            rows.append(["witten_band", params, band, DEFAULT_TOL.band_torsion_rel,
+                         all(r.resolved for r in readings)])
     elif args.op == "thm33":
         t_values = [float(t) for t in (args.T_list.split(",") if args.T_list else ["4", "10"])]
         gate = DEFAULT_TOL.band_torsion_rel

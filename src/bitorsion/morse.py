@@ -198,6 +198,18 @@ class CriticalForms:
     def standard(cls, ms: MorseSystem):
         return cls({p.label: np.eye(ms.rank, dtype=complex) for p in ms.points})
 
+    def blocks(self, labels, rank):
+        """The forms at ``labels``: ShapeError names the first point with none, and
+        DimensionError a shape not rank x rank (all share the first one's shape)."""
+        missing = set(labels).difference(self.forms)
+        if missing:
+            raise ShapeError(f"no critical form supplied for {min(missing, key=labels.index)}")
+        blocks = [self.forms[lab] for lab in labels]
+        if blocks and blocks[0].shape != (rank, rank):
+            raise DimensionError(f"critical form at {labels[0]} has shape {blocks[0].shape}, "
+                                 f"expected rank x rank {(rank, rank)}")
+        return blocks
+
 
 def _ordered_labels(ms: MorseSystem):
     """Stable per-degree point ordering used for all matrix layouts."""
@@ -217,14 +229,8 @@ def build_thom_smale(ms: MorseSystem, forms: CriticalForms):
     grams = []
     for labels, dim in zip(_ordered_labels(ms), complex_.dims):
         g = np.zeros((dim, dim), dtype=complex)
-        for j, lab in enumerate(labels):
-            if lab not in forms.forms:
-                raise ShapeError(f"no critical form supplied for {lab}")
-            if forms.forms[lab].shape != (r, r):
-                raise DimensionError(
-                    f"critical form at {lab} has shape {forms.forms[lab].shape}, "
-                    f"expected rank x rank {(r, r)}")
-            g[j * r:(j + 1) * r, j * r:(j + 1) * r] = forms.forms[lab]
+        for j, block in enumerate(forms.blocks(labels, r)):
+            g[j * r:(j + 1) * r, j * r:(j + 1) * r] = block
         grams.append(g)
     return complex_, BilinearStructure(tuple(grams))
 
@@ -247,8 +253,9 @@ def milnor_anomaly_check(ms: MorseSystem, forms: CriticalForms, forms1: Critical
     stacked solve and one stacked determinant over the points."""
     if not ms.points:
         return 1.0 + 0.0j
-    b0 = np.array([forms.forms[p.label] for p in ms.points], dtype=complex)
-    b1 = np.array([forms1.forms[p.label] for p in ms.points], dtype=complex)
+    labels = [p.label for p in ms.points]
+    b0 = np.array(forms.blocks(labels, ms.rank), dtype=complex)
+    b1 = np.array(forms1.blocks(labels, ms.rank), dtype=complex)
     quotients = np.linalg.solve(b0, b1)
     if not np.isfinite(quotients).all():
         raise InvalidMatrixError("matrix contains non-finite entries")

@@ -14,12 +14,11 @@ On the grid the pairing is exact: K is square, so det(z - K K^T) = det(z - K^T K
 and every routine here works on K alone: a spectrum is that of K^T K, and the
 conjugation check compares factors, not spectra.
 
-Deep in the Witten deformation that product is far below eps ||L||, where no
-eigensolver sees it. ``theorem33_experiment`` takes it in closed form from the
-sums e_{N-m} of squared minors of K (``circle.log_band_torsions``, one call on
-the stacked K of a whole T sweep per channel), and the Newton ratio
-e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1}, of the same sums
-certifies the gap above the band of k.
+Deep in the Witten deformation that product is far below eps ||L||, where an
+eigensolver only counts the band. ``band_sweep`` reads its size in closed form
+from the sums e_{N-m} of squared minors of K (``circle.log_band_torsions``,
+one call per channel on the stacked K of a T sweep), and the Newton ratio
+e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1}, certifies the gap.
 
 The combinatorial side is derived from the same model: ``morse_from_potential``
 lays out the potential's critical points, or cos theta's in closed form on a
@@ -67,6 +66,8 @@ __all__ = [
     "rs_torsion",
     "small_spectrum_dims",
     "SmallSpectrumReport",
+    "band_sweep",
+    "BandReading",
     "conjugation_isospectral_check",
     "morse_from_potential",
     "model_critical_forms",
@@ -89,12 +90,12 @@ def spectral_cut(channel: ChannelOperators, radius):
 
     K^T K and K K^T share one spectrum, so one ``ChannelOperators.small_band``
     run finds every eigenvalue within the cut and its margin, and at least
-    one beyond it; the smallest modulus beyond the cut is
-    kept. An eigenvalue within the threshold margin (``threshold_margin``
-    times ``radius``) of the cut circle means the gap between the small and
-    the large band is not resolved on this grid: ResolutionError. A K with a
-    zero or non-finite entry, as e^{T f} leaves double range, is refused first
-    with InvalidMatrixError naming the grid.
+    one beyond it; the smallest modulus beyond the cut is kept. An eigenvalue
+    within the threshold margin (``threshold_margin`` times ``radius``) of the
+    cut circle means the gap between the small and the large band is not
+    resolved on this grid: ResolutionError. A K with a zero or non-finite
+    entry, as e^{T f} leaves double range, is refused first with
+    InvalidMatrixError naming the grid.
     """
     _require_k_in_range(channel.k_diag, channel.k_upper)
     clearance = DEFAULT_TOL.threshold_margin * radius
@@ -165,12 +166,10 @@ def rs_torsion(model: CircleModel, cut=0.0, method="exact"):
     """Ray-Singer symmetric bilinear torsion of the circle model.
 
     methods: "exact" (closed-form spectrum), "gy" (monodromy determinant,
-    needs an empty band below the cut), "discrete" (det K in closed form on
-    one DISCRETE_N-point grid, relative to the phi = 0 reference; within
-    5e-13 of "exact" undeformed, and within about 2 eps N T per channel at
-    Witten deformation T, see ``_rs_discrete_channel``). The value is independent of the admissible cut. "gy"
-    and "discrete" refuse holonomy 1: the channel is not acyclic, and
-    det K = 0.
+    needs an empty band below the cut), "discrete" (det K in closed form,
+    see ``_rs_discrete_channel``). The value is independent of the admissible
+    cut. "gy" and "discrete" refuse holonomy 1: the channel is not acyclic,
+    and det K = 0.
     """
     out = 1.0 + 0.0j
     for sub in model.channels():
@@ -204,38 +203,75 @@ class SmallSpectrumReport:
     n_grid: int
     threshold: float
     counts: tuple
-    band_trace: complex
-    trace_floor: float  # rounding bound on band_trace; a smaller |band_trace| is noise
     large_band_min: float
 
 
 def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
-    """Counts of eigenvalues with |mu| <= threshold per degree, plus band trace,
-    its rounding floor and the smallest large-band magnitude (the two-band picture).
-
-    Each channel's threshold cut supplies the band eigenvalues and the
-    smallest modulus beyond the threshold. The degrees share one spectrum, so
-    the counts are (c, c) and the band trace, summed over both degrees, is
-    twice the band's sum. ``ChannelOperators.small_band`` places each band
-    eigenvalue only to about eps s, s its ``band_rounding_scale``: ||K^T K||_1
-    by Arnoldi on large grids, N ||K^T K||_1 by the dense spectrum on small
-    ones. So the floor sums 2 c eps s over the channels.
-    Raises ResolutionError if any eigenvalue sits within the threshold margin.
-    """
+    """Counts of eigenvalues with |mu| <= threshold per degree, and the
+    smallest large-band magnitude (the two-band picture), from each channel's
+    threshold cut; the degrees share one spectrum, so the counts are (c, c).
+    The eigensolver counts the band but places its eigenvalues only to about
+    eps ||K^T K||, above the band from T of about 10 on: ``band_sweep`` reads
+    its size from the minors of K. An eigenvalue within the threshold margin
+    raises ResolutionError."""
     deformed = witten_deform(model, t_param) if model.potential is not None else model
-    disc = build_discrete(deformed, n_grid)
-    count, band_trace, floor, large_min = 0, 0.0 + 0.0j, 0.0, np.inf
-    for ch in disc.channels:
+    count, large_min = 0, np.inf
+    for ch in build_discrete(deformed, n_grid).channels:
         cut = spectral_cut(ch, threshold)
         count += int(cut.band.size)
-        band_trace += 2.0 * complex(np.sum(cut.band))
-        floor += 2.0 * cut.band.size * np.finfo(float).eps * ch.band_rounding_scale()
         large_min = min(large_min, cut.large_band_min)
-    return SmallSpectrumReport(
-        t_param=float(t_param), n_grid=int(n_grid), threshold=float(threshold),
-        counts=(count, count), band_trace=band_trace, trace_floor=floor,
-        large_band_min=large_min,
-    )
+    return SmallSpectrumReport(float(t_param), int(n_grid), float(threshold), (count, count),
+                               large_min)
+
+
+@dataclass(frozen=True)
+class BandReading:
+    """One channel's small band at one T, from the minors of K (``band_sweep``)."""
+
+    morse_count: int  # k, the potential's number of minima
+    dims: int  # the m <= k with |e_{N-m+1} / e_{N-m}|, about mu_m, at most 1
+    newton: complex  # r = e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1}
+    floor: float  # the relative noise floor of the sums e_{N-m}
+    log_torsion: complex  # log e_{N-k} (1 - r) / det(K)^2 = -log(mu_1 ... mu_k) + O(r^2)
+    resolved: bool  # r and the floor within band_torsion_rel
+
+    @classmethod
+    def of(cls, logs, floor):
+        """From ``log_band_torsions``' logs; nan log torsion on a real r >= 1."""
+        k = logs.size - 2
+        newton = np.exp(logs[k - 1] + logs[k + 1] - 2.0 * logs[k])
+        with np.errstate(invalid="ignore"):
+            log_torsion = logs[k] + np.log1p(-newton)
+        dims = int(np.sum(np.abs(np.exp(logs[:k] - logs[1:k + 1])) <= 1.0))
+        resolved = max(abs(newton), floor) <= DEFAULT_TOL.band_torsion_rel
+        return cls(k, dims, newton, floor, log_torsion, resolved)
+
+
+def band_sweep(model: CircleModel, t_values, n_grid):
+    """Per T, in order, a ``BandReading`` of each channel, with no eigensolve:
+    one ``log_band_torsions`` call per channel on the stacked K of every T, k
+    the potential's number of minima. A K with a zero or non-finite entry, as
+    e^{T f} leaves double range, raises InvalidMatrixError naming the grid and
+    T once the sweep reaches that T, so a caller's refusal at an earlier T
+    comes first."""
+    t_values = list(t_values)
+    if not t_values:
+        return
+    sweeps = []
+    for sub in model.channels():
+        minima = sum(1 for _, index in sub.critical_points() if index == 0)
+        ops = [build_discrete(witten_deform(sub, t), n_grid).channels[0] for t in t_values]
+        k_diag, k_upper = np.array([op.k_diag for op in ops]), np.array([op.k_upper for op in ops])
+        in_range = _k_in_range(k_diag, k_upper)
+        usable = len(ops) if in_range.all() else int(np.argmin(in_range))
+        sweeps.append((usable, *log_band_torsions(k_diag[:usable], k_upper[:usable],
+                                                  complex(sub.holonomy), minima)))
+    for i, t_param in enumerate(t_values):
+        if any(usable == i for usable, _, _ in sweeps):
+            raise InvalidMatrixError(
+                f"K on the {n_grid}-point grid has a zero or non-finite entry at "
+                f"T={t_param}; refine the grid or lower T")
+        yield tuple(BandReading.of(logs[i], floors[i]) for _, logs, floors in sweeps)
 
 
 def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
@@ -352,63 +388,37 @@ def _counting_data(ms: MorseSystem, potential: TrigPoly, length):
 def theorem33_experiment(model: CircleModel, t_values, n_grid):
     """Scaled band-torsion over Milnor-torsion ratios along a T sweep.
 
-    Per channel, with k its Morse count, one ``log_band_torsions`` call on the
-    stacked K of every T gives the sums e_{N-m}(K^T K), and with them the
-    band torsion at any T; the checks then run in T order.
-    The band dims count the m <= k with |e_{N-m+1} / e_{N-m}|, about mu_m,
-    at most 1. The Newton ratio r = e_{N-k+1} e_{N-k-1} / e_{N-k}^2,
-    about mu_k / mu_{k+1}, certifies the gap, and e_{N-k} (1 - r) / det(K)^2
-    is 1 / (mu_1 ... mu_k) up to a relative O(r^2). Dims other than the Morse
-    counts, or r or the noise floor above ``band_torsion_rel``, raise
-    ResolutionError. The torsion over the Milnor torsion of the model-derived
-    Thom-Smale pair is scaled by prod_x (T |f''(x)| / pi)^{1/2} exp(2 Tr_s[f] T)
-    per channel, x over its critical points and f'' read at the Morse positions,
-    never fitted; all in logs. It tends to 1; rows record |log ratio| and the
-    largest Newton ratio. The Morse data does not depend on T and is built once
-    per channel. A K with a zero or non-finite entry, as e^{T f} leaves double
-    range, raises InvalidMatrixError naming the grid and T.
+    ``band_sweep`` reads each channel's band at every T, in T order; band dims
+    other than the Morse counts, or an unresolved band, raise ResolutionError,
+    and a K out of double range InvalidMatrixError. The band torsion
+    1 / (mu_1 ... mu_k) over the Milnor torsion of the model-derived
+    Thom-Smale pair (its Morse data built once per channel) is scaled by
+    prod_x (T |f''(x)| / pi)^{1/2} exp(2 Tr_s[f] T) per channel, x over its
+    critical points and f'' read at the Morse positions, never fitted; all in
+    logs. It tends to 1; rows record |log ratio| and the largest Newton ratio.
     """
     if model.potential is None:
         raise DimensionError("theorem33_experiment requires a Morse potential")
-    gate = DEFAULT_TOL.band_torsion_rel
     t_values = list(t_values)
-    rows = []
     channels = []
     for sub in model.channels():
         ms, milnor = _acyclic_milnor(sub)
-        counting = _counting_data(ms, sub.potential, sub.length)
-        channels.append((sub, tuple(ms.morse_counts()), np.log(milnor), counting))
-    if not t_values:
-        return rows
-    sweeps = []
-    for sub, counts, _, _ in channels:
-        ops = [build_discrete(witten_deform(sub, t), n_grid).channels[0] for t in t_values]
-        k_diag, k_upper = np.array([op.k_diag for op in ops]), np.array([op.k_upper for op in ops])
-        in_range = _k_in_range(k_diag, k_upper)
-        usable = len(ops) if in_range.all() else int(np.argmin(in_range))
-        sweeps.append((usable, *log_band_torsions(k_diag[:usable], k_upper[:usable],
-                                                  complex(sub.holonomy), counts[0])))
-    for i, t_param in enumerate(t_values):
+        channels.append((np.log(milnor), _counting_data(ms, sub.potential, sub.length)))
+    rows = []
+    for t_param, readings in zip(t_values, band_sweep(model, t_values, n_grid)):
         log_ratio, gap, dims = 0.0, 0.0, 0
-        for (_, counts, log_milnor, (trs, hessians)), (usable, sweep_logs, floors) in zip(
-                channels, sweeps):
-            if i == usable:
-                raise InvalidMatrixError(
-                    f"K on the {n_grid}-point grid has a zero or non-finite entry at "
-                    f"T={t_param}; refine the grid or lower T")
-            k, logs, floor = counts[0], sweep_logs[i], floors[i]
-            band = int(np.sum(np.abs(np.exp(logs[:k] - logs[1:k + 1])) <= 1.0))
-            if (band, band) != counts:
+        for (log_milnor, (trs, hessians)), reading in zip(channels, readings):
+            band, k = reading.dims, reading.morse_count
+            if band != k:
                 raise ResolutionError(
-                    f"band dims {(band, band)} do not match Morse counts {counts} at T={t_param}")
-            newton = np.exp(logs[k - 1] + logs[k + 1] - 2.0 * logs[k])
-            if not max(abs(newton), floor) <= gate:
+                    f"band dims {(band, band)} do not match Morse counts {(k, k)} at T={t_param}")
+            if not reading.resolved:
                 raise ResolutionError(
-                    f"band unresolved at T={t_param}: Newton gap ratio {abs(newton):.1e}, noise "
-                    f"floor {floor:.1e}, gate {gate:.0e}; raise T for the gap, lower it for the "
-                    "floor, or refine the grid")
-            gap, dims = max(gap, float(abs(newton))), dims + band
-            log_ratio += (logs[k] + np.log1p(-newton) - log_milnor + 2.0 * trs * t_param
+                    f"band unresolved at T={t_param}: Newton gap ratio {abs(reading.newton):.1e}, "
+                    f"noise floor {reading.floor:.1e}, gate {DEFAULT_TOL.band_torsion_rel:.0e}; "
+                    "raise T for the gap, lower it for the floor, or refine the grid")
+            gap, dims = max(gap, float(abs(reading.newton))), dims + band
+            log_ratio += (reading.log_torsion - log_milnor + 2.0 * trs * t_param
                           + 0.5 * np.sum(np.log(t_param * hessians / np.pi + 0j)))
         ratio = complex(np.exp(log_ratio))
         rows.append(Theorem33Row(float(t_param), ratio, float(abs(np.log(ratio))),

@@ -7,7 +7,7 @@ deviation and runtime, and asserts both the criterion and its budget.
 import numpy as np
 import pytest
 
-from bitorsion import acceptance, complexes, morse
+from bitorsion import acceptance, complexes, morse, spectral
 
 BUDGETS = {
     1: 5.0,
@@ -114,8 +114,9 @@ def test_09_witten_clustering():
 def test_09_band_gates_can_fail(monkeypatch, fault, message):
     """Criterion 9 fails when the band eigenvalue from the minors stops
     decaying, as an eigensolver's reading does once it reaches rounding
-    (7e-13 at T >= 10, N = 512), or when a Newton ratio exceeds the gate."""
-    exact = acceptance.log_band_torsions
+    (7e-13 at T >= 10, N = 512), or when a Newton ratio exceeds the gate. The
+    faults are injected where ``band_sweep`` looks up ``log_band_torsions``."""
+    exact = spectral.log_band_torsions
 
     def faulty(k_diag, k_upper, lam, k):
         logs, floor = exact(k_diag, k_upper, lam, k)
@@ -125,7 +126,7 @@ def test_09_band_gates_can_fail(monkeypatch, fault, message):
             logs[:, 2] = 2.0 * logs[:, 1] + np.log(1e-3)
         return logs, floor
 
-    monkeypatch.setattr(acceptance, "log_band_torsions", faulty)
+    monkeypatch.setattr(spectral, "log_band_torsions", faulty)
     result = acceptance.criterion_9_witten_clustering()
     assert not result.passed
     assert message in result.detail

@@ -605,6 +605,21 @@ class TestGelfandYaglom:
         value = gelfand_yaglom_det(model)
         assert value == pytest.approx(zeta_det_exact(2.0), rel=1e-9)
 
+    def test_rank_two_is_the_channel_product(self):
+        """A rank-2 model, its holonomy H not diagonal, takes the product over
+        its channels: (1 - lam)^2 / lam per eigenvalue, so the value is
+        det(1 - H)^2 / det H, taken here from numpy's det with no eigensolve."""
+        rotation = np.array([[2.0, 1.0], [1.0, 3.0]])
+        holonomy = rotation @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(rotation)
+        model = CircleModel(holonomy, phi=TrigPoly.sin(0.3))
+        want = 1.0 + 0.0j
+        for sub in model.channels():
+            want *= gelfand_yaglom_det(sub)
+        value = gelfand_yaglom_det(model)
+        assert value == want
+        oracle = np.linalg.det(np.eye(2) - holonomy) ** 2 / np.linalg.det(holonomy)
+        assert abs(value - oracle) <= 1e-12 * abs(oracle)
+
     def test_doubled_circumference(self):
         model = CircleModel(2.0, length=2 * TWO_PI)
         assert gelfand_yaglom_det(model) == pytest.approx(

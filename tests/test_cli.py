@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitorsion.serialize as serialize
+from bitorsion.circle import build_discrete
 from bitorsion.cli import main
 from bitorsion.errors import (
     DegenerateFormError,
@@ -541,16 +542,36 @@ class TestCommands:
         assert main(["spectral", circle, "--op", "witten", "--T", "5", "--grid", "128"]) == 0
         assert "(1, 1)" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("t_param, ok", [("5", "True"), ("20", "False")])
-    def test_spectral_witten_band_trace_pass(self, circle, capsys, t_param, ok):
-        """The band trace passes only above its rounding floor, which the
-        tolerance column holds: at T = 20 the band eigenvalue is about 1e-34,
-        and the trace an eigensolver reports is rounding."""
+    @pytest.mark.parametrize("t_param, ok", [("5", "True"), ("20", "True"), ("2", "False")])
+    def test_spectral_witten_band_pass(self, circle, capsys, t_param, ok):
+        """The band mu_1 comes from the minors of K (``band_sweep``) and passes
+        when its Newton ratio and noise floor are within the gate that the
+        tolerance column holds: at T = 20 mu_1 is 5.7e-35, far below what an
+        eigensolver resolves; at T = 2 the ratio mu_1 / mu_2 is 1.6e-4."""
         assert main(["spectral", circle, "--op", "witten", "--T", t_param, "--grid", "512"]) == 0
-        row = capsys.readouterr().out.splitlines()[-1].split(",")
-        assert row[0] == "witten_band_trace" and row[5] == ok
-        assert 1e-12 < float(row[4]) < 1e-10
-        assert (abs(complex(float(row[2]), float(row[3]))) > float(row[4])) == (ok == "True")
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[-2:]]
+        assert [r[0] for r in rows] == ["witten_counts", "witten_band"]
+        assert (rows[1][4], rows[1][5]) == ("0.0001", ok)
+        assert 0.0 < float(rows[1][2]) < 1e-4 and float(rows[1][3]) == 0.0
+
+    @pytest.mark.parametrize("holonomy, f, t_param, ok", [
+        (2.0, {"kind": "cos", "wells": 1}, "10", "True"),
+        (10.0, {"kind": "cos", "wells": 2}, "0", "False"),  # one eigenvalue within 1, two wells
+        (10.0, None, "0", "True"),
+    ], ids=["one_well_T10", "two_wells_T0", "no_potential"])
+    def test_spectral_witten_counts_pass_is_computed(self, tmp_path, capsys, holonomy, f,
+                                                     t_param, ok):
+        """With a potential the counts pass when they equal rank x minima in
+        each degree; without one there is no Morse count, no band row, and the
+        counts row passes."""
+        doc = {"lambda": [holonomy, 0.0], **({"f": f} if f else {})}
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps(doc))
+        assert main(["spectral", str(path), "--op", "witten", "--T", t_param, "--grid", "64"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if line.startswith("witten")]
+        assert rows[0][0] == "witten_counts" and rows[0][5] == ok
+        assert [r[0] for r in rows[1:]] == (["witten_band"] if f else [])
 
     def test_spectral_thm33_pass_is_computed(self, circle, capsys):
         """The pass cell is a finite ratio with its Newton gap ratio inside the
@@ -571,6 +592,18 @@ class TestCommands:
         monkeypatch.setattr(cli, "theorem33_experiment", lambda *args: [row])
         assert main(["spectral", circle, "--op", "thm33"]) == 0
         assert capsys.readouterr().out.splitlines()[-1].split(",")[-1] == ok
+
+    def test_spectral_spectrum(self, tmp_path, capsys):
+        """The 8 rows are the lowest discrete eigenvalues of K^T K, bit for bit."""
+        path = tmp_path / "circle.json"
+        path.write_text(json.dumps({"lambda": [2.0, 0.0], "f": {"kind": "cos", "wells": 1}}))
+        assert main(["spectral", str(path), "--op", "spectrum", "--grid", "64"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if line.startswith("spectrum,")]
+        want = build_discrete(load_circle_model(str(path))[0], 64).eigenvalues()[:8]
+        assert [complex(float(r[2]), float(r[3])) for r in rows] == want.tolist()
+        assert [r[1] for r in rows] == [f"n={k};N=64" for k in range(8)]
+        assert float(rows[0][2]) == 0.012170135974131384
 
     def test_spectral_zetadet(self, circle, capsys):
         assert main(["spectral", circle, "--op", "zetadet"]) == 0

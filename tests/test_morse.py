@@ -283,6 +283,22 @@ class TestAnomaly:
             want = want * det if p.index % 2 == 0 else want / det
         assert milnor_anomaly_check(ms, f0, f1) == want
 
+    def test_refuses_forms_the_torsion_refuses(self):
+        """Forms that are not rank x rank, or a set without a point's form, are
+        refused as ``milnor_torsion`` refuses them, by type, naming the shape or
+        the point, in either argument."""
+        ms = make_circle_morse(1, 3.0)
+        unit = CriticalForms.standard(ms)
+        wide = CriticalForms({p.label: np.eye(2) for p in ms.points})
+        partial = CriticalForms({"m0": np.eye(1)})
+        for forms, error, message in ((wide, DimensionError, "^critical form at m0 has shape"),
+                                      (partial, ShapeError, "^no critical form supplied for M0$")):
+            for call in (lambda: milnor_torsion(ms, forms),
+                         lambda: milnor_anomaly_check(ms, forms, unit),
+                         lambda: milnor_anomaly_check(ms, unit, forms)):
+                with pytest.raises(error, match=message):
+                    call()
+
 
 class TestMakeCircleMorse:
     def test_counts(self):
