@@ -1,4 +1,5 @@
-"""Per-phase times of acceptance criteria 1-4, the finite-complex criteria, as JSON.
+"""Per-phase times of acceptance criteria 1-4, the finite-complex criteria, and
+6, 7, 8 and 12, the analytic torsion and comparison criteria, as JSON.
 
     python3 bench/criteria.py [--repeats 15] [--src DIR]
 
@@ -19,7 +20,14 @@ whole loop over the criterion's inputs:
   form sets), ``milnor`` (the two ``milnor_torsion`` calls of each system),
   ``anomaly`` (``milnor_anomaly_check``);
 - criterion 4 (seed 99): ``turaev`` (the 12 ``turaev_torsion`` calls on
-  the one- and two-pair systems).
+  the one- and two-pair systems);
+- criteria 6 (seed 123, 21 models) and 12 (seed 321, 8 models), one well
+  each: ``inputs`` (the models), ``rs_exact`` (``rs_torsion``), ``milnor``
+  (``milnor_from_model``, with the critical-point scan of each new
+  model's potential), the two halves of ``bz_compare``;
+- criterion 7: ``rs_exact`` (``rs_torsion`` at cuts 0.5, 2 and 5);
+- criterion 8: ``rs_exact``, ``rs_gy`` and ``rs_discrete``, the three
+  ``rs_torsion`` calls on the flat and the wavy model.
 
 ``total`` is the best time of the criterion function itself. The inputs
 are drawn here in one fixed way for every tree; their values equal the
@@ -75,6 +83,8 @@ def main():
         milnor_anomaly_check,
         milnor_torsion,
     )
+    from bitorsion.circle import make_circle_model
+    from bitorsion.spectral import milnor_from_model, rs_torsion
     from bitorsion.turaev import EulerStructure, Representation, turaev_torsion
 
     def inputs_1():
@@ -168,11 +178,41 @@ def main():
         t["turaev"], _ = clock(lambda: [turaev_torsion(ms, rep, e, b0) for ms, e, b0 in calls])
         return t
 
+    def comparison_phases(anchors, seed, count):
+        def phases():
+            t = {}
+            t["inputs"], models = clock(lambda: [make_circle_model(lam, f=("cos", 1)) for lam in
+                                                 anchors + acceptance._seeded_lambdas(seed, count)])
+            t["rs_exact"], _ = clock(lambda: [rs_torsion(m) for m in models])
+            t["milnor"], _ = clock(lambda: [milnor_from_model(m) for m in models])
+            return t
+        return phases
+
+    def phases_7():
+        t = {}
+        t["inputs"], model = clock(lambda: make_circle_model(2.0, f=("cos", 1)))
+        t["rs_exact"], _ = clock(lambda: [rs_torsion(model, cut=a) for a in (0.5, 2.0, 5.0)])
+        return t
+
+    def phases_8():
+        t = {}
+        t["inputs"], (base, wavy) = clock(lambda: (
+            make_circle_model(2.0, f=("cos", 1)),
+            make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))))
+        t["rs_exact"], _ = clock(lambda: rs_torsion(base, method="exact"))
+        t["rs_gy"], _ = clock(lambda: rs_torsion(wavy, method="gy"))
+        t["rs_discrete"], _ = clock(lambda: rs_torsion(wavy, cut=0.5, method="discrete"))
+        return t
+
     criteria = {
         1: (phases_1, acceptance.criterion_1_finite_anomaly),
         2: (phases_2, acceptance.criterion_2_bruteforce_oracle),
         3: (phases_3, acceptance.criterion_3_milnor_anomaly),
         4: (phases_4, acceptance.criterion_4_turaev_independence),
+        6: (comparison_phases([2.0], 123, 20), acceptance.criterion_6_main_comparison),
+        7: (phases_7, acceptance.criterion_7_cut_independence),
+        8: (phases_8, acceptance.criterion_8_anomaly_invariance),
+        12: (comparison_phases([], 321, 8), acceptance.criterion_12_modulus_one),
     }
     for _, crit in criteria.values():  # loads every module before timing
         crit()

@@ -26,7 +26,9 @@ listed eigenvalues, continued through the positive axis) evaluates to
 
 which is the classical det' ~ (1 - lam)(1 - 1/lam) up to the pinned sign
 normalization; both the Hurwitz-continuation oracle in the tests and the
-monodromy (Gelfand-Yaglom) route reproduce it.
+monodromy (Gelfand-Yaglom) route reproduce it. Every determinant route
+refuses holonomy 1 by one rule (``require_acyclic``) and an eigenvalue on a
+positive cut by another (``modes_inside_cut``).
 """
 
 import cmath
@@ -37,6 +39,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL
 from .errors import (
+    AmbiguousCutError,
     ConvergenceError,
     DimensionError,
     GridError,
@@ -326,6 +329,25 @@ def _scalar_holonomy(lam):
     return lam
 
 
+def require_acyclic(lam):
+    """ZeroModeError at holonomy exactly 1, where a channel has a zero mode (its
+    cohomology); ``lam`` may be an array. Every other holonomy is computed: each
+    determinant route carries the factor 1 - lam exactly, so a holonomy an ulp
+    from 1 gives a large, correct value."""
+    if np.count_nonzero(lam == 1.0):
+        raise ZeroModeError("holonomy 1 has a zero mode: the channel is not acyclic")
+
+
+def modes_inside_cut(fam, cut):
+    """The eigenvalues of ``fam`` with |mu| <= cut, a positive cut; an eigenvalue
+    within cut_clearance of the cut circle is an AmbiguousCutError."""
+    clearance = DEFAULT_TOL.cut_clearance
+    near = fam.modes_in_disk(cut + clearance)
+    if any(abs(abs(mu) - cut) < clearance for _, mu in near):
+        raise AmbiguousCutError(f"eigenvalue within {clearance:.1e} of cut {cut}")
+    return [mu for _, mu in near if abs(mu) <= cut]
+
+
 def exact_spectrum_circle(lam, length=TWO_PI):
     lam = _scalar_holonomy(lam)
     z = np.log(lam) / (2j * np.pi)  # principal branch, Im(log) in (-pi, pi]
@@ -335,26 +357,23 @@ def exact_spectrum_circle(lam, length=TWO_PI):
 def zeta_det_exact(lam, length=TWO_PI, cut=None):
     """Zeta-regularized determinant of the Laplacian family above ``cut``.
 
-    lam != 1 with cut None gives the full determinant (1-lam)^2/lam; at
-    lam = 1 the zero mode forces the primed determinant (cut >= 0 explicit),
-    whose base value is the classical L^2. Finitely many eigenvalues inside
-    the cut are divided out. Degrees 0 and 1 carry the same family, so one
-    value serves both.
+    With cut None it is the full determinant (1 - lam)^2 / lam, refused at
+    holonomy 1 (``require_acyclic``). An explicit cut >= 0 asks for the primed
+    determinant, whose value at holonomy 1 is the classical L^2; a positive
+    cut divides out the nonzero eigenvalues inside it (``modes_inside_cut``
+    refuses one on the cut circle). Degrees 0 and 1 carry the same family, so
+    one value serves both. 1 / zeta_det_exact(lam, L, cut=0.0) is the
+    Ray-Singer torsion lam / (1 - lam)^2, and 1 / L^2 at holonomy 1.
     """
     fam = exact_spectrum_circle(lam, length)
     lam = fam.holonomy
-    if lam == 1.0:
-        if cut is None:
-            raise ZeroModeError(
-                "holonomy 1 has a zero mode; request the primed determinant with cut >= 0"
-            )
-        base = complex(length**2)
-    else:
-        base = (1.0 - lam) ** 2 / lam
+    if cut is None:
+        require_acyclic(lam)
+    base = complex(length**2) if lam == 1.0 else (1.0 - lam) ** 2 / lam
     if cut is None or cut <= 0:
         return base
     removed = 1.0 + 0.0j
-    for _, mu in fam.modes_in_disk(cut):
+    for mu in modes_inside_cut(fam, cut):
         if mu != 0:
             removed *= mu
     return base / removed
@@ -371,10 +390,11 @@ def gelfand_yaglom_det(model: CircleModel):
     -det(M - lam I) / lam^2, whose 1/lam^2 is the first-order-coefficient
     (Forman) factor and whose sign is the classical periodic-problem
     normalization. The integral of phi_eff' is a periodic trapezoid sum on
-    GY_POINTS samples. For periodic phi it vanishes, so the value equals
-    zeta_det_exact and is independent of the density, which is how the
-    anomaly-invariance criterion consumes it. Degrees 0 and 1 share the
-    value (the nonzero spectra coincide).
+    GY_POINTS samples. For periodic phi it vanishes, so the value is
+    zeta_det_exact's (1 - lam)^2 / lam, whatever the density and the cut:
+    the route has no band to remove. Holonomy 1, where det(M - lam I) = 0, is
+    refused (``require_acyclic``). Degrees 0 and 1 share the value (the
+    nonzero spectra coincide).
     """
     if model.rank > 1:
         out = 1.0 + 0.0j
@@ -382,6 +402,7 @@ def gelfand_yaglom_det(model: CircleModel):
             out *= gelfand_yaglom_det(sub)
         return out
     lam = complex(model.holonomy)
+    require_acyclic(lam)
     h = model.length / GY_POINTS
     phi_period = h * float(np.sum(model.phi_derivative(np.arange(GY_POINTS) * h)))
     e_growth = lam**2 * np.exp(-2.0 * phi_period)
@@ -442,8 +463,10 @@ class ChannelOperators:
         near lam = 1 the factor 1 - lam is exact, where a rounded telescoped
         product would cancel. prod a overflows long before N = 65536, where
         log|det K| is about 6e5, so it is summed in log space. A zero or
-        non-finite entry of K is an InvalidMatrixError."""
+        non-finite entry of K is an InvalidMatrixError, and holonomy 1, where
+        det K = 0, a ZeroModeError."""
         _require_k_in_range(self.k_diag, self.k_upper)
+        require_acyclic(self.lam)
         return complex(np.sum(np.log(self.k_diag)) + np.log(1.0 - self.lam))
 
     def conjugated(self, left, right):
@@ -597,10 +620,12 @@ def log_band_torsions(k_diag, k_upper, lam, k):
     ratio overflows. The floor is eps * sum|term| / |sum term| at its
     largest: eps on a real stack (every entry real), and on a complex one
     from the moduli, which ride in the same kernel call. A K with a zero or
-    non-finite entry has no logs: InvalidMatrixError.
+    non-finite entry has no logs: InvalidMatrixError; at holonomy 1 det K = 0
+    divides nothing: ZeroModeError.
     """
     a, b = np.asarray(k_diag), np.asarray(k_upper)
     _require_k_in_range(a, b)
+    require_acyclic(lam)
     log_a = np.log(a)
     log_x, log_r = -2.0 * log_a, 2.0 * (np.log(b) - log_a)
     log_det2 = 2.0 * np.log(1.0 - np.asarray(lam, dtype=complex))[..., None]

@@ -126,15 +126,14 @@ def _cmd_spectral(args):
         rep = small_spectrum_dims(model, t_param, n_grid)
         print(f"small-band counts {rep.counts}, large-band min {rep.large_band_min:.4f}")
         params = f"T={t_param};N={n_grid}"
-        readings = () if model.potential is None else next(band_sweep(model, [t_param], n_grid))
-        morse = sum(r.morse_count for r in readings)  # rank x minima; no Morse count without f
+        readings = next(band_sweep(model, [t_param], n_grid))
+        morse = sum(r.morse_count for r in readings)  # rank x minima
         rows.append(["witten_counts", params, complex(*rep.counts), 0.0,
-                     not readings or rep.counts == (morse, morse)])
-        if readings:
-            band = complex(np.exp(-sum(r.log_torsion for r in readings)))
-            print(f"small band mu_1...mu_k = {band:.4e}, from the minors of K")
-            rows.append(["witten_band", params, band, DEFAULT_TOL.band_torsion_rel,
-                         all(r.resolved for r in readings)])
+                     rep.counts == (morse, morse)])
+        band = complex(np.exp(-sum(r.log_torsion for r in readings)))
+        print(f"small band mu_1...mu_k = {band:.4e}, from the minors of K")
+        rows.append(["witten_band", params, band, DEFAULT_TOL.band_torsion_rel,
+                     all(r.resolved for r in readings)])
     elif args.op == "thm33":
         t_values = [float(t) for t in (args.T_list.split(",") if args.T_list else ["4", "10"])]
         gate = DEFAULT_TOL.band_torsion_rel

@@ -1,14 +1,17 @@
 """Spectral experiments on the circle: torsion, Witten deformation, comparisons.
 
-The analytic torsion pipeline assembles, per holonomy channel,
+On the circle the Ray-Singer torsion of a holonomy channel is a closed form,
 
-    rs = (small-band torsion) * prod_i det'(Laplacian_i above the cut)^{(-1)^i i},
+    rs = lam / (1 - lam)^2,    and 1 / L^2 at lam = 1 above a positive cut,
 
-with the band bookkeeping on the circle reducing to the product of the
-nonzero band eigenvalues inverted (the supersymmetry pairing u, du makes the
-degree-1 band Gram equal the degree-0 one column-scaled by the eigenvalues).
-Cut-independence is then an exact cancellation, which the tests exercise at
-several cuts.
+holomorphic in lam (Burghelea-Haller, complex-valued Ray-Singer torsion). A
+spectral cut splits it into the small band's torsion, the nonzero band
+eigenvalues inverted (the supersymmetry pairing u, du makes the degree-1 band
+Gram equal the degree-0 one column-scaled by the eigenvalues), times the
+determinant above the cut, which holds the same eigenvalues once more; the
+product is the closed form at every admissible cut. So ``rs_torsion`` takes
+the closed form, and the cut only refuses: an eigenvalue on the cut circle
+makes the split ambiguous.
 
 On the grid the pairing is exact: K is square, so det(z - K K^T) = det(z - K^T K),
 and every routine here works on K alone: a spectrum is that of K^T K, and the
@@ -45,12 +48,13 @@ from .circle import (
     exact_spectrum_circle,
     gelfand_yaglom_det,
     log_band_torsions,
+    modes_inside_cut,
+    require_acyclic,
     witten_deform,
     zeta_det_exact,
 )
 from .config import DEFAULT_TOL
 from .errors import (
-    AmbiguousCutError,
     DimensionError,
     InvalidMatrixError,
     ResolutionError,
@@ -115,80 +119,53 @@ def spectral_cut(channel: ChannelOperators, radius):
 # ----------------------------------------------------------------------------
 
 
-def _rs_exact_channel(lam, length, cut):
-    """Exact-method rs for one channel: band product times primed determinant inverse.
+def _rs_discrete_channel(channel_model):
+    """(det K_ref / det K_model)^2 on one DISCRETE_N-point grid, the reference
+    being the channel with phi = 0 and no deformation; both determinants come
+    from ``log_det`` in closed form.
 
-    As in ``spectral_cut``, one enumeration of the modes within the cut and its
-    clearance refuses an eigenvalue within the clearance of the cut circle and
-    gives the band, the modes within the cut.
-    """
-    modes = []
-    if cut and cut > 0:
-        clearance = DEFAULT_TOL.cut_clearance
-        near = exact_spectrum_circle(lam, length).modes_in_disk(cut + clearance)
-        if any(abs(abs(mu) - cut) < clearance for _, mu in near):
-            raise AmbiguousCutError(f"eigenvalue within {clearance:.1e} of cut {cut}")
-        modes = [mu for _, mu in near if abs(mu) <= cut]
-    elif abs(lam - 1.0) < 1e-14:
-        raise ZeroModeError("holonomy 1 requires a positive cut (zero mode present)")
-    band, removed = 1.0 + 0.0j, 1.0 + 0.0j
-    for mu in modes:
-        # acyclic pair (u, du): the Gram ratio contributes mu^{-1}; zero modes
-        # (holonomy 1) cancel between degrees with the standard harmonic bases.
-        # The primed determinant is the full one with the band divided out.
-        if mu != 0:
-            band /= mu
-            removed *= mu
-    return band / (zeta_det_exact(lam, length, cut=0.0) / removed)
-
-
-def _rs_discrete_channel(channel_model, lam, length, cut):
-    """The exact value against the phi = 0 reference, times det K in closed form.
-
-    K is cyclic bidiagonal, so det L1 = (det K)^2, and the value does not
-    depend on the cut: on one DISCRETE_N-point grid it is the reference's
-    exact value times (det K_ref / det K_model)^2 (Forman 1987; Kirsten-McKane
-    2003, the discrete Gelfand-Yaglom theorem). Both determinants come from
-    ``log_det``. On wavy densities the value is within 5e-13 relative of the
-    exact one. Witten-deformed by T, log det K holds the sum of N terms
-    T (f(node) - f(mid)) that cancels to 0, and its rounding stays in the
-    value: the error grows like eps N T, 4.3e-14 at T = 10 and 1.6e-11 at
-    T = 3000 on one well at holonomy 2, and below 2 eps N max(T, 1) per
-    channel on the wells and holonomies measured.
+    K is cyclic bidiagonal, so det L1 = (det K)^2, and the ratio is the
+    discrete Gelfand-Yaglom theorem's (Forman 1987; Kirsten-McKane 2003): 1
+    up to rounding, since the anomaly of the odd-dimensional torsion
+    vanishes. On wavy densities it is within 5e-13 of 1. Witten-deformed by
+    T, log det K holds the sum of N terms T (f(node) - f(mid)) that cancels
+    to 0, and its rounding stays in the value: the error grows like eps N T,
+    4.3e-14 at T = 10 and 1.6e-11 at T = 3000 on one well at holonomy 2, and
+    below 2 eps N max(T, 1) per channel on the wells and holonomies measured.
     """
     reference = replace(channel_model, phi=TrigPoly.zero(), deform_t=0.0)
     log_det_m = build_discrete(channel_model, DISCRETE_N).channels[0].log_det()
     log_det_r = build_discrete(reference, DISCRETE_N).channels[0].log_det()
-    return _rs_exact_channel(lam, length, cut) * np.exp(-2.0 * (log_det_m - log_det_r))
+    return np.exp(-2.0 * (log_det_m - log_det_r))
 
 
 def rs_torsion(model: CircleModel, cut=0.0, method="exact"):
-    """Ray-Singer symmetric bilinear torsion of the circle model.
+    """Ray-Singer symmetric bilinear torsion of the circle model: per channel
+    the closed form lam / (1 - lam)^2, or 1 / L^2 at holonomy 1 above a
+    positive cut, multiplied over the channels.
 
-    methods: "exact" (closed-form spectrum), "gy" (monodromy determinant,
-    needs an empty band below the cut), "discrete" (det K in closed form,
-    see ``_rs_discrete_channel``). The value is independent of the admissible
-    cut. "gy" and "discrete" refuse holonomy 1: the channel is not acyclic,
-    and det K = 0.
+    methods: "exact" is 1 / ``zeta_det_exact(lam, L, cut=0.0)``; "discrete"
+    multiplies it by the det K ratio of ``_rs_discrete_channel``; "gy" is
+    1 / ``gelfand_yaglom_det``. The value does not depend on the cut, which
+    only refuses: an eigenvalue within cut_clearance of a positive cut is an
+    AmbiguousCutError for every method (``circle.modes_inside_cut``). Without
+    a positive cut, holonomy 1 is a ZeroModeError (``circle.require_acyclic``),
+    and "gy" and "discrete" refuse it at any cut, where their determinant is 0.
     """
+    if method not in ("exact", "gy", "discrete"):
+        raise DimensionError(f"unknown rs method '{method}'")
     out = 1.0 + 0.0j
     for sub in model.channels():
         lam = complex(sub.holonomy)
-        if method in ("gy", "discrete") and abs(lam - 1.0) < 1e-14:
-            raise ZeroModeError(f"{method} method requires an acyclic channel")
-        if method == "exact":
-            out *= _rs_exact_channel(lam, sub.length, cut)
-        elif method == "gy":
-            fam = exact_spectrum_circle(lam, sub.length)
-            if cut and cut > 0 and fam.modes_in_disk(cut):
-                raise AmbiguousCutError(
-                    "gy method needs the cut below the spectrum; eigenvalues found inside"
-                )
-            out /= gelfand_yaglom_det(sub)
-        elif method == "discrete":
-            out *= _rs_discrete_channel(sub, lam, sub.length, cut)
+        if cut and cut > 0:
+            modes_inside_cut(exact_spectrum_circle(lam, sub.length), cut)
         else:
-            raise DimensionError(f"unknown rs method '{method}'")
+            require_acyclic(lam)
+        if method == "gy":
+            out /= gelfand_yaglom_det(sub)
+        else:
+            value = 1.0 / zeta_det_exact(lam, sub.length, cut=0.0)
+            out *= value * _rs_discrete_channel(sub) if method == "discrete" else value
     return out
 
 
@@ -199,9 +176,6 @@ def rs_torsion(model: CircleModel, cut=0.0, method="exact"):
 
 @dataclass(frozen=True)
 class SmallSpectrumReport:
-    t_param: float
-    n_grid: int
-    threshold: float
     counts: tuple
     large_band_min: float
 
@@ -209,19 +183,18 @@ class SmallSpectrumReport:
 def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
     """Counts of eigenvalues with |mu| <= threshold per degree, and the
     smallest large-band magnitude (the two-band picture), from each channel's
-    threshold cut; the degrees share one spectrum, so the counts are (c, c).
-    The eigensolver counts the band but places its eigenvalues only to about
-    eps ||K^T K||, above the band from T of about 10 on: ``band_sweep`` reads
-    its size from the minors of K. An eigenvalue within the threshold margin
-    raises ResolutionError."""
-    deformed = witten_deform(model, t_param) if model.potential is not None else model
+    threshold cut of the model deformed by T; the degrees share one spectrum,
+    so the counts are (c, c). A model without a potential has no deformation:
+    DimensionError. The eigensolver counts the band but places its eigenvalues
+    only to about eps ||K^T K||, above the band from T of about 10 on:
+    ``band_sweep`` reads its size from the minors of K. An eigenvalue within
+    the threshold margin raises ResolutionError."""
     count, large_min = 0, np.inf
-    for ch in build_discrete(deformed, n_grid).channels:
+    for ch in build_discrete(witten_deform(model, t_param), n_grid).channels:
         cut = spectral_cut(ch, threshold)
         count += int(cut.band.size)
         large_min = min(large_min, cut.large_band_min)
-    return SmallSpectrumReport(float(t_param), int(n_grid), float(threshold), (count, count),
-                               large_min)
+    return SmallSpectrumReport((count, count), large_min)
 
 
 @dataclass(frozen=True)

@@ -557,21 +557,29 @@ class TestCommands:
     @pytest.mark.parametrize("holonomy, f, t_param, ok", [
         (2.0, {"kind": "cos", "wells": 1}, "10", "True"),
         (10.0, {"kind": "cos", "wells": 2}, "0", "False"),  # one eigenvalue within 1, two wells
-        (10.0, None, "0", "True"),
-    ], ids=["one_well_T10", "two_wells_T0", "no_potential"])
+    ], ids=["one_well_T10", "two_wells_T0"])
     def test_spectral_witten_counts_pass_is_computed(self, tmp_path, capsys, holonomy, f,
                                                      t_param, ok):
-        """With a potential the counts pass when they equal rank x minima in
-        each degree; without one there is no Morse count, no band row, and the
-        counts row passes."""
-        doc = {"lambda": [holonomy, 0.0], **({"f": f} if f else {})}
+        """The counts pass when they equal rank x minima in each degree."""
         path = tmp_path / "circle.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({"lambda": [holonomy, 0.0], "f": f}))
         assert main(["spectral", str(path), "--op", "witten", "--T", t_param, "--grid", "64"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
                 if line.startswith("witten")]
         assert rows[0][0] == "witten_counts" and rows[0][5] == ok
-        assert [r[0] for r in rows[1:]] == (["witten_band"] if f else [])
+        assert [r[0] for r in rows[1:]] == ["witten_band"]
+
+    def test_spectral_witten_refuses_without_potential(self, tmp_path, capsys):
+        """Without a potential there is no deformation and no Morse count: the
+        op exits 1 with DimensionError at every T, and writes no row."""
+        path = tmp_path / "circle.json"
+        for holonomy in (2.0, 10.0):
+            path.write_text(json.dumps({"lambda": [holonomy, 0.0]}))
+            for t_param in ("0", "10"):
+                assert main(["spectral", str(path), "--op", "witten", "--T", t_param,
+                             "--grid", "64"]) == 1
+                out, err = capsys.readouterr()
+                assert "DimensionError" in err and "witten" not in out
 
     def test_spectral_thm33_pass_is_computed(self, circle, capsys):
         """The pass cell is a finite ratio with its Newton gap ratio inside the

@@ -8,6 +8,8 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bitorsion.circle as circle_module
 from bitorsion.circle import (
@@ -18,6 +20,7 @@ from bitorsion.circle import (
     log_band_torsions,
     make_circle_model,
     witten_deform,
+    zeta_det_exact,
 )
 from bitorsion.cli import main
 from bitorsion.config import DEFAULT_TOL
@@ -49,6 +52,7 @@ from bitorsion.turaev import EulerStructure, Representation, euler_class_circle,
 # density wrong near them moves rs by 5% (discrete) and 3.48x (gy) at lam = 2
 ASYMMETRIC = TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),))
 COS = TrigPoly.cos(1.0, 1)
+TWO_PI = 2 * np.pi
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -72,10 +76,10 @@ class TestRsTorsion:
         )
 
     def test_trivial_holonomy_finite(self):
-        """Zero-mode bookkeeping: band holds one mode per degree, value finite."""
-        model = make_circle_model(1.0)
-        value = rs_torsion(model, cut=0.5)
-        assert np.isfinite(value) and value != 0
+        """Zero-mode bookkeeping: above a positive cut the value at holonomy 1
+        is the primed closed form 1 / L^2."""
+        for length in (TWO_PI, 3.0):
+            assert rs_torsion(CircleModel(1.0, length=length), cut=0.5) == 1.0 / complex(length**2)
 
     def test_discrete_method(self):
         model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
@@ -149,10 +153,11 @@ class TestRsTorsion:
     def test_discrete_refuses_trivial_holonomy(self):
         """det K = 0 at holonomy 1 whatever the density, so model and reference
         cancel only when phi = 0: the method refuses instead of returning a
-        value."""
+        value, and so does gy, whose monodromy determinant is 0, at any cut."""
         model = make_circle_model(1.0, phi=("sin", 0.3), f=("cos", 1))
-        with pytest.raises(ZeroModeError):
-            rs_torsion(model, cut=0.5, method="discrete")
+        for method in ("discrete", "gy"):
+            with pytest.raises(ZeroModeError):
+                rs_torsion(model, cut=0.5, method=method)
 
     @pytest.mark.parametrize("lam", [1 + 1e-13, 1 - 1e-13, 1 + 1e-12, 1 - 1e-12, 1 + 1e-10,
                                      1 - 1e-10, np.exp(1e-12j)],
@@ -166,6 +171,44 @@ class TestRsTorsion:
         want = rs_torsion(model, cut=0.5, method="exact")
         got = rs_torsion(model, cut=0.5, method="discrete")
         assert abs(got - want) <= 1e-11 * abs(want)
+
+    @pytest.mark.parametrize("cut", [0.0, 0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("holonomy", [2.0, 0.4 - 0.8j, np.exp(0.9j), -1.0,
+                                          np.array([[2.0, 1.0], [0.5, 3.0]])],
+                             ids=["2", "complex", "unitary", "-1", "rank_two"])
+    def test_exact_is_the_closed_form(self, holonomy, cut):
+        """The exact value is 1 / zeta_det_exact(lam, L, cut=0.0) per channel,
+        bit for bit at every admissible cut, multiplied in channel order."""
+        model = make_circle_model(holonomy, f=("cos", 1))
+        want = 1.0 + 0.0j
+        for lam in model.channel_holonomies():
+            want *= 1.0 / zeta_det_exact(lam, model.length, cut=0.0)
+        assert rs_torsion(model, cut=cut, method="exact") == want
+
+    @pytest.mark.parametrize("cut", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("holonomy", [2.0, 0.4 - 0.8j, np.diag([2.0, 0.5 + 0.8j])],
+                             ids=["2", "complex", "rank_two"])
+    def test_gy_and_discrete_ignore_the_cut(self, holonomy, cut):
+        """A cut with modes inside changes no route's value: gy and discrete
+        return their cut-0 values bit for bit, which are the exact one."""
+        model = make_circle_model(holonomy, phi=("sin", 0.3), f=("cos", 1))
+        want = rs_torsion(model, method="exact")
+        for method in ("gy", "discrete"):
+            got = rs_torsion(model, cut=cut, method=method)
+            assert got == rs_torsion(model, method=method)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("ulps", [1, 10, 44, -1, -10, -44])
+    def test_ulps_from_trivial_holonomy(self, ulps):
+        """Only holonomy 1 itself is refused: k ulp away each route carries the
+        factor 1 - lam exactly and gives lam / (1 - lam)^2, about 1e31."""
+        lam = 1.0
+        for _ in range(abs(ulps)):
+            lam = np.nextafter(lam, 2.0 if ulps > 0 else 0.0)
+        want = lam / (1.0 - lam) ** 2
+        model = make_circle_model(lam, f=("cos", 1))
+        for method in ("exact", "gy", "discrete"):
+            assert abs(rs_torsion(model, method=method) - want) <= 1e-12 * want
 
     def test_rank_two_product(self):
         model = CircleModel(np.diag([2.0, 3.0]))
@@ -646,14 +689,101 @@ class TestTheorem33:
 
 class TestCutErrors:
     def test_eigenvalue_on_cut_rejected(self):
-        """|mu_{+-1}| = 1.0122 at holonomy 2: a cut there is ambiguous."""
+        """|mu_{+-1}| = 1.0122 at holonomy 2: a cut there is ambiguous. One cut
+        rule: the three methods and the primed determinant all refuse it, and
+        a cut half a clearance away too."""
         from bitorsion.circle import exact_spectrum_circle
         from bitorsion.errors import AmbiguousCutError
 
-        model = make_circle_model(2.0)
-        bad_cut = abs(exact_spectrum_circle(2.0).mu(1))
-        with pytest.raises(AmbiguousCutError):
-            rs_torsion(model, cut=bad_cut)
+        model = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
+        mu_1 = abs(exact_spectrum_circle(2.0).mu(1))
+        assert round(mu_1, 4) == 1.0122
+        for cut in (mu_1, mu_1 + 0.5 * DEFAULT_TOL.cut_clearance):
+            for method in ("exact", "gy", "discrete"):
+                with pytest.raises(AmbiguousCutError):
+                    rs_torsion(model, cut=cut, method=method)
+            with pytest.raises(AmbiguousCutError):
+                zeta_det_exact(2.0, cut=cut)
+
+
+class TestZeroModeRule:
+    """Holonomy 1 is refused by one rule, on every route that reads det K or
+    the monodromy: a ZeroModeError, not a nan or 0 with RuntimeWarnings."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_refused_without_warnings(self, tmp_path, capsys):
+        from bitorsion.circle import gelfand_yaglom_det
+
+        model = make_circle_model(1.0, f=("cos", 1))
+        ch = build_discrete(witten_deform(model, 5.0), 64).channels[0]
+        calls = (lambda: next(band_sweep(model, [5.0], 64)), ch.log_det,
+                 lambda: log_band_torsions(ch.k_diag, ch.k_upper, ch.lam, 1),
+                 lambda: gelfand_yaglom_det(model), lambda: rs_torsion(model))
+        for call in calls:
+            with pytest.raises(ZeroModeError):
+                call()
+        path = tmp_path / "lam1.json"
+        path.write_text(json.dumps({"lambda": [1.0, 0.0], "f": {"kind": "cos", "wells": 1}}))
+        assert main(["spectral", str(path), "--op", "witten", "--T", "5", "--grid", "64"]) == 1
+        assert "ZeroModeError" in capsys.readouterr().err
+
+
+HOLOMORPHY_NODES = 64
+WAVY = TrigPoly.sin(0.3)
+
+
+def _holomorphic_outputs(lam):
+    """Every analytic output of one holonomy that is holomorphic in it: rs in
+    its three methods on a wavy phi and on the asymmetric potential deformed
+    by T = 3, the zeta determinant, and the Milnor torsion and comparison
+    ratio on the asymmetric potential (each model shares its potential's one
+    critical-point scan)."""
+    wavy = CircleModel(lam, phi=WAVY)
+    deformed = witten_deform(CircleModel(lam, potential=ASYMMETRIC), 3.0)
+    out = [rs_torsion(model, method=method) for model in (wavy, deformed)
+           for method in ("exact", "gy", "discrete")]
+    morse = CircleModel(lam, potential=ASYMMETRIC)
+    return np.array(out + [zeta_det_exact(lam), milnor_from_model(morse), bz_compare(morse)])
+
+
+def _circle_nodes(centre, radius):
+    return centre + radius * np.exp(2j * np.pi * np.arange(HOLOMORPHY_NODES) / HOLOMORPHY_NODES)
+
+
+class TestHolomorphy:
+    """An independent oracle for the closed forms: each analytic output is
+    holomorphic in the holonomy away from 0, 1 and the branch cut of log lam
+    (Burghelea-Haller). On a circle inside such a disc the trapezoid rule on
+    M = 64 nodes converges geometrically (Trefethen-Weideman 2014), so the
+    mean of f equals f at the centre (mean value), and the mean of f e^{it}
+    is 0 (Cauchy's theorem), which a harmonic but conjugated f does not
+    satisfy."""
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(modulus=st.floats(0.2, 5.0), angle=st.floats(-0.9 * np.pi, 0.9 * np.pi))
+    def test_mean_value_on_discs(self, modulus, angle):
+        centre = modulus * np.exp(1j * angle)
+        clear = min(abs(centre), abs(centre - 1.0),
+                    abs(centre.imag) if centre.real < 0 else np.inf)
+        assume(clear > 0.1)
+        nodes = _circle_nodes(centre, 0.5 * clear)
+        values = np.array([_holomorphic_outputs(lam) for lam in nodes])
+        want = _holomorphic_outputs(centre)
+        scale = np.abs(want)
+        phases = np.exp(2j * np.pi * np.arange(HOLOMORPHY_NODES) / HOLOMORPHY_NODES)
+        assert np.all(np.abs(values.mean(axis=0) - want) <= 1e-12 * scale)
+        assert np.all(np.abs((values * phases[:, None]).mean(axis=0)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("holonomy, channels", [
+        (np.eye(1), 1), (np.array([[1.0, 1.0], [0.0, 1.0]]), 2)], ids=["rank_one", "jordan"])
+    def test_double_pole_at_trivial_holonomy(self, holonomy, channels):
+        """Around lam = 1 the torsion lam / (1 - lam)^2 winds -2 per channel:
+        the argument principle counts a double pole and no zero."""
+        for method in ("exact", "gy", "discrete"):
+            values = [rs_torsion(CircleModel(lam * holonomy, phi=WAVY), method=method)
+                      for lam in _circle_nodes(1.0, 0.1)]
+            steps = np.angle(np.roll(values, -1) / np.array(values))
+            assert round(np.sum(steps) / (2 * np.pi), 9) == -2 * channels
 
 
 def _jordan_cases():
