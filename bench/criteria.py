@@ -1,5 +1,5 @@
 """Per-phase times of acceptance criteria 1-4, the finite-complex criteria, and
-6, 7, 8 and 12, the analytic torsion and comparison criteria, as JSON.
+6, 7, 8, 11 and 12, the analytic torsion and comparison criteria, as JSON.
 
     python3 bench/criteria.py [--repeats 15] [--src DIR]
 
@@ -22,12 +22,17 @@ whole loop over the criterion's inputs:
 - criterion 4 (seed 99): ``turaev`` (the 12 ``turaev_torsion`` calls on
   the one- and two-pair systems);
 - criteria 6 (seed 123, 21 models) and 12 (seed 321, 8 models), one well
-  each: ``inputs`` (the models), ``rs_exact`` (``rs_torsion``), ``milnor``
-  (``milnor_from_model``, with the critical-point scan of each new
-  model's potential), the two halves of ``bz_compare``;
+  each: ``inputs`` (one cos theta model and its ``replace`` per holonomy),
+  ``rs_exact`` (``rs_torsion``), ``milnor`` (``milnor_from_model``, with
+  the one critical-point scan of the shared potential), the two halves of
+  ``bz_compare``;
 - criterion 7: ``rs_exact`` (``rs_torsion`` at cuts 0.5, 2 and 5);
 - criterion 8: ``rs_exact``, ``rs_gy`` and ``rs_discrete``, the three
-  ``rs_torsion`` calls on the flat and the wavy model.
+  ``rs_torsion`` calls on the flat and the wavy model;
+- criterion 11: ``inputs`` (the three models), ``milnor``
+  (``spectral._acyclic_milnor`` per channel, with each potential's scan)
+  and ``band`` (``band_sweep`` at T = 4 and 10, N = 512), the two halves of
+  ``theorem33_experiment``.
 
 ``total`` is the best time of the criterion function itself. The inputs
 are drawn here in one fixed way for every tree; their values equal the
@@ -42,6 +47,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -84,7 +90,7 @@ def main():
         milnor_torsion,
     )
     from bitorsion.circle import make_circle_model
-    from bitorsion.spectral import milnor_from_model, rs_torsion
+    from bitorsion.spectral import _acyclic_milnor, band_sweep, milnor_from_model, rs_torsion
     from bitorsion.turaev import EulerStructure, Representation, turaev_torsion
 
     def inputs_1():
@@ -181,8 +187,11 @@ def main():
     def comparison_phases(anchors, seed, count):
         def phases():
             t = {}
-            t["inputs"], models = clock(lambda: [make_circle_model(lam, f=("cos", 1)) for lam in
-                                                 anchors + acceptance._seeded_lambdas(seed, count)])
+            def inputs():
+                base = make_circle_model(2.0, f=("cos", 1))
+                return [replace(base, holonomy=lam)
+                        for lam in anchors + acceptance._seeded_lambdas(seed, count)]
+            t["inputs"], models = clock(inputs)
             t["rs_exact"], _ = clock(lambda: [rs_torsion(m) for m in models])
             t["milnor"], _ = clock(lambda: [milnor_from_model(m) for m in models])
             return t
@@ -204,6 +213,16 @@ def main():
         t["rs_discrete"], _ = clock(lambda: rs_torsion(wavy, cut=0.5, method="discrete"))
         return t
 
+    def phases_11():
+        t = {}
+        t["inputs"], models = clock(lambda: [
+            make_circle_model(lam, f=("cos", 1))
+            for lam in (2.0, np.exp(1j * np.pi / 5), np.diag([2.0, 3.0]))])
+        t["milnor"], _ = clock(lambda: [_acyclic_milnor(sub) for m in models
+                                        for sub in m.channels()])
+        t["band"], _ = clock(lambda: [list(band_sweep(m, [4.0, 10.0], 512)) for m in models])
+        return t
+
     criteria = {
         1: (phases_1, acceptance.criterion_1_finite_anomaly),
         2: (phases_2, acceptance.criterion_2_bruteforce_oracle),
@@ -212,6 +231,7 @@ def main():
         6: (comparison_phases([2.0], 123, 20), acceptance.criterion_6_main_comparison),
         7: (phases_7, acceptance.criterion_7_cut_independence),
         8: (phases_8, acceptance.criterion_8_anomaly_invariance),
+        11: (phases_11, acceptance.criterion_11_thm33_trend),
         12: (comparison_phases([], 321, 8), acceptance.criterion_12_modulus_one),
     }
     for _, crit in criteria.values():  # loads every module before timing

@@ -405,8 +405,8 @@ def gelfand_yaglom_det(model: CircleModel):
     require_acyclic(lam)
     h = model.length / GY_POINTS
     phi_period = h * float(np.sum(model.phi_derivative(np.arange(GY_POINTS) * h)))
-    e_growth = lam**2 * np.exp(-2.0 * phi_period)
-    return complex(-(1.0 - lam) * (e_growth - lam) / lam**2)
+    # (E - lam) / lam = (lam - 1) + lam (e^{-2 phi_period} - 1), with no cancellation near 1
+    return complex(-(1.0 - lam) * ((lam - 1.0) + lam * (np.exp(-2.0 * phi_period) - 1.0)) / lam)
 
 
 def witten_deform(model: CircleModel, t_param):

@@ -66,10 +66,10 @@ class Instanton:
 
 @dataclass(frozen=True)
 class CircleGeometry:
-    """Placement data for circle-shaped systems: angles and the seam location."""
+    """Placement data for circle-shaped systems: positions and the seam location."""
 
-    positions: dict          # label -> angle in [0, 2 pi)
-    seam_angle: float        # the holonomy-carrying cut sits at this angle
+    positions: dict          # label -> position, increasing, less than one circumference apart
+    seam_angle: float        # the holonomy-carrying cut, inside the seam arc
     circumference: float = 2.0 * np.pi
 
 

@@ -25,12 +25,12 @@ e_{N-k+1} e_{N-k-1} / e_{N-k}^2, about mu_k / mu_{k+1}, certifies the gap.
 
 The combinatorial side is derived from the same model: ``morse_from_potential``
 lays out the potential's critical points, or cos theta's in closed form on a
-model without one, with ``morse.circle_system``. Its seam instanton carries the
-transport in the direction it crosses x = 0, lam counterclockwise and lam^{-1}
-clockwise, and ``morse.circle_loop`` reads lam back. ``bz_compare`` divides the
-analytic torsion by the Milnor torsion of that system with the density
-e^{2 log_density} at the critical points; in the zero relative-density regime
-the ratio is exactly one, at every rotation of the potential.
+model without one, with ``morse.circle_system``, counterclockwise from the first
+minimum: the closing arc's instanton is the seam and carries lam, never its
+rounded inverse. ``bz_compare`` divides the analytic torsion by the Milnor
+torsion of that system with the density e^{2 log_density} at the critical
+points; in the zero relative-density regime the ratio is exactly one, at every
+rotation of the potential.
 """
 
 from dataclasses import dataclass, replace
@@ -290,28 +290,28 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
 
 def morse_from_potential(model: CircleModel):
     """Thom-Smale system of the model's potential, laid out by ``circle_system``
-    with the seam at x = 0. A scan of [0, L) that starts at a minimum puts the
-    seam on the closing arc, which flows counterclockwise and carries lam; one
-    that starts at a maximum is rotated by one, putting the seam on arc 2n - 2,
-    which flows clockwise and carries lam^{-1}. A model without a potential
-    takes cos theta's layout in closed form, with no scan: the maximum at 0 and
-    the minimum at L / 2.
+    counterclockwise from its first minimum, within one period: a scan of
+    [0, L) that starts at a maximum x moves it to x + L. The seam is the middle
+    of the closing arc, whose counterclockwise instanton (arc 2n - 1, sign +1)
+    carries lam. A model without a potential takes cos theta's layout in closed
+    form, with no scan: the minimum at L / 2 and the maximum at L.
     """
     if model.rank != 1:
         raise DimensionError("morse_from_potential works per rank-one channel")
-    lam = complex(model.holonomy)
     crits = (model.critical_points() if model.potential is not None
-             else ((0.0, 1), (0.5 * model.length, 0)))
-    seam_arc, block = len(crits) - 1, lam
+             else ((0.5 * model.length, 0), (model.length, 1)))
     if crits and crits[0][1] == 1:
-        crits, seam_arc, block = crits[1:] + crits[:1], len(crits) - 2, lam ** -1.0
+        crits = crits[1:] + ((crits[0][0] + model.length, 1),)
     if not crits or [ind for _, ind in crits] != [0, 1] * (len(crits) // 2):
         raise DimensionError("potential must have alternating minima and maxima")
-    return circle_system([[block]], [x for x, _ in crits], seam_arc, 0.0, model.length)
+    at = [x for x, _ in crits]
+    return circle_system([[model.holonomy]], at, len(at) - 1,
+                         0.5 * (at[-1] + at[0] + model.length), model.length)
 
 
 def model_critical_forms(model: CircleModel, ms: MorseSystem):
-    """The model's bilinear density e^{2 log_density} at the critical points."""
+    """The model's bilinear density e^{2 log_density} at the critical points; at a
+    maximum moved to x + L, that is e^{2 log_density(x)} lam^{-2} on any branch."""
     return CriticalForms({p.label: np.array([[np.exp(2.0 * model.log_density(
         ms.geometry.positions[p.label]))]], dtype=complex) for p in ms.points})
 

@@ -56,6 +56,14 @@ TWO_PI = 2 * np.pi
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def _ulps_from_one(ulps):
+    """The float ``ulps`` steps above 1, or below it for a negative count."""
+    lam = 1.0
+    for _ in range(abs(ulps)):
+        lam = np.nextafter(lam, 2.0 if ulps > 0 else 0.0)
+    return float(lam)
+
+
 class TestRsTorsion:
     def test_cut_independence(self):
         """Prop-style: identical across admissible cuts."""
@@ -202,9 +210,7 @@ class TestRsTorsion:
     def test_ulps_from_trivial_holonomy(self, ulps):
         """Only holonomy 1 itself is refused: k ulp away each route carries the
         factor 1 - lam exactly and gives lam / (1 - lam)^2, about 1e31."""
-        lam = 1.0
-        for _ in range(abs(ulps)):
-            lam = np.nextafter(lam, 2.0 if ulps > 0 else 0.0)
+        lam = _ulps_from_one(ulps)
         want = lam / (1.0 - lam) ** 2
         model = make_circle_model(lam, f=("cos", 1))
         for method in ("exact", "gy", "discrete"):
@@ -430,12 +436,12 @@ class TestDeRham:
     @pytest.mark.parametrize("length", [2 * np.pi, 3.0])
     def test_default_layout_is_cos_theta(self, length):
         """Without a potential the system is cos theta's, laid out in closed form:
-        the maximum at 0, the minimum at L / 2, lam^{-1} on the clockwise seam."""
+        the minimum at L / 2, the maximum at L, lam on the closing seam."""
         model = CircleModel(0.5 + 0.8j, length=length)
         ms = morse_from_potential(model)
         scanned = morse_from_potential(replace(model, potential=TrigPoly.cos(1.0, 1)))
         assert ms.geometry == scanned.geometry
-        assert ms.geometry.positions == {"m0": length / 2, "M0": 0.0}
+        assert ms.geometry.positions == {"m0": length / 2, "M0": length}
         assert all(a.sign == b.sign and np.array_equal(a.holonomy, b.holonomy)
                    for a, b in zip(ms.instantons, scanned.instantons, strict=True))
 
@@ -521,6 +527,15 @@ class TestTheorem33:
         rows = theorem33_experiment(CircleModel(2.0, potential=pot), [10.0, 40.0, 160.0], 1024)
         assert [round(r.ratio.real, 4) for r in rows] == [1.0154, 1.0038, 1.0009]
         assert all(abs(r.ratio.imag) < 1e-12 for r in rows)
+
+    def test_near_trivial_holonomy(self):
+        """The Milnor side reads lam on the seam, not the rounded 1 / lam: the
+        rows at 1 - 1e-15 are those at 1 - 1e-12, where the rounding is 1000
+        times smaller, to 1e-9."""
+        far, near = (theorem33_experiment(make_circle_model(1.0 - eps, f=("cos", 1)),
+                                          [4.0, 10.0, 20.0], 64) for eps in (1e-12, 1e-15))
+        for a, b in zip(far, near, strict=True):
+            assert abs(b.ratio / a.ratio - 1.0) <= 1e-9
 
     def test_trend_single_case(self):
         model = make_circle_model(2.0, f=("cos", 1))
@@ -856,8 +871,7 @@ class TestBzCompare:
                              ids=["2", "0.5+0.8i", "e^i", "diag(2,0.4+0.3i)"])
     def test_rotation_invariance(self, lam, wells):
         """cos(k theta - s) is a rigid rotation of cos(k theta): the ratio stays 1
-        whether the scan of [0, L) starts at a minimum or at a maximum, so the
-        seam crossing carries lam counterclockwise and lam^{-1} clockwise."""
+        whether the scan of [0, L) starts at a minimum or at a maximum."""
         for s in np.linspace(-np.pi, np.pi, 13):
             pot = TrigPoly(cos_coeffs=((wells, np.cos(s)),), sin_coeffs=((wells, np.sin(s)),))
             assert abs(bz_compare(CircleModel(lam, potential=pot)) - 1.0) <= 1e-12
@@ -878,6 +892,17 @@ class TestBzCompare:
                             lambda *args: calls.append(1) or scan(*args))
         assert [bz_compare(model, method=m) for m in methods] == want
         assert calls == []
+
+    @pytest.mark.parametrize("f", [("cos", 1), None], ids=["cos", "no_potential"])
+    @pytest.mark.parametrize("lam", [1 + 1e-15, 1 - 1e-15, 1 + 1e-12, 1 - 1e-12, 1 - 1e-8,
+                                     *map(_ulps_from_one, (1, -1, 10, -10))])
+    def test_near_trivial_holonomy(self, lam, f):
+        """One well near lam = 1: the Milnor side reads lam itself on the seam,
+        never the rounded 1 / lam, and gy forms lam - 1 with no cancellation,
+        so the ratio is 1 to rounding in every method."""
+        model = make_circle_model(lam, f=f)
+        for method in ("exact", "gy", "discrete"):
+            assert abs(bz_compare(model, method=method) - 1.0) <= 1e-13
 
     @pytest.mark.parametrize("wells", [2, 3])
     @pytest.mark.parametrize("offset", [1e-10, -1e-10, 5e-12, -5e-12])
@@ -1118,28 +1143,49 @@ def _rotations(lam):
 
 
 class TestTuraevOnModelSystems:
-    """Turaev torsion of the model's own Thom-Smale system. A scan that starts
-    at a maximum puts lam^{-1} on a clockwise seam instanton, and the loop check
-    reads it back as lam."""
+    """Turaev torsion of the model's own Thom-Smale system, laid out in one way
+    whichever point the scan of [0, L) meets first: lam on the counterclockwise
+    closing instanton, so one Euler class labelling serves every rotation."""
 
     @pytest.mark.parametrize("lam", [2.0, 0.5 + 0.8j, np.exp(0.7j)], ids=["2", "0.5+0.8i", "e^0.7i"])
     def test_every_rotation(self, lam):
-        """All 39 layouts return, over windings -1, 0 and 1 on the base point.
-        Within each family (scan from a minimum, scan from a maximum), turaev
-        over rs at one Euler class is the same at every rotation and well count."""
-        ratios = {}
+        """All 39 layouts return, over windings -1, 0 and 1 on the base point,
+        and turaev over rs at Euler class c is lam^{-(2c+1)} at every rotation
+        and well count, for a scan from a minimum and from a maximum alike."""
+        starts, classes = set(), set()
         for model in _rotations(lam):
             ms = morse_from_potential(model)
             first = ms.points[0].label
-            family = model.critical_points()[0][1]
+            starts.add(model.critical_points()[0][1])
             rs = rs_torsion(model)
             for winding in (-1, 0, 1):
                 e = EulerStructure(first, {first: winding})
                 value = turaev_torsion(ms, Representation({"g": [[lam]]}, 1), e, [[1.0]])
-                ratios.setdefault((family, euler_class_circle(ms, e)), []).append(value / rs)
-        assert {family for family, _ in ratios} == {0, 1}
-        for values in ratios.values():
-            assert np.max(np.abs(np.array(values) / values[0] - 1.0)) <= 1e-14
+                c = euler_class_circle(ms, e)
+                classes.add(c)
+                assert abs(value / rs * lam ** (2 * c + 1) - 1.0) <= 1e-13
+        assert starts == {0, 1}
+        assert classes == {-1, 0, 1}
+
+    @pytest.mark.parametrize("lam", [2.0, 0.5 + 0.8j, np.exp(0.7j), np.diag([2.0, 0.4 + 0.3j]),
+                                     np.array([[1.0, 2.0], [0.5, 3.0]])],
+                             ids=["2", "0.5+0.8i", "e^0.7i", "diag(2,0.4+0.3i)", "[[1,2],[.5,3]]"])
+    def test_one_layout(self, lam):
+        """Every channel's system has lam on its last instanton, the closing arc
+        M_{n-1} -> m0 with sign +1, bit for bit, and the identity elsewhere; the
+        positions increase within one period, and the seam lies strictly inside
+        the closing arc; also on the closed-form layout of a model without f."""
+        for model in (*_rotations(lam), CircleModel(lam, length=3.0)):
+            for sub in model.channels():
+                ms = morse_from_potential(sub)
+                *inner, seam = ms.instantons
+                positions = [ms.geometry.positions[p.label] for p in ms.points]
+                assert (seam.source, seam.target, seam.sign) == (ms.points[-1].label, "m0", 1)
+                assert np.array_equal(seam.holonomy, [[sub.holonomy]])
+                assert all(np.array_equal(ins.holonomy, [[1.0]]) for ins in inner)
+                assert np.all(np.diff(positions) > 0)
+                assert positions[-1] - positions[0] < sub.length
+                assert positions[-1] < ms.geometry.seam_angle < positions[0] + sub.length
 
     @pytest.mark.parametrize("lam, wells, shift, want", [
         (0.5 + 0.8j, 1, 3, -0.4923620754955183 + 1.0099734881959348j),
