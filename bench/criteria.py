@@ -27,8 +27,9 @@ whole loop over the criterion's inputs:
   the one critical-point scan of the shared potential), the two halves of
   ``bz_compare``;
 - criterion 7: ``rs_exact`` (``rs_torsion`` at cuts 0.5, 2 and 5);
-- criterion 8: ``rs_exact``, ``rs_gy`` and ``rs_discrete``, the three
-  ``rs_torsion`` calls on the flat and the wavy model;
+- criterion 8: ``inputs`` (the three wavy models and their phi = 0
+  copies), ``rs_exact`` (``rs_torsion`` on the copies) and ``rs_discrete``
+  (the discrete method on the wavy models);
 - criterion 11: ``inputs`` (the three models), ``milnor``
   (``spectral._acyclic_milnor`` per channel, with each potential's scan)
   and ``band`` (``band_sweep`` at T = 4 and 10, N = 512), the two halves of
@@ -89,7 +90,7 @@ def main():
         milnor_anomaly_check,
         milnor_torsion,
     )
-    from bitorsion.circle import make_circle_model
+    from bitorsion.circle import CircleModel, TrigPoly, make_circle_model
     from bitorsion.spectral import _acyclic_milnor, band_sweep, milnor_from_model, rs_torsion
     from bitorsion.turaev import EulerStructure, Representation, turaev_torsion
 
@@ -205,12 +206,16 @@ def main():
 
     def phases_8():
         t = {}
-        t["inputs"], (base, wavy) = clock(lambda: (
-            make_circle_model(2.0, f=("cos", 1)),
-            make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))))
-        t["rs_exact"], _ = clock(lambda: rs_torsion(base, method="exact"))
-        t["rs_gy"], _ = clock(lambda: rs_torsion(wavy, method="gy"))
-        t["rs_discrete"], _ = clock(lambda: rs_torsion(wavy, cut=0.5, method="discrete"))
+        def inputs():
+            rotation = np.array([[2.0, 1.0], [1.0, 3.0]])
+            wavy = TrigPoly(0.2, ((2, 0.25),), ((3, -0.15),))
+            models = [CircleModel(2.0, phi=TrigPoly.sin(0.3)), CircleModel(0.5 + 0.8j, phi=wavy),
+                      CircleModel(rotation @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(rotation),
+                                  3.0, wavy)]
+            return [(m, replace(m, phi=TrigPoly.zero())) for m in models]
+        t["inputs"], cases = clock(inputs)
+        t["rs_exact"], _ = clock(lambda: [rs_torsion(flat) for _, flat in cases])
+        t["rs_discrete"], _ = clock(lambda: [rs_torsion(m, method="discrete") for m, _ in cases])
         return t
 
     def phases_11():

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circle import make_circle_model
+from .circle import CircleModel, TrigPoly, make_circle_model
 from .complexes import (
     anomaly_ratio,
     cohomology,
@@ -305,18 +305,21 @@ def criterion_7_cut_independence():
 
 
 def criterion_8_anomaly_invariance():
-    """rs with phi = 0.3 sin equals phi = 0: 1e-10 via monodromy, 1e-9 discrete."""
+    """The discrete rs on a wavy density equals the closed form on phi = 0: a
+    mean-zero and a mean-nonzero density, and a rotated rank-two holonomy at L = 3."""
     t0 = time.perf_counter()
-    base = make_circle_model(2.0, f=("cos", 1))
-    wavy = make_circle_model(2.0, phi=("sin", 0.3), f=("cos", 1))
-    ref = rs_torsion(base, method="exact")
-    gy = rs_torsion(wavy, method="gy")
-    disc = rs_torsion(wavy, cut=0.5, method="discrete")
-    worst_gy = abs(gy - ref) / abs(ref)
-    worst_disc = abs(disc - ref) / abs(ref)
-    worst = max(worst_gy / 1e-10, worst_disc / 1e-9)  # normalized to gates
-    return _result(8, "odd-dim anomaly invariance", worst, 1.0, t0,
-                   detail=f"gy {worst_gy:.2e} (gate 1e-10), discrete {worst_disc:.2e} (gate 1e-9)")
+    rotation = np.array([[2.0, 1.0], [1.0, 3.0]])
+    wavy = TrigPoly(0.2, ((2, 0.25),), ((3, -0.15),))
+    cases = (
+        CircleModel(2.0, phi=TrigPoly.sin(0.3)),
+        CircleModel(0.5 + 0.8j, phi=wavy),
+        CircleModel(rotation @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(rotation), 3.0, wavy),
+    )
+    worst = 0.0
+    for model in cases:
+        ref = rs_torsion(replace(model, phi=TrigPoly.zero()), method="exact")
+        worst = max(worst, abs(rs_torsion(model, method="discrete") - ref) / abs(ref))
+    return _result(8, "odd-dim anomaly invariance", worst, 1e-9, t0)
 
 
 def criterion_9_witten_clustering():

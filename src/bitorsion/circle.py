@@ -25,10 +25,10 @@ listed eigenvalues, continued through the positive axis) evaluates to
     det' = (1 - lam)^2 / lam        (lam != 1),      det' = L^2 at lam = 1,
 
 which is the classical det' ~ (1 - lam)(1 - 1/lam) up to the pinned sign
-normalization; both the Hurwitz-continuation oracle in the tests and the
-monodromy (Gelfand-Yaglom) route reproduce it. Every determinant route
-refuses holonomy 1 by one rule (``require_acyclic``) and an eigenvalue on a
-positive cut by another (``modes_inside_cut``).
+normalization; the Hurwitz-continuation oracle in the tests reproduces it,
+and the monodromy (Gelfand-Yaglom) route is it for every periodic density.
+Every determinant route refuses holonomy 1 by one rule (``require_acyclic``)
+and an eigenvalue on a positive cut by another (``modes_inside_cut``).
 """
 
 import cmath
@@ -67,7 +67,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-GY_POINTS = 1024  # trapezoid samples for the monodromy growth factor
 DENSE_MAX_N = 4096  # largest grid whose complex channel takes a dense eigensolve
 DENSE_BAND_MAX_N = 64  # largest grid whose small band is the dense spectrum (bench/layers.py)
 LINEAR_LOG_RANGE = 700.0  # bound on |log| of what a linear block forms; log(max double) = 709.78
@@ -131,6 +130,13 @@ class TrigPoly:
         """No term with a nonzero coefficient: ``sin(0.0)`` is constant too."""
         return not any(c for _, c in self.cos_coeffs + self.sin_coeffs)
 
+    def is_real(self):
+        """No coefficient of a complex type."""
+        for _, c in self.cos_coeffs + self.sin_coeffs:
+            if isinstance(c, (complex, np.complexfloating)):
+                return False
+        return not isinstance(self.const, (complex, np.complexfloating))
+
     def sup_norm_bound(self):
         return abs(self.const) + sum(abs(c) for _, c in self.cos_coeffs) + sum(
             abs(c) for _, c in self.sin_coeffs
@@ -152,7 +158,8 @@ class CircleModel:
     multiplies the canonical reference density by e^{2 phi}; ``potential`` is
     the Morse function used by the Witten experiments. ``deform_t`` holds the
     Witten deformation parameter: the effective log-density is
-    phi - deform_t * potential.
+    phi - deform_t * potential. A phi or potential with a complex coefficient
+    is a SchemaError naming it: every route reads both as real.
 
     The model caches nothing: the critical points are scanned once per
     potential object (``TrigPoly.critical_angles``), so channels,
@@ -176,6 +183,9 @@ class CircleModel:
             if lu_det(hol) == 0:
                 raise HolonomyError("holonomy matrix is singular")
             object.__setattr__(self, "holonomy", hol)
+        for name, poly in (("phi", self.phi), ("potential", self.potential)):
+            if poly is not None and not poly.is_real():
+                raise SchemaError(f"{name} has a non-real coefficient; it must be real", field=name)
         if not np.isfinite(self.phi.sup_norm_bound()):
             raise HomotopyClassError("log-density must be bounded")
 
@@ -386,27 +396,19 @@ def gelfand_yaglom_det(model: CircleModel):
     Its monodromy M over one period is upper triangular: the constants solve
     it, and the other solution has u'(L) = E u'(0) with
     E = exp(-int_0^L a1) = lam^2 exp(-2 int_0^L phi_eff'). Hence
-    det(M - lam I) = (1 - lam)(E - lam), and the value returned is
-    -det(M - lam I) / lam^2, whose 1/lam^2 is the first-order-coefficient
-    (Forman) factor and whose sign is the classical periodic-problem
-    normalization. The integral of phi_eff' is a periodic trapezoid sum on
-    GY_POINTS samples. For periodic phi it vanishes, so the value is
-    zeta_det_exact's (1 - lam)^2 / lam, whatever the density and the cut:
-    the route has no band to remove. Holonomy 1, where det(M - lam I) = 0, is
-    refused (``require_acyclic``). Degrees 0 and 1 share the value (the
-    nonzero spectra coincide).
+    det(M - lam I) = (1 - lam)(E - lam), and -det(M - lam I) / lam^2, whose
+    1/lam^2 is the first-order-coefficient (Forman) factor and whose sign is
+    the classical periodic-problem normalization, is the determinant. phi_eff
+    is periodic, so int_0^L phi_eff' is exactly 0 and E = lam^2: the value is
+    zeta_det_exact's (1 - lam)^2 / lam per channel, whatever the density and
+    the deformation, and it is taken in that form, reading no phi. Holonomy 1,
+    where det(M - lam I) = 0, is refused (``require_acyclic``). Degrees 0 and
+    1 share the value (the nonzero spectra coincide).
     """
-    if model.rank > 1:
-        out = 1.0 + 0.0j
-        for sub in model.channels():
-            out *= gelfand_yaglom_det(sub)
-        return out
-    lam = complex(model.holonomy)
-    require_acyclic(lam)
-    h = model.length / GY_POINTS
-    phi_period = h * float(np.sum(model.phi_derivative(np.arange(GY_POINTS) * h)))
-    # (E - lam) / lam = (lam - 1) + lam (e^{-2 phi_period} - 1), with no cancellation near 1
-    return complex(-(1.0 - lam) * ((lam - 1.0) + lam * (np.exp(-2.0 * phi_period) - 1.0)) / lam)
+    out = 1.0 + 0.0j
+    for lam in model.channel_holonomies():
+        out *= zeta_det_exact(lam, model.length)
+    return out
 
 
 def witten_deform(model: CircleModel, t_param):

@@ -38,7 +38,8 @@ from .spectral import (
     small_spectrum_dims,
     theorem33_experiment,
 )
-from .turaev import EulerStructure, Representation, fox_alexander, turaev_torsion
+from .turaev import (EulerStructure, Representation, ensure_circle_geometry, fox_alexander,
+                     turaev_torsion)
 
 HEADER = ["experiment", "params", "value_re", "value_im", "tolerance", "pass"]
 
@@ -75,8 +76,6 @@ def _cmd_torsion(args):
                 windings[lab.strip()] = int(w)
             else:
                 raise SchemaError("--euler expects label=winding[,label=winding...]")
-    from .turaev import ensure_circle_geometry
-
     ms = ensure_circle_geometry(ms)
     base = args.base_point or ms.points[0].label
     rep = Representation({"g": circle_loop(ms)}, ms.rank)

@@ -85,9 +85,6 @@ class GradedComplex:
         cols = self.dims[i] if 0 <= i < len(self.dims) else 0
         return np.zeros((rows, cols), dtype=complex)
 
-    def euler_characteristic(self):
-        return sum((-1) ** i * d for i, d in enumerate(self.dims))
-
     @cached_property
     def _splits(self):
         """``_split`` of each d_i, i = -1..n-1, made once per complex; callers only read it."""

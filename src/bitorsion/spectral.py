@@ -46,7 +46,6 @@ from .circle import (
     _require_k_in_range,
     build_discrete,
     exact_spectrum_circle,
-    gelfand_yaglom_det,
     log_band_torsions,
     modes_inside_cut,
     require_acyclic,
@@ -144,28 +143,28 @@ def rs_torsion(model: CircleModel, cut=0.0, method="exact"):
     the closed form lam / (1 - lam)^2, or 1 / L^2 at holonomy 1 above a
     positive cut, multiplied over the channels.
 
-    methods: "exact" is 1 / ``zeta_det_exact(lam, L, cut=0.0)``; "discrete"
-    multiplies it by the det K ratio of ``_rs_discrete_channel``; "gy" is
-    1 / ``gelfand_yaglom_det``. The value does not depend on the cut, which
-    only refuses: an eigenvalue within cut_clearance of a positive cut is an
-    AmbiguousCutError for every method (``circle.modes_inside_cut``). Without
-    a positive cut, holonomy 1 is a ZeroModeError (``circle.require_acyclic``),
-    and "gy" and "discrete" refuse it at any cut, where their determinant is 0.
+    methods: "exact" and "gy" are 1 / ``zeta_det_exact(lam, L, cut=0.0)``,
+    which is also 1 / ``gelfand_yaglom_det`` (the monodromy route's growth
+    factor is exactly 1 on a periodic density); "discrete" multiplies it by
+    the det K ratio of ``_rs_discrete_channel``. The value does not depend on
+    the cut, which only refuses: an eigenvalue within cut_clearance of a
+    positive cut is an AmbiguousCutError for every method
+    (``circle.modes_inside_cut``). Without a positive cut, holonomy 1 is a
+    ZeroModeError (``circle.require_acyclic``), and "gy" and "discrete"
+    refuse it at any cut, where their determinant is 0.
     """
     if method not in ("exact", "gy", "discrete"):
         raise DimensionError(f"unknown rs method '{method}'")
+    positive_cut = bool(cut and cut > 0)
     out = 1.0 + 0.0j
     for sub in model.channels():
         lam = complex(sub.holonomy)
-        if cut and cut > 0:
+        if positive_cut:
             modes_inside_cut(exact_spectrum_circle(lam, sub.length), cut)
-        else:
+        if method != "exact" or not positive_cut:
             require_acyclic(lam)
-        if method == "gy":
-            out /= gelfand_yaglom_det(sub)
-        else:
-            value = 1.0 / zeta_det_exact(lam, sub.length, cut=0.0)
-            out *= value * _rs_discrete_channel(sub) if method == "discrete" else value
+        value = 1.0 / zeta_det_exact(lam, sub.length, cut=0.0)
+        out *= value * _rs_discrete_channel(sub) if method == "discrete" else value
     return out
 
 

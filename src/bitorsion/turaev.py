@@ -79,12 +79,6 @@ class EulerStructure:
     windings: dict
 
 
-def _circle_data(ms: MorseSystem):
-    if ms.geometry is None:
-        raise UnsupportedSystemError("operation requires a circle-shaped Morse system")
-    return ms.geometry
-
-
 def ensure_circle_geometry(ms: MorseSystem):
     """Attach canonical circle geometry to a bare alternating min/max system.
 
@@ -121,24 +115,21 @@ def ensure_circle_geometry(ms: MorseSystem):
     return replace(ms, geometry=CircleGeometry(dict(zip(labels, positions)), seam))
 
 
-def _direct_path_crossings(geom, base_angle, target_angle):
-    """Seam crossings of the direct counterclockwise path base -> target."""
-    width = (target_angle - base_angle) % geom.circumference
-    offset = (geom.seam_angle - base_angle) % geom.circumference
-    return 1 if 0 < offset < width else 0
-
-
-def spider_transport(ms: MorseSystem, rep: Representation, e: EulerStructure, label):
-    """rho(sigma_x): loop^windings followed by the direct ccw path."""
-    geom = _circle_data(ms)
-    if e.base_point not in geom.positions:
-        raise ShapeError(f"unknown base point {e.base_point}")
-    loop = rep.loop()
-    w = int(e.windings.get(label, 0))
-    k = _direct_path_crossings(
-        geom, geom.positions[e.base_point], geom.positions[label]
-    )
-    return np.linalg.matrix_power(loop, w + k)
+def _spider_powers(ms: MorseSystem, e: EulerStructure):
+    """{label: windings + seam crossings}: the power of the loop that
+    transports a form from the base point along each point's spider, the
+    windings' full loops then the direct counterclockwise path. A base point
+    or winding label that is not a point of the system is a ShapeError."""
+    geom = ms.geometry
+    if geom is None:
+        raise UnsupportedSystemError("operation requires a circle-shaped Morse system")
+    unknown = [lab for lab in (e.base_point, *e.windings) if lab not in geom.positions]
+    if unknown:
+        raise ShapeError(f"Euler structure names {unknown[0]!r}, not a point of the system")
+    length, base = geom.circumference, geom.positions[e.base_point]
+    seam = (geom.seam_angle - base) % length
+    return {p.label: int(e.windings.get(p.label, 0))
+            + int(0 < seam < (geom.positions[p.label] - base) % length) for p in ms.points}
 
 
 def turaev_torsion(ms: MorseSystem, rep: Representation, e: EulerStructure, b0, h=None, rng=None):
@@ -160,10 +151,9 @@ def turaev_torsion(ms: MorseSystem, rep: Representation, e: EulerStructure, b0, 
     if b0.shape != (ms.rank, ms.rank):
         raise DimensionError("b0 has wrong rank")
     forms = {}
-    for p in ms.points:
-        g = spider_transport(ms, rep, e, p.label)
-        ginv = np.linalg.inv(g)
-        forms[p.label] = ginv.T @ b0 @ ginv
+    for label, power in _spider_powers(ms, e).items():
+        ginv = np.linalg.inv(np.linalg.matrix_power(loop, power))
+        forms[label] = ginv.T @ b0 @ ginv
     return milnor_torsion(ms, CriticalForms(forms), h=h, rng=rng)
 
 
@@ -174,14 +164,8 @@ def euler_class_circle(ms: MorseSystem, e: EulerStructure):
     the seam point; canonical spiders (zero windings, base at the first
     minimum, seam on the closing arc) represent class zero.
     """
-    geom = _circle_data(ms)
-    base = geom.positions[e.base_point]
-    total = 0
-    for p in ms.points:
-        w = int(e.windings.get(p.label, 0))
-        k = _direct_path_crossings(geom, base, geom.positions[p.label])
-        total += (-1) ** p.index * (w + k)
-    return total
+    powers = _spider_powers(ms, e)
+    return sum((-1) ** p.index * powers[p.label] for p in ms.points)
 
 
 # ----------------------------------------------------------------------------

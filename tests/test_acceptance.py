@@ -4,10 +4,12 @@ Each test prints a one-line pass/fail record with the measured worst
 deviation and runtime, and asserts both the criterion and its budget.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bitorsion import acceptance, complexes, morse, spectral
+from bitorsion import acceptance, circle, complexes, morse, spectral
 
 BUDGETS = {
     1: 5.0,
@@ -102,6 +104,25 @@ def test_07_cut_independence():
 
 def test_08_anomaly_invariance():
     _check(acceptance.criterion_8_anomaly_invariance())
+
+
+def test_08_discrete_cases_see_a_midpoint_fault(monkeypatch):
+    """Criterion 8 reads at most 1e-13 against its 1e-9 gate, and fails when
+    ``_build_channel`` scales K's diagonal by e^{1e-6 phi(mid)}: det K then moves
+    by e^{1e-6 sum phi(mid)}, 1.28e-5 on the density whose mean is 0.2 and
+    rounding on 0.3 sin theta, whose mean is 0."""
+    clean = acceptance.criterion_8_anomaly_invariance()
+    assert clean.passed and clean.worst <= 1e-13 and clean.tolerance == 1e-9
+    exact = circle._build_channel
+
+    def scaled(model, n_grid):
+        ch = exact(model, n_grid)
+        return replace(ch, k_diag=ch.k_diag * np.exp(1e-6 * model.phi_value(ch.mids)))
+
+    monkeypatch.setattr(circle, "_build_channel", scaled)
+    result = acceptance.criterion_8_anomaly_invariance()
+    assert not result.passed
+    assert result.worst > 1e-6
 
 
 def test_09_witten_clustering():

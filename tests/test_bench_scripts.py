@@ -21,7 +21,7 @@ CRITERIA_PHASES = {
     "4": {"inputs", "turaev"},
     "6": {"inputs", "rs_exact", "milnor"},
     "7": {"inputs", "rs_exact"},
-    "8": {"inputs", "rs_exact", "rs_gy", "rs_discrete"},
+    "8": {"inputs", "rs_exact", "rs_discrete"},
     "11": {"inputs", "milnor", "band"},
     "12": {"inputs", "rs_exact", "milnor"},
 }

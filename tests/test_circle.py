@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -27,6 +28,7 @@ from bitorsion.errors import (
     GridError,
     HolonomyError,
     InvalidMatrixError,
+    SchemaError,
     ZeroModeError,
 )
 from bitorsion.serialize import load_circle_model
@@ -39,7 +41,7 @@ from bitorsion.spectral import (
 
 TWO_PI = 2 * np.pi
 # cos theta + 0.3 sin 2 theta, whose critical points are not symmetric: a
-# density wrong near them moves rs by 5% (discrete) and 3.48x (gy) at lam = 2
+# density wrong near them moves the discrete rs by 5% at lam = 2
 ASYMMETRIC = TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),))
 _ROTATION = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
 
@@ -620,6 +622,24 @@ class TestGelfandYaglom:
         oracle = np.linalg.det(np.eye(2) - holonomy) ** 2 / np.linalg.det(holonomy)
         assert abs(value - oracle) <= 1e-12 * abs(oracle)
 
+    @pytest.mark.parametrize("holonomy", [1 - 1e-15, 1 - 1e-12, 1 + 1e-8, 2.0, 0.5 + 0.8j,
+                                          np.exp(0.7j), np.diag([2.0, 0.5 + 0.8j])])
+    def test_reads_no_density(self, monkeypatch, holonomy):
+        """The growth factor exp(-2 int phi_eff') is exactly 1 for a periodic
+        density, so the value is zeta_det_exact's per channel, bit for bit on a
+        wavy, deformed model, and no density is evaluated."""
+        def unread(*args):
+            raise AssertionError("the density was evaluated")
+
+        for name in ("value", "derivative"):
+            monkeypatch.setattr(TrigPoly, name, unread)
+        model = witten_deform(CircleModel(holonomy, phi=TrigPoly.sin(0.3),
+                                          potential=ASYMMETRIC), 3.0)
+        want = 1.0 + 0.0j
+        for lam in model.channel_holonomies():
+            want *= zeta_det_exact(lam)
+        assert gelfand_yaglom_det(model) == want
+
     def test_doubled_circumference(self):
         model = CircleModel(2.0, length=2 * TWO_PI)
         assert gelfand_yaglom_det(model) == pytest.approx(
@@ -654,6 +674,24 @@ class TestTrigPoly:
         test ``sup_norm_bound`` makes for a zero phi."""
         assert poly.is_constant() is constant
         assert poly.is_constant() == (poly.sup_norm_bound() == abs(poly.const))
+
+
+class TestRealCoefficients:
+    @pytest.mark.parametrize("poly", [
+        TrigPoly(sin_coeffs=((1, 0.3 + 0.2j),)),
+        TrigPoly(const=np.complex128(0.1)),
+        TrigPoly(cos_coeffs=((1, 1.0), (2, np.complex64(0.5))), sin_coeffs=((1, 0.2),)),
+    ], ids=["sin", "const", "cos_complex64"])
+    @pytest.mark.parametrize("name", ["phi", "potential"])
+    def test_complex_coefficient_refused(self, name, poly):
+        """The discrete and Milnor routes read phi and the potential as real,
+        and would drop an imaginary part with only a ComplexWarning: the model
+        refuses a complex coefficient by name, also through ``replace``."""
+        with pytest.raises(SchemaError, match=f"^{name} has a non-real coefficient") as info:
+            CircleModel(2.0, **{name: poly})
+        assert info.value.field == name
+        with pytest.raises(SchemaError):
+            replace(make_circle_model(2.0, f=("cos", 1)), **{name: poly})
 
 
 class TestWittenDeform:

@@ -470,6 +470,15 @@ class TestCommands:
         assert main(["torsion", "turaev", morse, "--euler", "M0=1"]) == 0
         assert "2.25" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["--euler", "M1=1"], ["--euler", "M0=1,zz=0"],
+                                      ["--base-point", "zz"]],
+                             ids=["winding", "second_winding", "base_point"])
+    def test_torsion_turaev_unknown_label(self, morse, capsys, argv):
+        """A label that is not a point of the system exits 1 with ShapeError;
+        ``--euler M1=1`` on this one-pair system printed the class-0 value."""
+        assert main(["torsion", "turaev", morse, *argv]) == 1
+        assert "ShapeError" in capsys.readouterr().err
+
     def test_torsion_turaev_clockwise_holonomy(self, morse, tmp_path):
         """The holonomy 3 on the sign -1 (clockwise) instanton: the
         counterclockwise loop is 1/3, and the command's value is the Turaev

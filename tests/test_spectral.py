@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -49,7 +50,7 @@ from bitorsion.spectral import (
 from bitorsion.turaev import EulerStructure, Representation, euler_class_circle, turaev_torsion
 
 # cos theta + 0.3 sin 2 theta, whose critical points are not symmetric: a
-# density wrong near them moves rs by 5% (discrete) and 3.48x (gy) at lam = 2
+# density wrong near them moves the discrete rs by 5% at lam = 2
 ASYMMETRIC = TrigPoly(cos_coeffs=((1, 1.0),), sin_coeffs=((2, 0.3),))
 COS = TrigPoly.cos(1.0, 1)
 TWO_PI = 2 * np.pi
@@ -161,11 +162,13 @@ class TestRsTorsion:
     def test_discrete_refuses_trivial_holonomy(self):
         """det K = 0 at holonomy 1 whatever the density, so model and reference
         cancel only when phi = 0: the method refuses instead of returning a
-        value, and so does gy, whose monodromy determinant is 0, at any cut."""
-        model = make_circle_model(1.0, phi=("sin", 0.3), f=("cos", 1))
-        for method in ("discrete", "gy"):
-            with pytest.raises(ZeroModeError):
-                rs_torsion(model, cut=0.5, method=method)
+        value, and so does gy, whose monodromy determinant is 0, at any cut,
+        on a rank-two model's trivial channel too."""
+        for holonomy in (1.0, np.diag([2.0, 1.0])):
+            model = make_circle_model(holonomy, phi=("sin", 0.3), f=("cos", 1))
+            for method, cut in itertools.product(("discrete", "gy"), (0.0, 0.5, 2.0)):
+                with pytest.raises(ZeroModeError):
+                    rs_torsion(model, cut=cut, method=method)
 
     @pytest.mark.parametrize("lam", [1 + 1e-13, 1 - 1e-13, 1 + 1e-12, 1 - 1e-12, 1 + 1e-10,
                                      1 - 1e-10, np.exp(1e-12j)],
@@ -236,9 +239,17 @@ class TestRsTorsion:
 
 class TestAnomalyInvariance:
     def test_gy_route(self):
-        base = rs_torsion(make_circle_model(2.0), method="exact")
-        wavy = rs_torsion(make_circle_model(2.0, phi=("sin", 0.3)), method="gy")
-        assert abs(wavy - base) <= 1e-6 * abs(base)
+        """The monodromy growth factor exp(-2 int phi') is exactly 1 for a
+        periodic density, so gy is the exact value bit for bit, next to
+        lam = 1 included. A 1024-point trapezoid sum of phi' rounds to about
+        -1.3e-16 on 0.3 sin theta; divided by |1 - lam| it put gy 2.2e-8 off
+        at 1 + 1e-8, 2.2e-4 at 1 - 1e-12 and 0.29 at 1 - 1e-15."""
+        rotation = np.array([[2.0, 1.0], [1.0, 3.0]])
+        rotated = rotation @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(rotation)
+        for phi in (TrigPoly.sin(0.3), TrigPoly.cos(1.0)):
+            for lam in (1 - 1e-15, 1 - 1e-12, 1 + 1e-8, 2.0, 0.5 + 0.8j, np.exp(0.7j), rotated):
+                model = CircleModel(lam, phi=phi, potential=COS)
+                assert rs_torsion(model, method="gy") == rs_torsion(model)
 
 
 class TestSmallSpectrum:
@@ -898,8 +909,8 @@ class TestBzCompare:
                                      *map(_ulps_from_one, (1, -1, 10, -10))])
     def test_near_trivial_holonomy(self, lam, f):
         """One well near lam = 1: the Milnor side reads lam itself on the seam,
-        never the rounded 1 / lam, and gy forms lam - 1 with no cancellation,
-        so the ratio is 1 to rounding in every method."""
+        never the rounded 1 / lam, and gy is the closed form, so the ratio is 1
+        to rounding in every method."""
         model = make_circle_model(lam, f=f)
         for method in ("exact", "gy", "discrete"):
             assert abs(bz_compare(model, method=method) - 1.0) <= 1e-13

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bitorsion.errors import EulerCharacteristicError, PresentationError
-from bitorsion.morse import CriticalPoint, MorseSystem, make_circle_morse
+from bitorsion.errors import EulerCharacteristicError, PresentationError, ShapeError
+from bitorsion.morse import CriticalPoint, MorseSystem, circle_loop, make_circle_morse
 from bitorsion.turaev import (
     EulerStructure,
     IntPoly,
@@ -37,6 +37,37 @@ class TestEulerClass:
     def test_canonical_n2(self):
         ms = make_circle_morse(2, LAM)
         assert euler_class_circle(ms, EulerStructure("m0", {})) == 0
+
+    @pytest.mark.parametrize("e, label", [
+        (EulerStructure("zz", {}), "zz"),
+        (EulerStructure("m0", {"M1": 1}), "M1"),
+        (EulerStructure("m0", {"M0": 1, "m1": 0}), "m1"),
+    ], ids=["base_point", "winding", "zero_winding"])
+    def test_unknown_label_refused(self, e, label):
+        """A base point or winding label that is not a point of the system is
+        a ShapeError naming it, from the class and the torsion alike, not a
+        KeyError or a winding silently dropped."""
+        ms = make_circle_morse(1, LAM)
+        with pytest.raises(ShapeError, match=repr(label)):
+            euler_class_circle(ms, e)
+        with pytest.raises(ShapeError, match=repr(label)):
+            turaev_torsion(ms, rep(), e, [[1.0]])
+
+    @pytest.mark.parametrize("seam_arc", [0, 1, 2, 3])
+    def test_torsion_shifts_by_the_class(self, seam_arc):
+        """On two pairs, any seam arc, base point and windings: the torsion is
+        loop^(-2c) times one constant, c the class the same spiders give."""
+        ms = make_circle_morse(2, LAM, seam_arc=seam_arc)
+        loop = circle_loop(ms)[0, 0]
+        r = Representation({"g": [[loop]]}, 1)
+        values = {}
+        for point in ("m0", "M0", "m1", "M1"):
+            for windings in ({}, {"M1": 1}, {"m0": -1, "M0": 2}, {"m1": 2}):
+                e = EulerStructure(point, windings)
+                cls = euler_class_circle(ms, e)
+                values[point, str(windings)] = turaev_torsion(ms, r, e, [[1.0]]) * loop ** (2 * cls)
+        first = next(iter(values.values()))
+        assert all(v == pytest.approx(first, rel=1e-12) for v in values.values())
 
 
 class TestTuraevTorsion:
