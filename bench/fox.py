@@ -6,10 +6,13 @@ The knots are the 22 torus knots and the ten-knot corpus of the benchmark's
 ``combinatorial`` workload (``perfbench/workloads.py``) and four larger torus
 knots, T(2,51), T(3,25), T(7,8) and T(2,101), each built by
 ``knot_from_braid`` outside the timed region; ``total_s`` sums the
-benchmark's 32 knots only. Each row is the best of
-``--repeats`` calls of ``fox_alexander``, with the minor's size and the
-polynomial's degree. ``--src`` is the ``src`` directory of the tree to time
-(default: this checkout).
+benchmark's 32 knots only. Each row is the best of ``--repeats`` calls of
+``fox_alexander``, with the minor's size and the polynomial's degree, and
+``presentation_s``, the best of ``--repeats`` constructions of
+``KnotPresentation(generators, relators)`` as ``serialize.load_knot`` makes
+it: a tree that parses the relators there does that part of the work before
+``fox_alexander`` is called. ``--src`` is the ``src`` directory of the tree
+to time (default: this checkout).
 """
 
 import argparse
@@ -56,6 +59,8 @@ def main():
             "knot": name,
             "minor_size": len(pres.generators) - 1,
             "degree": fox_alexander(pres).max_exp(),
+            "presentation_s": best_of(args.repeats, lambda: KnotPresentation(
+                pres.generators, pres.relators)),
             "fox_alexander_s": best_of(args.repeats, lambda: fox_alexander(pres)),
         })
     total = sum(r["fox_alexander_s"] for r in rows[:n_benchmark])

@@ -71,11 +71,12 @@ def _cmd_torsion(args):
         for part in args.euler.split(","):
             if not part:
                 continue
-            if "=" in part:
-                lab, w = part.split("=", 1)
+            lab, _, w = part.partition("=")  # no "=": w is "", which int refuses
+            try:
                 windings[lab.strip()] = int(w)
-            else:
-                raise SchemaError("--euler expects label=winding[,label=winding...]")
+            except ValueError:
+                raise SchemaError(f"--euler expects label=winding[,label=winding...] with "
+                                  f"integer windings, got {part!r}", field="--euler") from None
     ms = ensure_circle_geometry(ms)
     base = args.base_point or ms.points[0].label
     rep = Representation({"g": circle_loop(ms)}, ms.rank)

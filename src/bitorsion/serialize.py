@@ -90,18 +90,19 @@ def _numeric_as_complex(obj, ndim):
     return None
 
 
-def _decode_matrices(objs, fields):
+def _decode_matrices(objs, field, keys):
     """JSON matrices as one complex128 stack (k, n, m) by one ``np.asarray``
     when every one is a nonempty list of list rows and all share one shape, of
     numbers or of pairs: each the value ``decode_matrix`` gives it, bit for bit.
     Otherwise a list of ``decode_matrix`` results, one matrix at a time, so that
-    the SchemaError names the first offending matrix (``fields[i]``)."""
+    the SchemaError names the first offending matrix, ``field.format(key)``
+    with its key from ``keys``."""
     if ({type(m) for m in objs} == {list} and all(objs)
             and {type(row) for m in objs for row in m} == {list}):
         a = _numeric_as_complex(objs, 3)
         if a is not None:
             return a
-    return [decode_matrix(m, field) for m, field in zip(objs, fields)]
+    return [decode_matrix(m, field.format(key)) for m, key in zip(objs, keys)]
 
 
 def _scalar(obj, kind, field):
@@ -180,27 +181,49 @@ def load_graded_complex(path_or_doc):
     return complex_, structure, h
 
 
-def load_morse_system(path_or_doc):
-    """morse.json: { rank, points: [{id,index}], instantons: [...], forms: {id: [[..]]} }."""
-    doc = _load_json(path_or_doc, "morse.json")
-    rank = _scalar(doc.get("rank", 1), int, "rank")
+def _points(entries):
+    """The CriticalPoints of a ``points`` array. When every entry is a dict
+    with an ``id`` and an int ``index`` they are read in one pass; otherwise
+    entry by entry, so that the SchemaError names the first offending field."""
+    if all(type(p) is dict and "id" in p and type(p.get("index")) is int for p in entries):
+        return [CriticalPoint(str(p["id"]), p["index"]) for p in entries]
     points = []
-    for i, p in enumerate(_container(_require(doc, "points", "morse.json"), list, "points")):
+    for i, p in enumerate(entries):
         p = _container(p, dict, f"points[{i}]")
         points.append(CriticalPoint(str(_require(p, "id", f"points[{i}]")),
                                     _scalar(_require(p, "index", f"points[{i}]"), int,
                                             f"points[{i}].index")))
+    return points
+
+
+def _instanton_fields(entries):
+    """(source, target, sign) and the holonomy document, None when absent, of
+    each entry of an ``instantons`` array. When every entry is a dict with a
+    ``from``, a ``to`` and an int ``sign`` they are read in one pass; otherwise
+    entry by entry, so that the SchemaError names the first offending field."""
+    if all(type(ins) is dict and "from" in ins and "to" in ins and type(ins.get("sign")) is int
+           for ins in entries):
+        return ([(str(ins["from"]), str(ins["to"]), ins["sign"]) for ins in entries],
+                [ins.get("holonomy") for ins in entries])
     ends, hols = [], []
-    for i, ins in enumerate(_container(doc.get("instantons", []), list, "instantons")):
+    for i, ins in enumerate(entries):
         ins = _container(ins, dict, f"instantons[{i}]")
         ends.append((str(_require(ins, "from", f"instantons[{i}]")),
                      str(_require(ins, "to", f"instantons[{i}]")),
                      _scalar(_require(ins, "sign", f"instantons[{i}]"), int,
                              f"instantons[{i}].sign")))
         hols.append(ins.get("holonomy"))
+    return ends, hols
+
+
+def load_morse_system(path_or_doc):
+    """morse.json: { rank, points: [{id,index}], instantons: [...], forms: {id: [[..]]} }."""
+    doc = _load_json(path_or_doc, "morse.json")
+    rank = _scalar(doc.get("rank", 1), int, "rank")
+    points = _points(_container(_require(doc, "points", "morse.json"), list, "points"))
+    ends, hols = _instanton_fields(_container(doc.get("instantons", []), list, "instantons"))
     given = [i for i, hol in enumerate(hols) if hol is not None]
-    decoded = _decode_matrices([hols[i] for i in given],
-                               [f"instantons[{i}].holonomy" for i in given])
+    decoded = _decode_matrices([hols[i] for i in given], "instantons[{}].holonomy", given)
     for i, mat in zip(given, decoded):
         hols[i] = mat
     instantons = tuple(Instanton(*end, np.eye(rank, dtype=complex) if hol is None else hol)
@@ -210,7 +233,7 @@ def load_morse_system(path_or_doc):
     if forms_doc:
         forms_doc = _container(forms_doc, dict, "forms")
         forms = CriticalForms(dict(zip(forms_doc, _decode_matrices(
-            list(forms_doc.values()), [f"forms[{k}]" for k in forms_doc]))))
+            list(forms_doc.values()), "forms[{}]", forms_doc))))
     else:
         forms = CriticalForms.standard(ms)
     return ms, forms

@@ -9,16 +9,19 @@ vanishing Euler characteristic the value depends only on the Euler structure,
 which on the circle is classified by one integer.
 
 The Alexander polynomial is computed by Fox free differential calculus on a
-deficiency-1 presentation, abelianized to Z[t, 1/t]. The determinant of its
-minor is taken exactly in two stages: sparse elimination on unit pivots +-t^e,
-which needs no division and removes one generator per pivot (Wirtinger and
-braid-closure relators each have one), then fraction-free (Bareiss)
-elimination of the small dense block that is left, each division an exact
-long division. It is normalized so the lowest exponent is zero and the
-leading coefficient positive.
+deficiency-1 presentation, abelianized to Z[t, 1/t]; each relator is parsed
+once, when the presentation is made. The determinant of its minor is taken
+exactly in two stages: sparse elimination on unit pivots +-t^e, which needs
+no division and removes one generator per pivot (Wirtinger and braid-closure
+relators each have one), then fraction-free (Bareiss) elimination of the
+small dense block that is left, each division an exact long division. The
+Fox rows and the first stage work on plain {exponent: coefficient} dicts,
+updated in place with zero terms dropped as they appear; the Bareiss block
+and the result are IntPolys. It is normalized so the lowest exponent is zero
+and the leading coefficient positive.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -174,12 +177,26 @@ def euler_class_circle(ms: MorseSystem, e: EulerStructure):
 
 
 class IntPoly:
-    """Sparse integer Laurent polynomial in one variable."""
+    """Sparse integer Laurent polynomial in one variable.
+
+    The constructor converts every exponent and coefficient with ``int`` and
+    drops zero coefficients. Sums, differences, products and exact quotients
+    are built by ``_of``, since they are already dicts of ints with no zero
+    coefficient.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
         self.coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
+
+    @classmethod
+    def _of(cls, coeffs):
+        """The IntPoly holding ``coeffs`` itself, unchecked: int exponents and
+        nonzero int coefficients."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def const(cls, c):
@@ -192,17 +209,25 @@ class IntPoly:
     def __add__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return IntPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return IntPoly._of(out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return IntPoly(out)
+            c = out.get(e, 0) - c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return IntPoly._of(out)
 
     def __neg__(self):
-        return IntPoly({e: -c for e, c in self.coeffs.items()})
+        return IntPoly._of({e: -c for e, c in self.coeffs.items()})
 
     def __mul__(self, other):
         out = {}
@@ -210,7 +235,7 @@ class IntPoly:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return IntPoly(out)
+        return IntPoly._of({e: c for e, c in out.items() if c})
 
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
@@ -242,7 +267,7 @@ class IntPoly:
                 out[e] = c
                 for de, dc in d.coeffs.items():
                     rem[e + de] = rem.get(e + de, 0) - c * dc
-        return IntPoly(out)
+        return IntPoly._of(out)
 
     def shifted(self, k):
         return IntPoly({e + k: c for e, c in self.coeffs.items()})
@@ -293,10 +318,13 @@ class KnotPresentation:
 
     Uppercase letters denote inverses. Every relator must have zero total
     exponent sum, which every conjugation relation x w y^-1 w^-1 satisfies.
+    Each relator is parsed once, here: ``letters`` holds it as
+    ((generator index, +-1), ...), and is not part of equality or the hash.
     """
 
     generators: tuple
     relators: tuple
+    letters: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -307,65 +335,82 @@ class KnotPresentation:
                 f"deficiency-1 presentation needs {len(gens) - 1} relators, "
                 f"got {len(self.relators)}"
             )
+        index = {g: i for i, g in enumerate(gens)}
+        letters = []
         for word in self.relators:
-            letters = parse_word(word, gens)
-            if sum(s for _, s in letters) != 0:
+            parsed = tuple(_parse_word(word, index))
+            if sum(s for _, s in parsed) != 0:
                 raise PresentationError(f"relator '{word}' has nonzero exponent sum")
+            letters.append(parsed)
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(self.relators))
+        object.__setattr__(self, "letters", tuple(letters))
 
 
 def parse_word(word, generators):
     """'a b A' -> [(idx_a, +1), (idx_b, +1), (idx_a, -1)]; whitespace optional for 1-char names."""
-    gset = {g: i for i, g in enumerate(generators)}
-    tokens = word.split() if " " in word.strip() else list(word.strip())
+    return _parse_word(word, {g: i for i, g in enumerate(generators)})
+
+
+def _parse_word(word, index):
+    """``parse_word`` with the generator index {name: position} given."""
+    stripped = word.strip()
     out = []
-    for tok in tokens:
-        if not tok:
+    for tok in stripped.split() if " " in stripped else stripped:
+        i = index.get(tok)
+        if i is not None:
+            out.append((i, +1))
             continue
-        if tok in gset:
-            out.append((gset[tok], +1))
-        elif tok.lower() in gset and tok != tok.lower():
-            out.append((gset[tok.lower()], -1))
-        else:
+        low = tok.lower()
+        i = index.get(low)
+        if i is None or tok == low:
             raise PresentationError(f"unknown letter '{tok}' in word '{word}'")
+        out.append((i, -1))
     return out
 
 
 def _fox_row(letters, n_gens):
-    """Abelianized Fox derivatives of one relator with respect to every generator.
+    """Abelianized Fox derivatives of one relator with respect to every
+    generator, each an {exponent: coefficient} dict with no zero coefficient.
 
     d(uv)/dx = du/dx + u dv/dx with u abelianized to t^{exponent sum}.
     """
-    row = [IntPoly() for _ in range(n_gens)]
+    row = [{} for _ in range(n_gens)]
     prefix = 0
     for g, s in letters:
-        if s == +1:
-            row[g] = row[g] + IntPoly.monomial(prefix)
-            prefix += 1
-        else:
+        if s < 0:
             prefix -= 1
-            row[g] = row[g] - IntPoly.monomial(prefix)
+        entry = row[g]
+        c = entry.get(prefix, 0) + s
+        if c:
+            entry[prefix] = c
+        else:
+            del entry[prefix]
+        if s > 0:
+            prefix += 1
     return row
 
 
 def _is_unit(p):
-    """True for +-t^e, the units of Z[t, 1/t]."""
-    return len(p.coeffs) == 1 and abs(next(iter(p.coeffs.values()))) == 1
+    """True for the {exponent: coefficient} dict of +-t^e, a unit of Z[t, 1/t]."""
+    return len(p) == 1 and abs(next(iter(p.values()))) == 1
 
 
 def _poly_det(mat):
-    """Exact determinant of a square IntPoly matrix over Z[t, 1/t], in two stages.
+    """Exact determinant over Z[t, 1/t] of a square matrix of {exponent:
+    coefficient} dicts, as an IntPoly, in two stages.
 
-    Stage 1 keeps each row as a column -> entry dict and, while some entry is
-    a unit u = c t^e, pivots on the first one found: the other rows clear its
-    column by row_r -= a_rj u^{-1} row_i (no division, u^{-1} = c t^{-e}), the
-    determinant picks up (-1)^{i+j} u with i, j the pivot's current positions,
-    and the pivot's row and column are dropped. This is Tietze elimination:
-    every Wirtinger relator has a unit entry in its new generator's column.
-    Stage 2 runs Bareiss elimination on the dense block that is left.
+    Stage 1 copies each row into a column -> entry dict and, while some entry
+    is a unit u = c t^e, pivots on the first one found: the other rows clear
+    its column by row_r -= a_rj u^{-1} row_i (no division, u^{-1} = c t^{-e}),
+    the determinant picks up (-1)^{i+j} u with i, j the pivot's current
+    positions, and the pivot's row and column are dropped. The entries are
+    updated in place, each zero term dropped as it appears. This is Tietze
+    elimination: every Wirtinger relator has a unit entry in its new
+    generator's column. Stage 2 runs Bareiss elimination on the IntPoly block
+    that is left.
     """
-    rows = [{j: a for j, a in enumerate(row) if not a.is_zero()} for row in mat]
+    rows = [{j: dict(a) for j, a in enumerate(row) if a} for row in mat]
     live_rows = list(range(len(rows)))
     live_cols = list(range(len(rows)))
     sign, shift = 1, 0
@@ -375,7 +420,7 @@ def _poly_det(mat):
         if pivot is None:
             break
         pi, j, u = pivot
-        (e, c), = u.coeffs.items()
+        (e, c), = u.items()
         pj = live_cols.index(j)
         sign *= c * (-1) ** (pi + pj)
         shift += e
@@ -386,14 +431,22 @@ def _poly_det(mat):
             a = row.pop(j, None)
             if a is None:
                 continue
-            f = a.shifted(-e) if c > 0 else -a.shifted(-e)  # a_rj u^{-1}
+            f = [(ea - e, ca * c) for ea, ca in a.items()]  # a_rj u^{-1}, as c = 1/c
             for k, v in prow.items():
-                new = row.get(k, IntPoly()) - f * v
-                if new.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = new
-    block = [[rows[i].get(j, IntPoly()) for j in live_cols] for i in live_rows]
+                acc = row.get(k)
+                if acc is None:
+                    acc = row[k] = {}
+                for ef, cf in f:
+                    for ev, cv in v.items():
+                        x = ef + ev
+                        y = acc.get(x, 0) - cf * cv
+                        if y:
+                            acc[x] = y
+                        else:
+                            del acc[x]
+                if not acc:
+                    del row[k]
+    block = [[IntPoly._of(rows[i].get(j, {})) for j in live_cols] for i in live_rows]
     det = _bareiss_det(block).shifted(shift)
     return det if sign > 0 else -det
 
@@ -434,8 +487,7 @@ def fox_alexander(p: KnotPresentation):
     n = len(p.generators)
     if n == 0:
         raise PresentationError("presentation needs at least one generator")
-    rows = [_fox_row(parse_word(w, p.generators), n) for w in p.relators]
-    minor = [row[1:] for row in rows]  # delete the first generator's column
+    minor = [_fox_row(letters, n)[1:] for letters in p.letters]  # drop the first column
     det = _poly_det(minor)
     if det.is_zero():
         raise PresentationError("Alexander matrix minor vanished; not a knot presentation?")

@@ -56,4 +56,4 @@ def test_fox():
     report = run_script("fox.py")
     assert set(report) == {"repeats", "total_s", "rows"}
     assert report["rows"] and all(
-        set(row) == {"knot", "minor_size", "degree", "fox_alexander_s"} for row in report["rows"])
+        set(row) == {"knot", "minor_size", "degree", "presentation_s", "fox_alexander_s"} for row in report["rows"])

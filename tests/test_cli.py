@@ -394,6 +394,22 @@ def _morse_case(hol=None, m0=None, big_m0=None, rank=1):
             "forms": {"m0": m0 or [[1]], "M0": big_m0 or [[1]]}}
 
 
+def _two_pair_case(points=(), instantons=()):
+    """A well-formed two-pair morse.json whose ``points`` and ``instantons``
+    entries at the given positions are replaced: each argument is a sequence
+    of (position, entry) pairs."""
+    doc = {"points": [{"id": "m0", "index": 0}, {"id": "M0", "index": 1},
+                      {"id": "m1", "index": 0}, {"id": "M1", "index": 1}],
+           "instantons": [{"from": "M0", "to": "m0", "sign": -1},
+                          {"from": "M0", "to": "m1", "sign": 1},
+                          {"from": "M1", "to": "m1", "sign": -1},
+                          {"from": "M1", "to": "m0", "sign": 1}]}
+    for key, entries in (("points", points), ("instantons", instantons)):
+        for i, entry in entries:
+            doc[key][i] = entry
+    return doc
+
+
 _NAN, _INF = float("nan"), float("inf")
 
 
@@ -702,17 +718,43 @@ class TestCommands:
          "phi.kind"),
         (["spectral", "{}", "--op", "zetadet"], {"lambda": [2.0, 0.0], "f": {"kind": "sin"}},
          "f.kind"),
+        (["torsion", "morse", "{}"], _two_pair_case(points=[(2, {"index": 0})]), "id"),
+        (["torsion", "morse", "{}"],
+         _two_pair_case(points=[(1, {"id": "M0", "index": True})]), "points[1].index"),
+        (["torsion", "morse", "{}"],
+         _two_pair_case(instantons=[(1, {"from": "M0", "sign": 1})]), "to"),
+        (["torsion", "morse", "{}"],
+         _two_pair_case(instantons=[(2, {"from": "M1", "to": "m1", "sign": 1.0})]),
+         "instantons[2].sign"),
+        (["torsion", "morse", "{}"], _two_pair_case(instantons=[(3, ["M1", "m0", 1])]),
+         "instantons[3]"),
+        (["torsion", "turaev", "{}", "--euler", "M0=x"], _morse_case(), "--euler"),
+        (["torsion", "turaev", "{}", "--euler", "M0"], _morse_case(), "--euler"),
     ], ids=["N", "dims", "index", "phi", "dims_array", "generators_array", "point_object",
             "instanton_object", "forms_object", "document_object", "flat_string",
             "flat_integer", "flat_nonzero_phi", "N_float", "N_bool", "N_string", "wells_float",
             "wells_negative", "wells_zero", "lambda_bool", "dims_float", "dims_bool", "rank_float",
             "index_bool", "sign_float", "T_bool", "L_string", "amp_bool",
-            "lambda_pair_string", "phi_kind", "f_kind"])
+            "lambda_pair_string", "phi_kind", "f_kind", "later_point_id", "later_index_bool",
+            "later_instanton_to", "later_sign_float", "later_instanton_list", "euler_winding",
+            "euler_no_winding"])
     def test_malformed_field_is_schema_error(self, tmp_path, capsys, argv, doc, field):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         assert main([a.format(path) for a in argv]) == 2
         assert f"(field: {field})" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, where", [
+        (_two_pair_case(points=[(2, {"index": 0})]), "'id' in points[2]"),
+        (_two_pair_case(instantons=[(1, {"from": "M0", "sign": 1})]), "'to' in instantons[1]"),
+    ], ids=["point_id", "instanton_to"])
+    def test_missing_field_names_its_entry(self, tmp_path, capsys, doc, where):
+        """A required key missing from an entry after well-formed ones: the
+        message names that entry."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert main(["torsion", "morse", str(path)]) == 2
+        assert f"missing required field {where}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, phi", [
         (["--op", "bz"], {"kind": "zero"}),
