@@ -1,5 +1,6 @@
 """Per-phase times of acceptance criteria 1-4, the finite-complex criteria, and
-6, 7, 8, 11 and 12, the analytic torsion and comparison criteria, as JSON.
+6, 7, 8, 9, 11 and 12, the analytic torsion, Witten and comparison criteria,
+as JSON.
 
     python3 bench/criteria.py [--repeats 15] [--src DIR]
 
@@ -30,6 +31,10 @@ whole loop over the criterion's inputs:
 - criterion 8: ``inputs`` (the three wavy models and their phi = 0
   copies), ``rs_exact`` (``rs_torsion`` on the copies) and ``rs_discrete``
   (the discrete method on the wavy models);
+- criterion 9: ``inputs`` (the one- and two-well models at holonomy 2),
+  ``counts`` (the four ``small_spectrum_dims`` calls at N = 512: T = 5, 10
+  and 20 on one well, T = 12 on two) and ``band`` (``band_sweep`` at
+  T = 5, 10 and 20, N = 512);
 - criterion 11: ``inputs`` (the three models), ``milnor``
   (``spectral._acyclic_milnor`` per channel, with each potential's scan)
   and ``band`` (``band_sweep`` at T = 4 and 10, N = 512), the two halves of
@@ -91,7 +96,13 @@ def main():
         milnor_torsion,
     )
     from bitorsion.circle import CircleModel, TrigPoly, make_circle_model
-    from bitorsion.spectral import _acyclic_milnor, band_sweep, milnor_from_model, rs_torsion
+    from bitorsion.spectral import (
+        _acyclic_milnor,
+        band_sweep,
+        milnor_from_model,
+        rs_torsion,
+        small_spectrum_dims,
+    )
     from bitorsion.turaev import EulerStructure, Representation, turaev_torsion
 
     def inputs_1():
@@ -218,6 +229,16 @@ def main():
         t["rs_discrete"], _ = clock(lambda: [rs_torsion(m, method="discrete") for m, _ in cases])
         return t
 
+    def phases_9():
+        t = {}
+        t["inputs"], (m1, m2) = clock(lambda: (make_circle_model(2.0, f=("cos", 1)),
+                                               make_circle_model(2.0, f=("cos", 2))))
+        ts = [5.0, 10.0, 20.0]
+        t["counts"], _ = clock(lambda: ([small_spectrum_dims(m1, t_param, 512) for t_param in ts],
+                                        small_spectrum_dims(m2, 12.0, 512)))
+        t["band"], _ = clock(lambda: list(band_sweep(m1, ts, 512)))
+        return t
+
     def phases_11():
         t = {}
         t["inputs"], models = clock(lambda: [
@@ -236,6 +257,7 @@ def main():
         6: (comparison_phases([2.0], 123, 20), acceptance.criterion_6_main_comparison),
         7: (phases_7, acceptance.criterion_7_cut_independence),
         8: (phases_8, acceptance.criterion_8_anomaly_invariance),
+        9: (phases_9, acceptance.criterion_9_witten_clustering),
         11: (phases_11, acceptance.criterion_11_thm33_trend),
         12: (comparison_phases([], 321, 8), acceptance.criterion_12_modulus_one),
     }

@@ -12,11 +12,13 @@ the caller has it, and ``nondegenerate_det`` checks again that its matrix,
 and then its determinant, are finite. The circle Laplacians are cyclic
 tridiagonal and do not come here: ``circle.ChannelOperators`` takes their
 determinants and band torsions in closed form from the two diagonals of K,
-and their small eigenvalues, where counted, from numpy's dense eigensolver
-on grids up to ``circle.DENSE_BAND_MAX_N`` and by sparse shift-invert
-Arnoldi above it (scipy, imported there). No package code calls
-``schur_decomposition``: it stays as the tests' dense oracle and the
-benchmark tracer's probe, until a change to the benchmark drops that probe.
+and their small eigenvalues, where counted, from numpy's dense eigensolvers
+(symmetric for a real channel) on grids up to ``circle.DENSE_BAND_MAX_N``
+and above it by ARPACK in shift-invert mode on LAPACK's banded Cholesky
+(real channel) or banded LU (complex) factor, scipy imported there. No
+package code calls ``schur_decomposition``: it stays as the tests' dense
+oracle and the benchmark tracer's probe, until a change to the benchmark
+drops that probe.
 
 The one structural difference from Hermitian numerics: pairings use the
 transpose, never the conjugate transpose.

@@ -29,6 +29,7 @@ from .errors import (
     DimensionError,
     EulerCharacteristicError,
     HolonomyError,
+    InvalidMatrixError,
     PresentationError,
     ShapeError,
     UnsupportedSystemError,
@@ -179,16 +180,30 @@ def euler_class_circle(ms: MorseSystem, e: EulerStructure):
 class IntPoly:
     """Sparse integer Laurent polynomial in one variable.
 
-    The constructor converts every exponent and coefficient with ``int`` and
-    drops zero coefficients. Sums, differences, products and exact quotients
-    are built by ``_of``, since they are already dicts of ints with no zero
-    coefficient.
+    The constructor converts every exponent and coefficient with ``int``,
+    then drops zero coefficients; an exponent or coefficient that ``int``
+    would change, such as 1.7 or 0.5, is an InvalidMatrixError (IntPolys are
+    the entries of the Alexander matrix). Sums, differences, products and
+    exact quotients are built by ``_of``, since they are already dicts of
+    ints with no zero coefficient.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c != 0}
+        out = {}
+        for e, c in (coeffs or {}).items():
+            try:
+                e_int, c_int = int(e), int(c)
+                integral = e_int == e and c_int == c
+            except (TypeError, ValueError, OverflowError):
+                integral = False
+            if not integral:
+                raise InvalidMatrixError(f"IntPoly needs integer exponents and coefficients, "
+                                         f"got {c!r} at exponent {e!r}")
+            if c_int:
+                out[e_int] = c_int
+        self.coeffs = out
 
     @classmethod
     def _of(cls, coeffs):

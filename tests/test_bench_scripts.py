@@ -22,6 +22,7 @@ CRITERIA_PHASES = {
     "6": {"inputs", "rs_exact", "milnor"},
     "7": {"inputs", "rs_exact"},
     "8": {"inputs", "rs_exact", "rs_discrete"},
+    "9": {"inputs", "counts", "band"},
     "11": {"inputs", "milnor", "band"},
     "12": {"inputs", "rs_exact", "milnor"},
 }

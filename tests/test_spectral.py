@@ -464,7 +464,11 @@ def _mp_smallest_eigenvalues(ch, count):
     K^T and then K, and a Rayleigh-Ritz step on the ``count``-dimensional
     subspace follows: symmetric for a real channel, and for a complex one,
     whose K^T K is complex symmetric, not Hermitian, on the Hermitian
-    projection of an orthonormal basis. It stops when every Ritz pair has
+    projection of an orthonormal basis. Once no Ritz value moves by more than
+    1e-6 of itself in a step, each basis vector takes Rayleigh-quotient
+    inverse iteration instead: (K^T K - mu I)^{-1} with its own Ritz value
+    mu, one O(N) cyclic tridiagonal solve (Thomas, the corner entries by
+    Sherman-Morrison). It stops when every Ritz pair has
     ||K^T K v - mu v|| <= 1e-150 ||K^T K||_1; no minor of K is formed."""
     real = not (np.any(ch.k_diag.imag) or np.any(ch.k_upper.imag))
     if real:
@@ -503,12 +507,44 @@ def _mp_smallest_eigenvalues(ch, count):
         wrap = p[-1] / (1 - q[-1])
         return [pi + qi * wrap for pi, qi in zip(reversed(p), reversed(q))]
 
+    # K^T K: diagonal a_j^2 + b_{j-1}^2, coupling a_j b_j of j and j + 1 (mod N)
+    diag = [a[j] ** 2 + b[j - 1] ** 2 for j in range(n)]
+    coupling = [a[j] * b[j] for j in range(n)]
+
+    def solve_shifted(y, mu):
+        """(K^T K - mu I) x = y. The corner coupling c = coupling[N-1] is the
+        rank-one term u v^T with u = (g, 0, ..., 0, c), v = (1, 0, ..., 0, c / g),
+        g = -(diag[0] - mu); the tridiagonal rest, its first and last diagonal
+        entries less g and c^2 / g, is solved by Thomas for y and u at once."""
+        corner = coupling[-1]
+        g = -(diag[0] - mu)
+        main = [d - mu for d in diag]
+        main[0] -= g
+        main[-1] -= corner * corner / g
+        u = [g] + [0] * (n - 2) + [corner]
+        pivots, xs, zs = [main[0]], [y[0]], [u[0]]
+        for i in range(1, n):
+            w = coupling[i - 1] / pivots[-1]
+            pivots.append(main[i] - w * coupling[i - 1])
+            xs.append(y[i] - w * xs[-1])
+            zs.append(u[i] - w * zs[-1])
+        xs[-1], zs[-1] = xs[-1] / pivots[-1], zs[-1] / pivots[-1]
+        for i in range(n - 2, -1, -1):
+            xs[i] = (xs[i] - coupling[i] * xs[i + 1]) / pivots[i]
+            zs[i] = (zs[i] - coupling[i] * zs[i + 1]) / pivots[i]
+        factor = (xs[0] + corner * xs[-1] / g) / (1 + zs[0] + corner * zs[-1] / g)
+        return [xi - factor * zi for xi, zi in zip(xs, zs)]
+
     norm1 = max(abs(a[i]) ** 2 + abs(b[i - 1]) ** 2 + abs(a[i] * b[i])
                 + abs(a[i - 1] * b[i - 1]) for i in range(n))
     rng = np.random.default_rng(0)
     basis = [[mpmath.mpf(float(x)) for x in rng.standard_normal(n)] for _ in range(count)]
+    mus = shifts = None
     for _ in range(100):
-        basis = [solve_k(solve_kt(v)) for v in basis]
+        if shifts is None:
+            basis = [solve_k(solve_kt(v)) for v in basis]
+        else:
+            basis = [solve_shifted(v, mu) for v, mu in zip(basis, shifts)]
         for _ in range(2):  # Gram-Schmidt, twice
             for i, v in enumerate(basis):
                 for u in basis[:i]:
@@ -518,6 +554,7 @@ def _mp_smallest_eigenvalues(ch, count):
                 basis[i] = [vi / norm for vi in v]
         images = [laplacian(v) for v in basis]
         projection = mpmath.matrix([[dot(u, w) for w in images] for u in basis])
+        previous = mus
         mus, vecs = mpmath.eigsy(projection) if real else mpmath.eig(projection)
         basis = [combine(basis, vecs, c) for c in range(count)]
         images = [combine(images, vecs, c) for c in range(count)]
@@ -526,6 +563,9 @@ def _mp_smallest_eigenvalues(ch, count):
                        / mpmath.sqrt(abs(dot(basis[c], basis[c]))) for c in range(count))
         if residual <= mpmath.mpf("1e-150") * norm1:
             return sorted((mus[c] for c in range(count)), key=abs)
+        if shifts is not None or (previous is not None and all(
+                min(abs(mu - old) for old in previous) <= 1e-6 * abs(mu) for mu in mus)):
+            shifts = [mus[c] for c in range(count)]
     raise AssertionError("inverse subspace iteration did not converge")
 
 
@@ -1087,6 +1127,60 @@ class TestDenseBandBranch:
                                 1e-10 * norm1)
                         assert abs(large_min - arpack_min) <= 1e-10 * norm1
         assert refusals < 36 * (2 if kind == "rank_two" else 1)  # most cases are compared
+
+
+class TestRealChannelRoute:
+    """A real channel's small band is symmetric: ``eigvalsh`` up to
+    DENSE_BAND_MAX_N, Lanczos on a banded Cholesky factor above it. Neither
+    reaches the non-symmetric solvers, and the cut's counts, refusals, band
+    and large-band minimum are those of the full banded spectrum
+    (``eigenvalues``), the band and minimum to 1e-12 ||L||_1. Where
+    eps ||L||_1 exceeds the cut's clearance (N = 16 at T = 40, ||L||_1 up to
+    8e20 on two and three wells), every eigensolver reads the band as
+    rounding: there the cut need only answer or refuse with a typed error."""
+
+    @pytest.mark.parametrize("n_grid", [16, 64, 65, 128, 512, 4096])
+    def test_matches_banded_spectrum(self, monkeypatch, n_grid):
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a real channel reached a non-symmetric eigensolver")
+
+        models = [make_circle_model(lam, f=("cos", wells))
+                  for wells, lam in ((1, 2.0), (2, 0.3), (3, np.diag([2.0, 3.0])))]
+        if n_grid == 4096:  # the full spectrum takes 0.4 s a channel here
+            models = models[:1]
+        radius = 1.0
+        clearance = DEFAULT_TOL.threshold_margin * radius
+        compared, unresolvable = 0, set()
+        for model in models:
+            for t_param in (0.5, 5.0, 10.0, 40.0):
+                for ch in build_discrete(witten_deform(model, t_param), n_grid).channels:
+                    assert ch.is_real()
+                    a, b = ch.k_diag.real, ch.k_upper.real  # the row sums of |K^T K|
+                    norm1 = np.max(a ** 2 + np.roll(b, 1) ** 2 + np.abs(a * b)
+                                   + np.abs(np.roll(a * b, 1)))
+                    with monkeypatch.context() as patch:
+                        patch.setattr(scipy.sparse.linalg, "eigs", refuse)
+                        patch.setattr(np.linalg, "eigvals", refuse)
+                        got = _cut_outcome(ch, radius)
+                    if np.finfo(float).eps * norm1 > clearance:
+                        assert isinstance(got, tuple) or issubclass(got, BitorsionError)
+                        unresolvable.add((n_grid, t_param))
+                        continue
+                    spectrum = ch.eigenvalues()
+                    mags = np.abs(spectrum)
+                    if np.any(np.abs(mags - radius) < clearance):
+                        assert got is ResolutionError
+                        continue
+                    band, large_min = got
+                    want = np.sort(spectrum[mags <= radius].real)
+                    assert band.size == want.size
+                    assert np.all(np.abs(np.sort(band.real) - want) <= 1e-12 * norm1)
+                    assert abs(large_min - np.min(mags[mags > radius])) <= 1e-12 * norm1
+                    compared += 1
+        assert unresolvable <= {(16, 40.0)}
+        assert compared >= (4 if n_grid == 4096 else 10)
 
 
 class TestSmallBand:

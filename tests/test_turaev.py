@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from bitorsion.errors import EulerCharacteristicError, PresentationError, ShapeError
+from bitorsion.errors import (
+    EulerCharacteristicError,
+    InvalidMatrixError,
+    PresentationError,
+    ShapeError,
+)
 from bitorsion.morse import CriticalPoint, MorseSystem, circle_loop, make_circle_morse
 from bitorsion.turaev import (
     EulerStructure,
@@ -138,6 +143,22 @@ class TestTuraevTorsion:
 
 
 TREFOIL = KnotPresentation(("a", "b", "c"), ("a b A C", "b c B A"))
+
+
+class TestIntPoly:
+    def test_zero_coefficients_dropped_after_conversion(self):
+        assert IntPoly({0: 0}) == IntPoly()
+        assert IntPoly({0: 0}).is_zero()
+        assert IntPoly({2: 3.0}) == IntPoly({2: 3})
+        assert IntPoly({np.int64(-1): np.int64(4), 1: 0.0}).coeffs == {-1: 4}
+
+    @pytest.mark.parametrize("coeffs", [{0: 0.5}, {1.7: 2}, {0: "3"}, {0: float("nan")},
+                                        {float("inf"): 1}, {0: 1 + 0j}],
+                             ids=["half", "fractional_exponent", "string", "nan", "inf",
+                                  "complex"])
+    def test_non_integral_refused(self, coeffs):
+        with pytest.raises(InvalidMatrixError, match="integer exponents and coefficients"):
+            IntPoly(coeffs)
 
 
 class TestFoxAlexander:
