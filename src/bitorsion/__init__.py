@@ -13,9 +13,10 @@ Layers, bottom up:
 - ``circle`` / ``spectral``: the analytic side on the circle (non-self-adjoint
   Laplacians kept as the two diagonals of their cyclic bidiagonal factor,
   with small bands from the dense spectrum on small grids and in O(N) on
-  large ones by shift-invert ARPACK on a LAPACK band factor, symmetric
-  Lanczos on a banded Cholesky factor for real channels, and the full
-  spectra of real channels by a symmetric band eigensolve; zeta and
+  large ones by shift-invert ARPACK, symmetric Lanczos on a banded
+  Cholesky factor for real channels and Arnoldi on a sparse LU for complex
+  ones, and the full spectra of real channels by a symmetric band
+  eigensolve; zeta and
   monodromy determinants, Ray-Singer bilinear torsion, Witten deformation
   experiments, and the comparison against the combinatorial torsion).
 - ``acceptance`` / ``cli``: the executable verification suite and its

@@ -444,10 +444,10 @@ class ChannelOperators:
     log det K in closed form in O(N), and det L0 = det L1 = (det K)^2
     (``log_band_torsions`` takes the small band's torsion from the minors of
     K); ``small_band`` the small eigenvalues, from the dense spectrum up to
-    DENSE_BAND_MAX_N and above it in O(N) by shift-invert ARPACK on a LAPACK
-    factor of the band form: symmetric Lanczos on a banded Cholesky factor
-    for a real channel (``is_real``), Arnoldi on a banded LU for a complex
-    one; ``eigenvalues`` the full spectrum, in O(N) memory for a real channel
+    DENSE_BAND_MAX_N and above it in O(N) by shift-invert ARPACK: symmetric
+    Lanczos on LAPACK's banded Cholesky factor for a real channel
+    (``is_real``), Arnoldi on a sparse LU for a complex one;
+    ``eigenvalues`` the full spectrum, in O(N) memory for a real channel
     and from the dense N x N Laplacian for a complex one.
     """
 
@@ -510,7 +510,7 @@ class ChannelOperators:
         if self.is_real():
             from scipy.linalg import eigvals_banded
 
-            return eigvals_banded(self._laplacian_band(real=True)[0], lower=True).astype(complex)
+            return eigvals_banded(self._real_laplacian_band(), lower=True).astype(complex)
         if self.n_grid > DENSE_MAX_N:
             raise GridError(f"a complex channel's full spectrum is a dense eigensolve; "
                             f"N = {self.n_grid} exceeds {DENSE_MAX_N}")
@@ -518,74 +518,63 @@ class ChannelOperators:
         order = np.lexsort((ev.imag, ev.real))
         return ev[order]
 
-    def _entries(self, real):
-        """``laplacian_entries`` of K, or of K's real parts for a real channel."""
-        if real:
-            return laplacian_entries(self.k_diag.real, self.k_upper.real)
-        return laplacian_entries(self.k_diag, self.k_upper)
-
-    def _laplacian_band(self, real):
-        """Lower band storage, half-width 2, of K^T K, and the node order it
-        uses: real (of K's real parts) or complex.
+    def _real_laplacian_band(self):
+        """Lower band storage, half-width 2, of a real channel's K^T K.
 
         The cyclic coupling of ``laplacian_entries`` is a band once the nodes
         are interleaved as 0, N-1, 1, N-2, ...: every neighbour then sits one
-        or two places away. Row d, column j holds the entry of places j + d
-        and j; K^T K is symmetric, so it is also that of places j and j + d.
+        or two places away.
         """
         n = self.n_grid
-        diag, coupling = self._entries(real)
+        diag, coupling = laplacian_entries(self.k_diag.real, self.k_upper.real)
         order = np.empty(n, dtype=int)
         order[0::2] = np.arange((n + 1) // 2)
         order[1::2] = n - 1 - np.arange(n // 2)
         place = np.empty(n, dtype=int)
         place[order] = np.arange(n)
         here, there = place, np.roll(place, -1)  # the places of nodes i and i+1
-        band = np.zeros((3, n), dtype=diag.dtype)
+        band = np.zeros((3, n))
         band[0, place] = diag
         band[np.abs(here - there), np.minimum(here, there)] = coupling
-        return band, order
+        return band
 
     def _shift_inverse(self, sigma, real):
-        """x -> (K^T K - sigma I)^{-1} x in node coordinates, by LAPACK on the
-        interleaved band of ``_laplacian_band``: banded Cholesky for a real
-        channel, where sigma < 0 makes the matrix positive definite, and
-        banded LU with partial pivoting for a complex one. A factorization
-        that fails (a pivot not positive, or zero once subnormal entries of
-        the factor are flushed) is a ResolutionError: sigma is an eigenvalue
-        to rounding."""
-        from scipy.linalg.lapack import dpbtrf, dpbtrs, zgbtrf, zgbtrs
+        """(K^T K - sigma I)^{-1} as a LinearOperator. A real channel's
+        shifted Laplacian is positive definite for sigma < 0 and takes
+        LAPACK's banded Cholesky of the interleaved band
+        (``_real_laplacian_band``), whose node order the operator keeps: a
+        permutation leaves the spectrum as it is. A complex one's takes a
+        sparse LU. A failed factorization is a ResolutionError: sigma is an
+        eigenvalue to rounding."""
+        from scipy.sparse.linalg import LinearOperator
 
-        band, order = self._laplacian_band(real)
-        band[0] -= sigma
+        n = self.n_grid
         if real:
+            from scipy.linalg.lapack import dpbtrf, dpbtrs
+
+            band = self._real_laplacian_band()
+            band[0] -= sigma
             factor, info = dpbtrf(band, lower=1, overwrite_ab=1)
-        else:
-            # general band storage with two sub- and two superdiagonals and
-            # two rows of room for the pivoting's fill: place i, j at row 4 + i - j
-            general = np.zeros((7, self.n_grid), dtype=complex)
-            general[4] = band[0]
-            for d in (1, 2):
-                general[4 + d, :-d] = general[4 - d, d:] = band[d, :-d]
-            factor, pivots, info = zgbtrf(general, 2, 2, overwrite_ab=1)
-        # Deep in the deformation the fill-in decays along the band into
-        # subnormals, whose arithmetic is many times slower. Flushing them
-        # moves the factored matrix far less than its rounding, eps ||L - sigma I||.
-        factor[np.abs(factor) < np.finfo(float).tiny] = 0.0
-        if info != 0 or not np.all(factor[0 if real else 4]):  # the pivots
-            raise ResolutionError(f"shift {sigma:.3e} is an eigenvalue to rounding: "
-                                  f"LAPACK band factorization info {info}")
+            if info != 0:
+                raise ResolutionError(f"shift {sigma:.3e} is an eigenvalue to rounding: "
+                                      f"banded Cholesky info {info}")
+            return LinearOperator((n, n), matvec=lambda x: dpbtrs(factor, x, lower=1)[0],
+                                  dtype=float)
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
 
-        def solve(x):
-            if real:
-                y, _ = dpbtrs(factor, x[order], lower=1)
-            else:
-                y, _ = zgbtrs(factor, 2, 2, x[order], pivots)
-            out = np.empty_like(y)
-            out[order] = y
-            return out
-
-        return solve
+        diag, coupling = laplacian_entries(self.k_diag, self.k_upper)
+        # column j of L - sigma I holds rows j - 1, j, j + 1 (mod N); the
+        # conversion from coordinates sorts each column's indices
+        rows = (np.arange(n)[:, None] + np.arange(-1, 2)) % n
+        data = np.stack([np.roll(coupling, 1), diag - sigma, coupling], axis=1)
+        shifted = csc_matrix((data.ravel(), (rows.ravel(), np.repeat(np.arange(n), 3))),
+                             shape=(n, n))
+        try:
+            lu = splu(shifted)
+        except RuntimeError as exc:
+            raise ResolutionError(f"shift {sigma:.3e} is an eigenvalue to rounding: {exc}") from exc
+        return LinearOperator((n, n), matvec=lu.solve, dtype=complex)
 
     def small_band(self, bound):
         """The eigenvalues of K^T K of smallest modulus.
@@ -598,14 +587,14 @@ class ChannelOperators:
         LAPACK's dense eigensolver: symmetric (``eigvalsh``) for a real
         channel (``is_real``), general for a complex one. Below that
         crossover it is faster than ARPACK, needs no start vector and loads
-        no scipy. Above it, ARPACK runs in shift-invert mode on a LAPACK band
+        no scipy. Above it, ARPACK runs in shift-invert mode on a
         factorization of L - sigma I (``_shift_inverse``) with
         sigma = -bound/2, not 0: deep in the Witten deformation the band
         eigenvalue is zero to rounding and L itself factors as exactly
         singular. A real channel's L is real symmetric positive
         semidefinite, so it takes symmetric Lanczos on a banded Cholesky
         factor; a complex one's is complex symmetric, not Hermitian, and
-        takes non-symmetric Arnoldi on a banded LU. The k Ritz pairs nearest
+        takes non-symmetric Arnoldi on a sparse LU. The k Ritz pairs nearest
         sigma, the farthest at distance r, hold every eigenpair with
         |mu - sigma| < r, hence every one with |mu| < r - |sigma|; k doubles
         until that disk holds a pair beyond the bound. A degenerate pair at
@@ -628,20 +617,18 @@ class ChannelOperators:
             return vals
         # scipy is imported at first use, inside the function that calls it:
         # `import bitorsion` loads none of it
-        from scipy.sparse.linalg import ArpackError, LinearOperator, eigs, eigsh
+        from scipy.sparse.linalg import ArpackError, eigs, eigsh
 
         sigma = -0.5 * float(bound)
-        dtype = float if real else complex
-        diag, coupling = self._entries(real)
-        lap = LinearOperator((n, n), dtype=dtype, matvec=lambda x: (
-            diag * x + coupling * np.roll(x, -1) + np.roll(coupling * x, 1)))
-        op_inv = LinearOperator((n, n), matvec=self._shift_inverse(sigma, real), dtype=dtype)
-        v0 = np.random.default_rng(0).standard_normal(n).astype(dtype)
+        op_inv = self._shift_inverse(sigma, real)
+        v0 = np.random.default_rng(0).standard_normal(n).astype(op_inv.dtype)
         solver = eigsh if real else eigs
         n_pairs = min(6, n - 2)  # a band of up to three wells and the next pair: one run
         while True:
             try:
-                vals = solver(lap, k=n_pairs, sigma=sigma, OPinv=op_inv, v0=v0,
+                # in shift-invert mode ARPACK reads only the shape and dtype
+                # of its first argument, and applies OPinv alone
+                vals = solver(op_inv, k=n_pairs, sigma=sigma, OPinv=op_inv, v0=v0,
                               return_eigenvectors=False).astype(complex)
             except ArpackError as exc:
                 raise ConvergenceError(f"shift-invert ARPACK failed: {exc}") from exc

@@ -15,7 +15,7 @@ determinants and band torsions in closed form from the two diagonals of K,
 and their small eigenvalues, where counted, from numpy's dense eigensolvers
 (symmetric for a real channel) on grids up to ``circle.DENSE_BAND_MAX_N``
 and above it by ARPACK in shift-invert mode on LAPACK's banded Cholesky
-(real channel) or banded LU (complex) factor, scipy imported there. No
+factor (real channel) or a sparse LU (complex), scipy imported there. No
 package code calls ``schur_decomposition``: it stays as the tests' dense
 oracle and the benchmark tracer's probe, until a change to the benchmark
 drops that probe.
