@@ -18,6 +18,10 @@ calls. A kernel row is the best of ``--repeats`` samples of ``lu_det``,
 sample the mean of ``KERNEL_CALLS`` calls. The ``torsion_form`` row times it
 in the same way on a complex of acceptance criterion 1's largest size (four
 degrees of 3) whose cohomology has been taken, as criterion 1 calls it.
+A ``write_rows_csv`` row gives the median and 90th percentile of
+``WRITE_CALLS`` writes of one ``combinatorial`` op's CSV row, each after a
+busy gap of ``WRITE_GAP_S``, as a request loop writes: ``new`` to a new file
+each time, ``rewrite`` over one path again and again.
 ``--src`` is the ``src`` directory of the tree to time (default: this
 checkout).
 """
@@ -39,6 +43,8 @@ KERNEL_CALLS = 200
 FORMS_PAIRS = 128
 FORMS_CALLS = 20
 TORSION_DIMS = (3, 3, 3, 3)
+WRITE_CALLS = 400
+WRITE_GAP_S = 3e-4
 
 
 def best_of(repeats, fn, calls=1):
@@ -51,6 +57,20 @@ def best_of(repeats, fn, calls=1):
     return best
 
 
+def write_percentiles(write, paths):
+    """Median and 90th percentile of one ``write(path)`` per path, each
+    after a busy wait of WRITE_GAP_S."""
+    times = []
+    for path in paths:
+        end = time.perf_counter() + WRITE_GAP_S
+        while time.perf_counter() < end:
+            pass
+        t0 = time.perf_counter()
+        write(path)
+        times.append(time.perf_counter() - t0)
+    return float(np.percentile(times, 50)), float(np.percentile(times, 90))
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=7)
@@ -58,6 +78,7 @@ def main():
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
+    from bitorsion.cli import HEADER
     from bitorsion.complexes import (
         cohomology,
         random_bilinear_structure,
@@ -67,7 +88,12 @@ def main():
     from bitorsion.errors import DegenerateFormError
     from bitorsion.morse import CriticalForms
     from bitorsion.numkernel import check_symmetric_form, lu_det, nondegenerate_det
-    from bitorsion.serialize import _load_json, load_graded_complex, load_morse_system
+    from bitorsion.serialize import (
+        _load_json,
+        load_graded_complex,
+        load_morse_system,
+        write_rows_csv,
+    )
     from workloads import (
         _mat,
         _matrix_holonomy,
@@ -108,6 +134,15 @@ def main():
                      for k in range(pairs) for c in ("m", "M")}
             timed("load_morse_system", f"milnor.p{pairs}.r{rank}",
                   _morse_doc(pairs, hol, forms), load_morse_system)
+
+        csv_row = [["torsion_morse", "milnor.p128.r3", 0.7281 - 1.0443j, 1e-9, True]]
+        for case, paths in (
+                ("new", [os.path.join(tmp, f"new{i}.csv") for i in range(WRITE_CALLS)]),
+                ("rewrite", [os.path.join(tmp, "rewrite.csv")] * WRITE_CALLS)):
+            p50, p90 = write_percentiles(lambda path: write_rows_csv(csv_row, HEADER, out=path),
+                                         paths)
+            rows.append({"kind": "write_rows_csv", "case": case, "calls": WRITE_CALLS,
+                         "p50_s": p50, "p90_s": p90})
 
     for rank in (1, 2, 3):
         forms = {f"{c}{k}": _near_identity_symmetric(rng, rank, 0.4)

@@ -12,10 +12,16 @@ Each matrix is decoded by one ``np.asarray``, and so is each stack of
 matrices in a ``morse.json``: the instanton holonomies and the critical forms.
 A document that is not well formed is decoded entry by entry instead, so that
 the SchemaError names the offending entry.
+
+``write_rows_csv`` rewrites an existing output file in place and cuts it to
+the new length, with no truncation to zero first; see its docstring for why
+and for what a crash mid-rewrite leaves.
 """
 
 import csv
 import io
+import os
+import stat
 
 import numpy as np
 
@@ -280,7 +286,24 @@ def format_complex(z):
 
 
 def write_rows_csv(rows, header, out=None):
-    """Deterministic CSV: fixed header, %.17g complex columns, \n newlines."""
+    """Deterministic CSV: fixed header, %.17g complex columns, \n newlines.
+
+    Returns the text and, given ``out``, writes it there in the encoding
+    ``open(out, "w")`` uses. A regular file is overwritten in place: opened
+    without truncation (a new one with the mode ``open`` gives under the
+    umask), written from offset 0, then cut where the text ends. Truncating
+    to zero first would make ext4 (``auto_da_alloc``) flush the file at
+    close, and the next truncating open of the path wait for that flush;
+    in a loop of small rewrites that wait was most of a write's time. A
+    character device or FIFO (``/dev/stdout``, ``/dev/null``) is written
+    without the cut. A write that raises leaves a regular file empty, as a
+    failed truncating write would, and the error is raised.
+
+    Neither form is atomic, and neither is promised: after a crash
+    mid-rewrite the file may hold old bytes, new bytes or a mix. It is never
+    cut to length zero on the way, which is the case ext4's flush on
+    truncation guards against.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -296,6 +319,22 @@ def write_rows_csv(rows, header, out=None):
         writer.writerow(flat)
     text = buf.getvalue()
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        import locale  # the encoding ``open(out, "w")`` takes
+
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                view = memoryview(text.encode(locale.getpreferredencoding(False)))
+                end = len(view)
+                while view:
+                    view = view[os.write(fd, view):]
+            except BaseException:
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+            if regular:
+                os.ftruncate(fd, end)
+        finally:
+            os.close(fd)
     return text

@@ -50,7 +50,9 @@ def test_loaders():
     assert set(report) == {"repeats", "load_total_s", "rows"}
     assert {row["kind"] for row in report["rows"]} == {
         "load_graded_complex", "load_morse_system", "CriticalForms", "lu_det",
-        "check_symmetric_form", "nondegenerate_det", "torsion_form"}
+        "check_symmetric_form", "nondegenerate_det", "torsion_form", "write_rows_csv"}
+    assert sorted(row["case"] for row in report["rows"] if row["kind"] == "write_rows_csv") == [
+        "new", "rewrite"]
 
 
 def test_fox():

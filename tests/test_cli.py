@@ -1,4 +1,8 @@
+import errno
 import json
+import os
+import stat
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -824,3 +828,98 @@ class TestCsvWriter:
                               ["experiment", "params", "value_re", "value_im", "tol", "pass"])
         lines = text.strip().split("\n")
         assert lines[1] == "exp,p,1.5,2.5,0.125,True"
+
+    ROW = [["exp", "p", 1.5 + 2.5j, 0.125, True]]
+    HEAD = ["experiment", "params", "value_re", "value_im", "tol", "pass"]
+
+    @pytest.mark.parametrize("before", [None, "", "x" * 5000, "y\n" * 3],
+                             ids=["new", "over-empty", "over-longer", "over-shorter"])
+    @pytest.mark.parametrize("params", ["p", "ü/∂ö.json"], ids=["ascii", "utf8"])
+    def test_bytes_match_open_w(self, tmp_path, before, params):
+        """New or rewritten, longer or shorter, the file holds exactly the
+        bytes ``open(out, "w")`` would leave: the text, with no old tail."""
+        rows = [["exp", params, 1.5 + 2.5j, 0.125, True]]
+        out, twin = tmp_path / "out.csv", tmp_path / "twin.csv"
+        if before is not None:
+            out.write_text(before)
+            inode = out.stat().st_ino
+        text = write_rows_csv(rows, self.HEAD, out=out)
+        with open(twin, "w") as fh:
+            fh.write(text)
+        assert out.read_bytes() == twin.read_bytes()
+        if before is not None:  # written over, not replaced
+            assert out.stat().st_ino == inode
+
+    def test_new_file_mode_under_umask(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            write_rows_csv(self.ROW, self.HEAD, out=tmp_path / "new.csv")
+            with open(tmp_path / "twin.csv", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "new.csv").stat().st_mode
+        assert mode == (tmp_path / "twin.csv").stat().st_mode
+        assert mode & 0o777 == 0o640
+
+    def test_unwritable_targets_raise_as_open_w(self, tmp_path):
+        """A read-only file or a directory: the outcome of ``open(out, "w")``,
+        the same error, or, where permissions do not bind (root), the same
+        bytes."""
+        def outcome(path, write):
+            try:
+                write(path)
+            except OSError as exc:
+                return type(exc), path.read_bytes()
+            return None, path.read_bytes()
+
+        def with_open(path):
+            with open(path, "w") as fh:
+                fh.write(write_rows_csv(self.ROW, self.HEAD))
+
+        results = []
+        for write in (with_open, lambda path: write_rows_csv(self.ROW, self.HEAD, out=path)):
+            path = tmp_path / f"ro{len(results)}.csv"
+            path.write_text("old contents\n" * 10)
+            path.chmod(0o444)
+            results.append(outcome(path, write))
+        assert results[0] == results[1]
+        with pytest.raises(IsADirectoryError):
+            write_rows_csv(self.ROW, self.HEAD, out=tmp_path)
+
+    def test_failed_write_leaves_empty_file(self, tmp_path, monkeypatch):
+        """A write that raises midway cuts the file to 0, the state a failed
+        truncating write leaves, and the error is raised."""
+        out = tmp_path / "out.csv"
+        out.write_text("old contents\n" * 100)
+        real_write = os.write
+
+        def short_then_full(fd, data):
+            if len(data) > 8:
+                return real_write(fd, data[:8])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(serialize.os, "write", short_then_full)
+        with pytest.raises(OSError) as info:
+            write_rows_csv(self.ROW, self.HEAD, out=out)
+        monkeypatch.undo()
+        assert info.value.errno == errno.ENOSPC
+        assert out.read_bytes() == b""
+
+    def test_fifo_read_by_thread(self, tmp_path):
+        """A FIFO takes the text whole, past the pipe's 64 KiB buffer, and is
+        never cut."""
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        text = write_rows_csv(self.ROW * 5000, self.HEAD, out=fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [text.encode()]
+
+    def test_dev_null(self, circle):
+        """A character device is written without the cut, which it refuses."""
+        assert main(["--out", os.devnull, "spectral", circle, "--op", "zetadet"]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)

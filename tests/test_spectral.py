@@ -1135,9 +1135,9 @@ class TestRealChannelRoute:
     reaches the non-symmetric solvers, and the cut's counts, refusals, band
     and large-band minimum are those of the full banded spectrum
     (``eigenvalues``), the band and minimum to 1e-12 ||L||_1. Where
-    eps ||L||_1 exceeds the cut's clearance (N = 16 at T = 40, ||L||_1 up to
+    eps ||L||_1 reaches the cut's clearance (N = 16 at T = 40, ||L||_1 up to
     8e20 on two and three wells), every eigensolver reads the band as
-    rounding: there the cut need only answer or refuse with a typed error."""
+    rounding, and the cut refuses with ResolutionError."""
 
     @pytest.mark.parametrize("n_grid", [16, 64, 65, 128, 512, 4096])
     def test_matches_banded_spectrum(self, monkeypatch, n_grid):
@@ -1164,8 +1164,8 @@ class TestRealChannelRoute:
                         patch.setattr(scipy.sparse.linalg, "eigs", refuse)
                         patch.setattr(np.linalg, "eigvals", refuse)
                         got = _cut_outcome(ch, radius)
-                    if np.finfo(float).eps * norm1 > clearance:
-                        assert isinstance(got, tuple) or issubclass(got, BitorsionError)
+                    if np.finfo(float).eps * norm1 >= clearance:
+                        assert got is ResolutionError
                         unresolvable.add((n_grid, t_param))
                         continue
                     spectrum = ch.eigenvalues()
@@ -1179,8 +1179,16 @@ class TestRealChannelRoute:
                     assert np.all(np.abs(np.sort(band.real) - want) <= 1e-12 * norm1)
                     assert abs(large_min - np.min(mags[mags > radius])) <= 1e-12 * norm1
                     compared += 1
-        assert unresolvable <= {(16, 40.0)}
+        assert unresolvable == ({(16, 40.0)} if n_grid == 16 else set())
         assert compared >= (4 if n_grid == 4096 else 10)
+
+    def test_refusal_names_grid_and_floor(self):
+        """Three wells at T = 40 on 16 points: ||K^T K||_1 is 8e20, and the
+        cut refuses before any eigensolve."""
+        model = make_circle_model(2.0, f=("cos", 3))
+        ch, = build_discrete(witten_deform(model, 40.0), 16).channels
+        with pytest.raises(ResolutionError, match=r"N = 16: eps \|\|K\^T K\|\|_1 = 1\.8e\+05"):
+            spectral_cut(ch, 1.0)
 
 
 class TestSmallBand:
