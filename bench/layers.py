@@ -26,7 +26,11 @@ at which the dense branch is faster on all three, the value
 rows. The ``thm33_sweep`` rows time ``theorem33_experiment`` over five T
 (4, 10, 40, 160, 640) at N = 64, 512 and 4096, on one well at holonomy 2
 (rank 1 real), 0.5 + 0.8i (rank 1 complex) and a non-diagonal rank-2
-holonomy with eigenvalues 2 and 0.5 + 0.8i. The ``crit`` rows time the
+holonomy with eigenvalues 2 and 0.5 + 0.8i. The ``rs_closed`` rows time
+one closed-form ``rs_torsion`` call (method "exact") at cuts 0, 0.5, 2 and
+5 on the one-well model at holonomy 2 and at that rank-2 holonomy, best of
+25: per-call overhead, since the value is a product over the holonomy's
+eigenvalues. The ``crit`` rows time the
 critical-point search ``circle._critical_points`` of cos(k theta), k = 1 to 5
 wells, at L = 2 pi. ``--src`` is the ``src``
 directory of the tree to time (default: this checkout); a tree whose
@@ -55,6 +59,8 @@ COMPLEX_SIZES = (64, 128, 256)
 CROSSOVER_SIZES = (32, 48, 64, 80, 96, 128)
 CROSSOVER_REPEATS = 25
 CRIT_WELLS = range(1, 6)
+RS_CUTS = (0.0, 0.5, 2.0, 5.0)
+RS_REPEATS = 25
 TWO_PI = 2.0 * math.pi
 
 
@@ -133,6 +139,9 @@ def main():
     sweep_rows = [{"model": name, "N": n, "theorem33_experiment_s": timed(
         lambda: theorem33_experiment(sweep_model, SWEEP_T, n))}
         for name, sweep_model in sweep_models.items() for n in SWEEP_SIZES]
+    rs_rows = [{"model": name, "cut": cut, "rs_torsion_exact_s": best_of(
+        RS_REPEATS, lambda: rs_torsion(sweep_models[name], cut=cut))}
+        for name in ("rank 1 real", "rank 2") for cut in RS_CUTS]
     complex_rows = [{
         "N": n,
         "small_spectrum_dims_s": best_of(args.repeats, lambda: small_spectrum_dims(
@@ -172,6 +181,7 @@ def main():
                "repeats": args.repeats, "rs_torsion_discrete_s": rs_discrete_s, "rows": rows,
                "band": band_rows,
                "thm33_sweep": {"T": SWEEP_T, "rows": sweep_rows},
+               "rs_closed": {"repeats": RS_REPEATS, "rows": rs_rows},
                "complex": {"holonomy": str(COMPLEX_HOLONOMY), "T": T_PARAM,
                            "rows": complex_rows},
                "crossover": {"T": T_PARAM, "repeats": CROSSOVER_REPEATS,

@@ -63,6 +63,8 @@ __all__ = [
     "witten_deform",
     "DiscreteOperators",
     "build_discrete",
+    "assemble_k",
+    "KSweep",
     "SpectralCut",
 ]
 
@@ -202,12 +204,16 @@ class CircleModel:
         h = self.holonomy
         if np.ndim(h) == 0:
             return [complex(h)]
-        return [complex(l) for l in np.linalg.eigvals(h)]
+        return [_scalar_holonomy(l) for l in np.linalg.eigvals(h)]
 
     def channels(self):
         """Rank-one models, one per holonomy eigenvalue; a scalar-holonomy model
         is its own channel. The channels hold this model's potential, and with
-        it its one critical-point scan."""
+        it its one critical-point scan. Only the routes that need a channel's
+        own model call it: the discrete Ray-Singer route and the Milnor side
+        (``spectral.milnor_from_model``, ``theorem33_experiment``). The closed
+        forms read ``channel_holonomies``, and K is assembled per channel by
+        ``assemble_k`` with no copy."""
         if np.ndim(self.holonomy) == 0:
             return [self]
         return [replace(self, holonomy=lam) for lam in self.channel_holonomies()]
@@ -484,13 +490,7 @@ class ChannelOperators:
         """Dense K^T K, the Laplacian in symmetrized coordinates: similar to
         d*_b d, assembled at unit scale from ``laplacian_entries``. Its
         spectrum is also that of d d*_b."""
-        n = self.n_grid
-        rows, nxt = np.arange(n), (np.arange(n) + 1) % n
-        diag, coupling = laplacian_entries(self.k_diag, self.k_upper)
-        lap = np.zeros((n, n), dtype=complex)
-        lap[rows, rows] = diag
-        lap[rows, nxt] = lap[nxt, rows] = coupling
-        return lap
+        return _dense_laplacian(self.k_diag, self.k_upper)
 
     def is_real(self):
         """Whether both diagonals of K are exactly real, as for positive real
@@ -589,10 +589,10 @@ class ChannelOperators:
         returned; GridError when none lies beyond.
 
         Up to DENSE_BAND_MAX_N points that is the whole spectrum, from
-        LAPACK's dense eigensolver: symmetric (``eigvalsh``) for a real
-        channel (``is_real``), general for a complex one. Below that
-        crossover it is faster than ARPACK, needs no start vector and loads
-        no scipy. Above it, ARPACK runs in shift-invert mode on a
+        LAPACK's dense eigensolver: symmetric (``eigvalsh``) on the real
+        matrix for a real channel (``is_real``), general for a complex one.
+        Below that crossover it is faster than ARPACK, needs no start vector
+        and loads no scipy. Above it, ARPACK runs in shift-invert mode on a
         factorization of L - sigma I (``_shift_inverse``) with
         sigma = -bound/2, not 0: deep in the Witten deformation the band
         eigenvalue is zero to rounding and L itself factors as exactly
@@ -612,8 +612,11 @@ class ChannelOperators:
         real = self.is_real()
         if n <= DENSE_BAND_MAX_N:
             try:
-                vals = (np.linalg.eigvalsh(self.sym_laplacian().real).astype(complex) if real
-                        else np.linalg.eigvals(self.sym_laplacian()))
+                if real:
+                    lap = _dense_laplacian(self.k_diag.real, self.k_upper.real)
+                    vals = np.linalg.eigvalsh(lap).astype(complex)
+                else:
+                    vals = np.linalg.eigvals(self.sym_laplacian())
             except np.linalg.LinAlgError as exc:
                 raise ConvergenceError(f"dense eigensolve failed: {exc}") from exc
             if not np.any(np.abs(vals) > bound):
@@ -645,6 +648,19 @@ class ChannelOperators:
                     f"|mu| <= {bound:.3e} holds nearly all {n} eigenvalues; refine the grid"
                 )
             n_pairs = min(2 * n_pairs, n - 2)
+
+
+def _dense_laplacian(k_diag, k_upper):
+    """Dense K^T K from K's two diagonals, of their dtype: complex for
+    ``sym_laplacian``, real for a real channel's dense band, which then needs
+    no complex matrix."""
+    n = len(k_diag)
+    rows, nxt = np.arange(n), (np.arange(n) + 1) % n
+    diag, coupling = laplacian_entries(k_diag, k_upper)
+    lap = np.zeros((n, n), dtype=diag.dtype)
+    lap[rows, rows] = diag
+    lap[rows, nxt] = lap[nxt, rows] = coupling
+    return lap
 
 
 def laplacian_entries(k_diag, k_upper):
@@ -720,19 +736,67 @@ class DiscreteOperators:
         return ev[order]
 
 
-def _build_channel(model: CircleModel, n_grid):
-    lam = complex(model.holonomy)
-    h = model.length / n_grid
+@dataclass(frozen=True)
+class KSweep:
+    """K's two diagonals for every holonomy channel of a model at every
+    deformation of a sweep (``assemble_k``): ``channels`` holds one
+    (lam, k_diag, k_upper) per channel, row i of each diagonal being K at the
+    sweep's i-th T, on the grid's ``nodes`` and ``mids``."""
+
+    n_grid: int
+    nodes: np.ndarray
+    mids: np.ndarray
+    channels: tuple
+
+    def operators(self, i):
+        """The DiscreteOperators at the sweep's i-th deformation."""
+        return DiscreteOperators(n_grid=self.n_grid, channels=tuple(
+            ChannelOperators(lam=lam, n_grid=self.n_grid, nodes=self.nodes, mids=self.mids,
+                             k_diag=k_diag[i], k_upper=k_upper[i])
+            for lam, k_diag, k_upper in self.channels))
+
+
+def assemble_k(model: CircleModel, n_grid, t_values):
+    """K's two diagonals on the N-point grid for each holonomy channel of the
+    model Witten-deformed by each T of ``t_values``, with no model copy.
+
+    Row i is K of ``witten_deform(model, t_values[i])``'s channel, bit for bit:
+    phi and the potential f are evaluated at the nodes and midpoints once,
+    each T forms the log-density phi - (deform_t + T) f - (log lam / L) x
+    (``CircleModel.log_density``) as one row, and K's entries are the
+    exponentials of its local gaps over h. The seam entry K[N-1, 0] carries
+    lam, and is formed as the scalar product lam * gap / h row by row: numpy's
+    complex array multiply rounds differently from the scalar one. The
+    channels are ``CircleModel.channel_holonomies``. Only a model with a
+    potential deforms: a nonzero T on one without is a DimensionError.
+    """
+    n_grid = int(n_grid)
+    if n_grid < 8:
+        raise GridError("grid too small: need N >= 8")
+    length, potential = model.length, model.potential
+    if potential is None and any(t != 0 for t in t_values):
+        raise DimensionError("witten_deform requires a Morse potential")
+    h = length / n_grid
     nodes = np.arange(n_grid) * h
-    mids = nodes + 0.5 * h
-    log_w0, log_w1 = model.log_density(nodes), model.log_density(mids)
-    gap_upper = np.exp(log_w1 - np.roll(log_w0, -1))
-    k_upper = (gap_upper / h).astype(complex)
-    k_upper[-1] = lam * gap_upper[-1] / h  # the seam edge carries the holonomy
-    return ChannelOperators(
-        lam=lam, n_grid=n_grid, nodes=nodes, mids=mids,
-        k_diag=(-np.exp(log_w1 - log_w0) / h).astype(complex), k_upper=k_upper,
-    )
+    grid = np.stack([nodes, nodes + 0.5 * h])  # the nodes and the midpoints
+    phi = model.phi.value(grid, length)
+    deform = [model.deform_t + float(t) for t in t_values]
+    if potential is None or not any(deform):
+        phi_eff = np.array([phi] * len(deform))
+    else:  # CircleModel.phi_value at each deformation
+        f = potential.value(grid, length)
+        phi_eff = np.array([phi if d == 0.0 else phi - d * f for d in deform])
+    channels = []
+    for lam in model.channel_holonomies():
+        log_w = phi_eff - np.log(lam) / length * grid
+        log_w0, log_w1 = log_w[:, 0], log_w[:, 1]
+        gap_upper = np.exp(log_w1 - np.roll(log_w0, -1, axis=-1))
+        k_upper = (gap_upper / h).astype(complex)
+        for row, gap in zip(k_upper, gap_upper[:, -1]):
+            row[-1] = lam * gap / h  # the seam edge carries the holonomy
+        k_diag = (-np.exp(log_w1 - log_w0) / h).astype(complex)
+        channels.append((lam, k_diag, k_upper))
+    return KSweep(n_grid=n_grid, nodes=grid[0], mids=grid[1], channels=tuple(channels))
 
 
 def build_discrete(model: CircleModel, n_grid):
@@ -741,13 +805,10 @@ def build_discrete(model: CircleModel, n_grid):
     The forward difference carries the holonomy on the seam edge; the Grams
     are diagonal with each channel's density (``CircleModel.log_density``,
     reference winding included) and the grid measure, making the adjoint
-    identity an exact matrix statement.
+    identity an exact matrix statement. One row of ``assemble_k``, at the
+    model's own deformation: a sweep over T assembles every row at once.
     """
-    n_grid = int(n_grid)
-    if n_grid < 8:
-        raise GridError("grid too small: need N >= 8")
-    return DiscreteOperators(n_grid=n_grid, channels=tuple(
-        _build_channel(ch, n_grid) for ch in model.channels()))
+    return assemble_k(model, n_grid, (0.0,)).operators(0)
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,12 @@ from .circle import (
     TrigPoly,
     _k_in_range,
     _require_k_in_range,
+    assemble_k,
     build_discrete,
     exact_spectrum_circle,
     log_band_torsions,
     modes_inside_cut,
     require_acyclic,
-    witten_deform,
     zeta_det_exact,
 )
 from .config import DEFAULT_TOL
@@ -162,26 +162,29 @@ def rs_torsion(model: CircleModel, cut=0.0, method="exact"):
 
     methods: "exact" and "gy" are 1 / ``zeta_det_exact(lam, L, cut=0.0)``,
     which is also 1 / ``gelfand_yaglom_det`` (the monodromy route's growth
-    factor is exactly 1 on a periodic density); "discrete" multiplies it by
-    the det K ratio of ``_rs_discrete_channel``. The value does not depend on
-    the cut, which only refuses: an eigenvalue within cut_clearance of a
-    positive cut is an AmbiguousCutError for every method
-    (``circle.modes_inside_cut``). Without a positive cut, holonomy 1 is a
-    ZeroModeError (``circle.require_acyclic``), and "gy" and "discrete"
-    refuse it at any cut, where their determinant is 0.
+    factor is exactly 1 on a periodic density). They read only
+    ``model.channel_holonomies()`` and ``model.length``, and construct no
+    model. "discrete" multiplies each channel's value by the det K ratio of
+    ``_rs_discrete_channel``, on that channel's own model
+    (``CircleModel.channels``). The value does not depend on the cut, which
+    only refuses: an eigenvalue within cut_clearance of a positive cut is an
+    AmbiguousCutError for every method (``circle.modes_inside_cut``). Without
+    a positive cut, holonomy 1 is a ZeroModeError (``circle.require_acyclic``),
+    and "gy" and "discrete" refuse it at any cut, where their determinant is 0.
     """
     if method not in ("exact", "gy", "discrete"):
         raise DimensionError(f"unknown rs method '{method}'")
     positive_cut = bool(cut and cut > 0)
+    discrete = method == "discrete"
     out = 1.0 + 0.0j
-    for sub in model.channels():
-        lam = complex(sub.holonomy)
+    for channel in model.channels() if discrete else model.channel_holonomies():
+        lam = complex(channel.holonomy) if discrete else channel
         if positive_cut:
-            modes_inside_cut(exact_spectrum_circle(lam, sub.length), cut)
+            modes_inside_cut(exact_spectrum_circle(lam, model.length), cut)
         if method != "exact" or not positive_cut:
             require_acyclic(lam)
-        value = 1.0 / zeta_det_exact(lam, sub.length, cut=0.0)
-        out *= value * _rs_discrete_channel(sub) if method == "discrete" else value
+        value = 1.0 / zeta_det_exact(lam, model.length, cut=0.0)
+        out *= value * _rs_discrete_channel(channel) if discrete else value
     return out
 
 
@@ -199,14 +202,17 @@ class SmallSpectrumReport:
 def small_spectrum_dims(model: CircleModel, t_param, n_grid, threshold=1.0):
     """Counts of eigenvalues with |mu| <= threshold per degree, and the
     smallest large-band magnitude (the two-band picture), from each channel's
-    threshold cut of the model deformed by T; the degrees share one spectrum,
-    so the counts are (c, c). A model without a potential has no deformation:
-    DimensionError. The eigensolver counts the band but places its eigenvalues
-    only to about eps ||K^T K||, above the band from T of about 10 on:
-    ``band_sweep`` reads its size from the minors of K. An eigenvalue within
-    the threshold margin raises ResolutionError."""
+    threshold cut of the model deformed by T (one ``circle.assemble_k`` row,
+    no model copy); the degrees share one spectrum, so the counts are (c, c).
+    A model without a potential has no deformation: DimensionError. The
+    eigensolver counts the band but places its eigenvalues only to about
+    eps ||K^T K||, above the band from T of about 10 on: ``band_sweep`` reads
+    its size from the minors of K. An eigenvalue within the threshold margin
+    raises ResolutionError."""
+    if model.potential is None:
+        raise DimensionError("witten_deform requires a Morse potential")
     count, large_min = 0, np.inf
-    for ch in build_discrete(witten_deform(model, t_param), n_grid).channels:
+    for ch in assemble_k(model, n_grid, (t_param,)).operators(0).channels:
         cut = spectral_cut(ch, threshold)
         count += int(cut.band.size)
         large_min = min(large_min, cut.large_band_min)
@@ -237,24 +243,23 @@ class BandReading:
 
 
 def band_sweep(model: CircleModel, t_values, n_grid):
-    """Per T, in order, a ``BandReading`` of each channel, with no eigensolve:
-    one ``log_band_torsions`` call per channel on the stacked K of every T, k
-    the potential's number of minima. A K with a zero or non-finite entry, as
-    e^{T f} leaves double range, raises InvalidMatrixError naming the grid and
-    T once the sweep reaches that T, so a caller's refusal at an earlier T
-    comes first."""
+    """Per T, in order, a ``BandReading`` of each channel, with no eigensolve.
+    One ``circle.assemble_k`` call gives every channel's K at every T, with no
+    model copy; then one ``log_band_torsions`` call per channel reads its
+    stack, k the potential's number of minima. A K with a zero or non-finite
+    entry, as e^{T f} leaves double range, raises InvalidMatrixError naming
+    the grid and T once the sweep reaches that T, so a caller's refusal at an
+    earlier T comes first."""
     t_values = list(t_values)
     if not t_values:
         return
+    minima = sum(1 for _, index in model.critical_points() if index == 0)
     sweeps = []
-    for sub in model.channels():
-        minima = sum(1 for _, index in sub.critical_points() if index == 0)
-        ops = [build_discrete(witten_deform(sub, t), n_grid).channels[0] for t in t_values]
-        k_diag, k_upper = np.array([op.k_diag for op in ops]), np.array([op.k_upper for op in ops])
+    for lam, k_diag, k_upper in assemble_k(model, n_grid, t_values).channels:
         in_range = _k_in_range(k_diag, k_upper)
-        usable = len(ops) if in_range.all() else int(np.argmin(in_range))
+        usable = len(t_values) if in_range.all() else int(np.argmin(in_range))
         sweeps.append((usable, *log_band_torsions(k_diag[:usable], k_upper[:usable],
-                                                  complex(sub.holonomy), minima)))
+                                                  lam, minima)))
     for i, t_param in enumerate(t_values):
         if any(usable == i for usable, _, _ in sweeps):
             raise InvalidMatrixError(
@@ -272,17 +277,16 @@ def conjugation_isospectral_check(model: CircleModel, t_param, n_grid):
     of K is zero), in O(N) with no eigensolve. It is stronger than comparing
     spectra: equal factors make K^T K one matrix, while a fault in
     ``conjugated`` that is a similarity keeps the spectrum, as negating every
-    ``k_upper`` on an even grid does (S K S with S = diag((-1)^i)). Where
-    e^{+-T f} or K_T leaves double range (T beyond about 709 on cos
-    potentials), a gap would be nan: InvalidMatrixError, naming T.
+    ``k_upper`` on an even grid does (S K S with S = diag((-1)^i)). K_T and
+    K_0 are the two rows of one ``circle.assemble_k`` call, with no model
+    copy. Where e^{+-T f} or K_T leaves double range (T beyond about 709 on
+    cos potentials), a gap would be nan: InvalidMatrixError, naming T.
     """
     if model.potential is None:
         raise DimensionError("conjugation check requires a Morse potential")
     worst = 0.0
-    deformed = witten_deform(model, t_param)
-    disc_t = build_discrete(deformed, n_grid)
-    disc_0 = build_discrete(model, n_grid)
-    for ch_t, ch_0 in zip(disc_t.channels, disc_0.channels):
+    pair = assemble_k(model, n_grid, (t_param, 0.0))
+    for ch_t, ch_0 in zip(pair.operators(0).channels, pair.operators(1).channels):
         f_nodes = model.potential.value(ch_0.nodes, model.length)
         f_mids = model.potential.value(ch_0.mids, model.length)
         # np.max carries a nan gap, so none is compared away

@@ -154,10 +154,14 @@ def turaev_torsion(ms: MorseSystem, rep: Representation, e: EulerStructure, b0, 
     b0 = as_cmatrix(b0, square=True, name="b0")
     if b0.shape != (ms.rank, ms.rank):
         raise DimensionError("b0 has wrong rank")
-    forms = {}
-    for label, power in _spider_powers(ms, e).items():
+    powers = _spider_powers(ms, e)
+    # the powers are windings plus at most one seam crossing: few distinct
+    # values, each transported once and shared by its points
+    transported = {}
+    for power in set(powers.values()):
         ginv = np.linalg.inv(np.linalg.matrix_power(loop, power))
-        forms[label] = ginv.T @ b0 @ ginv
+        transported[power] = ginv.T @ b0 @ ginv
+    forms = {label: transported[power] for label, power in powers.items()}
     return milnor_torsion(ms, CriticalForms(forms), h=h, rng=rng)
 
 
@@ -216,10 +220,6 @@ class IntPoly:
     @classmethod
     def const(cls, c):
         return cls({0: c})
-
-    @classmethod
-    def monomial(cls, e, c=1):
-        return cls({e: c})
 
     def __add__(self, other):
         out = dict(self.coeffs)

@@ -108,18 +108,20 @@ def test_08_anomaly_invariance():
 
 def test_08_discrete_cases_see_a_midpoint_fault(monkeypatch):
     """Criterion 8 reads at most 1e-13 against its 1e-9 gate, and fails when
-    ``_build_channel`` scales K's diagonal by e^{1e-6 phi(mid)}: det K then moves
+    ``assemble_k`` scales K's diagonal by e^{1e-6 phi(mid)}: det K then moves
     by e^{1e-6 sum phi(mid)}, 1.28e-5 on the density whose mean is 0.2 and
     rounding on 0.3 sin theta, whose mean is 0."""
     clean = acceptance.criterion_8_anomaly_invariance()
     assert clean.passed and clean.worst <= 1e-13 and clean.tolerance == 1e-9
-    exact = circle._build_channel
+    exact = circle.assemble_k
 
-    def scaled(model, n_grid):
-        ch = exact(model, n_grid)
-        return replace(ch, k_diag=ch.k_diag * np.exp(1e-6 * model.phi_value(ch.mids)))
+    def scaled(model, n_grid, t_values):
+        sweep = exact(model, n_grid, t_values)
+        bump = np.exp(1e-6 * model.phi_value(sweep.mids))
+        return replace(sweep, channels=tuple((lam, k_diag * bump, k_upper)
+                                             for lam, k_diag, k_upper in sweep.channels))
 
-    monkeypatch.setattr(circle, "_build_channel", scaled)
+    monkeypatch.setattr(circle, "assemble_k", scaled)
     result = acceptance.criterion_8_anomaly_invariance()
     assert not result.passed
     assert result.worst > 1e-6

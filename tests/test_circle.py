@@ -11,10 +11,13 @@ from scipy.optimize import linear_sum_assignment
 
 import bitorsion
 import bitorsion.circle as circle_module
+from bitorsion import spectral
 from bitorsion.circle import (
     CircleModel,
+    KSweep,
     TrigPoly,
     _critical_points,
+    assemble_k,
     build_discrete,
     exact_spectrum_circle,
     gelfand_yaglom_det,
@@ -24,6 +27,7 @@ from bitorsion.circle import (
     zeta_det_exact,
 )
 from bitorsion.errors import (
+    BitorsionError,
     DimensionError,
     GridError,
     HolonomyError,
@@ -33,10 +37,12 @@ from bitorsion.errors import (
 )
 from bitorsion.serialize import load_circle_model
 from bitorsion.spectral import (
+    band_sweep,
     bz_compare,
     conjugation_isospectral_check,
     rs_torsion,
     small_spectrum_dims,
+    theorem33_experiment,
 )
 
 TWO_PI = 2 * np.pi
@@ -712,6 +718,107 @@ class TestWittenDeform:
         direct = witten_deform(model, 10.0)
         xs = np.arange(8) * (TWO_PI / 8)
         assert np.allclose(once.phi_value(xs), direct.phi_value(xs))
+
+
+def _reference_k(model, t_param, n_grid):
+    """(lam, k_diag, k_upper) of each channel of witten_deform(model, t_param),
+    one channel model at a time, from its log_density at the nodes and
+    midpoints, the seam entry a scalar product: K as a per-T assembly forms it."""
+    out = []
+    for sub in witten_deform(model, t_param).channels():
+        lam = complex(sub.holonomy)
+        h = sub.length / n_grid
+        nodes = np.arange(n_grid) * h
+        log_w0, log_w1 = sub.log_density(nodes), sub.log_density(nodes + 0.5 * h)
+        gap_upper = np.exp(log_w1 - np.roll(log_w0, -1))
+        k_upper = (gap_upper / h).astype(complex)
+        k_upper[-1] = lam * gap_upper[-1] / h
+        out.append((lam, (-np.exp(log_w1 - log_w0) / h).astype(complex), k_upper))
+    return out
+
+
+def _reference_sweep(model, n_grid, t_values):
+    """``assemble_k``'s KSweep stacked from ``_reference_k``, one row per T."""
+    per_t = [_reference_k(model, t_param, n_grid) for t_param in t_values]
+    h = model.length / n_grid
+    nodes = np.arange(n_grid) * h
+    channels = tuple((rows[0][0], np.array([r[1] for r in rows]), np.array([r[2] for r in rows]))
+                     for rows in zip(*per_t))
+    return KSweep(n_grid=n_grid, nodes=nodes, mids=nodes + 0.5 * h, channels=channels)
+
+
+def _outcome(fn):
+    """repr of fn's value, exact for floats, or its error's type and message."""
+    try:
+        return repr(fn())
+    except BitorsionError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_SWEEP_HOLONOMIES = {
+    "real": 2.0, "complex": 0.5 + 0.8j, "unitary": np.exp(0.7j), "negative": -2.0,
+    "rank_two": _ROTATION @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(_ROTATION),
+}
+_SWEEP_T = (0.0, 0.5, 4.0, 10.0, 40.0)
+
+
+def _sweep_models(holonomy):
+    """phi = 0 and 0.3 sin theta, one to three wells, L = 2 pi and 3."""
+    return [make_circle_model(holonomy, length, phi, ("cos", wells))
+            for phi in (("zero", 0.0), ("sin", 0.3)) for wells in (1, 2, 3)
+            for length in (TWO_PI, 3.0)]
+
+
+class TestAssembleK:
+    """``assemble_k`` forms every channel's K at every T of a sweep from one
+    evaluation of phi and f. Each row is the per-T assembly's K byte for
+    byte, and the routines that read it give the values they give on the
+    per-T K. The seam entry is a scalar product per row: numpy's complex
+    array multiply rounds differently, which these rows see."""
+
+    @pytest.mark.parametrize("n_grid", [16, 64, 65, 512])
+    @pytest.mark.parametrize("holonomy", list(_SWEEP_HOLONOMIES.values()),
+                             ids=list(_SWEEP_HOLONOMIES))
+    def test_rows_are_the_per_t_k(self, holonomy, n_grid):
+        models = _sweep_models(holonomy)
+        models.append(witten_deform(models[-1], 3.0))  # a sweep from a deformed model
+        for model in models:
+            sweep = assemble_k(model, n_grid, _SWEEP_T)
+            assert sweep.n_grid == n_grid and len(sweep.channels) == model.rank
+            for i, t_param in enumerate(_SWEEP_T):
+                ref = _reference_k(model, t_param, n_grid)
+                built = build_discrete(witten_deform(model, t_param), n_grid).channels
+                for (lam, k_diag, k_upper), (ref_lam, ref_diag, ref_upper), ch in zip(
+                        sweep.channels, ref, built):
+                    assert lam == ref_lam == ch.lam
+                    assert k_diag[i].tobytes() == ref_diag.tobytes() == ch.k_diag.tobytes()
+                    assert k_upper[i].tobytes() == ref_upper.tobytes() == ch.k_upper.tobytes()
+
+    @pytest.mark.parametrize("n_grid", [16, 64, 65, 512])
+    @pytest.mark.parametrize("holonomy", list(_SWEEP_HOLONOMIES.values()),
+                             ids=list(_SWEEP_HOLONOMIES))
+    def test_readers_match_the_per_t_k(self, monkeypatch, holonomy, n_grid):
+        """``band_sweep``, ``theorem33_experiment`` and
+        ``conjugation_isospectral_check`` return, value for value and refusal
+        for refusal, what they return on a sweep stacked from per-T K."""
+        models = _sweep_models(holonomy)
+        calls = [
+            *(lambda m=m: list(band_sweep(m, _SWEEP_T, n_grid)) for m in models),
+            *(lambda m=m: theorem33_experiment(m, (4.0, 10.0, 20.0), n_grid) for m in models),
+            *(lambda m=m, t=t: conjugation_isospectral_check(m, t, n_grid)
+              for m in models for t in (0.0, 5.0, 10.0)),
+        ]
+        got = [_outcome(fn) for fn in calls]
+        monkeypatch.setattr(spectral, "assemble_k", _reference_sweep)
+        assert got == [_outcome(fn) for fn in calls]
+
+    def test_sweep_needs_a_potential(self):
+        model = CircleModel(2.0)
+        assert assemble_k(model, 16, (0.0,)).operators(0).channels[0].k_diag.shape == (16,)
+        with pytest.raises(DimensionError):
+            assemble_k(model, 16, (0.0, 1.0))
+        with pytest.raises(GridError):
+            assemble_k(make_circle_model(2.0, f=("cos", 1)), 4, (1.0,))
 
 
 class TestCriticalPointScans:

@@ -18,14 +18,18 @@ from bitorsion.circle import (
     CircleModel,
     TrigPoly,
     build_discrete,
+    exact_spectrum_circle,
     log_band_torsions,
     make_circle_model,
+    modes_inside_cut,
+    require_acyclic,
     witten_deform,
     zeta_det_exact,
 )
 from bitorsion.cli import main
 from bitorsion.config import DEFAULT_TOL
 from bitorsion.errors import (
+    AmbiguousCutError,
     BitorsionError,
     DimensionError,
     InvalidMatrixError,
@@ -235,6 +239,81 @@ class TestRsTorsion:
         expected = (2.0 / (1 - 2.0) ** 2) * ((0.5 + 0.8j) / (1 - (0.5 + 0.8j)) ** 2)
         assert rs_torsion(model) == pytest.approx(expected, rel=1e-10)
         assert bz_compare(model) == pytest.approx(1.0, abs=1e-10)
+
+
+def _rs_per_channel_model(model, cut, method):
+    """rs_torsion's exact and gy routes one channel model at a time
+    (``CircleModel.channels``), refusals in the same order."""
+    positive_cut = bool(cut and cut > 0)
+    out = 1.0 + 0.0j
+    for sub in model.channels():
+        lam = complex(sub.holonomy)
+        if positive_cut:
+            modes_inside_cut(exact_spectrum_circle(lam, sub.length), cut)
+        if method != "exact" or not positive_cut:
+            require_acyclic(lam)
+        out *= 1.0 / zeta_det_exact(lam, sub.length, cut=0.0)
+    return out
+
+
+def _rs_outcome(fn):
+    try:
+        value = fn()
+    except BitorsionError as exc:
+        return type(exc), str(exc)
+    return complex, (value.real.hex(), value.imag.hex())
+
+
+# e^{-2 pi}, e^{-pi sqrt 2}: on L = 2 pi eigenvalues 2 and 5, and 0.5, sit on a cut
+_ON_CUT = (np.exp(-TWO_PI), np.exp(-np.pi * np.sqrt(2.0)))
+_ROT2 = np.array([[2.0, 1.0], [1.0, 3.0]])
+_ROT3 = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+_CLOSED_FORM_HOLONOMIES = [
+    2.0, 0.5 + 0.8j, np.exp(0.7j), -2.0, 1.0, *_ON_CUT, _ROT2,
+    _ROT2 @ np.diag([2.0, 0.5 + 0.8j]) @ np.linalg.inv(_ROT2),
+    _ROT2 @ np.diag([_ON_CUT[0], -2.0]) @ np.linalg.inv(_ROT2),
+    np.diag([1.0, 2.0]),
+    _ROT3 @ np.diag([2.0, 0.5 + 0.8j, np.exp(0.7j)]) @ np.linalg.inv(_ROT3),
+    np.diag([_ON_CUT[1], 3.0, 0.5 + 0.8j]),
+]
+
+
+class TestClosedFormRs:
+    """The exact and gy routes read only ``channel_holonomies()`` and L."""
+
+    @pytest.mark.parametrize("method", ["exact", "gy"])
+    @pytest.mark.parametrize("length", [TWO_PI, 3.0], ids=["2pi", "3"])
+    def test_product_over_holonomies(self, monkeypatch, method, length):
+        """Bit for bit the product of 1 / zeta_det_exact(lam, L, cut=0.0) over
+        the channel holonomies, at ranks 1 to 3; every refusal at cuts 0.5,
+        2 and 5 is the per-channel-model route's, message included; and no
+        CircleModel is constructed."""
+        models = [CircleModel(h, length=length, potential=COS) for h in _CLOSED_FORM_HOLONOMIES]
+        want = {}
+        for i, model in enumerate(models):
+            for cut in (None, 0.0, 0.5, 2.0, 5.0):
+                want[i, cut] = _rs_outcome(lambda: _rs_per_channel_model(model, cut, method))
+        constructed = []
+        post_init = CircleModel.__post_init__
+        monkeypatch.setattr(CircleModel, "__post_init__",
+                            lambda self: constructed.append(self) or post_init(self))
+        got = {}
+        for i, model in enumerate(models):
+            for cut in (None, 0.0, 0.5, 2.0, 5.0):
+                got[i, cut] = _rs_outcome(lambda: rs_torsion(model, cut=cut, method=method))
+        assert not constructed
+        assert got == want
+        for i, model in enumerate(models):
+            lams = model.channel_holonomies()
+            if 1.0 in lams:
+                continue
+            product = 1.0 + 0.0j
+            for lam in lams:
+                product *= 1.0 / zeta_det_exact(lam, length, cut=0.0)
+            assert got[i, 0.0] == (complex, (product.real.hex(), product.imag.hex()))
+        if length == TWO_PI:  # the eigenvalues on the cut circle are refused
+            refused = {cut for (_, cut), (kind, _) in got.items() if kind is AmbiguousCutError}
+            assert refused == {0.5, 2.0, 5.0}
 
 
 class TestAnomalyInvariance:

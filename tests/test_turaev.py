@@ -7,7 +7,14 @@ from bitorsion.errors import (
     PresentationError,
     ShapeError,
 )
-from bitorsion.morse import CriticalPoint, MorseSystem, circle_loop, make_circle_morse
+from bitorsion.morse import (
+    CriticalForms,
+    CriticalPoint,
+    MorseSystem,
+    circle_loop,
+    make_circle_morse,
+    milnor_torsion,
+)
 from bitorsion.turaev import (
     EulerStructure,
     IntPoly,
@@ -15,6 +22,7 @@ from bitorsion.turaev import (
     Representation,
     _fox_row,
     _poly_det,
+    _spider_powers,
     euler_class_circle,
     fox_alexander,
     knot_from_braid,
@@ -140,6 +148,31 @@ class TestTuraevTorsion:
         ms = MorseSystem(points, (), rank=1)  # no geometry attached
         with pytest.raises(UnsupportedSystemError):
             euler_class_circle(ms, EulerStructure("a", {}))
+
+
+class TestSpiderTransport:
+    @pytest.mark.parametrize("seam_arc", [1, 5])
+    @pytest.mark.parametrize("holonomy", [
+        3.0, 0.5 + 0.8j, np.array([[2.0, 1.0], [0.5, 3.0 + 1.0j]]),
+    ], ids=["real", "complex", "rank_two"])
+    def test_shared_powers_match_per_point_transport(self, holonomy, seam_arc):
+        """Points whose spiders share a loop power share one transported
+        form: the torsion equals, bit for bit, the one from forms transported
+        point by point."""
+        ms = make_circle_morse(3, holonomy, seam_arc=seam_arc)
+        loop = circle_loop(ms)
+        r = Representation({"g": loop}, ms.rank)
+        b0 = np.eye(ms.rank) * (2.0 - 0.5j) + 0.25
+        for e in (EulerStructure("m0", {}), EulerStructure("M1", {"m0": 1, "M0": 1, "m2": -1}),
+                  EulerStructure("m1", {"m0": 2, "M0": 2, "m1": 1, "M2": 1})):
+            powers = _spider_powers(ms, e)
+            assert len(set(powers.values())) < len(powers)
+            forms = {}
+            for label, power in powers.items():
+                ginv = np.linalg.inv(np.linalg.matrix_power(loop, power))
+                forms[label] = ginv.T @ b0.astype(complex) @ ginv
+            want = milnor_torsion(ms, CriticalForms(forms))
+            assert turaev_torsion(ms, r, e, b0) == want
 
 
 TREFOIL = KnotPresentation(("a", "b", "c"), ("a b A C", "b c B A"))
